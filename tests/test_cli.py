@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -263,3 +264,30 @@ class TestTimestampFlag:
     def test_opt_in(self, capsys):
         _, out, _ = run_cli(capsys, "zeros", "--timestamp")
         assert "timestamp" in json.loads(out)["metadata"]
+
+
+class TestPinnedDigests:
+    # sha256 of the default stdout of each command.  Refactors of the
+    # amplitude model must leave these bytes unchanged; full-mode outputs are
+    # deliberately not pinned, their last digits may move.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("single",),
+             "0479fc3c01372baf717a81cf79aa1bcd0610c76f8bcafa86bb2609c04acb2fb5"),
+            (("two-beam",),
+             "4798bddb7ec503e46cadc0aabaa4a5cf8fbccd27a5df0eb457a10905d192907f"),
+            (("scan",),
+             "b0d2807b2bf48befd105aa30596cd17e334c90fd91da89dd6b5bef7d787bf917"),
+            (("compare",),
+             "3f9321b2136d1ecbb79a607b2296bc20c0d8bb5a697c8209bd6114941067a5ad"),
+            (("zeros",),
+             "938feb3e430f39ff8d39db81a716dbd8141cfe6f47f327577359a604c273dd49"),
+            (("zeros", "--n", "3"),
+             "e65641fd82de2b15118e6c237eb71e174d44cf066626849c479ae8e30fa23a8f"),
+        ],
+    )
+    def test_default_output_digest(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
