@@ -54,6 +54,7 @@ from .twobeam import (
     ScanResult,
     TwoBeamConfig,
     momentum_transfer_pair,
+    pattern_two_beam,
     phi_theta_scan,
     superpose_amplitudes,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "overestimation_factor",
     "pattern_classical",
     "pattern_single",
+    "pattern_two_beam",
     "phi_theta_scan",
     "sinc",
     "spinor_element",

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import find_zero, hyp0f1_reg2, sinc
+from .numerics import disk_amplitude, find_zero, sinc
 from .patterns import Normalization, Pattern, grid_area
+from .potential import momentum_transfer_single
 
 
 class RangeError(ValueError):
@@ -28,22 +29,6 @@ class ZeroReport:
     method: str
     zeros: np.ndarray
     n: int
-
-
-def _quantum_amplitude(p_radius: float):
-    # form factor along the single-beam transfer: 0F1(2, -(pR sin(theta/2))^2)
-    def amp(theta: float) -> float:
-        s = p_radius * math.sin(0.5 * theta)
-        return hyp0f1_reg2(-s * s)
-
-    return amp
-
-
-def _classical_amplitude(p_radius: float):
-    def amp(theta: float) -> float:
-        return sinc(p_radius * math.sin(theta))
-
-    return amp
 
 
 def first_dark_points(p_radius: float, method: str, n: int = 1) -> ZeroReport:
@@ -60,9 +45,11 @@ def first_dark_points(p_radius: float, method: str, n: int = 1) -> ZeroReport:
     if n < 1:
         raise ValueError(f"first_dark_points: n >= 1 required, got {n!r}")
     if method == "quantum":
-        amp = _quantum_amplitude(p_radius)
+        def amp(theta: float) -> float:  # the form factor at qR = 2 pR |sin(theta/2)|
+            return disk_amplitude(momentum_transfer_single(p_radius, theta))
     elif method == "classical":
-        amp = _classical_amplitude(p_radius)
+        def amp(theta: float) -> float:
+            return sinc(p_radius * math.sin(theta))
     else:
         raise ValueError(f"unknown method {method!r}; expected 'quantum' or 'classical'")
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DomainError, sinc
-from .patterns import Normalization, Pattern, default_grid, normalize_density, validate_grid
+from .patterns import Normalization, Pattern, sample_pattern
+from .twobeam import _interference_density
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,7 @@ def fraunhofer_two_beam(
         a_plus = sinc(scaled * math.sin(theta + 0.5 * alpha))
     else:
         raise ValueError(f"unknown argument_form {argument_form!r}; expected 'q' or 'sin-theta'")
-    phi_r = math.remainder(phi, 2.0 * math.pi)
-    re = a_minus + a_plus * math.cos(phi_r)
-    im = a_plus * math.sin(phi_r)
-    return re * re + im * im
+    return _interference_density(a_minus, a_plus, phi)
 
 
 def pattern_classical(
@@ -85,14 +83,6 @@ def pattern_classical(
     normalization: Normalization = Normalization.RAW,
 ) -> Pattern:
     """Sample the single-beam Fraunhofer density over an angular grid."""
-    thetas = default_grid() if thetas is None else validate_grid(thetas)
-    density = np.array([fraunhofer_single(cfg, t) for t in thetas])
-    normalization = Normalization(normalization)
-    metadata = {
-        "kind": "classical",
-        "p_radius": cfg.p_radius,
-        "radius_scale": cfg.radius_scale,
-        "normalization": normalization.value,
-    }
-    return Pattern(thetas, normalize_density(thetas, density, normalization),
-                   normalization, metadata)
+    return sample_pattern(lambda theta: fraunhofer_single(cfg, theta), thetas, normalization,
+                          kind="classical", p_radius=cfg.p_radius,
+                          radius_scale=cfg.radius_scale)

@@ -18,16 +18,17 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .analysis import compare_curves, first_dark_points, match_areas, overestimation_factor
+from .analysis import compare_curves, first_dark_points, match_areas
 from .classical import ClassicalConfig, pattern_classical
 from .electron import FLIP, NO_FLIP, pattern_single
-from .patterns import Normalization, Pattern, normalize_density
+from .patterns import Normalization, Pattern
 from .potential import BeamParams, WirePotential, ELECTRON_MASS_EV
-from .twobeam import ScanResult, TwoBeamConfig, dsigma_dtheta_full, dsigma_dtheta_low_energy, phi_theta_scan
+from .twobeam import ScanResult, TwoBeamConfig, pattern_two_beam, phi_theta_scan
 
 TAU = 2.0 * math.pi
 
@@ -149,20 +150,20 @@ def _resolve_physics(args) -> tuple[BeamParams, WirePotential]:
     return beam, wire
 
 
-def _resolve_theta_grid(args) -> np.ndarray:
-    if args.theta_points < 2:
-        raise ConfigError(f"--theta-points must be >= 2, got {args.theta_points}")
-    if not (args.theta_min < args.theta_max):
-        raise ConfigError(
-            f"--theta-min must be below --theta-max, got [{args.theta_min}, {args.theta_max}]"
-        )
-    return np.linspace(args.theta_min, args.theta_max, args.theta_points)
+def _resolve_grid(args, name: str) -> np.ndarray:
+    lo, hi, points = (getattr(args, f"{name}_{part}") for part in ("min", "max", "points"))
+    if points < 2:
+        raise ConfigError(f"--{name}-points must be >= 2, got {points}")
+    if not (lo < hi):
+        raise ConfigError(f"--{name}-min must be below --{name}-max, got [{lo}, {hi}]")
+    return np.linspace(lo, hi, points)
 
 
-def _base_config(args, keys: tuple[str, ...]) -> dict:
-    cfg = {"command": args.command, "version": __version__}
-    for key in keys:
-        cfg[key] = getattr(args, key)
+def _base_config(args) -> dict:
+    # every parsed option of the command except how and where output is written
+    cfg = {key: value for key, value in vars(args).items()
+           if key not in ("output", "timestamp", "format")}
+    cfg["version"] = __version__
     if args.timestamp:
         cfg["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return cfg
@@ -210,73 +211,43 @@ def _scan_json(scan: ScanResult, config: dict) -> str:
     return _json_doc(config, data)
 
 
-def _cmd_single(args) -> str:
+def _pattern_command(args, build) -> str:
+    # parse -> call -> serialize, shared by the single- and two-beam commands
     beam, wire = _resolve_physics(args)
-    thetas = _resolve_theta_grid(args)
-    pattern = pattern_single(
-        beam, wire, thetas,
-        mode=args.mode,
-        channel=_SPIN_CHANNELS[args.spin],
-        normalization=_NORMALIZATIONS[args.normalization],
-    )
-    config = _base_config(args, ("wavelength_nm", "diameter_um", "mass_ev",
-                                 "theta_min", "theta_max", "theta_points",
-                                 "mode", "spin", "normalization"))
+    pattern = build(beam, wire, thetas=_resolve_grid(args, "theta"), mode=args.mode,
+                    channel=_SPIN_CHANNELS[args.spin],
+                    normalization=_NORMALIZATIONS[args.normalization])
+    config = _base_config(args)
     return _pattern_csv(pattern, config) if args.format == "csv" else _pattern_json(pattern, config)
 
 
+def _cmd_single(args) -> str:
+    return _pattern_command(args, pattern_single)
+
+
 def _cmd_two_beam(args) -> str:
-    beam, wire = _resolve_physics(args)
-    thetas = _resolve_theta_grid(args)
     if not (math.isfinite(args.alpha) and args.alpha >= 0.0):
         raise ConfigError(f"--alpha must be >= 0, got {args.alpha}")
     if not math.isfinite(args.phi):
         raise ConfigError(f"--phi must be finite, got {args.phi}")
-    cfg2 = TwoBeamConfig(alpha=args.alpha, phi=args.phi)
-    channel = _SPIN_CHANNELS[args.spin]
-    if args.mode == "low-energy":
-        p_radius = beam.momentum * wire.radius
-        density = np.array([dsigma_dtheta_low_energy(p_radius, cfg2, float(t)) for t in thetas])
-    elif channel is None:
-        density = np.array([
-            dsigma_dtheta_full(beam, wire, cfg2, float(t), NO_FLIP)
-            + dsigma_dtheta_full(beam, wire, cfg2, float(t), FLIP)
-            for t in thetas
-        ])
-    else:
-        density = np.array([dsigma_dtheta_full(beam, wire, cfg2, float(t), channel)
-                            for t in thetas])
-    norm = _NORMALIZATIONS[args.normalization]
-    pattern = Pattern(thetas, normalize_density(thetas, density, norm), norm,
-                      {"kind": "two-beam"})
-    config = _base_config(args, ("wavelength_nm", "diameter_um", "mass_ev",
-                                 "alpha", "phi", "theta_min", "theta_max",
-                                 "theta_points", "mode", "spin", "normalization"))
-    return _pattern_csv(pattern, config) if args.format == "csv" else _pattern_json(pattern, config)
+    return _pattern_command(
+        args, partial(pattern_two_beam, cfg=TwoBeamConfig(alpha=args.alpha, phi=args.phi)))
 
 
 def _cmd_scan(args) -> str:
     beam, wire = _resolve_physics(args)
-    thetas = _resolve_theta_grid(args)
+    thetas = _resolve_grid(args, "theta")
     if not (math.isfinite(args.alpha) and args.alpha >= 0.0):
         raise ConfigError(f"--alpha must be >= 0, got {args.alpha}")
-    if args.phi_points < 2:
-        raise ConfigError(f"--phi-points must be >= 2, got {args.phi_points}")
-    if not (args.phi_min < args.phi_max):
-        raise ConfigError(
-            f"--phi-min must be below --phi-max, got [{args.phi_min}, {args.phi_max}]"
-        )
-    phis = np.linspace(args.phi_min, args.phi_max, args.phi_points)
+    phis = _resolve_grid(args, "phi")
     scan = phi_theta_scan(beam.momentum * wire.radius, args.alpha, phis, thetas)
-    config = _base_config(args, ("wavelength_nm", "diameter_um", "mass_ev",
-                                 "alpha", "phi_min", "phi_max", "phi_points",
-                                 "theta_min", "theta_max", "theta_points"))
+    config = _base_config(args)
     return _scan_csv(scan, config) if args.format == "csv" else _scan_json(scan, config)
 
 
 def _cmd_compare(args) -> str:
     beam, wire = _resolve_physics(args)
-    thetas = _resolve_theta_grid(args)
+    thetas = _resolve_grid(args, "theta")
     if not (math.isfinite(args.radius_scale) and args.radius_scale > 0.0):
         raise ConfigError(f"--radius-scale must be positive, got {args.radius_scale}")
     p_radius = beam.momentum * wire.radius
@@ -300,9 +271,7 @@ def _cmd_compare(args) -> str:
         "first_zero_quantum_rad": _jsonable(comparison.first_zero_a_rad),
         "first_zero_classical_rad": _jsonable(comparison.first_zero_b_rad),
     }
-    config = _base_config(args, ("wavelength_nm", "diameter_um", "mass_ev",
-                                 "theta_min", "theta_max", "theta_points",
-                                 "radius_scale"))
+    config = _base_config(args)
     return _json_doc(config, data)
 
 
@@ -317,9 +286,10 @@ def _cmd_zeros(args) -> str:
         "p_radius": p_radius,
         "quantum_zeros_rad": [float(z) for z in quantum.zeros],
         "classical_zeros_rad": [float(z) for z in classical.zeros],
-        "overestimation_factor": overestimation_factor(p_radius),
+        # overestimation_factor's ratio, from the searches above (zeros[0] is the n = 1 zero)
+        "overestimation_factor": float(quantum.zeros[0] / classical.zeros[0]),
     }
-    config = _base_config(args, ("wavelength_nm", "diameter_um", "mass_ev", "n"))
+    config = _base_config(args)
     return _json_doc(config, data)
 
 

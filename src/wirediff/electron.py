@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .numerics import DomainError, hyp0f1_reg2
-from .patterns import Normalization, Pattern, default_grid, normalize_density, validate_grid
-from .potential import BeamParams, WirePotential, form_factor, momentum_transfer_single
+from .numerics import DomainError, disk_amplitude
+from .patterns import Normalization, Pattern, sample_pattern
+from .potential import BeamParams, WirePotential, momentum_transfer_single
 
 
 class Spin(Enum):
@@ -65,6 +66,35 @@ def spinor_element(beam: BeamParams, theta: float, channel: SpinChannel = NO_FLI
     return (e_plus_m * e_plus_m + pc * pc * math.cos(theta)) / e_plus_m
 
 
+def unit_spinor(theta: float) -> float:
+    """Low-energy spinor factor: exactly 1.0, so 1.0 * F == F bit for bit."""
+    return 1.0
+
+
+def spinor_factors(beam: BeamParams, mode: str, channel: SpinChannel | None = NO_FLIP):
+    """Spinor factors theta -> float whose squared amplitudes ``mode`` sums.
+
+    Low-energy mode is full mode with :func:`unit_spinor`; full mode takes the
+    spinor element of ``channel``, or of both channels if it is None (spin sum).
+    """
+    if mode == "low-energy":
+        return (unit_spinor,)
+    if mode != "full":
+        raise ValueError(f"unknown mode {mode!r}; expected 'low-energy' or 'full'")
+    channels = (NO_FLIP, FLIP) if channel is None else (channel,)
+    return tuple(partial(spinor_element, beam, channel=c) for c in channels)
+
+
+def amplitudes(p_radius: float, theta: float, spinors=(unit_spinor,)) -> list[float]:
+    """Amplitudes spinor(theta) * F(qR), qR = 2 pR |sin(theta/2)|, one per spinor factor."""
+    f = disk_amplitude(momentum_transfer_single(p_radius, theta))
+    return [spinor(theta) * f for spinor in spinors]
+
+
+def _density(p_radius: float, theta: float, spinors) -> float:
+    return sum(a * a for a in amplitudes(p_radius, theta, spinors))
+
+
 def dsigma_dtheta_full(
     beam: BeamParams,
     wire: WirePotential,
@@ -76,16 +106,12 @@ def dsigma_dtheta_full(
     Elastic and planar by construction: theta enters only through the
     momentum transfer q = 2 p |sin(theta/2)|.
     """
-    q = momentum_transfer_single(beam.momentum, theta)
-    amp = spinor_element(beam, theta, channel) * form_factor(wire, q)
-    return amp * amp
+    return _density(beam.momentum * wire.radius, theta, spinor_factors(beam, "full", channel))
 
 
 def dsigma_dtheta_full_spin_summed(beam: BeamParams, wire: WirePotential, theta: float) -> float:
     """Full-energy density summed over final spins (flip + no-flip)."""
-    return dsigma_dtheta_full(beam, wire, theta, NO_FLIP) + dsigma_dtheta_full(
-        beam, wire, theta, FLIP
-    )
+    return _density(beam.momentum * wire.radius, theta, spinor_factors(beam, "full", None))
 
 
 def dsigma_dtheta_low_energy(p_radius: float, theta: float) -> float:
@@ -93,13 +119,23 @@ def dsigma_dtheta_low_energy(p_radius: float, theta: float) -> float:
 
     ``p_radius`` is the dimensionless momentum-radius product p*R.
     """
-    if not (math.isfinite(p_radius) and p_radius > 0.0):
-        raise DomainError(f"dsigma_dtheta_low_energy: p_radius > 0 required, got {p_radius!r}")
-    if not math.isfinite(theta):
-        raise DomainError(f"dsigma_dtheta_low_energy: theta must be finite, got {theta!r}")
-    s = p_radius * math.sin(0.5 * theta)
-    f = hyp0f1_reg2(-s * s)
-    return f * f
+    return _density(p_radius, theta, (unit_spinor,))
+
+
+def sample_beam_pattern(density, beam: BeamParams, wire: WirePotential, thetas, mode: str,
+                        channel: SpinChannel | None, normalization, **metadata) -> Pattern:
+    """Sample ``density(p_radius, theta, spinors)`` with the beam's provenance.
+
+    Shared by the single- and two-beam patterns: ``mode`` and ``channel``
+    only choose the spinor factors (see :func:`spinor_factors`).
+    """
+    spinors = spinor_factors(beam, mode, channel)
+    p_radius = beam.momentum * wire.radius
+    return sample_pattern(
+        lambda theta: density(p_radius, theta, spinors), thetas, normalization, mode=mode,
+        channel="summed" if channel is None else ("flip" if channel.is_flip else "no-flip"),
+        wavelength_nm=beam.wavelength_m * 1e9, mass_ev=beam.mass_ev,
+        diameter_um=wire.diameter_um, **metadata)
 
 
 def pattern_single(
@@ -116,31 +152,5 @@ def pattern_single(
     the full-energy spinor elements for ``channel`` (None means summed over
     final spins).  Grid evaluation is pure and order-independent.
     """
-    thetas = default_grid() if thetas is None else validate_grid(thetas)
-    if mode == "low-energy":
-        p_radius = beam.momentum * wire.radius
-        density = np.array([dsigma_dtheta_low_energy(p_radius, t) for t in thetas])
-    elif mode == "full":
-        if channel is None:
-            density = np.array(
-                [dsigma_dtheta_full_spin_summed(beam, wire, t) for t in thetas]
-            )
-        else:
-            density = np.array(
-                [dsigma_dtheta_full(beam, wire, t, channel) for t in thetas]
-            )
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'low-energy' or 'full'")
-    normalization = Normalization(normalization)
-    metadata = {
-        "kind": "single-beam",
-        "mode": mode,
-        "channel": "summed" if channel is None else
-                   ("flip" if channel.is_flip else "no-flip"),
-        "wavelength_nm": beam.wavelength_m * 1e9,
-        "mass_ev": beam.mass_ev,
-        "diameter_um": wire.diameter_um,
-        "normalization": normalization.value,
-    }
-    return Pattern(thetas, normalize_density(thetas, density, normalization),
-                   normalization, metadata)
+    return sample_beam_pattern(_density, beam, wire, thetas, mode, channel, normalization,
+                               kind="single-beam")

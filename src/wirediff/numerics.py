@@ -143,6 +143,15 @@ def hyp0f1_reg2(z: float) -> float:
     return value
 
 
+def disk_amplitude(q_r: float) -> float:
+    """Normalized disk transform 0F1(2, -(q_r/2)^2) = 2 J1(q_r)/q_r, even in q_r.
+
+    The one amplitude of the model, a function of q_r = q R alone; every
+    quantum density and the quantum dark-point search evaluate it.
+    """
+    return hyp0f1_reg2(-0.25 * q_r * q_r)
+
+
 def hyp0f1_reg2_series(z: float) -> float:
     """Direct-series cross-check path for :func:`hyp0f1_reg2`.
 

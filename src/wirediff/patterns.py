@@ -90,3 +90,17 @@ class Pattern:
     def area(self) -> float:
         """Trapezoidal integral of the density over the grid."""
         return grid_area(self.thetas, self.density)
+
+
+def sample_pattern(density, thetas, normalization: Normalization, **metadata) -> Pattern:
+    """Sample ``density(theta)`` over an angular grid (None: :func:`default_grid`).
+
+    The one pattern builder: it validates the grid, normalizes the sampled
+    density and records the normalization next to the caller's ``metadata``.
+    """
+    thetas = default_grid() if thetas is None else validate_grid(thetas)
+    normalization = Normalization(normalization)
+    values = np.array([density(theta) for theta in thetas.tolist()])
+    metadata["normalization"] = normalization.value
+    return Pattern(thetas, normalize_density(thetas, values, normalization),
+                   normalization, metadata)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import DomainError, hyp0f1_reg2
+from .numerics import DomainError, disk_amplitude
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,7 +92,7 @@ class BeamParams:
 
 
 def momentum_transfer_single(p: float, theta: float) -> float:
-    """Elastic momentum transfer q = 2 p |sin(theta/2)| for one beam [1/m]."""
+    """Elastic momentum transfer q = 2 p |sin(theta/2)| for one beam [1/m] (q*R given p*R)."""
     if not (math.isfinite(p) and p > 0.0):
         raise DomainError(f"momentum_transfer_single: p > 0 required, got {p!r}")
     if not math.isfinite(theta):
@@ -109,5 +109,4 @@ def form_factor(wire: WirePotential, q: float) -> float:
     """
     if not (math.isfinite(q) and q >= 0.0):
         raise DomainError(f"form_factor: q >= 0 required, got {q!r}")
-    x = q * wire.radius
-    return hyp0f1_reg2(-0.25 * x * x)
+    return disk_amplitude(q * wire.radius)

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electron import NO_FLIP, SpinChannel, spinor_element
-from .numerics import DomainError, hyp0f1_reg2
-from .patterns import validate_grid
-from .potential import BeamParams, WirePotential, form_factor
+from .electron import (NO_FLIP, SpinChannel, amplitudes, sample_beam_pattern, spinor_factors,
+                       unit_spinor)
+from .numerics import DomainError
+from .patterns import Normalization, Pattern, validate_grid
+from .potential import BeamParams, WirePotential, momentum_transfer_single
 
 _TAU = 2.0 * math.pi
 
@@ -53,23 +54,27 @@ class ScanResult:
 
 def momentum_transfer_pair(p: float, theta: float, alpha: float) -> tuple[float, float]:
     """Momentum transfers (q_minus, q_plus) = 2 p |sin(theta/2 -/+ alpha/4)| [1/m]."""
-    if not (math.isfinite(p) and p > 0.0):
-        raise DomainError(f"momentum_transfer_pair: p > 0 required, got {p!r}")
-    if not (math.isfinite(theta) and math.isfinite(alpha)):
-        raise DomainError("momentum_transfer_pair: theta and alpha must be finite")
-    q_minus = 2.0 * p * abs(math.sin(0.5 * theta - 0.25 * alpha))
-    q_plus = 2.0 * p * abs(math.sin(0.5 * theta + 0.25 * alpha))
-    return q_minus, q_plus
+    return (momentum_transfer_single(p, theta - 0.5 * alpha),
+            momentum_transfer_single(p, theta + 0.5 * alpha))
 
 
-def _interference_density(a_minus: float, a_plus: float, phi: float) -> float:
-    # |a_minus + e^{i phi} a_plus|^2 composed from squares, so the result is
-    # non-negative in floating point even under exact cancellation.  The
-    # phase is IEEE-remainder-reduced, making the 2*pi periodicity exact.
+def _interference_density(a_minus, a_plus, phi: float):
+    # |a_minus + e^{i phi} a_plus|^2 for real amplitudes or arrays of them,
+    # composed from squares so the result is non-negative in floating point
+    # even under exact cancellation; the IEEE-remainder-reduced phase makes
+    # the 2*pi periodicity exact.
     phi_r = math.remainder(phi, _TAU)
     re = a_minus + a_plus * math.cos(phi_r)
     im = a_plus * math.sin(phi_r)
     return re * re + im * im
+
+
+def _density(p_radius: float, cfg: TwoBeamConfig, theta: float, spinors) -> float:
+    # each beam's amplitudes are the single-beam ones at its own scattering
+    # angle theta -/+ alpha/2, i.e. at q_pm R = 2 pR |sin(theta/2 -/+ alpha/4)|
+    minus = amplitudes(p_radius, theta - 0.5 * cfg.alpha, spinors)
+    plus = amplitudes(p_radius, theta + 0.5 * cfg.alpha, spinors)
+    return sum(_interference_density(a, b, cfg.phi) for a, b in zip(minus, plus))
 
 
 def dsigma_dtheta_low_energy(p_radius: float, cfg: TwoBeamConfig, theta: float) -> float:
@@ -78,15 +83,7 @@ def dsigma_dtheta_low_energy(p_radius: float, cfg: TwoBeamConfig, theta: float) 
     F_pm = 0F1(2, -(pR sin(theta/2 +/- alpha/4))^2); computed as the squared
     magnitude of the superposed amplitudes, hence guaranteed >= 0.
     """
-    if not (math.isfinite(p_radius) and p_radius > 0.0):
-        raise DomainError(f"dsigma_dtheta_low_energy: p_radius > 0 required, got {p_radius!r}")
-    if not math.isfinite(theta):
-        raise DomainError(f"dsigma_dtheta_low_energy: theta must be finite, got {theta!r}")
-    s_minus = p_radius * math.sin(0.5 * theta - 0.25 * cfg.alpha)
-    s_plus = p_radius * math.sin(0.5 * theta + 0.25 * cfg.alpha)
-    f_minus = hyp0f1_reg2(-s_minus * s_minus)
-    f_plus = hyp0f1_reg2(-s_plus * s_plus)
-    return _interference_density(f_minus, f_plus, cfg.phi)
+    return _density(p_radius, cfg, theta, (unit_spinor,))
 
 
 def dsigma_dtheta_full(
@@ -103,10 +100,27 @@ def dsigma_dtheta_full(
     at q_pm.  Both beams carry the same spin labels (polarized source).
     Reduces to the low-energy form when pc << mc^2.
     """
-    q_minus, q_plus = momentum_transfer_pair(beam.momentum, theta, cfg.alpha)
-    a_minus = spinor_element(beam, theta - 0.5 * cfg.alpha, channel) * form_factor(wire, q_minus)
-    a_plus = spinor_element(beam, theta + 0.5 * cfg.alpha, channel) * form_factor(wire, q_plus)
-    return _interference_density(a_minus, a_plus, cfg.phi)
+    return _density(beam.momentum * wire.radius, cfg, theta,
+                    spinor_factors(beam, "full", channel))
+
+
+def pattern_two_beam(
+    beam: BeamParams,
+    wire: WirePotential,
+    cfg: TwoBeamConfig,
+    thetas: np.ndarray | None = None,
+    mode: str = "low-energy",
+    channel: SpinChannel | None = NO_FLIP,
+    normalization: Normalization = Normalization.RAW,
+) -> Pattern:
+    """Sample the two-beam distribution over an angular grid.
+
+    Modes, channels and normalizations as in :func:`~wirediff.electron.pattern_single`.
+    """
+    return sample_beam_pattern(
+        lambda p_radius, theta, spinors: _density(p_radius, cfg, theta, spinors),
+        beam, wire, thetas, mode, channel, normalization,
+        kind="two-beam", alpha=cfg.alpha, phi=cfg.phi)
 
 
 def superpose_amplitudes(a_minus: complex, a_plus: complex, phi: float,
@@ -142,11 +156,13 @@ def phi_theta_scan(
     per-phi integrated intensity rises and falls as the wire crosses
     bright and dark fringes.
     """
+    TwoBeamConfig(alpha=alpha)  # rejects a negative or non-finite alpha
     phis = validate_grid(phi_grid)
     thetas = validate_grid(theta_grid)
-    density = np.empty((phis.size, thetas.size))
-    for i, phi in enumerate(phis):
-        cfg = TwoBeamConfig(alpha=alpha, phi=float(phi))
-        for j, theta in enumerate(thetas):
-            density[i, j] = dsigma_dtheta_low_energy(p_radius, cfg, float(theta))
+    # phi enters only through the combiner: the form factors F_-, F_+ are
+    # computed once per theta and every phi row combines the same arrays
+    f_minus, f_plus = np.array([amplitudes(p_radius, t - 0.5 * alpha)
+                                + amplitudes(p_radius, t + 0.5 * alpha)
+                                for t in thetas.tolist()]).T
+    density = np.array([_interference_density(f_minus, f_plus, phi) for phi in phis.tolist()])
     return ScanResult(phis=phis, thetas=thetas, density=density)

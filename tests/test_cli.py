@@ -212,6 +212,29 @@ class TestZerosCommand:
         _, b, _ = run_cli(capsys, "zeros")
         assert a == b
 
+    def test_dark_point_search_runs_once(self, capsys, monkeypatch):
+        # the factor comes from the zeros already found, not from a second
+        # search: count every numerics kernel call made by analysis
+        import types
+
+        from wirediff import analysis, numerics
+
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, obj in list(vars(analysis).items()):
+            if (isinstance(obj, types.FunctionType) and obj.__module__ == numerics.__name__
+                    and name != "find_zero"):
+                monkeypatch.setattr(analysis, name, counted(obj))
+        code, _, _ = run_cli(capsys, "zeros")
+        assert code == 0
+        assert len(calls) == 91
+
 
 class TestCompareCommand:
     def test_default_comparison_metrics(self, capsys):

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from wirediff.electron import FLIP, NO_FLIP, dsigma_dtheta_full as single_full
 from wirediff.numerics import DomainError, hyp0f1_reg2
+from wirediff.patterns import Normalization, Pattern
 from wirediff.twobeam import (
     ScanResult,
     TwoBeamConfig,
     dsigma_dtheta_full,
     dsigma_dtheta_low_energy,
     momentum_transfer_pair,
+    pattern_two_beam,
     phi_theta_scan,
     superpose_amplitudes,
 )
@@ -227,3 +229,82 @@ class TestPhiThetaScan:
             phi_theta_scan(PR, 0.1, np.array([1.0, 0.0]), np.array([0.0, 0.1]))
         with pytest.raises(ValueError):
             phi_theta_scan(PR, 0.1, np.array([]), np.array([0.0, 0.1]))
+
+    def test_negative_alpha_rejected(self):
+        with pytest.raises(ValueError):
+            phi_theta_scan(PR, -0.1, np.array([0.0, 1.0]), np.array([0.0, 0.1]))
+
+    def test_rows_equal_two_beam_patterns(self, beam, wire, p_radius):
+        # every phi row is, bit for bit, the raw low-energy two-beam pattern
+        phis = np.linspace(-1.0, TAU + 1.0, 13)
+        thetas = np.linspace(-0.15, 0.15, 301)
+        scan = phi_theta_scan(p_radius, 0.1, phis, thetas)
+        for phi, row in zip(phis, scan.density):
+            pattern = pattern_two_beam(beam, wire, TwoBeamConfig(0.1, float(phi)), thetas)
+            assert np.array_equal(row, pattern.density)
+
+
+class TestPatternTwoBeam:
+    THETAS = np.linspace(-0.15, 0.15, 201)
+
+    def test_low_energy_matches_density(self, beam, wire, p_radius):
+        cfg = TwoBeamConfig(0.1, 0.8)
+        pattern = pattern_two_beam(beam, wire, cfg, self.THETAS)
+        assert isinstance(pattern, Pattern)
+        expected = [dsigma_dtheta_low_energy(p_radius, cfg, float(t)) for t in self.THETAS]
+        assert np.array_equal(pattern.density, expected)
+        assert pattern.normalization is Normalization.RAW
+        assert pattern.metadata["kind"] == "two-beam"
+        assert pattern.metadata["mode"] == "low-energy"
+        assert pattern.metadata["alpha"] == 0.1
+        assert pattern.metadata["phi"] == 0.8
+
+    @pytest.mark.parametrize("channel", [NO_FLIP, FLIP])
+    def test_full_mode_matches_density(self, beam, wire, channel):
+        cfg = TwoBeamConfig(0.1, 2.0)
+        pattern = pattern_two_beam(beam, wire, cfg, self.THETAS, mode="full", channel=channel)
+        expected = [dsigma_dtheta_full(beam, wire, cfg, float(t), channel) for t in self.THETAS]
+        assert np.array_equal(pattern.density, expected)
+        assert pattern.metadata["channel"] == ("flip" if channel.is_flip else "no-flip")
+
+    def test_spin_sum_is_flip_plus_no_flip(self, beam, wire):
+        cfg = TwoBeamConfig(0.1, 0.4)
+        summed, flip, no_flip = (
+            pattern_two_beam(beam, wire, cfg, self.THETAS, mode="full", channel=c).density
+            for c in (None, FLIP, NO_FLIP)
+        )
+        assert np.array_equal(summed, no_flip + flip)
+
+    def test_low_energy_ignores_channel(self, beam, wire):
+        cfg = TwoBeamConfig(0.1, 0.4)
+        a = pattern_two_beam(beam, wire, cfg, self.THETAS, channel=NO_FLIP)
+        b = pattern_two_beam(beam, wire, cfg, self.THETAS, channel=FLIP)
+        assert np.array_equal(a.density, b.density)
+
+    def test_normalizations(self, beam, wire):
+        cfg = TwoBeamConfig(0.1, 0.0)
+        raw = pattern_two_beam(beam, wire, cfg, self.THETAS)
+        peak = pattern_two_beam(beam, wire, cfg, self.THETAS,
+                                normalization=Normalization.PEAK_ONE)
+        area = pattern_two_beam(beam, wire, cfg, self.THETAS,
+                                normalization=Normalization.UNIT_AREA)
+        assert np.max(peak.density) == 1.0
+        assert np.array_equal(peak.density, raw.density / np.max(raw.density))
+        assert area.area() == pytest.approx(1.0, abs=1e-12)
+        assert area.metadata["normalization"] == "unit_area"
+
+    def test_default_grid(self, beam, wire):
+        pattern = pattern_two_beam(beam, wire, TwoBeamConfig(0.1))
+        assert pattern.thetas.size == 2001
+
+    def test_bad_inputs_rejected(self, beam, wire):
+        with pytest.raises(ValueError):
+            pattern_two_beam(beam, wire, TwoBeamConfig(0.1), self.THETAS, mode="fast")
+        with pytest.raises(ValueError):
+            pattern_two_beam(beam, wire, TwoBeamConfig(0.1), self.THETAS[::-1])
+
+    def test_exported(self):
+        import wirediff
+
+        assert wirediff.pattern_two_beam is pattern_two_beam
+        assert "pattern_two_beam" in wirediff.__all__
