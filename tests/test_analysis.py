@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wirediff.analysis import (
     CurveComparison,
@@ -19,6 +21,14 @@ from wirediff.patterns import Normalization, Pattern
 from wirediff.potential import BeamParams, WirePotential
 
 PR = 84.37136668408607
+
+
+def _mp_j1_zeros(count: int) -> list:
+    with mpmath.workdps(30):
+        return [mpmath.besseljzero(1, k) for k in range(1, count + 1)]
+
+
+_MP_J1_ZEROS = _mp_j1_zeros(10)
 
 
 class TestFirstDarkPoints:
@@ -55,6 +65,49 @@ class TestFirstDarkPoints:
     def test_range_error_when_too_few_zeros(self):
         with pytest.raises(RangeError):
             first_dark_points(2.5, "quantum", 2)
+
+    @settings(deadline=None)
+    @given(log_pr=st.floats(0.0, 8.0), n=st.integers(1, 10))
+    def test_matches_mpmath_defining_equations(self, log_pr, n):
+        # the n-th zero lies in (0, pi/2) when its defining equation's
+        # right-hand side is below the left-hand side at theta = pi/2
+        p_radius = 10.0 ** log_pr
+        with mpmath.workdps(30):
+            pr = mpmath.mpf(p_radius)
+            expected = {
+                "quantum": [2 * mpmath.asin(j / (2 * pr)) for j in _MP_J1_ZEROS[:n]
+                            if j < 2 * pr * mpmath.sin(mpmath.pi / 4)],
+                "classical": [mpmath.asin(k * mpmath.pi / pr) for k in range(1, n + 1)
+                              if k * mpmath.pi < pr],
+            }
+        for method, zeros in expected.items():
+            if len(zeros) < n:
+                with pytest.raises(RangeError):
+                    first_dark_points(p_radius, method, n)
+                continue
+            got = first_dark_points(p_radius, method, n).zeros
+            for theta, want in zip(got, zeros):
+                assert abs(theta - float(want)) <= 1e-12 * float(want)
+
+    def test_bracket_holds_at_large_k(self):
+        from scipy.special import jn_zeros
+
+        p_radius = 1e6
+        got = first_dark_points(p_radius, "quantum", 500).zeros
+        want = 2.0 * np.arcsin(jn_zeros(1, 500) / (2.0 * p_radius))
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    def test_zero_just_below_right_angle_found(self):
+        # j_{1,1} = 3.8317 < 2.72 * sqrt(2) = 3.8467: the dark point sits
+        # 0.008 rad below pi/2
+        report = first_dark_points(2.72, "quantum", 1)
+        assert report.zeros[0] == pytest.approx(1.5630358, abs=1e-7)
+
+    def test_zero_at_right_angle_excluded(self):
+        # pR sin(theta) = pi puts the classical dark point exactly at
+        # pi/2, outside the open interval
+        with pytest.raises(RangeError):
+            first_dark_points(math.pi, "classical", 1)
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
