@@ -1,9 +1,10 @@
 """Derived quantities: dark-fringe locations, the classical
 radius-overestimation factor, area matching, and curve comparison metrics.
 
-Dark points are located on the amplitude (form factor or sinc), not on the
-squared density: the density touches zero quadratically, which defeats
-sign-change bracketing, while the amplitude crosses zero transversally.
+Dark points come from their defining equations, 2 pR sin(theta/2) = j_{1,k}
+(quantum, j_{1,k} the k-th positive zero of the disk amplitude) and
+pR sin(theta) = k pi (classical): only j_{1,k} needs a search, and it does
+not depend on pR.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import disk_amplitude, find_zero, sinc
+from .numerics import disk_amplitude, find_zero
 from .patterns import Normalization, Pattern, grid_area
-from .potential import momentum_transfer_single
 
 
 class RangeError(ValueError):
@@ -32,48 +32,39 @@ class ZeroReport:
 
 
 def first_dark_points(p_radius: float, method: str, n: int = 1) -> ZeroReport:
-    """Locate the first ``n`` dark points in (0, pi/2) by bracketed bisection.
+    """First ``n`` dark points in (0, pi/2), from their defining equations.
 
-    method "quantum": zeros of the low-energy amplitude, satisfying
-    2 pR sin(theta/2) = (k-th positive zero of J1).
-    method "classical": zeros of sinc(pR sin(theta)), satisfying
-    pR sin(theta) = k pi.  A rescaled classical curve is handled by passing
+    method "quantum": theta_k = 2 arcsin(j_{1,k} / (2 pR)), where j_{1,k},
+    the k-th positive zero of ``disk_amplitude`` (2 J1(x)/x), is bisected to
+    1e-12 inside (k pi, (k + 1/2) pi); each such bracket holds exactly one
+    zero, and a bracket without a sign change raises ``BracketError``.
+    method "classical": theta_k = arcsin(k pi / pR), the zeros of
+    sinc(pR sin(theta)).  A rescaled classical curve is handled by passing
     radius_scale * pR as ``p_radius``.
     """
     if not (math.isfinite(p_radius) and p_radius > 0.0):
         raise ValueError(f"first_dark_points: p_radius > 0 required, got {p_radius!r}")
     if n < 1:
         raise ValueError(f"first_dark_points: n >= 1 required, got {n!r}")
-    if method == "quantum":
-        def amp(theta: float) -> float:  # the form factor at qR = 2 pR |sin(theta/2)|
-            return disk_amplitude(momentum_transfer_single(p_radius, theta))
-    elif method == "classical":
-        def amp(theta: float) -> float:
-            return sinc(p_radius * math.sin(theta))
-    else:
+    if method not in ("quantum", "classical"):
         raise ValueError(f"unknown method {method!r}; expected 'quantum' or 'classical'")
-
-    # March toward pi/2 with at least ~8 samples per fringe, bisecting each
-    # bracketed sign change.
-    step = min(0.02, math.pi / (8.0 * p_radius))
+    quantum = method == "quantum"
+    # each left-hand side at theta = pi/2; a dark point below it lies in (0, pi/2)
+    limit = 2.0 * p_radius * math.sin(0.25 * math.pi) if quantum else p_radius
     zeros: list[float] = []
-    theta = step
-    f_prev = amp(0.0)
-    theta_prev = 0.0
-    while theta <= 0.5 * math.pi and len(zeros) < n:
-        f = amp(theta)
-        if f == 0.0:
-            zeros.append(theta)
-        elif (f > 0.0) != (f_prev > 0.0):
-            zeros.append(find_zero(amp, theta_prev, theta, tol=1e-12))
-        theta_prev, f_prev = theta, f
-        theta += step
-    if len(zeros) < n:
-        raise RangeError(
-            f"only {len(zeros)} dark points of the requested {n} exist in "
-            f"(0, pi/2) for p_radius={p_radius!r} ({method})"
-        )
-    return ZeroReport(method=method, zeros=np.array(zeros[:n]), n=n)
+    for k in range(1, n + 1):
+        if quantum:
+            x = find_zero(disk_amplitude, k * math.pi, (k + 0.5) * math.pi, tol=1e-12)
+        else:
+            x = k * math.pi
+        if not x < limit:
+            raise RangeError(
+                f"only {k - 1} dark points of the requested {n} exist in "
+                f"(0, pi/2) for p_radius={p_radius!r} ({method})"
+            )
+        zeros.append(2.0 * math.asin(x / (2.0 * p_radius)) if quantum
+                     else math.asin(x / p_radius))
+    return ZeroReport(method=method, zeros=np.array(zeros), n=n)
 
 
 def overestimation_factor(p_radius: float) -> float:

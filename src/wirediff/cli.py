@@ -26,9 +26,9 @@ from . import __version__
 from .analysis import compare_curves, first_dark_points, match_areas
 from .classical import ClassicalConfig, pattern_classical
 from .electron import FLIP, NO_FLIP, pattern_single
-from .patterns import Normalization, Pattern
+from .patterns import Normalization
 from .potential import BeamParams, WirePotential, ELECTRON_MASS_EV
-from .twobeam import ScanResult, TwoBeamConfig, pattern_two_beam, phi_theta_scan
+from .twobeam import TwoBeamConfig, pattern_two_beam, phi_theta_scan
 
 TAU = 2.0 * math.pi
 
@@ -43,11 +43,6 @@ _SPIN_CHANNELS = {"no-flip": NO_FLIP, "flip": FLIP, "sum": None}
 
 class ConfigError(ValueError):
     """Invalid command configuration (maps to exit code 2)."""
-
-
-def _fmt(x: float) -> str:
-    """Serialize a float with 17 significant digits (lossless round trip)."""
-    return format(float(x), ".17g")
 
 
 def _mode_value(text: str) -> str:
@@ -169,46 +164,18 @@ def _base_config(args) -> dict:
     return cfg
 
 
-def _pattern_csv(pattern: Pattern, config: dict) -> str:
-    lines = []
-    if config:
-        lines.append("# config: " + json.dumps(config, sort_keys=True))
-    lines.append("theta_rad,density")
-    for theta, d in zip(pattern.thetas, pattern.density):
-        lines.append(f"{_fmt(theta)},{_fmt(d)}")
-    return "\n".join(lines) + "\n"
-
-
-def _scan_csv(scan: ScanResult, config: dict) -> str:
-    lines = []
-    if config:
-        lines.append("# config: " + json.dumps(config, sort_keys=True))
-    lines.append("phi_rad,theta_rad,density")
-    for i, phi in enumerate(scan.phis):
-        for j, theta in enumerate(scan.thetas):
-            lines.append(f"{_fmt(phi)},{_fmt(theta)},{_fmt(scan.density[i, j])}")
+def _csv(config: dict, header: str, *columns: np.ndarray) -> str:
+    """CSV of equal-length columns, floats with 17 significant digits
+    (lossless round trip), after a ``# config:`` line when config is set."""
+    lines = ["# config: " + json.dumps(config, sort_keys=True)] if config else []
+    lines.append(header)
+    cells = [[format(x, ".17g") for x in column.tolist()] for column in columns]
+    lines.extend(",".join(row) for row in zip(*cells))
     return "\n".join(lines) + "\n"
 
 
 def _json_doc(config: dict, data: dict) -> str:
     return json.dumps({"metadata": config, "data": data}, sort_keys=True, indent=2) + "\n"
-
-
-def _pattern_json(pattern: Pattern, config: dict) -> str:
-    data = {
-        "theta_rad": [float(t) for t in pattern.thetas],
-        "density": [float(d) for d in pattern.density],
-    }
-    return _json_doc(config, data)
-
-
-def _scan_json(scan: ScanResult, config: dict) -> str:
-    data = {
-        "phi_rad": [float(p) for p in scan.phis],
-        "theta_rad": [float(t) for t in scan.thetas],
-        "density": [[float(d) for d in row] for row in scan.density],
-    }
-    return _json_doc(config, data)
 
 
 def _pattern_command(args, build) -> str:
@@ -218,7 +185,10 @@ def _pattern_command(args, build) -> str:
                     channel=_SPIN_CHANNELS[args.spin],
                     normalization=_NORMALIZATIONS[args.normalization])
     config = _base_config(args)
-    return _pattern_csv(pattern, config) if args.format == "csv" else _pattern_json(pattern, config)
+    if args.format == "json":
+        return _json_doc(config, {"theta_rad": pattern.thetas.tolist(),
+                                  "density": pattern.density.tolist()})
+    return _csv(config, "theta_rad,density", pattern.thetas, pattern.density)
 
 
 def _cmd_single(args) -> str:
@@ -242,7 +212,11 @@ def _cmd_scan(args) -> str:
     phis = _resolve_grid(args, "phi")
     scan = phi_theta_scan(beam.momentum * wire.radius, args.alpha, phis, thetas)
     config = _base_config(args)
-    return _scan_csv(scan, config) if args.format == "csv" else _scan_json(scan, config)
+    if args.format == "json":
+        return _json_doc(config, {"phi_rad": scan.phis.tolist(), "theta_rad": scan.thetas.tolist(),
+                                  "density": scan.density.tolist()})
+    return _csv(config, "phi_rad,theta_rad,density", np.repeat(scan.phis, scan.thetas.size),
+                np.tile(scan.thetas, scan.phis.size), scan.density.ravel())
 
 
 def _cmd_compare(args) -> str:

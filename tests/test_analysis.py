@@ -22,13 +22,8 @@ from wirediff.potential import BeamParams, WirePotential
 
 PR = 84.37136668408607
 
-
-def _mp_j1_zeros(count: int) -> list:
-    with mpmath.workdps(30):
-        return [mpmath.besseljzero(1, k) for k in range(1, count + 1)]
-
-
-_MP_J1_ZEROS = _mp_j1_zeros(10)
+with mpmath.workdps(30):
+    _MP_J1_ZEROS = [mpmath.besseljzero(1, k) for k in range(1, 11)]
 
 
 class TestFirstDarkPoints:

@@ -233,7 +233,7 @@ class TestZerosCommand:
                 monkeypatch.setattr(analysis, name, counted(obj))
         code, _, _ = run_cli(capsys, "zeros")
         assert code == 0
-        assert len(calls) == 91
+        assert len(calls) == 43
 
 
 class TestCompareCommand:
@@ -262,11 +262,11 @@ class TestCompareCommand:
 
 class TestEmitters:
     def test_empty_metadata_csv_still_valid(self):
-        from wirediff.cli import _pattern_csv
+        from wirediff.cli import _csv
         from wirediff.patterns import Pattern
 
         pattern = Pattern(np.array([0.0, 0.1]), np.array([1.0, 0.5]))
-        text = _pattern_csv(pattern, {})
+        text = _csv({}, "theta_rad,density", pattern.thetas, pattern.density)
         lines = text.split("\n")
         assert lines[0] == "theta_rad,density"
         assert lines[1] == "0,1"
@@ -305,9 +305,9 @@ class TestPinnedDigests:
             (("compare",),
              "3f9321b2136d1ecbb79a607b2296bc20c0d8bb5a697c8209bd6114941067a5ad"),
             (("zeros",),
-             "938feb3e430f39ff8d39db81a716dbd8141cfe6f47f327577359a604c273dd49"),
+             "3765631e5caba2abb18af3b0b7ce401742d4bc082b1af357ffd3f7c5aa0a0483"),
             (("zeros", "--n", "3"),
-             "e65641fd82de2b15118e6c237eb71e174d44cf066626849c479ae8e30fa23a8f"),
+             "209e976ee8dfa1f0b8cf98f7d9e5e262dc0b4d6bc7d7fd363318912c89cacd98"),
         ],
     )
     def test_default_output_digest(self, capsys, argv, digest):
