@@ -109,18 +109,19 @@ def first_dark_angle(pattern: Pattern) -> float | None:
     if peak <= 0.0:
         return None
     threshold = 1e-4 * peak
-    for i in range(1, thetas.size - 1):
-        if thetas[i] <= 0.0:
-            continue
-        d0, d1, d2 = density[i - 1], density[i], density[i + 1]
-        if d1 <= d0 and d1 <= d2 and d1 <= threshold:
-            denom = d2 - 2.0 * d1 + d0
-            if denom <= 0.0:
-                return float(thetas[i])
-            h = 0.5 * (thetas[i + 1] - thetas[i - 1])
-            vertex = thetas[i] - 0.5 * h * (d2 - d0) / denom
-            return float(min(max(vertex, thetas[i - 1]), thetas[i + 1]))
-    return None
+    below, centre, above = density[:-2], density[1:-1], density[2:]
+    dark = np.flatnonzero((thetas[1:-1] > 0.0) & (centre <= below) & (centre <= above)
+                          & (centre <= threshold))
+    if not dark.size:
+        return None
+    i = int(dark[0]) + 1
+    d0, d1, d2 = density[i - 1], density[i], density[i + 1]
+    denom = d2 - 2.0 * d1 + d0
+    if denom <= 0.0:
+        return float(thetas[i])
+    h = 0.5 * (thetas[i + 1] - thetas[i - 1])
+    vertex = thetas[i] - 0.5 * h * (d2 - d0) / denom
+    return float(min(max(vertex, thetas[i - 1]), thetas[i + 1]))
 
 
 @dataclass(frozen=True)

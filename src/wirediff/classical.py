@@ -38,14 +38,15 @@ class ClassicalConfig:
             raise ValueError(f"radius_scale must be positive and finite, got {self.radius_scale!r}")
 
 
-def fraunhofer_single(cfg: ClassicalConfig, theta: float) -> float:
+def fraunhofer_single(cfg: ClassicalConfig, theta):
     """Single-beam Fraunhofer density sinc^2(scale * pR * sin(theta)).
 
-    Zeros sit exactly at sin(theta) = n*pi / (scale * pR).
+    Zeros sit exactly at sin(theta) = n*pi / (scale * pR).  ``theta`` is a
+    scalar or an array of angles.
     """
-    if not math.isfinite(theta):
+    if not np.all(np.isfinite(theta)):
         raise DomainError(f"fraunhofer_single: theta must be finite, got {theta!r}")
-    s = sinc(cfg.radius_scale * cfg.p_radius * math.sin(theta))
+    s = sinc(cfg.radius_scale * cfg.p_radius * np.sin(theta))
     return s * s
 
 

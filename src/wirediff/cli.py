@@ -40,6 +40,12 @@ _NORMALIZATIONS = {
 
 _SPIN_CHANNELS = {"no-flip": NO_FLIP, "flip": FLIP, "sum": None}
 
+# Fewest grid samples per classical fringe pi / (scale * pR) for which
+# ``first_dark_angle`` still finds the first dark point of both compared
+# curves: a zero halfway between two samples then leaves the nearer sample
+# at sinc^2(pi + pi/100) < 1e-4 of the peak, the detection threshold.
+_MIN_SAMPLES_PER_FRINGE = 50
+
 
 class ConfigError(ValueError):
     """Invalid command configuration (maps to exit code 2)."""
@@ -225,6 +231,13 @@ def _cmd_compare(args) -> str:
     if not (math.isfinite(args.radius_scale) and args.radius_scale > 0.0):
         raise ConfigError(f"--radius-scale must be positive, got {args.radius_scale}")
     p_radius = beam.momentum * wire.radius
+    fringe = math.pi / (max(1.0, args.radius_scale) * p_radius)
+    step = (thetas[-1] - thetas[0]) / (thetas.size - 1)
+    if step > fringe / _MIN_SAMPLES_PER_FRINGE:
+        raise ConfigError(
+            f"the theta grid has {fringe / step:.3g} samples per fringe of {fringe:.3g} rad "
+            f"(pi / (max(1, radius scale) * pR)); compare needs at least "
+            f"{_MIN_SAMPLES_PER_FRINGE}: raise --theta-points or narrow the theta range")
     quantum = pattern_single(beam, wire, thetas, mode="low-energy")
     classical = pattern_classical(
         ClassicalConfig(p_radius=p_radius, radius_scale=args.radius_scale), thetas

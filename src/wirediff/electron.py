@@ -15,7 +15,6 @@ normalization volume: only normalized shapes are compared.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -48,22 +47,23 @@ NO_FLIP = SpinChannel(Spin.UP, Spin.UP)
 FLIP = SpinChannel(Spin.UP, Spin.DOWN)
 
 
-def spinor_element(beam: BeamParams, theta: float, channel: SpinChannel = NO_FLIP) -> float:
+def spinor_element(beam: BeamParams, theta, channel: SpinChannel = NO_FLIP):
     """Electron-current factor between spin states, in eV.
 
     Flip channel:    (pc)^2 sin(theta) / (E + mc^2)
     No-flip channel: ((E + mc^2)^2 + (pc)^2 cos(theta)) / (E + mc^2)
 
     Valid at all energies.  In the low-energy limit the flip element
-    vanishes and the no-flip element tends to the constant 2 mc^2.
+    vanishes and the no-flip element tends to the constant 2 mc^2.  ``theta``
+    is a scalar or an array of angles.
     """
-    if not math.isfinite(theta):
+    if not np.all(np.isfinite(theta)):
         raise DomainError(f"spinor_element: theta must be finite, got {theta!r}")
     pc = beam.pc_ev
     e_plus_m = beam.energy_ev + beam.mass_ev
     if channel.is_flip:
-        return pc * pc * math.sin(theta) / e_plus_m
-    return (e_plus_m * e_plus_m + pc * pc * math.cos(theta)) / e_plus_m
+        return pc * pc * np.sin(theta) / e_plus_m
+    return (e_plus_m * e_plus_m + pc * pc * np.cos(theta)) / e_plus_m
 
 
 def unit_spinor(theta: float) -> float:
@@ -72,7 +72,7 @@ def unit_spinor(theta: float) -> float:
 
 
 def spinor_factors(beam: BeamParams, mode: str, channel: SpinChannel | None = NO_FLIP):
-    """Spinor factors theta -> float whose squared amplitudes ``mode`` sums.
+    """Spinor factors of theta (scalar or array) whose squared amplitudes ``mode`` sums.
 
     Low-energy mode is full mode with :func:`unit_spinor`; full mode takes the
     spinor element of ``channel``, or of both channels if it is None (spin sum).
@@ -85,8 +85,11 @@ def spinor_factors(beam: BeamParams, mode: str, channel: SpinChannel | None = NO
     return tuple(partial(spinor_element, beam, channel=c) for c in channels)
 
 
-def amplitudes(p_radius: float, theta: float, spinors=(unit_spinor,)) -> list[float]:
-    """Amplitudes spinor(theta) * F(qR), qR = 2 pR |sin(theta/2)|, one per spinor factor."""
+def amplitudes(p_radius: float, theta, spinors=(unit_spinor,)) -> list:
+    """Amplitudes spinor(theta) * F(qR), qR = 2 pR |sin(theta/2)|, one per spinor factor.
+
+    ``theta`` is a scalar or an array of angles; so is each amplitude.
+    """
     f = disk_amplitude(momentum_transfer_single(p_radius, theta))
     return [spinor(theta) * f for spinor in spinors]
 

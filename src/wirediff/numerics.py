@@ -1,5 +1,13 @@
-"""Scalar special-function evaluation, a brute-force disk-transform
-quadrature, and bracketed root finding.
+"""Special-function evaluation, a brute-force disk-transform quadrature,
+and bracketed root finding.
+
+The two kernels the patterns are built from, :func:`disk_amplitude` and
+:func:`sinc`, have a scalar and an array path, chosen by the argument's
+shape.  A Python float, numpy scalar or 0-d array takes the scalar loops,
+which stay cheap for one point at a time (root finding bisects that way).
+An array of one or more dimensions takes numpy passes over the whole grid
+that run the same series and expansions element by element, every element
+stopping at its own term test, so both paths give the same bits.
 
 All routines are pure functions of their arguments and hold no shared
 mutable state, so they are safe to call concurrently.
@@ -91,6 +99,54 @@ def _j1_asymptotic(x: float) -> float:
     return _SQRT_2_OVER_PI / math.sqrt(x) * (p * math.cos(chi) - q * math.sin(chi))
 
 
+def _j1_series_array(x: np.ndarray) -> np.ndarray:
+    # _j1_series on every element at once; an element's value is taken at the
+    # term where its scalar loop stops (it keeps iterating on shrinking terms)
+    out = np.empty_like(x)
+    running = np.ones(x.shape, dtype=bool)
+    m = -0.25 * x * x
+    term = 0.5 * x
+    total = term
+    comp = np.zeros_like(x)
+    for k in range(1, 80):
+        if not running.any():
+            return out
+        term = term * (m / (k * (k + 1)))
+        t = total + term
+        comp = comp + np.where(np.abs(total) >= np.abs(term), (total - t) + term,
+                               (term - t) + total)
+        total = t
+        stop = running & (np.abs(term) <= _SERIES_EPS * np.abs(total))
+        np.copyto(out, total + comp, where=stop)
+        running &= ~stop
+    np.copyto(out, total + comp, where=running)
+    return out
+
+
+def _j1_asymptotic_array(x: np.ndarray) -> np.ndarray:
+    # _j1_asymptotic on every element at once; an element's P and Q stop
+    # changing at the term where its scalar loop breaks
+    u = np.ones_like(x)
+    p = np.ones_like(x)
+    q = np.zeros_like(x)
+    prev = np.full_like(x, math.inf)
+    running = np.ones(x.shape, dtype=bool)
+    for k in range(1, 60):
+        if not running.any():
+            break
+        u = u * (4.0 - (2 * k - 1) ** 2) / (8.0 * k * x)
+        au = np.abs(u)
+        running &= au < prev
+        prev = au
+        if k % 2 == 0:
+            p = np.where(running, p + u if k % 4 == 0 else p - u, p)
+        else:
+            q = np.where(running, q + u if k % 4 == 1 else q - u, q)
+        running &= ~(au < 1e-18)
+    chi = (x - _THREE_PI_OVER_4_HI) - _THREE_PI_OVER_4_LO
+    return _SQRT_2_OVER_PI / np.sqrt(x) * (p * np.cos(chi) - q * np.sin(chi))
+
+
 def bessel_j1(x: float) -> float:
     """Bessel function of the first kind J1, accurate to ~1e-12 absolute.
 
@@ -143,13 +199,30 @@ def hyp0f1_reg2(z: float) -> float:
     return value
 
 
-def disk_amplitude(q_r: float) -> float:
+def disk_amplitude(q_r):
     """Normalized disk transform 0F1(2, -(q_r/2)^2) = 2 J1(q_r)/q_r, even in q_r.
 
     The one amplitude of the model, a function of q_r = q R alone; every
-    quantum density and the quantum dark-point search evaluate it.
+    quantum density and the quantum dark-point search evaluate it.  A scalar
+    q_r goes through :func:`hyp0f1_reg2` and returns a float; an array of
+    one or more dimensions is evaluated in numpy passes of the same J1
+    branches and returns an array of its shape, bit-identical to the scalar
+    value of every element.  A non-finite element raises DomainError.
     """
-    return hyp0f1_reg2(-0.25 * q_r * q_r)
+    if getattr(q_r, "ndim", 0) == 0:
+        return hyp0f1_reg2(-0.25 * q_r * q_r)
+    q_r = np.asarray(q_r, dtype=float)
+    with np.errstate(over="ignore"):
+        z = -0.25 * q_r * q_r
+    if not np.all(np.isfinite(z)):
+        raise DomainError("disk_amplitude: q_r must be finite, with a finite square")
+    x = (2.0 * np.sqrt(-z)).ravel()
+    out = np.ones_like(x)  # x == 0 exactly where z == 0, whose value is 1
+    series = (x > 0.0) & (x <= _J1_SERIES_CUTOFF)
+    hankel = x > _J1_SERIES_CUTOFF
+    out[series] = 2.0 * _j1_series_array(x[series]) / x[series]
+    out[hankel] = 2.0 * _j1_asymptotic_array(x[hankel]) / x[hankel]
+    return out.reshape(q_r.shape)
 
 
 def hyp0f1_reg2_series(z: float) -> float:
@@ -167,12 +240,20 @@ def hyp0f1_reg2_series(z: float) -> float:
     return _hyp_series(z)
 
 
-def sinc(x: float) -> float:
-    """sin(x)/x with the removable singularity filled in: sinc(0) = 1."""
-    x = _require_finite("sinc", x)
-    if x == 0.0:
-        return 1.0
-    return math.sin(x) / x
+def sinc(x):
+    """sin(x)/x with the removable singularity filled in: sinc(0) = 1.
+
+    Scalar or array, split by shape as in :func:`disk_amplitude`.
+    """
+    if getattr(x, "ndim", 0) == 0:
+        x = _require_finite("sinc", x)
+        if x == 0.0:
+            return 1.0
+        return math.sin(x) / x
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("sinc: arguments must be finite")
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 @lru_cache(maxsize=64)

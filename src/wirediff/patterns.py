@@ -93,14 +93,16 @@ class Pattern:
 
 
 def sample_pattern(density, thetas, normalization: Normalization, **metadata) -> Pattern:
-    """Sample ``density(theta)`` over an angular grid (None: :func:`default_grid`).
+    """Sample ``density`` over an angular grid (None: :func:`default_grid`).
 
-    The one pattern builder: it validates the grid, normalizes the sampled
-    density and records the normalization next to the caller's ``metadata``.
+    The one pattern builder: it validates the grid, evaluates the density
+    once on the whole grid (``density`` maps a theta array to an array of
+    the same shape), normalizes it and records the normalization next to the
+    caller's ``metadata``.
     """
     thetas = default_grid() if thetas is None else validate_grid(thetas)
     normalization = Normalization(normalization)
-    values = np.array([density(theta) for theta in thetas.tolist()])
+    values = density(thetas)
     metadata["normalization"] = normalization.value
     return Pattern(thetas, normalize_density(thetas, values, normalization),
                    normalization, metadata)

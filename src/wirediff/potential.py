@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .numerics import DomainError, disk_amplitude
 
 TWO_PI = 2.0 * math.pi
@@ -91,13 +93,16 @@ class BeamParams:
         return math.sqrt(self.pc_ev**2 + self.mass_ev**2)
 
 
-def momentum_transfer_single(p: float, theta: float) -> float:
-    """Elastic momentum transfer q = 2 p |sin(theta/2)| for one beam [1/m] (q*R given p*R)."""
+def momentum_transfer_single(p: float, theta):
+    """Elastic momentum transfer q = 2 p |sin(theta/2)| for one beam [1/m] (q*R given p*R).
+
+    ``theta`` is a scalar or an array of angles; the result has its shape.
+    """
     if not (math.isfinite(p) and p > 0.0):
         raise DomainError(f"momentum_transfer_single: p > 0 required, got {p!r}")
-    if not math.isfinite(theta):
+    if not np.all(np.isfinite(theta)):
         raise DomainError(f"momentum_transfer_single: theta must be finite, got {theta!r}")
-    return 2.0 * p * abs(math.sin(0.5 * theta))
+    return 2.0 * p * np.abs(np.sin(0.5 * theta))
 
 
 def form_factor(wire: WirePotential, q: float) -> float:

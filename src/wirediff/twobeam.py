@@ -160,9 +160,8 @@ def phi_theta_scan(
     phis = validate_grid(phi_grid)
     thetas = validate_grid(theta_grid)
     # phi enters only through the combiner: the form factors F_-, F_+ are
-    # computed once per theta and every phi row combines the same arrays
-    f_minus, f_plus = np.array([amplitudes(p_radius, t - 0.5 * alpha)
-                                + amplitudes(p_radius, t + 0.5 * alpha)
-                                for t in thetas.tolist()]).T
+    # computed once over the theta grid and every phi row combines them
+    (f_minus,) = amplitudes(p_radius, thetas - 0.5 * alpha)
+    (f_plus,) = amplitudes(p_radius, thetas + 0.5 * alpha)
     density = np.array([_interference_density(f_minus, f_plus, phi) for phi in phis.tolist()])
     return ScanResult(phis=phis, thetas=thetas, density=density)

@@ -252,6 +252,15 @@ class TestCompareCommand:
         data = json.loads(out)["data"]
         assert abs(data["first_zero_offset_rad"]) < 1e-4
 
+    @pytest.mark.parametrize("wavelength_nm, per_fringe", [("20", "7.84"), ("0.00536", "0.0021")])
+    def test_undersampled_grid_exits_2(self, capsys, wavelength_nm, per_fringe):
+        # the default grid resolves the 633 nm fringes only; at 20 nm the
+        # first dark points fall between samples and would be misreported
+        code, out, err = run_cli(capsys, "compare", "--wavelength-nm", wavelength_nm)
+        assert code == 2
+        assert out == ""
+        assert f"{per_fringe} samples per fringe" in err
+
     def test_metadata_echoes_config(self, capsys):
         _, out, _ = run_cli(capsys, "compare", "--theta-points", "501")
         meta = json.loads(out)["metadata"]

@@ -10,6 +10,7 @@ from wirediff.numerics import (
     BracketError,
     DomainError,
     bessel_j1,
+    disk_amplitude,
     disk_ft_oracle,
     find_zero,
     hyp0f1_reg2,
@@ -119,6 +120,47 @@ class TestSinc:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             sinc(math.nan)
+
+
+# both sides of the series / Hankel cutoff at x = 13, and the removable zero
+_KERNEL_EDGES = [0.0, float(np.nextafter(13.0, -np.inf)), 13.0, float(np.nextafter(13.0, np.inf))]
+_kernel_arrays = st.lists(st.floats(-3000.0, 3000.0), max_size=300).map(
+    lambda xs: np.array(xs + _KERNEL_EDGES + [-x for x in _KERNEL_EDGES]))
+
+
+class TestArrayKernels:
+    # an array argument takes the numpy passes, a scalar the scalar loops;
+    # the two must agree bit for bit
+    @given(_kernel_arrays)
+    def test_disk_amplitude_array_is_scalar_bit_for_bit(self, xs):
+        want = np.array([disk_amplitude(float(x)) for x in xs])
+        assert disk_amplitude(xs).tobytes() == want.tobytes()
+
+    @given(_kernel_arrays)
+    def test_sinc_array_is_scalar_bit_for_bit(self, xs):
+        want = np.array([sinc(float(x)) for x in xs])
+        assert sinc(xs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kernel", [disk_amplitude, sinc])
+    def test_shape_preserved(self, kernel):
+        flat = np.linspace(-40.0, 40.0, 12)
+        assert kernel(flat).shape == (12,)
+        grid = kernel(flat.reshape(3, 4))
+        assert grid.shape == (3, 4)
+        assert grid.tobytes() == kernel(flat).tobytes()
+
+    @pytest.mark.parametrize("kernel", [disk_amplitude, sinc])
+    def test_scalar_argument_returns_float(self, kernel):
+        assert type(kernel(2.5)) is float
+        assert type(kernel(np.float64(2.5))) is float
+
+    @pytest.mark.parametrize("kernel", [disk_amplitude, sinc])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_one_non_finite_element_rejected(self, kernel, bad):
+        xs = np.linspace(0.0, 20.0, 9)
+        xs[4] = bad
+        with pytest.raises(DomainError):
+            kernel(xs)
 
 
 class TestDiskFtOracle:
