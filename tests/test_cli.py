@@ -299,9 +299,10 @@ class TestTimestampFlag:
 
 
 class TestPinnedDigests:
-    # sha256 of the default stdout of each command.  Refactors of the
-    # amplitude model must leave these bytes unchanged; full-mode outputs are
-    # deliberately not pinned, their last digits may move.
+    # sha256 of the default stdout of each command, plus a multi-phase scan
+    # at pR ~ 534 and a 20,001-point Hankel-branch pattern.  Refactors of the
+    # amplitude model or the writer must leave these bytes unchanged;
+    # full-mode outputs are deliberately not pinned, their last digits may move.
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -317,6 +318,10 @@ class TestPinnedDigests:
              "3765631e5caba2abb18af3b0b7ce401742d4bc082b1af357ffd3f7c5aa0a0483"),
             (("zeros", "--n", "3"),
              "209e976ee8dfa1f0b8cf98f7d9e5e262dc0b4d6bc7d7fd363318912c89cacd98"),
+            (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
+             "ba58eb5834bc6f82eee1d7574848b4b817ae324e52024a9d11a9de29d45c2c31"),
+            (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
+             "4d9ad3cc8b9cfef1941bada38542a10cd70d3f1b66612025cbc084b678547315"),
         ],
     )
     def test_default_output_digest(self, capsys, argv, digest):
