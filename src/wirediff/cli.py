@@ -46,6 +46,10 @@ _SPIN_CHANNELS = {"no-flip": NO_FLIP, "flip": FLIP, "sum": None}
 # at sinc^2(pi + pi/100) < 1e-4 of the peak, the detection threshold.
 _MIN_SAMPLES_PER_FRINGE = 50
 
+# Most grid values one command may compute and print (phi_points *
+# theta_points for scan): ~0.6 GB of CSV, checked before any allocation.
+_MAX_GRID_VALUES = 10_000_000
+
 
 class ConfigError(ValueError):
     """Invalid command configuration (maps to exit code 2)."""
@@ -151,13 +155,41 @@ def _resolve_physics(args) -> tuple[BeamParams, WirePotential]:
     return beam, wire
 
 
-def _resolve_grid(args, name: str) -> np.ndarray:
-    lo, hi, points = (getattr(args, f"{name}_{part}") for part in ("min", "max", "points"))
-    if points < 2:
-        raise ConfigError(f"--{name}-points must be >= 2, got {points}")
-    if not (lo < hi):
-        raise ConfigError(f"--{name}-min must be below --{name}-max, got [{lo}, {hi}]")
-    return np.linspace(lo, hi, points)
+def _resolve_grids(args, *names: str) -> list[np.ndarray]:
+    # every axis, and the size of their product, is checked before any is allocated
+    axes = [tuple(getattr(args, f"{name}_{part}") for part in ("min", "max", "points"))
+            for name in names]
+    for name, (lo, hi, points) in zip(names, axes):
+        if points < 2:
+            raise ConfigError(f"--{name}-points must be >= 2, got {points}")
+        if not math.isfinite(hi - lo):
+            raise ConfigError(f"--{name}-min, --{name}-max and their distance must be "
+                              f"finite, got [{lo}, {hi}]")
+        if not (lo < hi):
+            raise ConfigError(f"--{name}-min must be below --{name}-max, got [{lo}, {hi}]")
+    values = math.prod(points for _, _, points in axes)
+    if values > _MAX_GRID_VALUES:
+        flags = " * ".join(f"--{name}-points" for name in names)
+        raise ConfigError(f"the grid has {values:,} values ({flags}), above the cap of "
+                          f"{_MAX_GRID_VALUES:,}")
+    return [np.linspace(*axis) for axis in axes]
+
+
+def _samples_per_fringe(thetas: np.ndarray, fringe: float) -> float:
+    return fringe / ((thetas[-1] - thetas[0]) / (thetas.size - 1))
+
+
+def _warn_if_aliased(thetas: np.ndarray, p_radius: float) -> None:
+    # each printed value is exact at its theta; between samples the pattern is unresolved
+    fringe = math.pi / p_radius
+    per_fringe = _samples_per_fringe(thetas, fringe)
+    if per_fringe < 2.0:
+        import logging  # only here: importing it adds ~2 ms to every start-up
+
+        logging.getLogger("wirediff").warning(
+            "the theta grid has %.3g samples per fringe of %.3g rad (pi / pR), below the "
+            "Nyquist rate of 2: raise --theta-points or narrow the theta range",
+            per_fringe, fringe)
 
 
 def _base_config(args) -> dict:
@@ -170,14 +202,22 @@ def _base_config(args) -> dict:
     return cfg
 
 
-def _csv(config: dict, header: str, *columns: np.ndarray) -> str:
-    """CSV of equal-length columns, floats with 17 significant digits
-    (lossless round trip), after a ``# config:`` line when config is set."""
-    lines = ["# config: " + json.dumps(config, sort_keys=True)] if config else []
-    lines.append(header)
-    cells = [[format(x, ".17g") for x in column.tolist()] for column in columns]
-    lines.extend(",".join(row) for row in zip(*cells))
-    return "\n".join(lines) + "\n"
+def _csv(config: dict, header: str, thetas: np.ndarray, density: np.ndarray,
+         phis: np.ndarray | None = None) -> str:
+    """CSV of a pattern (one density row) or a scan (one density row per
+    phi; rows phi-major, theta ascending), floats with 17 significant digits
+    (lossless round trip), after a ``# config:`` line when config is set.
+
+    Each coordinate is formatted once: a phi block is one ``%`` on a
+    template of its phi and theta strings, which never contain ``%``.
+    """
+    lines = ["# config: " + json.dumps(config, sort_keys=True) + "\n"] if config else []
+    lines.append(header + "\n")
+    rows = [format(t, ".17g") + ",%.17g\n" for t in thetas.tolist()]
+    leads = [""] if phis is None else [format(p, ".17g") + "," for p in phis.tolist()]
+    for lead, block in zip(leads, density.reshape(len(leads), len(rows)).tolist()):
+        lines.append((lead + lead.join(rows)) % tuple(block))
+    return "".join(lines)
 
 
 def _json_doc(config: dict, data: dict) -> str:
@@ -187,9 +227,11 @@ def _json_doc(config: dict, data: dict) -> str:
 def _pattern_command(args, build) -> str:
     # parse -> call -> serialize, shared by the single- and two-beam commands
     beam, wire = _resolve_physics(args)
-    pattern = build(beam, wire, thetas=_resolve_grid(args, "theta"), mode=args.mode,
+    thetas, = _resolve_grids(args, "theta")
+    pattern = build(beam, wire, thetas=thetas, mode=args.mode,
                     channel=_SPIN_CHANNELS[args.spin],
                     normalization=_NORMALIZATIONS[args.normalization])
+    _warn_if_aliased(thetas, beam.momentum * wire.radius)
     config = _base_config(args)
     if args.format == "json":
         return _json_doc(config, {"theta_rad": pattern.thetas.tolist(),
@@ -212,30 +254,30 @@ def _cmd_two_beam(args) -> str:
 
 def _cmd_scan(args) -> str:
     beam, wire = _resolve_physics(args)
-    thetas = _resolve_grid(args, "theta")
     if not (math.isfinite(args.alpha) and args.alpha >= 0.0):
         raise ConfigError(f"--alpha must be >= 0, got {args.alpha}")
-    phis = _resolve_grid(args, "phi")
-    scan = phi_theta_scan(beam.momentum * wire.radius, args.alpha, phis, thetas)
+    phis, thetas = _resolve_grids(args, "phi", "theta")
+    p_radius = beam.momentum * wire.radius
+    scan = phi_theta_scan(p_radius, args.alpha, phis, thetas)
+    _warn_if_aliased(thetas, p_radius)
     config = _base_config(args)
     if args.format == "json":
         return _json_doc(config, {"phi_rad": scan.phis.tolist(), "theta_rad": scan.thetas.tolist(),
                                   "density": scan.density.tolist()})
-    return _csv(config, "phi_rad,theta_rad,density", np.repeat(scan.phis, scan.thetas.size),
-                np.tile(scan.thetas, scan.phis.size), scan.density.ravel())
+    return _csv(config, "phi_rad,theta_rad,density", scan.thetas, scan.density, scan.phis)
 
 
 def _cmd_compare(args) -> str:
     beam, wire = _resolve_physics(args)
-    thetas = _resolve_grid(args, "theta")
+    thetas, = _resolve_grids(args, "theta")
     if not (math.isfinite(args.radius_scale) and args.radius_scale > 0.0):
         raise ConfigError(f"--radius-scale must be positive, got {args.radius_scale}")
     p_radius = beam.momentum * wire.radius
     fringe = math.pi / (max(1.0, args.radius_scale) * p_radius)
-    step = (thetas[-1] - thetas[0]) / (thetas.size - 1)
-    if step > fringe / _MIN_SAMPLES_PER_FRINGE:
+    per_fringe = _samples_per_fringe(thetas, fringe)
+    if per_fringe < _MIN_SAMPLES_PER_FRINGE:
         raise ConfigError(
-            f"the theta grid has {fringe / step:.3g} samples per fringe of {fringe:.3g} rad "
+            f"the theta grid has {per_fringe:.3g} samples per fringe of {fringe:.3g} rad "
             f"(pi / (max(1, radius scale) * pR)); compare needs at least "
             f"{_MIN_SAMPLES_PER_FRINGE}: raise --theta-points or narrow the theta range")
     quantum = pattern_single(beam, wire, thetas, mode="low-energy")

@@ -45,3 +45,15 @@ def two_j1_over_x(x: float) -> float:
     if x == 0.0:
         return 1.0
     return 2.0 * bessel_oracle(x) / x
+
+
+def reference_csv(config: dict, header: str, *columns) -> str:
+    """Per-cell CSV writer, the oracle for ``wirediff.cli._csv``: equal-length
+    columns, every cell formatted on its own with ``format(x, ".17g")``."""
+    import json
+
+    lines = ["# config: " + json.dumps(config, sort_keys=True)] if config else []
+    lines.append(header)
+    cells = [[format(x, ".17g") for x in column.tolist()] for column in columns]
+    lines.extend(",".join(row) for row in zip(*cells))
+    return "\n".join(lines) + "\n"

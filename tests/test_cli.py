@@ -1,11 +1,14 @@
 import hashlib
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from wirediff.cli import main
+from conftest import reference_csv
+from wirediff.cli import _MAX_GRID_VALUES, _csv, main
 
 
 def run_cli(capsys, *argv):
@@ -106,12 +109,58 @@ class TestConfigErrors:
             ("scan", "--phi-points", "1"),
             ("zeros", "--n", "0"),
             ("compare", "--radius-scale", "0"),
+            ("single", "--theta-max", "inf"),
+            ("single", "--theta-min", "nan"),
+            ("single", "--theta-min=-1e308", "--theta-max", "1e308"),
+            ("scan", "--phi-max", "inf"),
+            ("compare", "--theta-min=-inf"),
         ],
     )
     def test_semantic_errors_exit_2(self, capsys, argv):
+        # the suite turns RuntimeWarning into an error, so a non-finite grid
+        # edge must be rejected before np.linspace multiplies by it
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "configuration error" in err
+
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            (("single", "--theta-points", "3000000000"), "3,000,000,000"),
+            (("two-beam", "--theta-points", str(_MAX_GRID_VALUES + 1)), "10,000,001"),
+            (("compare", "--theta-points", str(_MAX_GRID_VALUES + 1)), "10,000,001"),
+            (("scan", "--phi-points", "4000", "--theta-points", "4000"), "16,000,000"),
+            (("scan", "--phi-points", str(_MAX_GRID_VALUES + 1)), "20,010,002,001"),
+        ],
+    )
+    def test_oversized_grid_exits_2_before_allocating(self, capsys, monkeypatch, argv, values):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linspace reached for an oversized grid")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"the grid has {values} values" in err
+        assert "cap of 10,000,000" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("single", "--theta-points", str(_MAX_GRID_VALUES)),
+            ("scan", "--phi-points", "1000", "--theta-points", "10000"),
+        ],
+    )
+    def test_grid_at_the_cap_is_accepted(self, capsys, monkeypatch, argv):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(np, "linspace", reached)
+        with pytest.raises(Reached):
+            main(list(argv))
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -269,9 +318,35 @@ class TestCompareCommand:
         assert "version" in meta
 
 
+_CSV_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.5e-310, 1e308, -1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53,
+                     1e16, 0.1, 1.0 / 3.0]),
+    st.floats(),
+)
+
+
 class TestEmitters:
+    @given(rows=st.integers(1, 4), columns=st.integers(2, 12), scan=st.booleans(),
+           config=st.sampled_from([{}, {"command": "scan", "phi_points": 3, "version": "0.1.0"}]),
+           data=st.data())
+    def test_csv_matches_per_cell_writer(self, rows, columns, scan, config, data):
+        def floats(n):
+            return np.array(data.draw(st.lists(_CSV_VALUES, min_size=n, max_size=n)))
+
+        thetas = floats(columns)
+        if scan:
+            phis, density = floats(rows), floats(rows * columns).reshape(rows, columns)
+            header = "phi_rad,theta_rad,density"
+            expected = reference_csv(config, header, np.repeat(phis, columns),
+                                     np.tile(thetas, rows), density.ravel())
+            assert _csv(config, header, thetas, density, phis) == expected
+        else:
+            density = floats(columns)
+            expected = reference_csv(config, "theta_rad,density", thetas, density)
+            assert _csv(config, "theta_rad,density", thetas, density) == expected
+
     def test_empty_metadata_csv_still_valid(self):
-        from wirediff.cli import _csv
         from wirediff.patterns import Pattern
 
         pattern = Pattern(np.array([0.0, 0.1]), np.array([1.0, 0.5]))
@@ -281,11 +356,61 @@ class TestEmitters:
         assert lines[1] == "0,1"
 
     def test_file_output_equals_stdout(self, capsys, tmp_path):
-        _, stdout_text, _ = run_cli(capsys, "zeros")
-        target = tmp_path / "zeros.json"
-        code, out, _ = run_cli(capsys, "zeros", "--output", str(target))
+        for argv in (("zeros",), ("scan", "--phi-points", "5", "--theta-points", "41")):
+            _, stdout_text, _ = run_cli(capsys, *argv)
+            target = tmp_path / f"{argv[0]}.out"
+            code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+            assert code == 0
+            assert out == ""
+            assert target.read_bytes() == stdout_text.encode("utf-8")
+
+
+class TestAliasingWarning:
+    # pR ~ 1e7 at 0.00536 nm: the default grid has 0.0021 samples per fringe
+    @pytest.mark.parametrize("command", ["single", "two-beam", "scan"])
+    def test_undersampled_grid_warns_without_touching_stdout(self, capsys, caplog, command):
+        argv = (command, "--wavelength-nm", "0.00536", "--theta-points", "101")
+        if command == "scan":
+            argv += ("--phi-points", "3")
+        with caplog.at_level(logging.CRITICAL, logger="wirediff"):
+            code, quiet, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert target.read_text(encoding="utf-8") == stdout_text
+        assert caplog.records == []
+        with caplog.at_level(logging.WARNING, logger="wirediff"):
+            code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == quiet
+        [record] = caplog.records
+        assert record.name == "wirediff"
+        assert record.levelno == logging.WARNING
+        assert "samples per fringe" in record.getMessage()
+
+    @pytest.mark.parametrize("argv, warns", [
+        (("single",), False),
+        (("single", "--wavelength-nm", "0.00536"), True),
+        (("two-beam", "--wavelength-nm", "20", "--theta-points", "201"), True),
+        (("two-beam", "--wavelength-nm", "20", "--theta-points", "1001"), False),
+    ])
+    def test_warns_below_two_samples_per_fringe(self, capsys, caplog, argv, warns):
+        with caplog.at_level(logging.WARNING, logger="wirediff"):
+            code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert bool(caplog.records) == warns
+
+    def test_warning_reaches_stderr_of_the_process(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run(
+            [sys.executable, "-m", "wirediff.cli", "single", "--wavelength-nm", "0.00536",
+             "--theta-points", "11"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False)
+        assert result.returncode == 0
+        assert "1.05e-05 samples per fringe" in result.stderr
+        assert "theta_rad,density" in result.stdout
 
 
 class TestTimestampFlag:
