@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -50,8 +51,6 @@ def two_j1_over_x(x: float) -> float:
 def reference_csv(config: dict, header: str, *columns) -> str:
     """Per-cell CSV writer, the oracle for ``wirediff.cli._csv``: equal-length
     columns, every cell formatted on its own with ``format(x, ".17g")``."""
-    import json
-
     lines = ["# config: " + json.dumps(config, sort_keys=True)] if config else []
     lines.append(header)
     cells = [[format(x, ".17g") for x in column.tolist()] for column in columns]
