@@ -16,6 +16,7 @@ import datetime
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from functools import partial
@@ -51,6 +52,20 @@ _MIN_SAMPLES_PER_FRINGE = 50
 _MAX_GRID_VALUES = 10_000_000
 
 
+# A negative number in any form float() reads from digits, exponent included
+# (-1e-3, -.5E+2, -1e308), is an option's value, not an option.  The argparse
+# of Python 3.10 and 3.11 takes only the -1 and -1.5 forms for numbers.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are built from the parent parser's class, so every
+    # (sub)parser of the command line gets the pattern
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 class ConfigError(ValueError):
     """Invalid command configuration (maps to exit code 2)."""
 
@@ -67,7 +82,7 @@ def _mode_value(text: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wirediff",
         description="Wire-barrier diffraction distributions: quantum vs classical, "
                     "single- and two-beam.",

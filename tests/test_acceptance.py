@@ -112,8 +112,8 @@ def test_criterion_3_special_function_identities(j1_zeros_oracle):
     _report(
         "criterion 3: special-function identity suite",
         [
-            (f"identity vs Bessel oracle on 1000 pts, worst {worst:.2e} <= 1e-10",
-             worst <= 1e-10),
+            (f"identity vs Bessel oracle on 1000 pts, worst {worst:.2e} <= 1e-14",
+             worst <= 1e-14),
             (f"disk quadrature vs series/Bessel path, worst {worst_disk:.2e} <= 1e-8",
              worst_disk <= 1e-8),
             (f"runtime {elapsed:.2f}s < 10s", elapsed < 10.0),

@@ -173,6 +173,37 @@ class TestConfigErrors:
         assert exc.value.code == 2
 
 
+class TestNegativeValues:
+    # a negative value in exponent form is read as the option's value, the
+    # same as its --flag=value spelling
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("single", "--theta-min", "-1e-3", "--theta-max", "2e-3"),
+            ("two-beam", "--theta-min", "-.5E-1", "--theta-max", "5e-2", "--phi", "-1.5e0"),
+            ("scan", "--phi-min", "-1e-310", "--phi-max", "5e-324", "--phi-points", "3",
+             "--theta-points", "7"),
+        ],
+    )
+    def test_same_bytes_as_equals_form(self, capsys, argv):
+        joined = []
+        for arg in argv:
+            if arg[0] == "-" and arg[1] != "-":
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        assert len(joined) < len(argv)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (code, out) == run_cli(capsys, *joined)[:2]
+
+    def test_overflowing_distance_reaches_the_finiteness_check(self, capsys):
+        code, out, err = run_cli(capsys, "single", "--theta-min", "-1e308", "--theta-max", "1e308")
+        assert code == 2
+        assert out == ""
+        assert "--theta-min, --theta-max and their distance must be finite" in err
+
+
 class TestTwoBeamCommand:
     def test_csv_default_parameters(self, capsys):
         code, out, _ = run_cli(capsys, "two-beam", "--theta-points", "101")
@@ -432,21 +463,21 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "0479fc3c01372baf717a81cf79aa1bcd0610c76f8bcafa86bb2609c04acb2fb5"),
+             "18acfc250ea6c80720554d436f59c0016f0115c4a9a317f18093fcc04363b2b3"),
             (("two-beam",),
-             "4798bddb7ec503e46cadc0aabaa4a5cf8fbccd27a5df0eb457a10905d192907f"),
+             "567d3ac7fa1f33050952b6a0f31aaf206a309fea865f583a9755212c8a278b3d"),
             (("scan",),
-             "b0d2807b2bf48befd105aa30596cd17e334c90fd91da89dd6b5bef7d787bf917"),
+             "08ab92c6bad90db90d59dc2f891002b0ae02b78c8c791b36f82408da7068bda7"),
             (("compare",),
-             "3f9321b2136d1ecbb79a607b2296bc20c0d8bb5a697c8209bd6114941067a5ad"),
+             "b3e576a62c564d9f052df9a9a7a74d84eed96e21cf78299d0b1a6071ea5e5ee2"),
             (("zeros",),
              "3765631e5caba2abb18af3b0b7ce401742d4bc082b1af357ffd3f7c5aa0a0483"),
             (("zeros", "--n", "3"),
              "209e976ee8dfa1f0b8cf98f7d9e5e262dc0b4d6bc7d7fd363318912c89cacd98"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "ba58eb5834bc6f82eee1d7574848b4b817ae324e52024a9d11a9de29d45c2c31"),
+             "6dfae320e7414ed316a866b465310d560c7fbcadea2227aa27da91f6ab0b4093"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "4d9ad3cc8b9cfef1941bada38542a10cd70d3f1b66612025cbc084b678547315"),
+             "787462de194b85de9abe8c15bfd48a7765f5ab391bd2015cf7331ccbfd896d81"),
         ],
     )
     def test_default_output_digest(self, capsys, argv, digest):

@@ -1,10 +1,16 @@
 import math
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.special import i1 as scipy_i1
 
+from wirediff import numerics
 from wirediff.numerics import (
     AccuracyError,
     BracketError,
@@ -27,7 +33,7 @@ class TestHyp0f1Reg2:
 
     def test_vanishes_at_first_bessel_zero(self, j1_zeros_oracle):
         j11 = j1_zeros_oracle[0]
-        assert abs(hyp0f1_reg2(-0.25 * j11 * j11)) < 1e-12
+        assert abs(hyp0f1_reg2(-0.25 * j11 * j11)) < 1e-15
 
     def test_large_negative_argument_matches_oracle(self):
         # deep in the asymptotic branch: z = -1837.06, x = 2 sqrt(-z) ~ 85.7
@@ -37,12 +43,12 @@ class TestHyp0f1Reg2:
         assert hyp0f1_reg2(z) == pytest.approx(expected, rel=1e-10)
 
     def test_identity_against_bessel_oracle_dense(self):
-        # |0F1(2, -x^2/4) - 2 J1(x)/x| <= 1e-10 * max(1, |.|) across [0, 300]
+        # |0F1(2, -x^2/4) - 2 J1(x)/x| <= 1e-14 across [0, 300]
         xs = np.linspace(0.0, 300.0, 3001)
         for x in xs:
             got = hyp0f1_reg2(-0.25 * x * x)
             want = two_j1_over_x(float(x))
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), f"x={x}"
+            assert abs(got - want) <= 1e-14, f"x={x}"
 
     def test_positive_argument_matches_modified_bessel(self):
         # 0F1(2, z) = I1(2 sqrt(z)) / sqrt(z) for z > 0
@@ -161,6 +167,83 @@ class TestArrayKernels:
         xs[4] = bad
         with pytest.raises(DomainError):
             kernel(xs)
+
+
+def _ulps_around(x: float, n: int) -> list[float]:
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(n):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return sorted(out)
+
+
+with mpmath.workdps(40):
+    # the doubles nearest the first 20 positive zeros of J1
+    _J1_ZERO_DOUBLES = [float(mpmath.besseljzero(1, k)) for k in range(1, 21)]
+# the Chebyshev / Hankel branch edge at x = 13, +-4 ulp
+_J1_BRANCH_EDGE = _ulps_around(numerics._J1_CUTOFF, 4)
+
+
+def _mpmath_f(x: float) -> float:
+    with mpmath.workdps(40):
+        return float(2 * mpmath.besselj(1, x) / x) if x else 1.0
+
+
+class TestJ1Kernel:
+    # F(x) = 2 J1(x)/x, the kernel behind disk_amplitude, bessel_j1 and
+    # hyp0f1_reg2 for negative z, against mpmath at 40 digits
+    @given(st.one_of(st.floats(0.0, 1e4),
+                     st.sampled_from(_J1_BRANCH_EDGE + _J1_ZERO_DOUBLES)))
+    def test_within_1e_15_of_mpmath(self, x):
+        assert abs(disk_amplitude(x) - _mpmath_f(x)) <= 1e-15
+
+    @pytest.mark.parametrize("x", _J1_ZERO_DOUBLES)
+    def test_vanishes_at_zeros_of_j1(self, x):
+        assert abs(disk_amplitude(x)) <= 1e-16
+        assert abs(disk_amplitude(x) - _mpmath_f(x)) <= 1e-16
+
+    @pytest.mark.parametrize("x", _J1_BRANCH_EDGE)
+    def test_branch_edge_against_mpmath(self, x):
+        assert abs(disk_amplitude(x) - _mpmath_f(x)) <= 1e-15
+
+    def test_exactly_one_at_zero(self):
+        assert disk_amplitude(0.0) == 1.0
+        assert disk_amplitude(-0.0) == 1.0
+        assert disk_amplitude(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+        assert hyp0f1_reg2(-0.0) == 1.0
+
+    @given(st.one_of(st.floats(-1e4, 1e4), st.floats(-1e-3, 1e-3)))
+    def test_never_above_one(self, x):
+        assert disk_amplitude(x) <= 1.0
+
+    def test_never_above_one_near_zero_dense(self):
+        xs = np.concatenate([np.logspace(-320.0, 0.0, 20001), np.linspace(0.0, 0.05, 20001)])
+        assert disk_amplitude(xs).max() <= 1.0
+
+    @pytest.mark.parametrize("x", [1e300, -1e300, 5e-324, -5e-324, 1.7976931348623157e308])
+    def test_extreme_finite_arguments(self, x):
+        # every finite q_r is accepted: no square is formed above the cutoff
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = disk_amplitude(x)
+            array = disk_amplitude(np.array([x, -x]))
+            j1 = bessel_j1(x)
+        assert math.isfinite(scalar) and math.isfinite(j1)
+        assert array.tolist() == [scalar, scalar]
+        assert abs(scalar - _mpmath_f(abs(x))) <= 1e-15
+
+    def test_coefficients_match_generator(self):
+        script = Path(__file__).resolve().parents[1] / "tools" / "gen_j1_coeffs.py"
+        done = subprocess.run([sys.executable, str(script)], capture_output=True,
+                              text=True, check=True, timeout=120)
+        generated: dict = {}
+        exec(done.stdout, generated)
+        names = [name for name in generated if name.startswith("_J1_")]
+        assert names == ["_J1_ZERO_SQ", "_J1_G", "_J1_P", "_J1_XQ"]
+        for name in names:
+            assert getattr(numerics, name) == generated[name], name
 
 
 class TestDiskFtOracle:
