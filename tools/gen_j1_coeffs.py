@@ -20,7 +20,7 @@ The kernel evaluates F(x) = 2 J1(x)/x, x >= 0, on two branches:
 * x > 13: F = x^(-3/2) (P cos chi - (Q/x) sin chi), chi = x - 3 pi/4, where
   J1 = sqrt(2/(pi x)) (P cos chi - Q sin chi) defines the Hankel P and Q and
   both are printed scaled by 2 sqrt(2/pi).  P and Q are interpolated in
-  t = 2 (13/x)^2 - 1 from 40-digit Bessel J1 and Y1.
+  t = 2 (13/x)^2 - 1 from 50-digit Bessel J1 and Y1.
 
 Every tuple runs from the highest degree down to the constant term, the
 order ``numerics._clenshaw`` consumes.
@@ -69,18 +69,15 @@ def fit_g(zeros: list) -> list:
 
 def fit_pq() -> tuple[list, list]:
     scale = 2 * mp.sqrt(2 / mp.pi)
-    cache = {}
 
     def pq(t):
-        if t not in cache:
-            x = CUTOFF / mp.sqrt((t + 1) / 2)
-            chi = x - 3 * mp.pi / 4
-            j1, y1 = mp.besselj(1, x), mp.bessely(1, x)
-            r = mp.sqrt(mp.pi * x / 2)
-            p = r * (j1 * mp.cos(chi) + y1 * mp.sin(chi))
-            q = r * (y1 * mp.cos(chi) - j1 * mp.sin(chi))
-            cache[t] = (scale * p, scale * x * q)
-        return cache[t]
+        x = CUTOFF / mp.sqrt((t + 1) / 2)
+        chi = x - 3 * mp.pi / 4
+        j1, y1 = mp.besselj(1, x), mp.bessely(1, x)
+        r = mp.sqrt(mp.pi * x / 2)
+        p = r * (j1 * mp.cos(chi) + y1 * mp.sin(chi))
+        q = r * (y1 * mp.cos(chi) - j1 * mp.sin(chi))
+        return scale * p, scale * x * q
 
     return (chebyshev_fit(lambda t: pq(t)[0], DEGREE_PQ),
             chebyshev_fit(lambda t: pq(t)[1], DEGREE_PQ))
