@@ -25,7 +25,6 @@ from .electron import (
     Spin,
     SpinChannel,
     dsigma_dtheta_full,
-    dsigma_dtheta_full_spin_summed,
     dsigma_dtheta_low_energy,
     pattern_single,
     spinor_element,
@@ -47,16 +46,13 @@ from .potential import (
     HBARC_EV_M,
     BeamParams,
     WirePotential,
-    form_factor,
     momentum_transfer_single,
 )
 from .twobeam import (
     ScanResult,
     TwoBeamConfig,
-    momentum_transfer_pair,
     pattern_two_beam,
     phi_theta_scan,
-    superpose_amplitudes,
 )
 from .twobeam import dsigma_dtheta_full as dsigma_dtheta_two_beam_full
 from .twobeam import dsigma_dtheta_low_energy as dsigma_dtheta_two_beam_low_energy
@@ -87,20 +83,17 @@ __all__ = [
     "default_grid",
     "disk_ft_oracle",
     "dsigma_dtheta_full",
-    "dsigma_dtheta_full_spin_summed",
     "dsigma_dtheta_low_energy",
     "dsigma_dtheta_two_beam_full",
     "dsigma_dtheta_two_beam_low_energy",
     "find_zero",
     "first_dark_angle",
     "first_dark_points",
-    "form_factor",
     "fraunhofer_single",
     "fraunhofer_two_beam",
     "hyp0f1_reg2",
     "hyp0f1_reg2_series",
     "match_areas",
-    "momentum_transfer_pair",
     "momentum_transfer_single",
     "overestimation_factor",
     "pattern_classical",
@@ -109,6 +102,5 @@ __all__ = [
     "phi_theta_scan",
     "sinc",
     "spinor_element",
-    "superpose_amplitudes",
     "validate_grid",
 ]

@@ -2,10 +2,11 @@
 
 The single-beam density is sinc^2(scale * pR * sin(theta)), with the
 argument written exactly in that sin(theta) form.  The two-beam comparator
-superposes the single-beam amplitudes at the shifted transfers q(theta/2
-+/- alpha/4); its default argument uses the q-form 2 pR sin(theta/2 +/-
-alpha/4), which differs from the sin(theta) form only at O(theta^3).  Both
-forms are available because the choice is a convention, not physics.
+is the quantum two-beam density with sinc in place of 2 J1(x)/x: each
+beam's amplitude is sinc of its momentum transfer 2 scale pR |sin(theta/2
+-/+ alpha/4)| at its own angle theta -/+ alpha/2, and the two go through
+the same interference combiner.  That q-form argument differs from the
+sin(theta) form only at O(theta^3).
 
 ``radius_scale`` multiplies the wire radius and exists for the rescaling
 experiment in which the classical curve is stretched until its first dark
@@ -21,7 +22,8 @@ import numpy as np
 
 from .numerics import DomainError, sinc
 from .patterns import Normalization, Pattern, sample_pattern
-from .twobeam import _interference_density
+from .potential import momentum_transfer_single
+from .twobeam import TwoBeamConfig, _interference_density
 
 
 @dataclass(frozen=True)
@@ -50,32 +52,16 @@ def fraunhofer_single(cfg: ClassicalConfig, theta):
     return s * s
 
 
-def fraunhofer_two_beam(
-    cfg: ClassicalConfig,
-    alpha: float,
-    phi: float,
-    theta: float,
-    argument_form: str = "q",
-) -> float:
+def fraunhofer_two_beam(cfg: ClassicalConfig, beams: TwoBeamConfig, theta):
     """Two-beam Fraunhofer density |sinc(a_minus) + e^{i phi} sinc(a_plus)|^2.
 
-    argument_form "q" (default): a_pm = 2 * scale * pR * sin(theta/2 +/- alpha/4).
-    argument_form "sin-theta":   a_pm = scale * pR * sin(theta +/- alpha/2).
+    a_pm = 2 * scale * pR * |sin(theta/2 +/- alpha/4)|.  ``theta`` is a
+    scalar or an array of angles.
     """
-    if not math.isfinite(theta) or not math.isfinite(alpha) or not math.isfinite(phi):
-        raise DomainError("fraunhofer_two_beam: alpha, phi, theta must be finite")
-    if alpha < 0.0:
-        raise DomainError(f"fraunhofer_two_beam: alpha >= 0 required, got {alpha!r}")
     scaled = cfg.radius_scale * cfg.p_radius
-    if argument_form == "q":
-        a_minus = sinc(2.0 * scaled * math.sin(0.5 * theta - 0.25 * alpha))
-        a_plus = sinc(2.0 * scaled * math.sin(0.5 * theta + 0.25 * alpha))
-    elif argument_form == "sin-theta":
-        a_minus = sinc(scaled * math.sin(theta - 0.5 * alpha))
-        a_plus = sinc(scaled * math.sin(theta + 0.5 * alpha))
-    else:
-        raise ValueError(f"unknown argument_form {argument_form!r}; expected 'q' or 'sin-theta'")
-    return _interference_density(a_minus, a_plus, phi)
+    return _interference_density(
+        sinc(momentum_transfer_single(scaled, theta - 0.5 * beams.alpha)),
+        sinc(momentum_transfer_single(scaled, theta + 0.5 * beams.alpha)), beams.phi)
 
 
 def pattern_classical(

@@ -51,6 +51,10 @@ _MIN_SAMPLES_PER_FRINGE = 50
 # theta_points for scan): ~0.6 GB of CSV, checked before any allocation.
 _MAX_GRID_VALUES = 10_000_000
 
+# Most dark points ``zeros --n`` may ask for per curve: each quantum one is a
+# bisection of ~0.1 ms at large pR, so the cap bounds a run to about a second.
+_MAX_ZEROS = 10_000
+
 
 # A negative number in any form float() reads from digits, exponent included
 # (-1e-3, -.5E+2, -1e308), is an option's value, not an option.  The argparse
@@ -321,8 +325,8 @@ def _cmd_compare(args) -> str:
 
 def _cmd_zeros(args) -> str:
     beam, wire = _resolve_physics(args)
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if not 1 <= args.n <= _MAX_ZEROS:
+        raise ConfigError(f"--n must be in [1, {_MAX_ZEROS:,}], got {args.n}")
     p_radius = beam.momentum * wire.radius
     quantum = first_dark_points(p_radius, "quantum", args.n)
     classical = first_dark_points(p_radius, "classical", args.n)

@@ -102,19 +102,15 @@ def dsigma_dtheta_full(
     beam: BeamParams,
     wire: WirePotential,
     theta: float,
-    channel: SpinChannel = NO_FLIP,
+    channel: SpinChannel | None = NO_FLIP,
 ) -> float:
-    """Full-energy angular density |spinor|^2 * form_factor^2, constant C = 1.
+    """Full-energy angular density |spinor|^2 * F(qR)^2, constant C = 1.
 
-    Elastic and planar by construction: theta enters only through the
-    momentum transfer q = 2 p |sin(theta/2)|.
+    ``channel`` None sums over final spins (flip + no-flip).  Elastic and
+    planar by construction: theta enters only through the momentum transfer
+    q = 2 p |sin(theta/2)|.
     """
     return _density(beam.momentum * wire.radius, theta, spinor_factors(beam, "full", channel))
-
-
-def dsigma_dtheta_full_spin_summed(beam: BeamParams, wire: WirePotential, theta: float) -> float:
-    """Full-energy density summed over final spins (flip + no-flip)."""
-    return _density(beam.momentum * wire.radius, theta, spinor_factors(beam, "full", None))
 
 
 def dsigma_dtheta_low_energy(p_radius: float, theta: float) -> float:

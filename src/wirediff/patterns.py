@@ -44,9 +44,15 @@ def grid_area(thetas: np.ndarray, density: np.ndarray) -> float:
 
 def normalize_density(thetas: np.ndarray, density: np.ndarray,
                       normalization: Normalization) -> np.ndarray:
-    """Rescale a sampled density according to the requested mode."""
+    """Rescale a sampled density according to the requested mode.
+
+    AREA_MATCHED is rejected: it labels a curve scaled to another curve's
+    area, which only :func:`~wirediff.analysis.match_areas` produces.
+    """
     normalization = Normalization(normalization)
-    if normalization in (Normalization.RAW, Normalization.AREA_MATCHED):
+    if normalization is Normalization.AREA_MATCHED:
+        raise ValueError("area_matched needs a reference curve: use analysis.match_areas")
+    if normalization is Normalization.RAW:
         return np.asarray(density, dtype=float)
     if normalization is Normalization.PEAK_ONE:
         peak = float(np.max(density))

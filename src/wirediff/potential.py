@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, disk_amplitude
+from .numerics import DomainError
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,15 +103,3 @@ def momentum_transfer_single(p: float, theta):
     if not np.all(np.isfinite(theta)):
         raise DomainError(f"momentum_transfer_single: theta must be finite, got {theta!r}")
     return 2.0 * p * np.abs(np.sin(0.5 * theta))
-
-
-def form_factor(wire: WirePotential, q: float) -> float:
-    """Normalized disk transform of the barrier at momentum transfer q >= 0.
-
-    Returns 0F1(2, -(q R)^2 / 4), i.e. 2 J1(qR)/(qR): 1 at q = 0, first
-    dark zero where qR equals the first positive zero of J1.  Independent
-    of the barrier height by construction.
-    """
-    if not (math.isfinite(q) and q >= 0.0):
-        raise DomainError(f"form_factor: q >= 0 required, got {q!r}")
-    return disk_amplitude(q * wire.radius)

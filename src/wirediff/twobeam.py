@@ -5,12 +5,6 @@ momentum transfers q_pm = 2 p |sin(theta/2 +/- alpha/4)|; the relative
 phase Phi shifts the interference pattern (scanning Phi plays the role of
 translating the wire across the fringes, though the quantitative mapping
 from a physical displacement to Phi is deliberately not modeled here).
-
-Phase-sign convention: the low-energy and full-energy electron densities
-attach e^{+i Phi} to the plus-beam amplitude.  For real amplitudes the
-density is insensitive to that sign; :func:`superpose_amplitudes` takes
-complex amplitudes, defaults to e^{-i phi}, and exposes the sign as an
-explicit argument.
 """
 
 from __future__ import annotations
@@ -22,9 +16,8 @@ import numpy as np
 
 from .electron import (NO_FLIP, SpinChannel, amplitudes, sample_beam_pattern, spinor_factors,
                        unit_spinor)
-from .numerics import DomainError
 from .patterns import Normalization, Pattern, validate_grid
-from .potential import BeamParams, WirePotential, momentum_transfer_single
+from .potential import BeamParams, WirePotential
 
 _TAU = 2.0 * math.pi
 
@@ -50,12 +43,6 @@ class ScanResult:
     phis: np.ndarray
     thetas: np.ndarray
     density: np.ndarray
-
-
-def momentum_transfer_pair(p: float, theta: float, alpha: float) -> tuple[float, float]:
-    """Momentum transfers (q_minus, q_plus) = 2 p |sin(theta/2 -/+ alpha/4)| [1/m]."""
-    return (momentum_transfer_single(p, theta - 0.5 * alpha),
-            momentum_transfer_single(p, theta + 0.5 * alpha))
 
 
 def _interference_density(a_minus, a_plus, phi: float):
@@ -91,14 +78,15 @@ def dsigma_dtheta_full(
     wire: WirePotential,
     cfg: TwoBeamConfig,
     theta: float,
-    channel: SpinChannel = NO_FLIP,
+    channel: SpinChannel | None = NO_FLIP,
 ) -> float:
     """Full-energy two-beam density |A_- + e^{i Phi} A_+|^2, C = 1.
 
     A_pm couples the spinor element at the relative scattering angle
     theta +/- alpha/2 of the respective incoming beam with the form factor
-    at q_pm.  Both beams carry the same spin labels (polarized source).
-    Reduces to the low-energy form when pc << mc^2.
+    at q_pm.  Both beams carry the same spin labels (polarized source);
+    ``channel`` None sums the flip and no-flip densities.  Reduces to the
+    low-energy form when pc << mc^2.
     """
     return _density(beam.momentum * wire.radius, cfg, theta,
                     spinor_factors(beam, "full", channel))
@@ -121,27 +109,6 @@ def pattern_two_beam(
         lambda p_radius, theta, spinors: _density(p_radius, cfg, theta, spinors),
         beam, wire, thetas, mode, channel, normalization,
         kind="two-beam", alpha=cfg.alpha, phi=cfg.phi)
-
-
-def superpose_amplitudes(a_minus: complex, a_plus: complex, phi: float,
-                         phase_sign: int = -1) -> float:
-    """|a_minus + a_plus * e^{i * phase_sign * phi}|^2 for complex amplitudes.
-
-    Generic two-amplitude superposition: any pair of caller-supplied
-    amplitudes (e.g. numerically evaluated photon amplitudes) can be
-    combined.  The default phase sign is -1; pass +1 for the opposite
-    convention.  For real amplitudes of equal magnitude the two signs give
-    identical densities.
-    """
-    a_minus = complex(a_minus)
-    a_plus = complex(a_plus)
-    if not all(map(math.isfinite, (a_minus.real, a_minus.imag, a_plus.real, a_plus.imag, phi))):
-        raise DomainError("superpose_amplitudes: amplitudes and phi must be finite")
-    if phase_sign not in (-1, 1):
-        raise ValueError(f"phase_sign must be +1 or -1, got {phase_sign!r}")
-    phi_r = math.remainder(phi, _TAU)
-    w = a_minus + a_plus * complex(math.cos(phi_r), phase_sign * math.sin(phi_r))
-    return w.real * w.real + w.imag * w.imag
 
 
 def phi_theta_scan(

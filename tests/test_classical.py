@@ -10,8 +10,9 @@ from wirediff.classical import (
     fraunhofer_two_beam,
     pattern_classical,
 )
-from wirediff.numerics import find_zero
+from wirediff.numerics import DomainError, find_zero
 from wirediff.patterns import Normalization
+from wirediff.twobeam import TwoBeamConfig
 
 PR = 84.37136668408607  # 2*pi * 8.5e-6 / 633e-9
 
@@ -62,40 +63,44 @@ class TestFraunhoferTwoBeam:
         for theta in (0.0, 0.01, 0.04, 0.1):
             s = 2.0 * PR * math.sin(0.5 * theta)
             single_q = (math.sin(s) / s if s else 1.0) ** 2
-            assert fraunhofer_two_beam(cfg, 0.0, 0.0, theta) == pytest.approx(
+            assert fraunhofer_two_beam(cfg, TwoBeamConfig(0.0), theta) == pytest.approx(
                 4.0 * single_q, rel=1e-12
             )
 
     def test_destructive_center(self):
-        assert fraunhofer_two_beam(ClassicalConfig(PR), 0.1, math.pi, 0.0) == pytest.approx(
-            0.0, abs=1e-25
-        )
+        assert fraunhofer_two_beam(ClassicalConfig(PR), TwoBeamConfig(0.1, math.pi), 0.0) \
+            == pytest.approx(0.0, abs=1e-25)
 
     @given(st.floats(min_value=-0.6, max_value=0.6),
            st.floats(min_value=-10.0, max_value=10.0))
     def test_even_in_theta_any_phase(self, theta, phi):
         cfg = ClassicalConfig(PR)
-        assert fraunhofer_two_beam(cfg, 0.1, phi, theta) == pytest.approx(
-            fraunhofer_two_beam(cfg, 0.1, phi, -theta), rel=1e-12, abs=1e-300
+        beams = TwoBeamConfig(0.1, phi)
+        assert fraunhofer_two_beam(cfg, beams, theta) == pytest.approx(
+            fraunhofer_two_beam(cfg, beams, -theta), rel=1e-12, abs=1e-300
         )
 
     @given(st.floats(min_value=-6.0, max_value=6.0))
     def test_phase_periodicity(self, phi):
         cfg = ClassicalConfig(PR)
-        a = fraunhofer_two_beam(cfg, 0.1, phi, 0.02)
-        b = fraunhofer_two_beam(cfg, 0.1, phi + 2.0 * math.pi, 0.02)
+        a = fraunhofer_two_beam(cfg, TwoBeamConfig(0.1, phi), 0.02)
+        b = fraunhofer_two_beam(cfg, TwoBeamConfig(0.1, phi + 2.0 * math.pi), 0.02)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
-    def test_sin_theta_form_close_to_q_form(self):
-        # the two argument conventions differ only at O(theta^3)
-        cfg = ClassicalConfig(PR)
-        q_form = fraunhofer_two_beam(cfg, 0.1, 0.0, 0.01, argument_form="q")
-        s_form = fraunhofer_two_beam(cfg, 0.1, 0.0, 0.01, argument_form="sin-theta")
-        assert q_form == pytest.approx(s_form, rel=5e-3)
+    @pytest.mark.parametrize("scale, alpha, phi", [(1.0, 0.1, 0.0), (0.82, 0.07, 1.3),
+                                                   (1.21, 0.0, math.pi)])
+    def test_array_theta_matches_scalars(self, scale, alpha, phi):
+        cfg = ClassicalConfig(PR, radius_scale=scale)
+        beams = TwoBeamConfig(alpha, phi)
+        thetas = np.linspace(-0.6, 0.6, 801)
+        values = fraunhofer_two_beam(cfg, beams, thetas)
+        scalars = np.array([fraunhofer_two_beam(cfg, beams, t) for t in thetas.tolist()])
+        assert values.shape == thetas.shape
+        assert np.max(np.abs(values - scalars)) <= 1e-15 * np.max(scalars)
 
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            fraunhofer_two_beam(ClassicalConfig(PR), 0.1, 0.0, 0.0, argument_form="exact")
+    def test_non_finite_theta_rejected(self):
+        with pytest.raises(DomainError):
+            fraunhofer_two_beam(ClassicalConfig(PR), TwoBeamConfig(0.1), math.nan)
 
 
 class TestPatternClassical:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import reference_csv
-from wirediff.cli import _MAX_GRID_VALUES, _csv, main
+from wirediff.cli import _MAX_GRID_VALUES, _MAX_ZEROS, _csv, main
 
 
 def run_cli(capsys, *argv):
@@ -292,6 +292,33 @@ class TestZerosCommand:
         _, b, _ = run_cli(capsys, "zeros")
         assert a == b
 
+    @pytest.mark.parametrize("n", [_MAX_ZEROS + 1, 100_000_000])
+    def test_too_many_zeros_exit_2_before_searching(self, capsys, monkeypatch, n):
+        from wirediff import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dark-point search reached for an oversized --n")
+
+        monkeypatch.setattr(cli, "first_dark_points", refuse)
+        code, out, err = run_cli(capsys, "zeros", "--wavelength-nm", "1e-6", "--n", str(n))
+        assert code == 2
+        assert out == ""
+        assert f"--n must be in [1, 10,000], got {n}" in err
+
+    def test_zeros_at_the_cap_are_searched(self, capsys, monkeypatch):
+        from wirediff import cli
+
+        asked = []
+
+        def record(p_radius, model, n):
+            asked.append(n)
+            raise ArithmeticError("stop after recording n")
+
+        monkeypatch.setattr(cli, "first_dark_points", record)
+        code, _, _ = run_cli(capsys, "zeros", "--n", str(_MAX_ZEROS))
+        assert code == 1
+        assert asked == [_MAX_ZEROS]
+
     def test_dark_point_search_runs_once(self, capsys, monkeypatch):
         # the factor comes from the zeros already found, not from a second
         # search: count every numerics kernel call made by analysis
@@ -459,6 +486,7 @@ class TestPinnedDigests:
     # at pR ~ 534 and a 20,001-point Hankel-branch pattern.  Refactors of the
     # amplitude model or the writer must leave these bytes unchanged;
     # full-mode outputs are deliberately not pinned, their last digits may move.
+    # ids name the argv, so a deliberate re-pin keeps every test id
     @pytest.mark.parametrize(
         "argv, digest",
         [
@@ -479,6 +507,8 @@ class TestPinnedDigests:
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
              "787462de194b85de9abe8c15bfd48a7765f5ab391bd2015cf7331ccbfd896d81"),
         ],
+        ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
+             "single-20nm"],
     )
     def test_default_output_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)

@@ -10,7 +10,6 @@ from wirediff.electron import (
     Spin,
     SpinChannel,
     dsigma_dtheta_full,
-    dsigma_dtheta_full_spin_summed,
     dsigma_dtheta_low_energy,
     pattern_single,
     spinor_element,
@@ -82,7 +81,7 @@ class TestDensities:
 
     def test_spin_summed_is_sum(self, beam, wire):
         theta = 0.04
-        assert dsigma_dtheta_full_spin_summed(beam, wire, theta) == pytest.approx(
+        assert dsigma_dtheta_full(beam, wire, theta, None) == pytest.approx(
             dsigma_dtheta_full(beam, wire, theta, NO_FLIP)
             + dsigma_dtheta_full(beam, wire, theta, FLIP),
             rel=1e-15,
@@ -111,13 +110,13 @@ class TestDensities:
 
     def test_depends_on_theta_only_through_q(self, beam, wire):
         # equal momentum transfer => equal form factor, whatever the sign of theta
-        from wirediff.potential import form_factor
+        from wirediff.numerics import disk_amplitude
 
         theta = 0.11
         q1 = momentum_transfer_single(beam.momentum, theta)
         q2 = momentum_transfer_single(beam.momentum, -theta)
         assert q1 == q2
-        assert form_factor(wire, q1) == form_factor(wire, q2)
+        assert disk_amplitude(q1 * wire.radius) == disk_amplitude(q2 * wire.radius)
 
 
 class TestPatternSingle:
@@ -168,6 +167,13 @@ class TestPatternSingle:
     def test_unknown_mode_rejected(self, beam, wire):
         with pytest.raises(ValueError):
             pattern_single(beam, wire, mode="fast")
+
+    def test_area_matched_rejected(self, beam, wire):
+        # raw data labelled area_matched would carry no area_match_scale;
+        # only analysis.match_areas scales a curve to another's area
+        for normalization in (Normalization.AREA_MATCHED, "area_matched"):
+            with pytest.raises(ValueError, match="match_areas"):
+                pattern_single(beam, wire, normalization=normalization)
 
     def test_metadata_provenance(self, beam, wire):
         pattern = pattern_single(beam, wire)

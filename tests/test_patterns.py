@@ -11,7 +11,6 @@ from wirediff.electron import (
     FLIP,
     NO_FLIP,
     dsigma_dtheta_full,
-    dsigma_dtheta_full_spin_summed,
     dsigma_dtheta_low_energy,
     pattern_single,
 )
@@ -38,7 +37,7 @@ class TestBuildersMatchScalarDensities:
         ("low-energy", NO_FLIP, lambda t: dsigma_dtheta_low_energy(PR, t)),
         ("full", NO_FLIP, lambda t: dsigma_dtheta_full(BEAM, WIRE, t, NO_FLIP)),
         ("full", FLIP, lambda t: dsigma_dtheta_full(BEAM, WIRE, t, FLIP)),
-        ("full", None, lambda t: dsigma_dtheta_full_spin_summed(BEAM, WIRE, t)),
+        ("full", None, lambda t: dsigma_dtheta_full(BEAM, WIRE, t, None)),
     ], ids=["low-energy", "no-flip", "flip", "sum"])
     def test_single_beam(self, mode, channel, scalar):
         pattern = pattern_single(BEAM, WIRE, THETAS, mode=mode, channel=channel)

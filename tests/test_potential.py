@@ -3,13 +3,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from wirediff.numerics import DomainError, disk_ft_oracle
+from wirediff.electron import pattern_single
+from wirediff.numerics import DomainError, disk_amplitude, disk_ft_oracle
 from wirediff.potential import (
     ELECTRON_MASS_EV,
     HBARC_EV_M,
     BeamParams,
     WirePotential,
-    form_factor,
     momentum_transfer_single,
 )
 
@@ -86,41 +86,41 @@ class TestMomentumTransfer:
 
 class TestFormFactor:
     def test_unity_at_zero_transfer(self, wire):
-        assert form_factor(wire, 0.0) == 1.0
+        assert disk_amplitude(0.0 * wire.radius) == 1.0
 
     def test_zero_at_first_bessel_zero(self, wire, j1_zeros_oracle):
         q = j1_zeros_oracle[0] / wire.radius
-        assert abs(form_factor(wire, q)) < 1e-12
+        assert abs(disk_amplitude(q * wire.radius)) < 1e-12
 
     def test_matches_disk_quadrature(self, wire):
         q = 10.0 / wire.radius
-        assert form_factor(wire, q) == pytest.approx(disk_ft_oracle(10.0).real, abs=1e-8)
+        assert disk_amplitude(q * wire.radius) == pytest.approx(disk_ft_oracle(10.0).real,
+                                                                 abs=1e-8)
 
     def test_independent_of_height_bitwise(self):
+        # the height is metadata only: the sampled pattern has the same bytes
+        beam = BeamParams.from_wavelength_nm(633.0)
         low = WirePotential(radius=8.5e-6, height_ev=1.0)
         high = WirePotential(radius=8.5e-6, height_ev=2.7e9)
-        for q in (0.0, 1e5, 3e6, 1e7, 2e7):
-            assert form_factor(low, q) == form_factor(high, q)
+        for mode in ("low-energy", "full"):
+            assert (pattern_single(beam, low, mode=mode).density.tobytes()
+                    == pattern_single(beam, high, mode=mode).density.tobytes())
 
     def test_monotone_decreasing_to_first_zero(self, wire, j1_zeros_oracle):
         import numpy as np
 
         qs = np.linspace(0.0, j1_zeros_oracle[0] / wire.radius, 200)
-        values = [form_factor(wire, float(q)) for q in qs]
+        values = [disk_amplitude(float(q) * wire.radius) for q in qs]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_range(self, wire):
         import numpy as np
 
         for q in np.linspace(0.0, 25.0 / wire.radius, 500):
-            f = form_factor(wire, float(q))
+            f = disk_amplitude(float(q) * wire.radius)
             assert -0.133 < f <= 1.0
 
     def test_matches_oracle_normalization(self, wire):
         # against the independent Bessel oracle at an arbitrary transfer
         q = 4.7 / wire.radius
-        assert form_factor(wire, q) == pytest.approx(two_j1_over_x(4.7), abs=1e-12)
-
-    def test_negative_transfer_rejected(self, wire):
-        with pytest.raises(DomainError):
-            form_factor(wire, -1.0)
+        assert disk_amplitude(q * wire.radius) == pytest.approx(two_j1_over_x(4.7), abs=1e-12)

@@ -5,51 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wirediff.electron import FLIP, NO_FLIP, dsigma_dtheta_full as single_full
-from wirediff.numerics import DomainError, hyp0f1_reg2
+from wirediff.numerics import hyp0f1_reg2
 from wirediff.patterns import Normalization, Pattern
 from wirediff.twobeam import (
     ScanResult,
     TwoBeamConfig,
     dsigma_dtheta_full,
     dsigma_dtheta_low_energy,
-    momentum_transfer_pair,
     pattern_two_beam,
     phi_theta_scan,
-    superpose_amplitudes,
 )
 
 from conftest import two_j1_over_x
 
 PR = 84.37136668408607
 TAU = 2.0 * math.pi
-
-
-class TestMomentumTransferPair:
-    def test_degenerate_intersection(self):
-        from wirediff.potential import momentum_transfer_single
-
-        p = 9.9e6
-        q_minus, q_plus = momentum_transfer_pair(p, 0.07, 0.0)
-        q_single = momentum_transfer_single(p, 0.07)
-        assert q_minus == q_single
-        assert q_plus == q_single
-
-    def test_forward_symmetry(self):
-        p = 9.9e6
-        q_minus, q_plus = momentum_transfer_pair(p, 0.0, 0.1)
-        assert q_minus == q_plus == pytest.approx(2.0 * p * math.sin(0.025), rel=1e-15)
-
-    @given(st.floats(min_value=-0.5, max_value=0.5))
-    def test_theta_reflection_swaps_pair(self, theta):
-        p = 9.9e6
-        q_minus, q_plus = momentum_transfer_pair(p, theta, 0.1)
-        r_minus, r_plus = momentum_transfer_pair(p, -theta, 0.1)
-        assert q_minus == r_plus
-        assert q_plus == r_minus
-
-    def test_bad_momentum_rejected(self):
-        with pytest.raises(DomainError):
-            momentum_transfer_pair(0.0, 0.1, 0.1)
 
 
 class TestLowEnergyDensity:
@@ -148,47 +118,6 @@ class TestFullEnergyDensity:
     def test_flip_channel_supported(self, beam, wire):
         value = dsigma_dtheta_full(beam, wire, TwoBeamConfig(0.1, 0.0), 0.05, FLIP)
         assert value >= 0.0
-
-
-class TestSuperposeAmplitudes:
-    def test_equal_amplitudes_cancel_at_pi(self):
-        assert superpose_amplitudes(1.0, 1.0, math.pi) == pytest.approx(0.0, abs=1e-30)
-
-    def test_single_amplitude_passthrough(self):
-        for phi in (0.0, 1.0, 4.0):
-            assert superpose_amplitudes(1.0, 0.0, phi) == 1.0
-
-    @given(st.floats(min_value=-1.0, max_value=1.0),
-           st.floats(min_value=-7.0, max_value=7.0))
-    def test_real_equal_amplitudes_reproduce_quadratic_form(self, f, phi):
-        # |F + F e^{-i phi}|^2 = F^2 (2 + 2 cos(phi))
-        expected = f * f * (2.0 + 2.0 * math.cos(math.remainder(phi, TAU)))
-        assert superpose_amplitudes(f, f, phi) == pytest.approx(expected, rel=1e-12, abs=1e-15)
-
-    def test_consistency_with_low_energy_density(self):
-        # same real form factors => identical densities
-        theta = 0.017
-        cfg = TwoBeamConfig(0.1, 0.93)
-        s_minus = PR * math.sin(0.5 * theta - 0.025)
-        s_plus = PR * math.sin(0.5 * theta + 0.025)
-        f_minus = hyp0f1_reg2(-s_minus * s_minus)
-        f_plus = hyp0f1_reg2(-s_plus * s_plus)
-        expected = dsigma_dtheta_low_energy(PR, cfg, theta)
-        assert superpose_amplitudes(f_minus, f_plus, cfg.phi) == pytest.approx(
-            expected, abs=1e-12
-        )
-
-    def test_phase_sign_convention_explicit(self):
-        # complex amplitudes expose the e^{-i phi} vs e^{+i phi} choice
-        a = superpose_amplitudes(1.0 + 0.5j, 0.3 - 0.2j, 0.7, phase_sign=-1)
-        b = superpose_amplitudes(1.0 + 0.5j, 0.3 - 0.2j, -0.7, phase_sign=+1)
-        assert a == pytest.approx(b, rel=1e-15)
-        with pytest.raises(ValueError):
-            superpose_amplitudes(1.0, 1.0, 0.0, phase_sign=2)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            superpose_amplitudes(math.nan, 1.0, 0.0)
 
 
 class TestPhiThetaScan:
@@ -292,6 +221,13 @@ class TestPatternTwoBeam:
         assert np.array_equal(peak.density, raw.density / np.max(raw.density))
         assert area.area() == pytest.approx(1.0, abs=1e-12)
         assert area.metadata["normalization"] == "unit_area"
+
+    def test_area_matched_rejected(self, beam, wire):
+        # only analysis.match_areas scales a curve to another's area
+        for normalization in (Normalization.AREA_MATCHED, "area_matched"):
+            with pytest.raises(ValueError, match="match_areas"):
+                pattern_two_beam(beam, wire, TwoBeamConfig(0.1), self.THETAS,
+                                 normalization=normalization)
 
     def test_default_grid(self, beam, wire):
         pattern = pattern_two_beam(beam, wire, TwoBeamConfig(0.1))
