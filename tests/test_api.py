@@ -20,3 +20,11 @@ class TestPublicSurface:
             assert name not in wirediff.__all__
             for module in (wirediff, classical, electron, potential, twobeam):
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_version_matches_pyproject(self):
+        import re
+        from pathlib import Path
+
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1) \
+            == wirediff.__version__

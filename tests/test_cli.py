@@ -491,21 +491,21 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "18acfc250ea6c80720554d436f59c0016f0115c4a9a317f18093fcc04363b2b3"),
+             "084ff0a16297f73c7bf209c894fc4934c21298b6ffbe595e97fd06298e76302b"),
             (("two-beam",),
-             "567d3ac7fa1f33050952b6a0f31aaf206a309fea865f583a9755212c8a278b3d"),
+             "5ee5c52e1c89fc163edc839cb79218166a30824e8b73180cf1c812708a301477"),
             (("scan",),
-             "08ab92c6bad90db90d59dc2f891002b0ae02b78c8c791b36f82408da7068bda7"),
+             "6f492b3d1565229108a453b8ced25bf717ae18e2761243047a8732a6ae7e079a"),
             (("compare",),
-             "b3e576a62c564d9f052df9a9a7a74d84eed96e21cf78299d0b1a6071ea5e5ee2"),
+             "d998046e2d0687bff180183de198fb730bd85a1c960b5eeda088535b9db22881"),
             (("zeros",),
-             "3765631e5caba2abb18af3b0b7ce401742d4bc082b1af357ffd3f7c5aa0a0483"),
+             "024d5bebb0939838fb344d5d2836ff11f932c36b56462525ff677dab75de43d6"),
             (("zeros", "--n", "3"),
-             "209e976ee8dfa1f0b8cf98f7d9e5e262dc0b4d6bc7d7fd363318912c89cacd98"),
+             "94bb8ec4c906a703458afaff96fc5b337b746f3475ae400469eec19a98f66c13"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "6dfae320e7414ed316a866b465310d560c7fbcadea2227aa27da91f6ab0b4093"),
+             "d6c3cfa9bcb6e233f80c443d89127ee247342c289f2bc987084c328a5d6c3976"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "787462de194b85de9abe8c15bfd48a7765f5ab391bd2015cf7331ccbfd896d81"),
+             "e2cc7582b97158ab5f2fa9cad1fa3c6792d8c90fe4e939d519b36988e85e2561"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm"],
