@@ -29,17 +29,7 @@ from .electron import (
     pattern_single,
     spinor_element,
 )
-from .numerics import (
-    AccuracyError,
-    BracketError,
-    DomainError,
-    bessel_j1,
-    disk_ft_oracle,
-    find_zero,
-    hyp0f1_reg2,
-    hyp0f1_reg2_series,
-    sinc,
-)
+from .numerics import BracketError, DomainError, disk_amplitude, find_zero, sinc
 from .patterns import Normalization, Pattern, default_grid, validate_grid
 from .potential import (
     ELECTRON_MASS_EV,
@@ -59,7 +49,6 @@ from .twobeam import dsigma_dtheta_low_energy as dsigma_dtheta_two_beam_low_ener
 
 __all__ = [
     "__version__",
-    "AccuracyError",
     "BeamParams",
     "BracketError",
     "ClassicalConfig",
@@ -78,10 +67,9 @@ __all__ = [
     "TwoBeamConfig",
     "WirePotential",
     "ZeroReport",
-    "bessel_j1",
     "compare_curves",
     "default_grid",
-    "disk_ft_oracle",
+    "disk_amplitude",
     "dsigma_dtheta_full",
     "dsigma_dtheta_low_energy",
     "dsigma_dtheta_two_beam_full",
@@ -91,8 +79,6 @@ __all__ = [
     "first_dark_points",
     "fraunhofer_single",
     "fraunhofer_two_beam",
-    "hyp0f1_reg2",
-    "hyp0f1_reg2_series",
     "match_areas",
     "momentum_transfer_single",
     "overestimation_factor",

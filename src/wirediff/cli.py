@@ -74,17 +74,6 @@ class ConfigError(ValueError):
     """Invalid command configuration (maps to exit code 2)."""
 
 
-def _mode_value(text: str) -> str:
-    aliases = {"low-energy": "low-energy", "lowe": "low-energy",
-               "low_energy": "low-energy", "full": "full"}
-    key = text.strip().lower()
-    if key not in aliases:
-        raise argparse.ArgumentTypeError(
-            f"invalid mode {text!r} (choose from low-energy, full)"
-        )
-    return aliases[key]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wirediff",
@@ -116,10 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_single = sub.add_parser("single", help="single-beam angular distribution")
     add_common(p_single)
-    p_single.add_argument("--mode", type=_mode_value, default="low-energy",
+    p_single.add_argument("--mode", choices=["low-energy", "full"], default="low-energy",
                           help="low-energy (default) or full")
     p_single.add_argument("--spin", choices=sorted(_SPIN_CHANNELS), default="no-flip",
-                          help="spin channel for full mode (default no-flip)")
+                          help="spin channel (default no-flip); flip needs --mode full")
     p_single.add_argument("--normalization", choices=sorted(_NORMALIZATIONS), default="raw")
     p_single.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -129,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="beam intersection angle in rad (default 0.1)")
     p_two.add_argument("--phi", type=float, default=0.0,
                        help="interference phase in rad (default 0)")
-    p_two.add_argument("--mode", type=_mode_value, default="low-energy")
+    p_two.add_argument("--mode", choices=["low-energy", "full"], default="low-energy")
     p_two.add_argument("--spin", choices=sorted(_SPIN_CHANNELS), default="no-flip")
     p_two.add_argument("--normalization", choices=sorted(_NORMALIZATIONS), default="raw")
     p_two.add_argument("--format", choices=["csv", "json"], default="csv")

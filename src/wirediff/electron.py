@@ -74,10 +74,15 @@ def unit_spinor(theta: float) -> float:
 def spinor_factors(beam: BeamParams, mode: str, channel: SpinChannel | None = NO_FLIP):
     """Spinor factors of theta (scalar or array) whose squared amplitudes ``mode`` sums.
 
-    Low-energy mode is full mode with :func:`unit_spinor`; full mode takes the
-    spinor element of ``channel``, or of both channels if it is None (spin sum).
+    Low-energy mode is full mode with :func:`unit_spinor`, where the flip
+    element vanishes: it takes the no-flip channel or the spin sum, and a
+    flip channel raises ValueError.  Full mode takes the spinor element of
+    ``channel``, or of both channels if it is None (spin sum).
     """
     if mode == "low-energy":
+        if channel is not None and channel.is_flip:
+            raise ValueError("low-energy mode has no flip channel (its element vanishes "
+                             "there); use mode 'full' for the flip density")
         return (unit_spinor,)
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}; expected 'low-energy' or 'full'")
@@ -147,9 +152,9 @@ def pattern_single(
 ) -> Pattern:
     """Sample the single-beam distribution over an angular grid.
 
-    mode "low-energy" uses the squared form factor alone; mode "full" uses
-    the full-energy spinor elements for ``channel`` (None means summed over
-    final spins).  Grid evaluation is pure and order-independent.
+    mode "low-energy" uses the squared form factor alone and takes no flip
+    ``channel``; mode "full" uses the full-energy spinor elements for
+    ``channel`` (None means summed over final spins).  Grid evaluation is pure and order-independent.
     """
     return sample_beam_pattern(_density, beam, wire, thetas, mode, channel, normalization,
                                kind="single-beam")

@@ -1,8 +1,9 @@
-"""Special-function evaluation, a brute-force disk-transform quadrature,
-and bracketed root finding.
+"""The disk amplitude, sinc, and bracketed root finding.
 
-The model's amplitude F(x) = 2 J1(x)/x = 0F1(2, -x^2/4) is evaluated at a
-fixed cost on two branches, x = |q_r|:
+:func:`disk_amplitude` is the one amplitude of the quantum model:
+F(x) = 0F1(2, -x^2/4) = 2 J1(x)/x, the normalized disk transform, a
+function of x = |q_r| alone.  It is evaluated at a fixed cost on two
+branches:
 
 * 0 < x <= 13: F = (u - j1^2)(u - j2^2)(u - j3^2)(u - j4^2) G(u), u = x^2,
   with j_k the k-th positive zero of J1 and G a degree-16 Chebyshev series
@@ -30,12 +31,9 @@ mutable state, so they are safe to call concurrently.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-
-TAU = 2.0 * math.pi
 
 # F = 2 J1(x)/x takes the Chebyshev branch up to here, the Hankel one above
 _J1_CUTOFF = 13.0
@@ -96,16 +94,8 @@ _J1_XQ = (
     0.5979349350686062,
 )
 
-# Stop criterion for series summation, per-term relative to the partial sum.
-_SERIES_EPS = 1e-17
-
-
 class DomainError(ValueError):
     """Argument outside the supported domain (non-finite, wrong sign, ...)."""
-
-
-class AccuracyError(ArithmeticError):
-    """A numerical routine could not meet its accuracy target."""
 
 
 class BracketError(ValueError):
@@ -147,53 +137,6 @@ def _j1_large(x, sqrt, cos, sin):
                             - w * _clenshaw(_J1_XQ, t) * sin(chi))
 
 
-def bessel_j1(x: float) -> float:
-    """Bessel function of the first kind J1(x) = x F(x) / 2, odd in x.
-
-    Absolute error below 1e-15 max(1, |x|) (see the module docstring).
-    """
-    x = _require_finite("bessel_j1", x)
-    return 0.5 * x * disk_amplitude(x)
-
-
-def _hyp_series(z: float, max_terms: int = 1200) -> float:
-    # sum_k z^k / (k! (k+1)!) with Neumaier compensation.
-    term = 1.0
-    total = 1.0
-    comp = 0.0
-    for k in range(max_terms):
-        term *= z / ((k + 1) * (k + 2))
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        if abs(term) <= _SERIES_EPS * abs(total):
-            return total + comp
-    raise AccuracyError(f"hypergeometric series did not converge for z={z!r}")
-
-
-def hyp0f1_reg2(z: float) -> float:
-    """Regularized confluent hypergeometric limit function 0F1(2, z).
-
-    Equals sum_k z^k / (k! (k+1)!); since Gamma(2) = 1 the regularized and
-    plain forms coincide.  For z = -x^2/4 the function is identically
-    2*J1(x)/x, which is how negative arguments are evaluated (the
-    :func:`disk_amplitude` kernel at x = 2 sqrt(-z)): the raw alternating
-    series loses all significance for z below roughly -200, while physical
-    arguments here reach -30000.  Other arguments use the series directly
-    (all terms positive, no cancellation).
-    """
-    z = _require_finite("hyp0f1_reg2", z)
-    if z < 0.0:
-        return disk_amplitude(2.0 * math.sqrt(-z))
-    value = _hyp_series(z)
-    if not math.isfinite(value):
-        raise OverflowError(f"hyp0f1_reg2({z!r}) exceeds double range")
-    return value
-
-
 def disk_amplitude(q_r):
     """Normalized disk transform 0F1(2, -(q_r/2)^2) = 2 J1(q_r)/q_r, even in q_r.
 
@@ -220,21 +163,6 @@ def disk_amplitude(q_r):
     return out
 
 
-def hyp0f1_reg2_series(z: float) -> float:
-    """Direct-series cross-check path for :func:`hyp0f1_reg2`.
-
-    Compensated summation, terminated when a term drops below 1e-17 of the
-    partial sum.  Only supported for |z| <= 100, beyond which alternating
-    cancellation makes the result meaningless.
-    """
-    z = _require_finite("hyp0f1_reg2_series", z)
-    if abs(z) > 100.0:
-        raise DomainError(
-            f"hyp0f1_reg2_series: |z| <= 100 required, got {z!r}"
-        )
-    return _hyp_series(z)
-
-
 def sinc(x):
     """sin(x)/x with the removable singularity filled in: sinc(0) = 1.
 
@@ -249,49 +177,6 @@ def sinc(x):
     if not np.all(np.isfinite(x)):
         raise DomainError("sinc: arguments must be finite")
     return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
-
-
-@lru_cache(maxsize=64)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _disk_quadrature(q_r: float, n: int) -> complex:
-    # (1/pi) * int_0^1 int_0^{2pi} s exp(-i q_r s cos(phi)) dphi ds
-    # on the unit disk (radial variable already scaled by the radius).
-    xs, ws = _gauss_legendre(n)
-    s = 0.5 * (xs + 1.0)
-    w_s = 0.5 * ws
-    phi = math.pi * (xs + 1.0)
-    w_phi = math.pi * ws
-    phase = np.exp(-1j * q_r * np.outer(s, np.cos(phi)))
-    return complex((s * w_s) @ phase @ w_phi / math.pi)
-
-
-def disk_ft_oracle(q_r: float, rule_order: int | None = None) -> complex:
-    """Brute-force Fourier transform of the uniform unit disk at transfer q_r.
-
-    Tensor Gauss-Legendre quadrature in (radial, angular), evaluated at two
-    rule orders (n, 2n); the fine result is returned only when the two agree
-    to 1e-9, otherwise an AccuracyError is raised.  Serves as an evaluator
-    of 0F1(2, -q_r^2/4) that is independent of the series/Bessel path.
-    """
-    q_r = _require_finite("disk_ft_oracle", q_r)
-    if q_r < 0.0:
-        raise DomainError(f"disk_ft_oracle: q_r >= 0 required, got {q_r!r}")
-    if rule_order is None:
-        rule_order = max(32, int(math.ceil(2.0 * q_r)) + 32)
-    n = int(rule_order)
-    if n < 2:
-        raise DomainError(f"disk_ft_oracle: rule_order >= 2 required, got {rule_order!r}")
-    coarse = _disk_quadrature(q_r, n)
-    fine = _disk_quadrature(q_r, 2 * n)
-    if abs(fine - coarse) > 1e-9:
-        raise AccuracyError(
-            f"disk_ft_oracle: rule orders ({n}, {2 * n}) disagree by "
-            f"{abs(fine - coarse):.3e} at q_r={q_r!r}; increase rule_order"
-        )
-    return fine
 
 
 def find_zero(

@@ -13,13 +13,14 @@ from wirediff.analysis import compare_curves, first_dark_points, match_areas, ov
 from wirediff.classical import ClassicalConfig, pattern_classical
 from wirediff.cli import main
 from wirediff.electron import FLIP, NO_FLIP, dsigma_dtheta_full, pattern_single
-from wirediff.numerics import disk_ft_oracle, hyp0f1_reg2
+from wirediff.numerics import disk_amplitude
 from wirediff.patterns import Normalization, default_grid
 from wirediff.potential import BeamParams, WirePotential
 from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_low_energy, phi_theta_scan
 from wirediff.electron import dsigma_dtheta_low_energy as single_low_energy
 
 from conftest import two_j1_over_x
+from oracles import disk_ft_oracle
 
 TAU = 2.0 * math.pi
 
@@ -96,7 +97,7 @@ def test_criterion_3_special_function_identities(j1_zeros_oracle):
     worst = 0.0
     for x in xs:
         want = two_j1_over_x(float(x))
-        got = hyp0f1_reg2(-0.25 * float(x) * float(x))
+        got = disk_amplitude(float(x))
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
 
     worst_disk = 0.0
@@ -104,7 +105,7 @@ def test_criterion_3_special_function_identities(j1_zeros_oracle):
         value = disk_ft_oracle(q_r)
         worst_disk = max(
             worst_disk,
-            abs(value.real - hyp0f1_reg2(-0.25 * q_r * q_r)),
+            abs(value.real - disk_amplitude(q_r)),
             abs(value.imag),
         )
     elapsed = time.perf_counter() - start
@@ -114,7 +115,7 @@ def test_criterion_3_special_function_identities(j1_zeros_oracle):
         [
             (f"identity vs Bessel oracle on 1000 pts, worst {worst:.2e} <= 1e-14",
              worst <= 1e-14),
-            (f"disk quadrature vs series/Bessel path, worst {worst_disk:.2e} <= 1e-8",
+            (f"disk quadrature vs disk_amplitude, worst {worst_disk:.2e} <= 1e-8",
              worst_disk <= 1e-8),
             (f"runtime {elapsed:.2f}s < 10s", elapsed < 10.0),
         ],

@@ -68,14 +68,6 @@ class TestSingleCommand:
                                    "--spin", spin, "--theta-points", "21")
             assert code == 0
 
-    def test_mode_alias_lowe(self, capsys):
-        code_a, out_a, _ = run_cli(capsys, "single", "--mode", "lowE",
-                                   "--theta-points", "21")
-        code_b, out_b, _ = run_cli(capsys, "single", "--mode", "low-energy",
-                                   "--theta-points", "21")
-        assert code_a == code_b == 0
-        assert out_a == out_b
-
     def test_output_file_written_atomically(self, capsys, tmp_path):
         target = tmp_path / "single.csv"
         code, out, _ = run_cli(capsys, "single", "--output", str(target),
@@ -114,6 +106,8 @@ class TestConfigErrors:
             ("single", "--theta-min=-1e308", "--theta-max", "1e308"),
             ("scan", "--phi-max", "inf"),
             ("compare", "--theta-min=-inf"),
+            ("single", "--spin", "flip"),
+            ("two-beam", "--spin", "flip"),
         ],
     )
     def test_semantic_errors_exit_2(self, capsys, argv):
@@ -170,6 +164,12 @@ class TestConfigErrors:
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["single", "--frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("mode", ["lowe", "low_energy", "Low-Energy", " full"])
+    def test_mode_has_one_spelling(self, capsys, mode):
+        with pytest.raises(SystemExit) as exc:
+            main(["single", "--mode", mode])
         assert exc.value.code == 2
 
 

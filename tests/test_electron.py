@@ -168,6 +168,11 @@ class TestPatternSingle:
         with pytest.raises(ValueError):
             pattern_single(beam, wire, mode="fast")
 
+    def test_low_energy_flip_rejected(self, beam, wire):
+        # its flip element vanishes; the no-flip density must not go out as "flip"
+        with pytest.raises(ValueError, match="no flip channel"):
+            pattern_single(beam, wire, mode="low-energy", channel=FLIP)
+
     def test_area_matched_rejected(self, beam, wire):
         # raw data labelled area_matched would carry no area_match_scale;
         # only analysis.match_areas scales a curve to another's area

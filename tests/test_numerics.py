@@ -8,100 +8,59 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.special import i1 as scipy_i1
 
 from wirediff import numerics
-from wirediff.numerics import (
-    AccuracyError,
-    BracketError,
-    DomainError,
-    bessel_j1,
-    disk_amplitude,
-    disk_ft_oracle,
-    find_zero,
-    hyp0f1_reg2,
-    hyp0f1_reg2_series,
-    sinc,
-)
+from wirediff.numerics import BracketError, DomainError, disk_amplitude, find_zero, sinc
 
-from conftest import bessel_oracle, two_j1_over_x
+from conftest import two_j1_over_x
+from oracles import AccuracyError, disk_ft_oracle
 
 
-class TestHyp0f1Reg2:
-    def test_at_zero_is_one(self):
-        assert hyp0f1_reg2(0.0) == 1.0
+def _mpmath_hyp0f1(x: float) -> float:
+    # the paper's form 0F1(2, -x^2/4), with no Bessel function in between
+    with mpmath.workdps(40):
+        return float(mpmath.hyp0f1(2, -mpmath.mpf(x) ** 2 / 4))
 
+
+class TestDiskAmplitude:
     def test_vanishes_at_first_bessel_zero(self, j1_zeros_oracle):
-        j11 = j1_zeros_oracle[0]
-        assert abs(hyp0f1_reg2(-0.25 * j11 * j11)) < 1e-15
+        assert abs(disk_amplitude(j1_zeros_oracle[0])) < 1e-15
 
-    def test_large_negative_argument_matches_oracle(self):
-        # deep in the asymptotic branch: z = -1837.06, x = 2 sqrt(-z) ~ 85.7
-        z = -1837.06
-        x = 2.0 * math.sqrt(-z)
-        expected = two_j1_over_x(x)
-        assert hyp0f1_reg2(z) == pytest.approx(expected, rel=1e-10)
+    def test_asymptotic_branch_matches_oracle(self):
+        # deep in the asymptotic branch: x = 2 sqrt(1837.06) ~ 85.7
+        x = 2.0 * math.sqrt(1837.06)
+        assert disk_amplitude(x) == pytest.approx(two_j1_over_x(x), rel=1e-10)
 
     def test_identity_against_bessel_oracle_dense(self):
-        # |0F1(2, -x^2/4) - 2 J1(x)/x| <= 1e-14 across [0, 300]
+        # |F(x) - 2 J1(x)/x| <= 1e-14 across [0, 300]
         xs = np.linspace(0.0, 300.0, 3001)
         for x in xs:
-            got = hyp0f1_reg2(-0.25 * x * x)
+            got = disk_amplitude(float(x))
             want = two_j1_over_x(float(x))
             assert abs(got - want) <= 1e-14, f"x={x}"
 
-    def test_positive_argument_matches_modified_bessel(self):
-        # 0F1(2, z) = I1(2 sqrt(z)) / sqrt(z) for z > 0
-        for z in (0.25, 1.0, 7.3, 42.0, 100.0, 900.0):
-            expected = float(scipy_i1(2.0 * math.sqrt(z))) / math.sqrt(z)
-            assert hyp0f1_reg2(z) == pytest.approx(expected, rel=1e-12)
+    def test_identity_against_mpmath_hyp0f1_dense(self):
+        for x in np.linspace(0.0, 300.0, 5001).tolist():
+            assert abs(disk_amplitude(x) - _mpmath_hyp0f1(x)) <= 1e-15, f"x={x}"
 
-    def test_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            hyp0f1_reg2(3.0e5)
+    @given(st.floats(0.0, 1e4))
+    def test_identity_against_mpmath_hyp0f1(self, x):
+        assert abs(disk_amplitude(x) - _mpmath_hyp0f1(x)) <= 1e-15
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DomainError):
-            hyp0f1_reg2(bad)
+            disk_amplitude(bad)
 
     @given(st.floats(min_value=-60.0, max_value=60.0))
     def test_even_in_x(self, x):
-        assert hyp0f1_reg2(-0.25 * x * x) == hyp0f1_reg2(-0.25 * (-x) * (-x))
+        assert disk_amplitude(x) == disk_amplitude(-x)
 
     @given(st.floats(min_value=0.001, max_value=300.0))
     def test_bounded_by_one_with_max_at_zero(self, x):
-        f = hyp0f1_reg2(-0.25 * x * x)
+        f = disk_amplitude(x)
         assert abs(f) <= 1.0
         assert f < 1.0  # strict away from x = 0
-
-
-class TestSeriesCrossCheck:
-    def test_matches_main_path_on_shared_domain(self):
-        for z in np.linspace(-100.0, 100.0, 801):
-            main = hyp0f1_reg2(float(z))
-            series = hyp0f1_reg2_series(float(z))
-            assert abs(series - main) <= 5e-10 * max(1.0, abs(main)), f"z={z}"
-
-    def test_domain_limited(self):
-        with pytest.raises(DomainError):
-            hyp0f1_reg2_series(-100.001)
-        with pytest.raises(DomainError):
-            hyp0f1_reg2_series(101.0)
-
-
-class TestBesselJ1:
-    def test_against_library_oracle(self):
-        for x in np.linspace(0.0, 300.0, 2000):
-            assert abs(bessel_j1(float(x)) - bessel_oracle(float(x))) < 5e-12
-
-    @given(st.floats(min_value=-300.0, max_value=300.0))
-    def test_odd(self, x):
-        assert bessel_j1(-x) == -bessel_j1(x)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            bessel_j1(math.inf)
 
 
 class TestSinc:
@@ -192,8 +151,7 @@ def _mpmath_f(x: float) -> float:
 
 
 class TestJ1Kernel:
-    # F(x) = 2 J1(x)/x, the kernel behind disk_amplitude, bessel_j1 and
-    # hyp0f1_reg2 for negative z, against mpmath at 40 digits
+    # F(x) = 2 J1(x)/x, the kernel behind disk_amplitude, against mpmath at 40 digits
     @given(st.one_of(st.floats(0.0, 1e4),
                      st.sampled_from(_J1_BRANCH_EDGE + _J1_ZERO_DOUBLES)))
     def test_within_1e_15_of_mpmath(self, x):
@@ -212,7 +170,6 @@ class TestJ1Kernel:
         assert disk_amplitude(0.0) == 1.0
         assert disk_amplitude(-0.0) == 1.0
         assert disk_amplitude(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
-        assert hyp0f1_reg2(-0.0) == 1.0
 
     @given(st.one_of(st.floats(-1e4, 1e4), st.floats(-1e-3, 1e-3)))
     def test_never_above_one(self, x):
@@ -229,8 +186,7 @@ class TestJ1Kernel:
             warnings.simplefilter("error")
             scalar = disk_amplitude(x)
             array = disk_amplitude(np.array([x, -x]))
-            j1 = bessel_j1(x)
-        assert math.isfinite(scalar) and math.isfinite(j1)
+        assert math.isfinite(scalar)
         assert array.tolist() == [scalar, scalar]
         assert abs(scalar - _mpmath_f(abs(x))) <= 1e-15
 
@@ -260,7 +216,7 @@ class TestDiskFtOracle:
     @pytest.mark.parametrize("q_r", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
     def test_consistent_with_series_evaluator(self, q_r):
         value = disk_ft_oracle(q_r)
-        assert abs(value.real - hyp0f1_reg2(-0.25 * q_r * q_r)) <= 1e-8
+        assert abs(value.real - disk_amplitude(q_r)) <= 1e-8
         assert abs(value.imag) <= 1e-8
 
     def test_insufficient_rule_order_detected(self):
@@ -287,9 +243,9 @@ class TestFindZero:
         assert abs(root - math.pi) < 1e-12
 
     def test_disk_transform_root_is_bessel_zero(self, j1_zeros_oracle):
-        root = find_zero(lambda x: hyp0f1_reg2(-0.25 * x * x), 3.0, 4.5, tol=1e-12)
+        root = find_zero(disk_amplitude, 3.0, 4.5, tol=1e-12)
         assert abs(root - j1_zeros_oracle[0]) < 1e-10
-        assert abs(hyp0f1_reg2(-0.25 * root * root)) < 1e-9
+        assert abs(disk_amplitude(root)) < 1e-9
 
     def test_endpoint_root_returned(self):
         assert find_zero(lambda x: x, 0.0, 1.0) == 0.0

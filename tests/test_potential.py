@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wirediff.electron import pattern_single
-from wirediff.numerics import DomainError, disk_amplitude, disk_ft_oracle
+from wirediff.numerics import DomainError, disk_amplitude
 from wirediff.potential import (
     ELECTRON_MASS_EV,
     HBARC_EV_M,
@@ -14,6 +14,7 @@ from wirediff.potential import (
 )
 
 from conftest import two_j1_over_x
+from oracles import disk_ft_oracle
 
 
 class TestBeamParams:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wirediff.electron import FLIP, NO_FLIP, dsigma_dtheta_full as single_full
-from wirediff.numerics import hyp0f1_reg2
+from wirediff.numerics import disk_amplitude
 from wirediff.patterns import Normalization, Pattern
 from wirediff.twobeam import (
     ScanResult,
@@ -80,8 +80,8 @@ class TestLowEnergyDensity:
         cfg = TwoBeamConfig(0.1, phi)
         s_minus = PR * math.sin(0.5 * theta - 0.025)
         s_plus = PR * math.sin(0.5 * theta + 0.025)
-        f_minus = hyp0f1_reg2(-s_minus * s_minus)
-        f_plus = hyp0f1_reg2(-s_plus * s_plus)
+        f_minus = disk_amplitude(2.0 * s_minus)
+        f_plus = disk_amplitude(2.0 * s_plus)
         density = dsigma_dtheta_low_energy(PR, cfg, theta)
         bound = 2.0 * abs(f_minus * f_plus) + 1e-12
         assert abs(density - (f_minus**2 + f_plus**2)) <= bound
@@ -204,11 +204,15 @@ class TestPatternTwoBeam:
         )
         assert np.array_equal(summed, no_flip + flip)
 
-    def test_low_energy_ignores_channel(self, beam, wire):
+    def test_low_energy_has_no_flip_channel(self, beam, wire):
+        # the flip element vanishes in this limit: no-flip and the spin sum
+        # are the same density, and a flip pattern is refused, not relabelled
         cfg = TwoBeamConfig(0.1, 0.4)
         a = pattern_two_beam(beam, wire, cfg, self.THETAS, channel=NO_FLIP)
-        b = pattern_two_beam(beam, wire, cfg, self.THETAS, channel=FLIP)
+        b = pattern_two_beam(beam, wire, cfg, self.THETAS, channel=None)
         assert np.array_equal(a.density, b.density)
+        with pytest.raises(ValueError, match="no flip channel"):
+            pattern_two_beam(beam, wire, cfg, self.THETAS, channel=FLIP)
 
     def test_normalizations(self, beam, wire):
         cfg = TwoBeamConfig(0.1, 0.0)
