@@ -491,21 +491,21 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "084ff0a16297f73c7bf209c894fc4934c21298b6ffbe595e97fd06298e76302b"),
+             "4cd2ebef42d3cb874d7393b0ea94c57aa1d342a4418682a5dbde3bd867e1d703"),
             (("two-beam",),
-             "5ee5c52e1c89fc163edc839cb79218166a30824e8b73180cf1c812708a301477"),
+             "738d7d78bf97100dddb7e227b87bd299201dd6fc628ada417dc73fd23a963d36"),
             (("scan",),
-             "6f492b3d1565229108a453b8ced25bf717ae18e2761243047a8732a6ae7e079a"),
+             "24caf3a907a2a2478ef92fbb44ff459f4bac56e649d6b966ca751c5fa85ce29c"),
             (("compare",),
-             "d998046e2d0687bff180183de198fb730bd85a1c960b5eeda088535b9db22881"),
+             "ff95a755fcd5f14e9609c56d18d5429fd8361ce7078403eed25325ee68bdf712"),
             (("zeros",),
-             "024d5bebb0939838fb344d5d2836ff11f932c36b56462525ff677dab75de43d6"),
+             "4b04270bd1ec525ac628b955a2145db8b486b641cbcba3fc582809ab83990756"),
             (("zeros", "--n", "3"),
-             "94bb8ec4c906a703458afaff96fc5b337b746f3475ae400469eec19a98f66c13"),
+             "60c8bf957b83dfd78b18fca3b16b627d2539d6779b005d969ee587d1fa84ce37"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "d6c3cfa9bcb6e233f80c443d89127ee247342c289f2bc987084c328a5d6c3976"),
+             "18d576f237716776fb8272f19591b2b2163e67a5a29063d7afdee67bc91f233c"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "e2cc7582b97158ab5f2fa9cad1fa3c6792d8c90fe4e939d519b36988e85e2561"),
+             "2d38ccb85d66d6b2491d9c7c9823d2bc9c23097bd4ac853b356a145e4eccd480"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm"],
