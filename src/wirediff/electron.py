@@ -154,7 +154,8 @@ def pattern_single(
 
     mode "low-energy" uses the squared form factor alone and takes no flip
     ``channel``; mode "full" uses the full-energy spinor elements for
-    ``channel`` (None means summed over final spins).  Grid evaluation is pure and order-independent.
+    ``channel`` (None means summed over final spins).  Grid evaluation is
+    pure and order-independent.
     """
     return sample_beam_pattern(_density, beam, wire, thetas, mode, channel, normalization,
                                kind="single-beam")

@@ -94,6 +94,7 @@ _J1_XQ = (
     0.5979349350686062,
 )
 
+
 class DomainError(ValueError):
     """Argument outside the supported domain (non-finite, wrong sign, ...)."""
 
