@@ -10,7 +10,6 @@ __version__ = "0.3.0"
 
 from .analysis import (
     CurveComparison,
-    RangeError,
     ZeroReport,
     compare_curves,
     first_dark_angle,
@@ -29,7 +28,7 @@ from .electron import (
     pattern_single,
     spinor_element,
 )
-from .numerics import BracketError, DomainError, disk_amplitude, find_zero, sinc
+from .numerics import DomainError, disk_amplitude, find_zero, sinc
 from .patterns import Normalization, Pattern, default_grid, validate_grid
 from .potential import (
     ELECTRON_MASS_EV,
@@ -50,7 +49,6 @@ from .twobeam import dsigma_dtheta_low_energy as dsigma_dtheta_two_beam_low_ener
 __all__ = [
     "__version__",
     "BeamParams",
-    "BracketError",
     "ClassicalConfig",
     "CurveComparison",
     "DomainError",
@@ -60,7 +58,6 @@ __all__ = [
     "NO_FLIP",
     "Normalization",
     "Pattern",
-    "RangeError",
     "ScanResult",
     "Spin",
     "SpinChannel",

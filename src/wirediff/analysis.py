@@ -14,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import disk_amplitude, find_zero
+from .numerics import DomainError, disk_amplitude, find_zero
 from .patterns import Normalization, Pattern, grid_area
-
-
-class RangeError(ValueError):
-    """Fewer dark points exist in the search range than were requested."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,18 +32,18 @@ def first_dark_points(p_radius: float, method: str, n: int = 1) -> ZeroReport:
 
     method "quantum": theta_k = 2 arcsin(j_{1,k} / (2 pR)), where j_{1,k},
     the k-th positive zero of ``disk_amplitude`` (2 J1(x)/x), is bisected to
-    1e-12 inside (k pi, (k + 1/2) pi); each such bracket holds exactly one
-    zero, and a bracket without a sign change raises ``BracketError``.
-    method "classical": theta_k = arcsin(k pi / pR), the zeros of
+    1e-12 inside (k pi, (k + 1/2) pi), a bracket that holds exactly one
+    zero.  method "classical": theta_k = arcsin(k pi / pR), the zeros of
     sinc(pR sin(theta)).  A rescaled classical curve is handled by passing
-    radius_scale * pR as ``p_radius``.
+    radius_scale * pR as ``p_radius``.  Bad arguments, or fewer than ``n``
+    dark points in (0, pi/2), raise DomainError.
     """
     if not (math.isfinite(p_radius) and p_radius > 0.0):
-        raise ValueError(f"first_dark_points: p_radius > 0 required, got {p_radius!r}")
+        raise DomainError(f"first_dark_points: p_radius > 0 required, got {p_radius!r}")
     if n < 1:
-        raise ValueError(f"first_dark_points: n >= 1 required, got {n!r}")
+        raise DomainError(f"first_dark_points: n >= 1 required, got {n!r}")
     if method not in ("quantum", "classical"):
-        raise ValueError(f"unknown method {method!r}; expected 'quantum' or 'classical'")
+        raise DomainError(f"unknown method {method!r}; expected 'quantum' or 'classical'")
     quantum = method == "quantum"
     # each left-hand side at theta = pi/2; a dark point below it lies in (0, pi/2)
     limit = 2.0 * p_radius * math.sin(0.25 * math.pi) if quantum else p_radius
@@ -58,7 +54,7 @@ def first_dark_points(p_radius: float, method: str, n: int = 1) -> ZeroReport:
         else:
             x = k * math.pi
         if not x < limit:
-            raise RangeError(
+            raise DomainError(
                 f"only {k - 1} dark points of the requested {n} exist in "
                 f"(0, pi/2) for p_radius={p_radius!r} ({method})"
             )
@@ -83,11 +79,11 @@ def overestimation_factor(p_radius: float) -> float:
 def match_areas(reference: Pattern, target: Pattern) -> Pattern:
     """Rescale ``target`` so its trapezoidal area equals ``reference``'s."""
     if not np.array_equal(reference.thetas, target.thetas):
-        raise ValueError("match_areas: patterns must share the same theta grid")
+        raise DomainError("match_areas: patterns must share the same theta grid")
     ref_area = reference.area()
     tgt_area = target.area()
     if tgt_area == 0.0:
-        raise ValueError("match_areas: target pattern has zero integral")
+        raise DomainError("match_areas: target pattern has zero integral")
     scale = ref_area / tgt_area
     metadata = dict(target.metadata)
     metadata["area_match_scale"] = scale
@@ -130,7 +126,7 @@ class CurveComparison:
 
     max_abs_diff: float
     l2_diff: float
-    first_zero_offset_rad: float
+    first_zero_offset_rad: float | None
     first_zero_a_rad: float | None
     first_zero_b_rad: float | None
 
@@ -139,26 +135,20 @@ def compare_curves(a: Pattern, b: Pattern) -> CurveComparison:
     """Pointwise and dark-point comparison of two same-grid patterns.
 
     ``l2_diff`` is the grid-native norm sqrt(trapz((a - b)^2 dtheta));
-    ``first_zero_offset_rad`` is (first dark angle of a) - (of b): zero when
-    neither curve has a dark point, NaN when exactly one of them lacks one.
+    ``first_zero_offset_rad`` is (first dark angle of a) - (of b), None when
+    either curve has no dark point on the grid.
     """
     if not np.array_equal(a.thetas, b.thetas):
-        raise ValueError("compare_curves: patterns must share the same theta grid")
+        raise DomainError("compare_curves: patterns must share the same theta grid")
     diff = a.density - b.density
     max_abs = float(np.max(np.abs(diff))) if diff.size else 0.0
     l2 = math.sqrt(max(grid_area(a.thetas, diff * diff), 0.0))
     zero_a = first_dark_angle(a)
     zero_b = first_dark_angle(b)
-    if zero_a is None and zero_b is None:
-        offset = 0.0
-    elif zero_a is None or zero_b is None:
-        offset = math.nan
-    else:
-        offset = zero_a - zero_b
     return CurveComparison(
         max_abs_diff=max_abs,
         l2_diff=l2,
-        first_zero_offset_rad=offset,
+        first_zero_offset_rad=None if zero_a is None or zero_b is None else zero_a - zero_b,
         first_zero_a_rad=zero_a,
         first_zero_b_rad=zero_b,
     )

@@ -35,9 +35,9 @@ class ClassicalConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.p_radius) and self.p_radius > 0.0):
-            raise ValueError(f"p_radius must be positive and finite, got {self.p_radius!r}")
+            raise DomainError(f"p_radius must be positive and finite, got {self.p_radius!r}")
         if not (math.isfinite(self.radius_scale) and self.radius_scale > 0.0):
-            raise ValueError(f"radius_scale must be positive and finite, got {self.radius_scale!r}")
+            raise DomainError(f"radius_scale must be positive and finite, got {self.radius_scale!r}")
 
 
 def fraunhofer_single(cfg: ClassicalConfig, theta):

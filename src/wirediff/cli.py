@@ -6,7 +6,9 @@ Outputs are deterministic: the same configuration produces byte-identical
 bytes, and every file embeds the resolved configuration that generated it.
 Angles are accepted in radians only.
 
-Exit codes: 0 success, 2 configuration error, 1 runtime error.
+Exit codes: 0 success; 2 for a DomainError, input the caller can fix,
+whether the CLI or the library finds it; 1 for a write failure or any
+other exception, an internal fault.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from . import __version__
 from .analysis import compare_curves, first_dark_points, match_areas
 from .classical import ClassicalConfig, pattern_classical
 from .electron import FLIP, NO_FLIP, pattern_single
+from .numerics import DomainError
 from .patterns import Normalization
 from .potential import BeamParams, WirePotential, ELECTRON_MASS_EV
 from .twobeam import TwoBeamConfig, pattern_two_beam, phi_theta_scan
-
-TAU = 2.0 * math.pi
 
 _NORMALIZATIONS = {
     "raw": Normalization.RAW,
@@ -68,10 +69,6 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
-
-
-class ConfigError(ValueError):
-    """Invalid command configuration (maps to exit code 2)."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--alpha", type=float, default=0.1)
     p_scan.add_argument("--phi-min", type=float, default=0.0,
                         help="lower edge of the phase grid in rad (default 0)")
-    p_scan.add_argument("--phi-max", type=float, default=TAU,
+    p_scan.add_argument("--phi-max", type=float, default=math.tau,
                         help="upper edge of the phase grid in rad (default 2*pi)")
     p_scan.add_argument("--phi-points", type=int, default=81,
                         help="number of phase grid points (default 81)")
@@ -139,25 +136,23 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cmp)
     p_cmp.add_argument("--radius-scale", type=float, default=1.0,
                        help="multiplier applied to the classical wire radius (default 1)")
-    p_cmp.add_argument("--format", choices=["json"], default="json")
 
     p_zeros = sub.add_parser("zeros",
                              help="dark-point angles and the radius overestimation factor (JSON)")
     add_common(p_zeros, grid=False)
     p_zeros.add_argument("--n", type=int, default=1,
                          help="number of dark points per curve (default 1)")
-    p_zeros.add_argument("--format", choices=["json"], default="json")
 
     return parser
 
 
 def _resolve_physics(args) -> tuple[BeamParams, WirePotential]:
     if not (args.wavelength_nm > 0.0 and math.isfinite(args.wavelength_nm)):
-        raise ConfigError(f"--wavelength-nm must be positive, got {args.wavelength_nm}")
+        raise DomainError(f"--wavelength-nm must be positive, got {args.wavelength_nm}")
     if not (args.diameter_um > 0.0 and math.isfinite(args.diameter_um)):
-        raise ConfigError(f"--diameter-um must be positive, got {args.diameter_um}")
+        raise DomainError(f"--diameter-um must be positive, got {args.diameter_um}")
     if not (args.mass_ev > 0.0 and math.isfinite(args.mass_ev)):
-        raise ConfigError(f"--mass-ev must be positive, got {args.mass_ev}")
+        raise DomainError(f"--mass-ev must be positive, got {args.mass_ev}")
     beam = BeamParams.from_wavelength_nm(args.wavelength_nm, mass_ev=args.mass_ev)
     wire = WirePotential.from_diameter_um(args.diameter_um)
     return beam, wire
@@ -169,16 +164,16 @@ def _resolve_grids(args, *names: str) -> list[np.ndarray]:
             for name in names]
     for name, (lo, hi, points) in zip(names, axes):
         if points < 2:
-            raise ConfigError(f"--{name}-points must be >= 2, got {points}")
+            raise DomainError(f"--{name}-points must be >= 2, got {points}")
         if not math.isfinite(hi - lo):
-            raise ConfigError(f"--{name}-min, --{name}-max and their distance must be "
+            raise DomainError(f"--{name}-min, --{name}-max and their distance must be "
                               f"finite, got [{lo}, {hi}]")
         if not (lo < hi):
-            raise ConfigError(f"--{name}-min must be below --{name}-max, got [{lo}, {hi}]")
+            raise DomainError(f"--{name}-min must be below --{name}-max, got [{lo}, {hi}]")
     values = math.prod(points for _, _, points in axes)
     if values > _MAX_GRID_VALUES:
         flags = " * ".join(f"--{name}-points" for name in names)
-        raise ConfigError(f"the grid has {values:,} values ({flags}), above the cap of "
+        raise DomainError(f"the grid has {values:,} values ({flags}), above the cap of "
                           f"{_MAX_GRID_VALUES:,}")
     return [np.linspace(*axis) for axis in axes]
 
@@ -252,18 +247,12 @@ def _cmd_single(args) -> str:
 
 
 def _cmd_two_beam(args) -> str:
-    if not (math.isfinite(args.alpha) and args.alpha >= 0.0):
-        raise ConfigError(f"--alpha must be >= 0, got {args.alpha}")
-    if not math.isfinite(args.phi):
-        raise ConfigError(f"--phi must be finite, got {args.phi}")
     return _pattern_command(
         args, partial(pattern_two_beam, cfg=TwoBeamConfig(alpha=args.alpha, phi=args.phi)))
 
 
 def _cmd_scan(args) -> str:
     beam, wire = _resolve_physics(args)
-    if not (math.isfinite(args.alpha) and args.alpha >= 0.0):
-        raise ConfigError(f"--alpha must be >= 0, got {args.alpha}")
     phis, thetas = _resolve_grids(args, "phi", "theta")
     p_radius = beam.momentum * wire.radius
     scan = phi_theta_scan(p_radius, args.alpha, phis, thetas)
@@ -278,35 +267,24 @@ def _cmd_scan(args) -> str:
 def _cmd_compare(args) -> str:
     beam, wire = _resolve_physics(args)
     thetas, = _resolve_grids(args, "theta")
-    if not (math.isfinite(args.radius_scale) and args.radius_scale > 0.0):
-        raise ConfigError(f"--radius-scale must be positive, got {args.radius_scale}")
     p_radius = beam.momentum * wire.radius
-    fringe = math.pi / (max(1.0, args.radius_scale) * p_radius)
+    cfg = ClassicalConfig(p_radius=p_radius, radius_scale=args.radius_scale)
+    fringe = math.pi / (max(1.0, cfg.radius_scale) * p_radius)
     per_fringe = _samples_per_fringe(thetas, fringe)
     if per_fringe < _MIN_SAMPLES_PER_FRINGE:
-        raise ConfigError(
+        raise DomainError(
             f"the theta grid has {per_fringe:.3g} samples per fringe of {fringe:.3g} rad "
             f"(pi / (max(1, radius scale) * pR)); compare needs at least "
             f"{_MIN_SAMPLES_PER_FRINGE}: raise --theta-points or narrow the theta range")
     quantum = pattern_single(beam, wire, thetas, mode="low-energy")
-    classical = pattern_classical(
-        ClassicalConfig(p_radius=p_radius, radius_scale=args.radius_scale), thetas
-    )
-    matched = match_areas(quantum, classical)
-    comparison = compare_curves(quantum, matched)
-
-    def _jsonable(value):
-        # strict JSON has no NaN; a missing dark point serializes as null
-        if value is None or (isinstance(value, float) and math.isnan(value)):
-            return None
-        return value
-
+    comparison = compare_curves(quantum, match_areas(quantum, pattern_classical(cfg, thetas)))
+    # a missing dark point, and the offset to it, serialize as null
     data = {
         "max_abs_diff": comparison.max_abs_diff,
         "l2_diff": comparison.l2_diff,
-        "first_zero_offset_rad": _jsonable(comparison.first_zero_offset_rad),
-        "first_zero_quantum_rad": _jsonable(comparison.first_zero_a_rad),
-        "first_zero_classical_rad": _jsonable(comparison.first_zero_b_rad),
+        "first_zero_offset_rad": comparison.first_zero_offset_rad,
+        "first_zero_quantum_rad": comparison.first_zero_a_rad,
+        "first_zero_classical_rad": comparison.first_zero_b_rad,
     }
     config = _base_config(args)
     return _json_doc(config, data)
@@ -315,7 +293,7 @@ def _cmd_compare(args) -> str:
 def _cmd_zeros(args) -> str:
     beam, wire = _resolve_physics(args)
     if not 1 <= args.n <= _MAX_ZEROS:
-        raise ConfigError(f"--n must be in [1, {_MAX_ZEROS:,}], got {args.n}")
+        raise DomainError(f"--n must be in [1, {_MAX_ZEROS:,}], got {args.n}")
     p_radius = beam.momentum * wire.radius
     quantum = first_dark_points(p_radius, "quantum", args.n)
     classical = first_dark_points(p_radius, "classical", args.n)
@@ -362,11 +340,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except DomainError as exc:
         print(f"wirediff: configuration error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
-        print(f"wirediff: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"wirediff: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     try:
         _write_output(text, args.output)

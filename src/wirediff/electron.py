@@ -76,16 +76,16 @@ def spinor_factors(beam: BeamParams, mode: str, channel: SpinChannel | None = NO
 
     Low-energy mode is full mode with :func:`unit_spinor`, where the flip
     element vanishes: it takes the no-flip channel or the spin sum, and a
-    flip channel raises ValueError.  Full mode takes the spinor element of
+    flip channel raises DomainError.  Full mode takes the spinor element of
     ``channel``, or of both channels if it is None (spin sum).
     """
     if mode == "low-energy":
         if channel is not None and channel.is_flip:
-            raise ValueError("low-energy mode has no flip channel (its element vanishes "
+            raise DomainError("low-energy mode has no flip channel (its element vanishes "
                              "there); use mode 'full' for the flip density")
         return (unit_spinor,)
     if mode != "full":
-        raise ValueError(f"unknown mode {mode!r}; expected 'low-energy' or 'full'")
+        raise DomainError(f"unknown mode {mode!r}; expected 'low-energy' or 'full'")
     channels = (NO_FLIP, FLIP) if channel is None else (channel,)
     return tuple(partial(spinor_element, beam, channel=c) for c in channels)
 

@@ -96,11 +96,7 @@ _J1_XQ = (
 
 
 class DomainError(ValueError):
-    """Argument outside the supported domain (non-finite, wrong sign, ...)."""
-
-
-class BracketError(ValueError):
-    """Root bracket does not enclose a sign change."""
+    """Input the caller can fix; the package's one input error (CLI exit 2)."""
 
 
 def _require_finite(name: str, x: float) -> float:
@@ -188,17 +184,17 @@ def find_zero(
 ) -> float:
     """Bisect f to a root inside [bracket_lo, bracket_hi].
 
-    The bracket endpoints must straddle a sign change.  Returns the bracket
-    midpoint once its width is at most tol.  Bisection is deliberately
-    preferred over faster methods: every density here is smooth and cheap,
-    and bracketing safety matters more than iteration count.
+    The bracket endpoints must straddle a sign change (else DomainError).
+    Returns the bracket midpoint once its width is at most tol.  Bisection
+    is deliberately preferred over faster methods: every density here is
+    smooth and cheap, and bracketing safety matters more than iteration count.
     """
     lo = _require_finite("find_zero", bracket_lo)
     hi = _require_finite("find_zero", bracket_hi)
     if not (tol > 0.0) or not math.isfinite(tol):
         raise DomainError(f"find_zero: tol must be positive and finite, got {tol!r}")
     if lo >= hi:
-        raise BracketError(f"find_zero: need bracket_lo < bracket_hi, got [{lo}, {hi}]")
+        raise DomainError(f"find_zero: need bracket_lo < bracket_hi, got [{lo}, {hi}]")
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo == 0.0:
@@ -206,7 +202,7 @@ def find_zero(
     if f_hi == 0.0:
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
-        raise BracketError(
+        raise DomainError(
             f"find_zero: no sign change on [{lo}, {hi}] (f={f_lo:.3e}, {f_hi:.3e})"
         )
     for _ in range(200):

@@ -8,6 +8,8 @@ from enum import Enum
 
 import numpy as np
 
+from .numerics import DomainError
+
 
 class Normalization(str, Enum):
     RAW = "raw"
@@ -29,11 +31,11 @@ def validate_grid(thetas) -> np.ndarray:
     """Check an angular grid: 1-D, finite, strictly increasing, non-empty."""
     arr = np.asarray(thetas, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("angular grid must be a non-empty 1-D array")
+        raise DomainError("angular grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("angular grid must be finite")
+        raise DomainError("angular grid must be finite")
     if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
-        raise ValueError("angular grid must be strictly increasing")
+        raise DomainError("angular grid must be strictly increasing")
     return arr
 
 
@@ -51,17 +53,17 @@ def normalize_density(thetas: np.ndarray, density: np.ndarray,
     """
     normalization = Normalization(normalization)
     if normalization is Normalization.AREA_MATCHED:
-        raise ValueError("area_matched needs a reference curve: use analysis.match_areas")
+        raise DomainError("area_matched needs a reference curve: use analysis.match_areas")
     if normalization is Normalization.RAW:
         return np.asarray(density, dtype=float)
     if normalization is Normalization.PEAK_ONE:
         peak = float(np.max(density))
         if peak <= 0.0:
-            raise ValueError("cannot peak-normalize an identically zero density")
+            raise DomainError("cannot peak-normalize an identically zero density")
         return density / peak
     area = grid_area(thetas, density)
     if area <= 0.0 or not math.isfinite(area):
-        raise ValueError("cannot area-normalize: integral is zero or non-finite")
+        raise DomainError("cannot area-normalize: integral is zero or non-finite")
     return density / area
 
 

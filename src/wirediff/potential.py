@@ -14,8 +14,6 @@ import numpy as np
 
 from .numerics import DomainError
 
-TWO_PI = 2.0 * math.pi
-
 HBARC_EV_M = 1.973269804e-7
 """hbar * c in eV * m (CODATA)."""
 
@@ -25,26 +23,22 @@ ELECTRON_MASS_EV = 510_998.95
 
 @dataclass(frozen=True)
 class WirePotential:
-    """Cylindrical barrier of radius ``radius`` [m] and height ``height_ev`` [eV].
+    """Cylindrical barrier of radius ``radius`` [m].
 
-    The height only rescales the overall constant of the transition
-    probability; it never enters any normalized angular shape.  It is
-    carried as metadata so configurations remain self-describing.
+    The barrier height only rescales the overall constant of the transition
+    probability, never a normalized angular shape, so it is not modeled.
     """
 
     radius: float
-    height_ev: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"wire radius must be positive and finite, got {self.radius!r}")
-        if not math.isfinite(self.height_ev):
-            raise ValueError(f"wire height must be finite, got {self.height_ev!r}")
+            raise DomainError(f"wire radius must be positive and finite, got {self.radius!r}")
 
     @classmethod
-    def from_diameter_um(cls, diameter_um: float, height_ev: float = 1.0) -> "WirePotential":
+    def from_diameter_um(cls, diameter_um: float) -> "WirePotential":
         """Build from a diameter in micrometers (the usual reporting convention)."""
-        return cls(radius=0.5 * diameter_um * 1e-6, height_ev=height_ev)
+        return cls(radius=0.5 * diameter_um * 1e-6)
 
     @property
     def diameter_um(self) -> float:
@@ -64,15 +58,15 @@ class BeamParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.momentum) and self.momentum > 0.0):
-            raise ValueError(f"beam momentum must be positive and finite, got {self.momentum!r}")
+            raise DomainError(f"beam momentum must be positive and finite, got {self.momentum!r}")
         if not (math.isfinite(self.mass_ev) and self.mass_ev >= 0.0):
-            raise ValueError(f"beam mass must be non-negative and finite, got {self.mass_ev!r}")
+            raise DomainError(f"beam mass must be non-negative and finite, got {self.mass_ev!r}")
 
     @classmethod
     def from_wavelength_m(cls, wavelength_m: float, mass_ev: float = ELECTRON_MASS_EV) -> "BeamParams":
         if not (math.isfinite(wavelength_m) and wavelength_m > 0.0):
-            raise ValueError(f"wavelength must be positive and finite, got {wavelength_m!r}")
-        return cls(momentum=TWO_PI / wavelength_m, mass_ev=mass_ev)
+            raise DomainError(f"wavelength must be positive and finite, got {wavelength_m!r}")
+        return cls(momentum=math.tau / wavelength_m, mass_ev=mass_ev)
 
     @classmethod
     def from_wavelength_nm(cls, wavelength_nm: float, mass_ev: float = ELECTRON_MASS_EV) -> "BeamParams":
@@ -80,7 +74,7 @@ class BeamParams:
 
     @property
     def wavelength_m(self) -> float:
-        return TWO_PI / self.momentum
+        return math.tau / self.momentum
 
     @property
     def pc_ev(self) -> float:

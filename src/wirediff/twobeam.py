@@ -16,10 +16,9 @@ import numpy as np
 
 from .electron import (NO_FLIP, SpinChannel, amplitudes, sample_beam_pattern, spinor_factors,
                        unit_spinor)
+from .numerics import DomainError
 from .patterns import Normalization, Pattern, validate_grid
 from .potential import BeamParams, WirePotential
-
-_TAU = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -31,9 +30,9 @@ class TwoBeamConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise ValueError(f"alpha >= 0 required, got {self.alpha!r}")
+            raise DomainError(f"alpha >= 0 required, got {self.alpha!r}")
         if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi!r}")
+            raise DomainError(f"phi must be finite, got {self.phi!r}")
 
 
 @dataclass(eq=False)
@@ -50,7 +49,7 @@ def _interference_density(a_minus, a_plus, phi: float):
     # composed from squares so the result is non-negative in floating point
     # even under exact cancellation; the IEEE-remainder-reduced phase makes
     # the 2*pi periodicity exact.
-    phi_r = math.remainder(phi, _TAU)
+    phi_r = math.remainder(phi, math.tau)
     re = a_minus + a_plus * math.cos(phi_r)
     im = a_plus * math.sin(phi_r)
     return re * re + im * im

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from wirediff.analysis import (
     CurveComparison,
-    RangeError,
     ZeroReport,
     compare_curves,
     first_dark_angle,
@@ -17,6 +16,7 @@ from wirediff.analysis import (
 )
 from wirediff.classical import ClassicalConfig, pattern_classical
 from wirediff.electron import pattern_single
+from wirediff.numerics import DomainError
 from wirediff.patterns import Normalization, Pattern
 from wirediff.potential import BeamParams, WirePotential
 
@@ -58,7 +58,7 @@ class TestFirstDarkPoints:
             assert theta_1 * p_radius == pytest.approx(math.pi, rel=1e-5)
 
     def test_range_error_when_too_few_zeros(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(DomainError):
             first_dark_points(2.5, "quantum", 2)
 
     @settings(deadline=None)
@@ -77,7 +77,7 @@ class TestFirstDarkPoints:
             }
         for method, zeros in expected.items():
             if len(zeros) < n:
-                with pytest.raises(RangeError):
+                with pytest.raises(DomainError):
                     first_dark_points(p_radius, method, n)
                 continue
             got = first_dark_points(p_radius, method, n).zeros
@@ -101,7 +101,7 @@ class TestFirstDarkPoints:
     def test_zero_at_right_angle_excluded(self):
         # pR sin(theta) = pi puts the classical dark point exactly at
         # pi/2, outside the open interval
-        with pytest.raises(RangeError):
+        with pytest.raises(DomainError):
             first_dark_points(math.pi, "classical", 1)
 
     def test_bad_inputs_rejected(self):
@@ -239,6 +239,19 @@ class TestCompareCurves:
         other = Pattern(np.linspace(-0.1, 0.1, 2001), np.ones(2001))
         with pytest.raises(ValueError):
             compare_curves(quantum, other)
+
+    @pytest.mark.parametrize("theta_max, classical_zero", [(0.03, False), (0.04, True)])
+    def test_offset_is_none_without_both_dark_points(self, theta_max, classical_zero):
+        # the dark points sit at 0.0454 (quantum) and 0.0372 rad (classical):
+        # +-0.03 holds neither, +-0.04 only the classical one
+        thetas = np.linspace(-theta_max, theta_max, 2001)
+        quantum = pattern_single(BeamParams.from_wavelength_nm(633.0),
+                                 WirePotential.from_diameter_um(17.0), thetas)
+        classical = pattern_classical(ClassicalConfig(PR), thetas)
+        result = compare_curves(quantum, match_areas(quantum, classical))
+        assert result.first_zero_a_rad is None
+        assert (result.first_zero_b_rad is not None) == classical_zero
+        assert result.first_zero_offset_rad is None
 
 
 class TestFirstDarkAngle:

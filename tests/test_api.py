@@ -3,13 +3,25 @@ import subprocess
 import sys
 from pathlib import Path
 
-import wirediff
+import math
 
-# public names deleted in 0.2.0 and 0.3.0, each a second path to a quantity
-# that keeps one, or a test oracle now in tests/oracles.py
+import numpy as np
+import pytest
+
+import wirediff
+from wirediff import (FLIP, BeamParams, ClassicalConfig, DomainError, Normalization, Pattern,
+                      TwoBeamConfig, WirePotential, compare_curves, find_zero, first_dark_points,
+                      match_areas, validate_grid)
+from wirediff.electron import spinor_factors
+from wirediff.patterns import normalize_density
+
+# public names deleted in 0.2.0 to 0.4.0, each a second path to a quantity
+# that keeps one, a test oracle now in tests/oracles.py, or an input-error
+# type that DomainError replaces
 REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_full_spin_summed", "hyp0f1_reg2", "hyp0f1_reg2_series",
-           "bessel_j1", "disk_ft_oracle", "AccuracyError")
+           "bessel_j1", "disk_ft_oracle", "AccuracyError", "BracketError", "RangeError",
+           "ConfigError")
 
 
 class TestPublicSurface:
@@ -18,7 +30,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 41
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 39
 
     def test_disk_amplitude_is_the_exported_amplitude(self):
         from wirediff import numerics
@@ -27,11 +39,12 @@ class TestPublicSurface:
         assert wirediff.disk_amplitude is numerics.disk_amplitude
 
     def test_removed_names_are_gone(self):
-        from wirediff import classical, electron, numerics, potential, twobeam
+        from wirediff import analysis, classical, cli, electron, numerics, potential, twobeam
 
         for name in REMOVED:
             assert name not in wirediff.__all__
-            for module in (wirediff, classical, electron, numerics, potential, twobeam):
+            for module in (wirediff, analysis, classical, cli, electron, numerics, potential,
+                           twobeam):
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
 
     def test_version_matches_pyproject(self):
@@ -51,3 +64,50 @@ class TestPublicSurface:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True, timeout=60)
         assert done.stdout == "[]\n"
+
+
+_GRID = np.linspace(-0.1, 0.1, 5)
+_FLAT = Pattern(_GRID, np.ones(5))
+
+# every check of a caller's argument in src/, one bad input each
+_BAD_INPUTS = {
+    "wire radius": lambda: WirePotential(radius=0.0),
+    "beam momentum": lambda: BeamParams(momentum=-1.0),
+    "beam mass": lambda: BeamParams(momentum=1e7, mass_ev=math.nan),
+    "wavelength": lambda: BeamParams.from_wavelength_m(0.0),
+    "alpha": lambda: TwoBeamConfig(alpha=-0.1),
+    "phi": lambda: TwoBeamConfig(alpha=0.1, phi=math.inf),
+    "p_radius": lambda: ClassicalConfig(p_radius=0.0),
+    "radius_scale": lambda: ClassicalConfig(p_radius=1.0, radius_scale=math.nan),
+    "empty grid": lambda: validate_grid([]),
+    "non-finite grid": lambda: validate_grid([0.0, math.nan]),
+    "decreasing grid": lambda: validate_grid([0.1, 0.0]),
+    "unknown mode": lambda: spinor_factors(BeamParams(1e7), "medium"),
+    "low-energy flip": lambda: spinor_factors(BeamParams(1e7), "low-energy", FLIP),
+    "area_matched": lambda: normalize_density(_GRID, np.ones(5), Normalization.AREA_MATCHED),
+    "zero peak": lambda: normalize_density(_GRID, np.zeros(5), Normalization.PEAK_ONE),
+    "zero area": lambda: normalize_density(_GRID, np.zeros(5), Normalization.UNIT_AREA),
+    "dark-point p_radius": lambda: first_dark_points(math.inf, "quantum"),
+    "dark-point n": lambda: first_dark_points(100.0, "quantum", 0),
+    "dark-point method": lambda: first_dark_points(100.0, "semiclassical"),
+    "too few dark points": lambda: first_dark_points(2.5, "quantum", 2),
+    "no sign change": lambda: find_zero(math.sin, 3.3, 3.5),
+    "reversed bracket": lambda: find_zero(math.sin, 3.3, 3.0),
+    "match_areas grid": lambda: match_areas(_FLAT, Pattern(_GRID + 1.0, np.ones(5))),
+    "zero target": lambda: match_areas(_FLAT, Pattern(_GRID, np.zeros(5))),
+    "compare_curves grid": lambda: compare_curves(_FLAT, Pattern(_GRID + 1.0, np.ones(5))),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("call", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+    def test_input_check_raises_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    @pytest.mark.parametrize("density", [[1.0, -1.0], [1.0, math.nan], [1.0]])
+    def test_pattern_density_invariants_stay_value_errors(self, density):
+        # a builder's own density breaking them is the package's fault, not input
+        with pytest.raises(ValueError) as exc:
+            Pattern(_GRID[:2], np.array(density))
+        assert not isinstance(exc.value, DomainError)

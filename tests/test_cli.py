@@ -108,6 +108,12 @@ class TestConfigErrors:
             ("compare", "--theta-min=-inf"),
             ("single", "--spin", "flip"),
             ("two-beam", "--spin", "flip"),
+            # found inside the library: too few dark points, an infinite momentum,
+            # and TwoBeamConfig's checks
+            ("zeros", "--wavelength-nm", "1e5"),
+            ("zeros", "--wavelength-nm", "1e-300"),
+            ("scan", "--alpha", "nan"),
+            ("two-beam", "--phi", "inf"),
         ],
     )
     def test_semantic_errors_exit_2(self, capsys, argv):
@@ -146,7 +152,7 @@ class TestConfigErrors:
         ],
     )
     def test_grid_at_the_cap_is_accepted(self, capsys, monkeypatch, argv):
-        class Reached(Exception):
+        class Reached(BaseException):  # main turns an Exception into exit 1
             pass
 
         def reached(*args, **kwargs):
@@ -155,6 +161,23 @@ class TestConfigErrors:
         monkeypatch.setattr(np, "linspace", reached)
         with pytest.raises(Reached):
             main(list(argv))
+
+    def test_internal_fault_exits_1(self, capsys, monkeypatch):
+        # a NaN amplitude is the package's own fault, not the caller's input
+        from wirediff import electron
+
+        monkeypatch.setattr(electron, "disk_amplitude", lambda q_r: np.full(np.shape(q_r), np.nan))
+        code, out, err = run_cli(capsys, "single")
+        assert code == 1
+        assert out == ""
+        assert "wirediff: internal error: ValueError: density must be finite" in err
+        assert "configuration error" not in err
+
+    @pytest.mark.parametrize("command", ["compare", "zeros"])
+    def test_json_only_commands_take_no_format(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", "json"])
+        assert exc.value.code == 2
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -367,6 +390,17 @@ class TestCompareCommand:
         assert code == 2
         assert out == ""
         assert f"{per_fringe} samples per fringe" in err
+
+    @pytest.mark.parametrize("theta_max, classical_zero", [("0.03", False), ("0.04", True)])
+    def test_offset_is_null_without_both_dark_points(self, capsys, theta_max, classical_zero):
+        # +-0.03 rad holds neither first dark point, +-0.04 only the classical one
+        code, out, _ = run_cli(capsys, "compare", f"--theta-min=-{theta_max}",
+                               "--theta-max", theta_max)
+        assert code == 0
+        data = json.loads(out)["data"]
+        assert data["first_zero_offset_rad"] is None
+        assert data["first_zero_quantum_rad"] is None
+        assert (data["first_zero_classical_rad"] is not None) == classical_zero
 
     def test_metadata_echoes_config(self, capsys):
         _, out, _ = run_cli(capsys, "compare", "--theta-points", "501")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wirediff import numerics
-from wirediff.numerics import BracketError, DomainError, disk_amplitude, find_zero, sinc
+from wirediff.numerics import DomainError, disk_amplitude, find_zero, sinc
 
 from conftest import two_j1_over_x
 from oracles import AccuracyError, disk_ft_oracle
@@ -252,11 +252,11 @@ class TestFindZero:
         assert find_zero(lambda x: x - 1.0, 0.0, 1.0) == 1.0
 
     def test_no_sign_change_raises(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(DomainError):
             find_zero(math.sin, 3.3, 3.5)
 
     def test_bad_bracket_raises(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(DomainError):
             find_zero(math.sin, 3.3, 3.0)
 
     def test_bad_tol_raises(self):

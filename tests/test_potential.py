@@ -3,7 +3,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from wirediff.electron import pattern_single
 from wirediff.numerics import DomainError, disk_amplitude
 from wirediff.potential import (
     ELECTRON_MASS_EV,
@@ -97,15 +96,6 @@ class TestFormFactor:
         q = 10.0 / wire.radius
         assert disk_amplitude(q * wire.radius) == pytest.approx(disk_ft_oracle(10.0).real,
                                                                  abs=1e-8)
-
-    def test_independent_of_height_bitwise(self):
-        # the height is metadata only: the sampled pattern has the same bytes
-        beam = BeamParams.from_wavelength_nm(633.0)
-        low = WirePotential(radius=8.5e-6, height_ev=1.0)
-        high = WirePotential(radius=8.5e-6, height_ev=2.7e9)
-        for mode in ("low-energy", "full"):
-            assert (pattern_single(beam, low, mode=mode).density.tobytes()
-                    == pattern_single(beam, high, mode=mode).density.tobytes())
 
     def test_monotone_decreasing_to_first_zero(self, wire, j1_zeros_oracle):
         import numpy as np
