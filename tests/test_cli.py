@@ -525,21 +525,21 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "4cd2ebef42d3cb874d7393b0ea94c57aa1d342a4418682a5dbde3bd867e1d703"),
+             "b96abf91bfb62c1116f5ae79690f72e0f0ce493e28f7ae8516f45754710ed477"),
             (("two-beam",),
-             "738d7d78bf97100dddb7e227b87bd299201dd6fc628ada417dc73fd23a963d36"),
+             "69db8b6033b7e2951a046b3d12ec233e951d6a297b5232d2b177d28bb7d9533b"),
             (("scan",),
-             "24caf3a907a2a2478ef92fbb44ff459f4bac56e649d6b966ca751c5fa85ce29c"),
+             "e8507d7f9531d973a4edf8f8c058ae0125773d82900dafc541841b2538cb0de3"),
             (("compare",),
-             "ff95a755fcd5f14e9609c56d18d5429fd8361ce7078403eed25325ee68bdf712"),
+             "f5a9b2fc2b6c828ac27b25c1270a21102d8d5560f656e49418fa2079c9a4a1cf"),
             (("zeros",),
-             "4b04270bd1ec525ac628b955a2145db8b486b641cbcba3fc582809ab83990756"),
+             "11b1b737c3629a2ae3561a2d0ddb3e1dbc4329e1cd5d66067773a0d069a43991"),
             (("zeros", "--n", "3"),
-             "60c8bf957b83dfd78b18fca3b16b627d2539d6779b005d969ee587d1fa84ce37"),
+             "fd4022228566dfe510c4dbbaf0c3889398fb34894d6ae31006b8775ac3b4a297"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "18d576f237716776fb8272f19591b2b2163e67a5a29063d7afdee67bc91f233c"),
+             "24ccbcabfdf9a148580af481788f3ae295791faa64e89c53058fb846ff4ceaab"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "2d38ccb85d66d6b2491d9c7c9823d2bc9c23097bd4ac853b356a145e4eccd480"),
+             "450bd08d79c5a99cda1e7242ec630d4138d6ed8d87c554684a3998eed907af6b"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm"],
