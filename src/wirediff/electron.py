@@ -82,7 +82,7 @@ def spinor_factors(beam: BeamParams, mode: str, channel: SpinChannel | None = NO
     if mode == "low-energy":
         if channel is not None and channel.is_flip:
             raise DomainError("low-energy mode has no flip channel (its element vanishes "
-                             "there); use mode 'full' for the flip density")
+                              "there); use mode 'full' for the flip density")
         return (unit_spinor,)
     if mode != "full":
         raise DomainError(f"unknown mode {mode!r}; expected 'low-energy' or 'full'")

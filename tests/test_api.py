@@ -10,8 +10,9 @@ import pytest
 
 import wirediff
 from wirediff import (FLIP, BeamParams, ClassicalConfig, DomainError, Normalization, Pattern,
-                      TwoBeamConfig, WirePotential, compare_curves, find_zero, first_dark_points,
-                      match_areas, validate_grid)
+                      TwoBeamConfig, WirePotential, compare_curves, disk_amplitude, find_zero,
+                      first_dark_points, fraunhofer_single, match_areas, momentum_transfer_single,
+                      sinc, spinor_element, validate_grid)
 from wirediff.electron import spinor_factors
 from wirediff.patterns import normalize_density
 
@@ -69,12 +70,18 @@ class TestPublicSurface:
 _GRID = np.linspace(-0.1, 0.1, 5)
 _FLAT = Pattern(_GRID, np.ones(5))
 
-# every check of a caller's argument in src/, one bad input each
+# every check of a caller's argument in the library, one bad input each
 _BAD_INPUTS = {
     "wire radius": lambda: WirePotential(radius=0.0),
     "beam momentum": lambda: BeamParams(momentum=-1.0),
     "beam mass": lambda: BeamParams(momentum=1e7, mass_ev=math.nan),
     "wavelength": lambda: BeamParams.from_wavelength_m(0.0),
+    "transfer momentum": lambda: momentum_transfer_single(0.0, 0.1),
+    "transfer theta": lambda: momentum_transfer_single(1.0, math.nan),
+    "disk_amplitude": lambda: disk_amplitude(math.inf),
+    "sinc": lambda: sinc(np.array([0.0, math.nan])),
+    "spinor theta": lambda: spinor_element(BeamParams(1e7), math.inf),
+    "fraunhofer theta": lambda: fraunhofer_single(ClassicalConfig(1.0), math.nan),
     "alpha": lambda: TwoBeamConfig(alpha=-0.1),
     "phi": lambda: TwoBeamConfig(alpha=0.1, phi=math.inf),
     "p_radius": lambda: ClassicalConfig(p_radius=0.0),
@@ -93,6 +100,7 @@ _BAD_INPUTS = {
     "too few dark points": lambda: first_dark_points(2.5, "quantum", 2),
     "no sign change": lambda: find_zero(math.sin, 3.3, 3.5),
     "reversed bracket": lambda: find_zero(math.sin, 3.3, 3.0),
+    "tolerance": lambda: find_zero(math.sin, 3.0, 3.3, tol=0.0),
     "match_areas grid": lambda: match_areas(_FLAT, Pattern(_GRID + 1.0, np.ones(5))),
     "zero target": lambda: match_areas(_FLAT, Pattern(_GRID, np.zeros(5))),
     "compare_curves grid": lambda: compare_curves(_FLAT, Pattern(_GRID + 1.0, np.ones(5))),
