@@ -18,16 +18,7 @@ from .analysis import (
     overestimation_factor,
 )
 from .classical import ClassicalConfig, fraunhofer_single, fraunhofer_two_beam, pattern_classical
-from .electron import (
-    FLIP,
-    NO_FLIP,
-    Spin,
-    SpinChannel,
-    dsigma_dtheta_full,
-    dsigma_dtheta_low_energy,
-    pattern_single,
-    spinor_element,
-)
+from .electron import Channel, dsigma_dtheta, pattern_single, spinor_element
 from .numerics import DomainError, disk_amplitude, find_zero, sinc
 from .patterns import Normalization, Pattern, default_grid, validate_grid
 from .potential import (
@@ -40,37 +31,31 @@ from .potential import (
 from .twobeam import (
     ScanResult,
     TwoBeamConfig,
+    dsigma_dtheta_two_beam,
     pattern_two_beam,
     phi_theta_scan,
 )
-from .twobeam import dsigma_dtheta_full as dsigma_dtheta_two_beam_full
-from .twobeam import dsigma_dtheta_low_energy as dsigma_dtheta_two_beam_low_energy
 
 __all__ = [
     "__version__",
     "BeamParams",
+    "Channel",
     "ClassicalConfig",
     "CurveComparison",
     "DomainError",
     "ELECTRON_MASS_EV",
-    "FLIP",
     "HBARC_EV_M",
-    "NO_FLIP",
     "Normalization",
     "Pattern",
     "ScanResult",
-    "Spin",
-    "SpinChannel",
     "TwoBeamConfig",
     "WirePotential",
     "ZeroReport",
     "compare_curves",
     "default_grid",
     "disk_amplitude",
-    "dsigma_dtheta_full",
-    "dsigma_dtheta_low_energy",
-    "dsigma_dtheta_two_beam_full",
-    "dsigma_dtheta_two_beam_low_energy",
+    "dsigma_dtheta",
+    "dsigma_dtheta_two_beam",
     "find_zero",
     "first_dark_angle",
     "first_dark_points",

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .analysis import compare_curves, first_dark_points, match_areas
 from .classical import ClassicalConfig, pattern_classical
-from .electron import FLIP, NO_FLIP, pattern_single
+from .electron import Channel, pattern_single
 from .numerics import DomainError
 from .patterns import Normalization
 from .potential import BeamParams, WirePotential, ELECTRON_MASS_EV
@@ -39,8 +39,6 @@ _NORMALIZATIONS = {
     "peak-one": Normalization.PEAK_ONE,
     "unit-area": Normalization.UNIT_AREA,
 }
-
-_SPIN_CHANNELS = {"no-flip": NO_FLIP, "flip": FLIP, "sum": None}
 
 # Fewest grid samples per classical fringe pi / (scale * pR) for which
 # ``first_dark_angle`` still finds the first dark point of both compared
@@ -104,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_single)
     p_single.add_argument("--mode", choices=["low-energy", "full"], default="low-energy",
                           help="low-energy (default) or full")
-    p_single.add_argument("--spin", choices=sorted(_SPIN_CHANNELS), default="no-flip",
+    p_single.add_argument("--spin", choices=sorted(c.value for c in Channel), default="no-flip",
                           help="spin channel (default no-flip); flip needs --mode full")
     p_single.add_argument("--normalization", choices=sorted(_NORMALIZATIONS), default="raw")
     p_single.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -116,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_two.add_argument("--phi", type=float, default=0.0,
                        help="interference phase in rad (default 0)")
     p_two.add_argument("--mode", choices=["low-energy", "full"], default="low-energy")
-    p_two.add_argument("--spin", choices=sorted(_SPIN_CHANNELS), default="no-flip")
+    p_two.add_argument("--spin", choices=sorted(c.value for c in Channel), default="no-flip")
     p_two.add_argument("--normalization", choices=sorted(_NORMALIZATIONS), default="raw")
     p_two.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -232,7 +230,7 @@ def _pattern_command(args, build) -> str:
     beam, wire = _resolve_physics(args)
     thetas, = _resolve_grids(args, "theta")
     pattern = build(beam, wire, thetas=thetas, mode=args.mode,
-                    channel=_SPIN_CHANNELS[args.spin],
+                    channel=Channel(args.spin),
                     normalization=_NORMALIZATIONS[args.normalization])
     _warn_if_aliased(thetas, beam.momentum * wire.radius)
     config = _base_config(args)

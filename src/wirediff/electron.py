@@ -1,12 +1,13 @@
 """Electron scattering amplitudes and angular probability distributions.
 
-The full-energy spinor matrix elements are kept exactly as modeled,
+A :class:`Channel` picks the no-flip or flip channel or their sum.  Mode
+"full" keeps the full-energy spinor matrix elements exactly as modeled,
 including the sin(theta) numerator of the spin-flip channel; textbook
 spin-flip elements usually carry sin(theta/2) instead, so the flip channel
 here should be read as part of this model's definition rather than as a
 general result.  At optical momenta (pc ~ eV against mc^2 ~ 0.5 MeV) the
 flip channel is negligible either way and the no-flip channel reduces to a
-constant, leaving the squared disk form factor as the whole distribution.
+constant, leaving the squared disk form factor alone: mode "low-energy".
 
 The overall constant multiplying every distribution is fixed by the chosen
 normalization mode and never computed from the barrier height or the
@@ -15,7 +16,6 @@ normalization volume: only normalized shapes are compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
@@ -25,29 +25,19 @@ from .numerics import DomainError, disk_amplitude
 from .patterns import Normalization, Pattern, sample_pattern
 from .potential import BeamParams, WirePotential, momentum_transfer_single
 
-
-class Spin(Enum):
-    UP = "up"
-    DOWN = "down"
+# largest pc and mc^2 [eV]: (E + mc^2)^2 <= 5.8e300, so no density overflows
+_MAX_SPINOR_EV = 1e150
 
 
-@dataclass(frozen=True)
-class SpinChannel:
-    """Initial/final spin pair; classified as flip or no-flip."""
+class Channel(str, Enum):
+    """Final-spin channel of a density; SUM adds the no-flip and flip densities."""
 
-    initial: Spin
-    final: Spin
-
-    @property
-    def is_flip(self) -> bool:
-        return self.initial is not self.final
+    NO_FLIP = "no-flip"
+    FLIP = "flip"
+    SUM = "sum"
 
 
-NO_FLIP = SpinChannel(Spin.UP, Spin.UP)
-FLIP = SpinChannel(Spin.UP, Spin.DOWN)
-
-
-def spinor_element(beam: BeamParams, theta, channel: SpinChannel = NO_FLIP):
+def spinor_element(beam: BeamParams, theta, channel: Channel = Channel.NO_FLIP):
     """Electron-current factor between spin states, in eV.
 
     Flip channel:    (pc)^2 sin(theta) / (E + mc^2)
@@ -55,13 +45,20 @@ def spinor_element(beam: BeamParams, theta, channel: SpinChannel = NO_FLIP):
 
     Valid at all energies.  In the low-energy limit the flip element
     vanishes and the no-flip element tends to the constant 2 mc^2.  ``theta``
-    is a scalar or an array of angles.
+    is a scalar or an array of angles.  An element has one final spin, so
+    Channel.SUM raises DomainError, as do pc or mc^2 above 1e150 eV.
     """
+    channel = Channel(channel)
+    if channel is Channel.SUM:
+        raise DomainError("a spinor element has one final spin: use Channel.NO_FLIP or FLIP")
     if not np.all(np.isfinite(theta)):
         raise DomainError(f"spinor_element: theta must be finite, got {theta!r}")
     pc = beam.pc_ev
+    if not (pc <= _MAX_SPINOR_EV and beam.mass_ev <= _MAX_SPINOR_EV):
+        raise DomainError(f"full mode needs pc and mc^2 <= {_MAX_SPINOR_EV:g} eV, got "
+                          f"pc = {pc:g} eV, mc^2 = {beam.mass_ev:g} eV")
     e_plus_m = beam.energy_ev + beam.mass_ev
-    if channel.is_flip:
+    if channel is Channel.FLIP:
         return pc * pc * np.sin(theta) / e_plus_m
     return (e_plus_m * e_plus_m + pc * pc * np.cos(theta)) / e_plus_m
 
@@ -71,22 +68,23 @@ def unit_spinor(theta: float) -> float:
     return 1.0
 
 
-def spinor_factors(beam: BeamParams, mode: str, channel: SpinChannel | None = NO_FLIP):
+def spinor_factors(beam: BeamParams, mode: str, channel: Channel = Channel.NO_FLIP):
     """Spinor factors of theta (scalar or array) whose squared amplitudes ``mode`` sums.
 
     Low-energy mode is full mode with :func:`unit_spinor`, where the flip
-    element vanishes: it takes the no-flip channel or the spin sum, and a
+    element vanishes: it takes the no-flip channel or the spin sum, and the
     flip channel raises DomainError.  Full mode takes the spinor element of
-    ``channel``, or of both channels if it is None (spin sum).
+    ``channel``, or the no-flip and flip elements for Channel.SUM.
     """
+    channel = Channel(channel)
     if mode == "low-energy":
-        if channel is not None and channel.is_flip:
+        if channel is Channel.FLIP:
             raise DomainError("low-energy mode has no flip channel (its element vanishes "
                               "there); use mode 'full' for the flip density")
         return (unit_spinor,)
     if mode != "full":
         raise DomainError(f"unknown mode {mode!r}; expected 'low-energy' or 'full'")
-    channels = (NO_FLIP, FLIP) if channel is None else (channel,)
+    channels = (Channel.NO_FLIP, Channel.FLIP) if channel is Channel.SUM else (channel,)
     return tuple(partial(spinor_element, beam, channel=c) for c in channels)
 
 
@@ -99,45 +97,23 @@ def amplitudes(p_radius: float, theta, spinors=(unit_spinor,)) -> list:
     return [spinor(theta) * f for spinor in spinors]
 
 
-def _density(p_radius: float, theta: float, spinors) -> float:
-    return sum(a * a for a in amplitudes(p_radius, theta, spinors))
+def dsigma_dtheta(beam: BeamParams, wire: WirePotential, theta, mode: str = "low-energy",
+                  channel: Channel = Channel.NO_FLIP):
+    """Single-beam density, |spinor * F(qR)|^2 summed over ``channel``, C = 1.
 
-
-def dsigma_dtheta_full(
-    beam: BeamParams,
-    wire: WirePotential,
-    theta: float,
-    channel: SpinChannel | None = NO_FLIP,
-) -> float:
-    """Full-energy angular density |spinor|^2 * F(qR)^2, constant C = 1.
-
-    ``channel`` None sums over final spins (flip + no-flip).  Elastic and
-    planar by construction: theta enters only through the momentum transfer
-    q = 2 p |sin(theta/2)|.
+    Mode "low-energy" is {0F1(2, -(pR)^2 sin^2(theta/2))}^2; mode "full"
+    weights it with the squared spinor elements.  Theta (scalar or array)
+    enters only through q = 2 p |sin(theta/2)|.
     """
-    return _density(beam.momentum * wire.radius, theta, spinor_factors(beam, "full", channel))
-
-
-def dsigma_dtheta_low_energy(p_radius: float, theta: float) -> float:
-    """Low-energy angular density {0F1(2, -(pR)^2 sin^2(theta/2))}^2, C = 1.
-
-    ``p_radius`` is the dimensionless momentum-radius product p*R.
-    """
-    return _density(p_radius, theta, (unit_spinor,))
+    spinors = spinor_factors(beam, mode, channel)
+    return sum(a * a for a in amplitudes(beam.momentum * wire.radius, theta, spinors))
 
 
 def sample_beam_pattern(density, beam: BeamParams, wire: WirePotential, thetas, mode: str,
-                        channel: SpinChannel | None, normalization, **metadata) -> Pattern:
-    """Sample ``density(p_radius, theta, spinors)`` with the beam's provenance.
-
-    Shared by the single- and two-beam patterns: ``mode`` and ``channel``
-    only choose the spinor factors (see :func:`spinor_factors`).
-    """
-    spinors = spinor_factors(beam, mode, channel)
-    p_radius = beam.momentum * wire.radius
+                        channel: Channel, normalization, **metadata) -> Pattern:
+    """Sample ``density(theta)`` with the beam's and wire's provenance in its metadata."""
     return sample_pattern(
-        lambda theta: density(p_radius, theta, spinors), thetas, normalization, mode=mode,
-        channel="summed" if channel is None else ("flip" if channel.is_flip else "no-flip"),
+        density, thetas, normalization, mode=mode, channel=Channel(channel).value,
         wavelength_nm=beam.wavelength_m * 1e9, mass_ev=beam.mass_ev,
         diameter_um=wire.diameter_um, **metadata)
 
@@ -147,15 +123,10 @@ def pattern_single(
     wire: WirePotential,
     thetas: np.ndarray | None = None,
     mode: str = "low-energy",
-    channel: SpinChannel | None = NO_FLIP,
+    channel: Channel = Channel.NO_FLIP,
     normalization: Normalization = Normalization.RAW,
 ) -> Pattern:
-    """Sample the single-beam distribution over an angular grid.
-
-    mode "low-energy" uses the squared form factor alone and takes no flip
-    ``channel``; mode "full" uses the full-energy spinor elements for
-    ``channel`` (None means summed over final spins).  Grid evaluation is
-    pure and order-independent.
-    """
-    return sample_beam_pattern(_density, beam, wire, thetas, mode, channel, normalization,
+    """Sample :func:`dsigma_dtheta` over an angular grid; pure and order-independent."""
+    return sample_beam_pattern(lambda theta: dsigma_dtheta(beam, wire, theta, mode, channel),
+                               beam, wire, thetas, mode, channel, normalization,
                                kind="single-beam")

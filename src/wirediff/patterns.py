@@ -111,6 +111,9 @@ def sample_pattern(density, thetas, normalization: Normalization, **metadata) ->
     thetas = default_grid() if thetas is None else validate_grid(thetas)
     normalization = Normalization(normalization)
     values = density(thetas)
+    # the density's fault, not the caller's: before normalize_density's DomainError
+    if not np.all(np.isfinite(values)):
+        raise ValueError("density must be finite")
     metadata["normalization"] = normalization.value
     return Pattern(thetas, normalize_density(thetas, values, normalization),
                    normalization, metadata)

@@ -5,6 +5,9 @@ momentum transfers q_pm = 2 p |sin(theta/2 +/- alpha/4)|; the relative
 phase Phi shifts the interference pattern (scanning Phi plays the role of
 translating the wire across the fringes, though the quantitative mapping
 from a physical displacement to Phi is deliberately not modeled here).
+
+:func:`dsigma_dtheta_two_beam` is the one two-beam density, in either mode
+and spin channel; :func:`pattern_two_beam` and :func:`phi_theta_scan` sample it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electron import (NO_FLIP, SpinChannel, amplitudes, sample_beam_pattern, spinor_factors,
-                       unit_spinor)
+from .electron import Channel, amplitudes, sample_beam_pattern, spinor_factors
 from .numerics import DomainError
 from .patterns import Normalization, Pattern, validate_grid
 from .potential import BeamParams, WirePotential
@@ -55,40 +57,26 @@ def _interference_density(a_minus, a_plus, phi: float):
     return re * re + im * im
 
 
-def _density(p_radius: float, cfg: TwoBeamConfig, theta: float, spinors) -> float:
-    # each beam's amplitudes are the single-beam ones at its own scattering
-    # angle theta -/+ alpha/2, i.e. at q_pm R = 2 pR |sin(theta/2 -/+ alpha/4)|
-    minus = amplitudes(p_radius, theta - 0.5 * cfg.alpha, spinors)
-    plus = amplitudes(p_radius, theta + 0.5 * cfg.alpha, spinors)
-    return sum(_interference_density(a, b, cfg.phi) for a, b in zip(minus, plus))
-
-
-def dsigma_dtheta_low_energy(p_radius: float, cfg: TwoBeamConfig, theta: float) -> float:
-    """Low-energy two-beam density F_-^2 + 2 F_- F_+ cos(Phi) + F_+^2, C = 1.
-
-    F_pm = 0F1(2, -(pR sin(theta/2 +/- alpha/4))^2); computed as the squared
-    magnitude of the superposed amplitudes, hence guaranteed >= 0.
-    """
-    return _density(p_radius, cfg, theta, (unit_spinor,))
-
-
-def dsigma_dtheta_full(
+def dsigma_dtheta_two_beam(
     beam: BeamParams,
     wire: WirePotential,
     cfg: TwoBeamConfig,
-    theta: float,
-    channel: SpinChannel | None = NO_FLIP,
-) -> float:
-    """Full-energy two-beam density |A_- + e^{i Phi} A_+|^2, C = 1.
+    theta,
+    mode: str = "low-energy",
+    channel: Channel = Channel.NO_FLIP,
+):
+    """Two-beam density |A_- + e^{i Phi} A_+|^2 summed over ``channel``, C = 1, hence >= 0.
 
-    A_pm couples the spinor element at the relative scattering angle
-    theta +/- alpha/2 of the respective incoming beam with the form factor
-    at q_pm.  Both beams carry the same spin labels (polarized source);
-    ``channel`` None sums the flip and no-flip densities.  Reduces to the
-    low-energy form when pc << mc^2.
+    A_pm is the single-beam amplitude (see :func:`~wirediff.electron.dsigma_dtheta`)
+    at each beam's own scattering angle theta -/+ alpha/2, i.e. at
+    q_pm R = 2 pR |sin(theta/2 -/+ alpha/4)|.  Both beams carry the same spin
+    labels (polarized source).  ``theta`` is a scalar or an array of angles.
     """
-    return _density(beam.momentum * wire.radius, cfg, theta,
-                    spinor_factors(beam, "full", channel))
+    spinors = spinor_factors(beam, mode, channel)
+    p_radius = beam.momentum * wire.radius
+    minus = amplitudes(p_radius, theta - 0.5 * cfg.alpha, spinors)
+    plus = amplitudes(p_radius, theta + 0.5 * cfg.alpha, spinors)
+    return sum(_interference_density(a, b, cfg.phi) for a, b in zip(minus, plus))
 
 
 def pattern_two_beam(
@@ -97,15 +85,15 @@ def pattern_two_beam(
     cfg: TwoBeamConfig,
     thetas: np.ndarray | None = None,
     mode: str = "low-energy",
-    channel: SpinChannel | None = NO_FLIP,
+    channel: Channel = Channel.NO_FLIP,
     normalization: Normalization = Normalization.RAW,
 ) -> Pattern:
-    """Sample the two-beam distribution over an angular grid.
+    """Sample :func:`dsigma_dtheta_two_beam` over an angular grid.
 
     Modes, channels and normalizations as in :func:`~wirediff.electron.pattern_single`.
     """
     return sample_beam_pattern(
-        lambda p_radius, theta, spinors: _density(p_radius, cfg, theta, spinors),
+        lambda theta: dsigma_dtheta_two_beam(beam, wire, cfg, theta, mode, channel),
         beam, wire, thetas, mode, channel, normalization,
         kind="two-beam", alpha=cfg.alpha, phi=cfg.phi)
 

@@ -34,6 +34,11 @@ def j1_zeros_oracle():
     return [float(z) for z in jn_zeros(1, 5)]
 
 
+def beam_and_wire(p_radius: float) -> tuple[BeamParams, WirePotential]:
+    """A beam and a wire whose p*R is ``p_radius`` exactly (R = 1 m)."""
+    return BeamParams(momentum=p_radius), WirePotential(radius=1.0)
+
+
 def bessel_oracle(x: float) -> float:
     """Independent library-grade J1 (rational approximation, scipy)."""
     from scipy.special import j1

@@ -12,14 +12,13 @@ import pytest
 from wirediff.analysis import compare_curves, first_dark_points, match_areas, overestimation_factor
 from wirediff.classical import ClassicalConfig, pattern_classical
 from wirediff.cli import main
-from wirediff.electron import FLIP, NO_FLIP, dsigma_dtheta_full, pattern_single
+from wirediff.electron import Channel, dsigma_dtheta, pattern_single
 from wirediff.numerics import disk_amplitude
 from wirediff.patterns import Normalization, default_grid
 from wirediff.potential import BeamParams, WirePotential
-from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_low_energy, phi_theta_scan
-from wirediff.electron import dsigma_dtheta_low_energy as single_low_energy
+from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam, phi_theta_scan
 
-from conftest import two_j1_over_x
+from conftest import beam_and_wire, two_j1_over_x
 from oracles import disk_ft_oracle
 
 TAU = 2.0 * math.pi
@@ -125,14 +124,14 @@ def test_criterion_3_special_function_identities(j1_zeros_oracle):
 def test_criterion_4_low_energy_reduction(default_setup):
     beam, wire, _ = default_setup
     thetas = default_grid()
-    full = pattern_single(beam, wire, thetas, mode="full", channel=NO_FLIP,
+    full = pattern_single(beam, wire, thetas, mode="full", channel=Channel.NO_FLIP,
                           normalization=Normalization.PEAK_ONE)
     low = pattern_single(beam, wire, thetas, mode="low-energy",
                          normalization=Normalization.PEAK_ONE)
     pointwise = float(np.max(np.abs(full.density - low.density)))
 
-    flip = np.array([dsigma_dtheta_full(beam, wire, float(t), FLIP) for t in thetas])
-    noflip = np.array([dsigma_dtheta_full(beam, wire, float(t), NO_FLIP) for t in thetas])
+    flip, noflip = (np.array([dsigma_dtheta(beam, wire, float(t), "full", c) for t in thetas])
+                    for c in (Channel.FLIP, Channel.NO_FLIP))
     flip_weight = float(np.trapezoid(flip, thetas) / np.trapezoid(noflip, thetas))
     momentum_ratio = beam.pc_ev / beam.mass_ev
 
@@ -151,7 +150,7 @@ def test_criterion_4_low_energy_reduction(default_setup):
 
 
 def test_criterion_5_two_beam_properties(default_setup):
-    _, _, p_radius = default_setup
+    beam, wire, p_radius = default_setup
     start = time.perf_counter()
 
     rng = np.random.default_rng(20260809)
@@ -161,31 +160,32 @@ def test_criterion_5_two_beam_properties(default_setup):
     phis = rng.uniform(-TAU, 2.0 * TAU, n_samples)
     thetas = rng.uniform(-0.7, 0.7, n_samples)
     non_negative = all(
-        dsigma_dtheta_low_energy(pr, TwoBeamConfig(a, ph), th) >= 0.0
+        dsigma_dtheta_two_beam(*beam_and_wire(pr), TwoBeamConfig(a, ph), th) >= 0.0
         for pr, a, ph, th in zip(p_rs, alphas, phis, thetas)
     )
 
     even_ok = True
     for pr, a, ph, th in zip(p_rs[:200], alphas[:200], phis[:200], thetas[:200]):
         cfg = TwoBeamConfig(a, ph)
-        lhs = dsigma_dtheta_low_energy(pr, cfg, th)
-        rhs = dsigma_dtheta_low_energy(pr, cfg, -th)
+        at_pr = beam_and_wire(pr)
+        lhs = dsigma_dtheta_two_beam(*at_pr, cfg, th)
+        rhs = dsigma_dtheta_two_beam(*at_pr, cfg, -th)
         if abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs), 1e-300):
             even_ok = False
             break
 
     # exact periodicity at phases whose phi + 2*pi is exactly representable
     periodic_ok = all(
-        dsigma_dtheta_low_energy(p_radius, TwoBeamConfig(0.1, ph), 0.0123)
-        == dsigma_dtheta_low_energy(p_radius, TwoBeamConfig(0.1, ph + TAU), 0.0123)
+        dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(0.1, ph), 0.0123)
+        == dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(0.1, ph + TAU), 0.0123)
         for ph in (0.0, 0.25, 0.5, 1.0, 1.5, -0.5)
     )
 
-    dark_center = dsigma_dtheta_low_energy(p_radius, TwoBeamConfig(0.1, math.pi), 0.0)
+    dark_center = dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(0.1, math.pi), 0.0)
 
     degenerate_ok = all(
-        dsigma_dtheta_low_energy(p_radius, TwoBeamConfig(0.0, 0.0), th)
-        == pytest.approx(4.0 * single_low_energy(p_radius, th), rel=1e-12)
+        dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(0.0, 0.0), th)
+        == pytest.approx(4.0 * dsigma_dtheta(beam, wire, th), rel=1e-12)
         for th in (0.0, 0.01, 0.045, 0.1)
     )
 

@@ -9,20 +9,23 @@ import numpy as np
 import pytest
 
 import wirediff
-from wirediff import (FLIP, BeamParams, ClassicalConfig, DomainError, Normalization, Pattern,
+from wirediff import (BeamParams, Channel, ClassicalConfig, DomainError, Normalization, Pattern,
                       TwoBeamConfig, WirePotential, compare_curves, disk_amplitude, find_zero,
                       first_dark_points, fraunhofer_single, match_areas, momentum_transfer_single,
                       sinc, spinor_element, validate_grid)
 from wirediff.electron import spinor_factors
 from wirediff.patterns import normalize_density
 
-# public names deleted in 0.2.0 to 0.4.0, each a second path to a quantity
-# that keeps one, a test oracle now in tests/oracles.py, or an input-error
-# type that DomainError replaces
+# public names deleted in 0.2.0 to 0.5.0, each a second path to a quantity
+# that keeps one, a test oracle now in tests/oracles.py, an input-error type
+# that DomainError replaces, or a spelling of the spin channel that Channel
+# replaces
 REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_full_spin_summed", "hyp0f1_reg2", "hyp0f1_reg2_series",
            "bessel_j1", "disk_ft_oracle", "AccuracyError", "BracketError", "RangeError",
-           "ConfigError")
+           "ConfigError", "Spin", "SpinChannel", "NO_FLIP", "FLIP", "dsigma_dtheta_full",
+           "dsigma_dtheta_low_energy", "dsigma_dtheta_two_beam_full",
+           "dsigma_dtheta_two_beam_low_energy")
 
 
 class TestPublicSurface:
@@ -31,7 +34,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 39
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 34
 
     def test_disk_amplitude_is_the_exported_amplitude(self):
         from wirediff import numerics
@@ -81,6 +84,8 @@ _BAD_INPUTS = {
     "disk_amplitude": lambda: disk_amplitude(math.inf),
     "sinc": lambda: sinc(np.array([0.0, math.nan])),
     "spinor theta": lambda: spinor_element(BeamParams(1e7), math.inf),
+    "spinor sum": lambda: spinor_element(BeamParams(1e7), 0.1, Channel.SUM),
+    "spinor energy": lambda: spinor_element(BeamParams(1e7, mass_ev=1e200), 0.1),
     "fraunhofer theta": lambda: fraunhofer_single(ClassicalConfig(1.0), math.nan),
     "alpha": lambda: TwoBeamConfig(alpha=-0.1),
     "phi": lambda: TwoBeamConfig(alpha=0.1, phi=math.inf),
@@ -90,7 +95,7 @@ _BAD_INPUTS = {
     "non-finite grid": lambda: validate_grid([0.0, math.nan]),
     "decreasing grid": lambda: validate_grid([0.1, 0.0]),
     "unknown mode": lambda: spinor_factors(BeamParams(1e7), "medium"),
-    "low-energy flip": lambda: spinor_factors(BeamParams(1e7), "low-energy", FLIP),
+    "low-energy flip": lambda: spinor_factors(BeamParams(1e7), "low-energy", Channel.FLIP),
     "area_matched": lambda: normalize_density(_GRID, np.ones(5), Normalization.AREA_MATCHED),
     "zero peak": lambda: normalize_density(_GRID, np.zeros(5), Normalization.PEAK_ONE),
     "zero area": lambda: normalize_density(_GRID, np.zeros(5), Normalization.UNIT_AREA),

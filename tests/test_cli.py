@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import logging
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import reference_csv
-from wirediff.cli import _MAX_GRID_VALUES, _MAX_ZEROS, _csv, main
+from wirediff.cli import _MAX_GRID_VALUES, _MAX_ZEROS, _csv, build_parser, main
+from wirediff.electron import Channel
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +116,9 @@ class TestConfigErrors:
             ("zeros", "--wavelength-nm", "1e-300"),
             ("scan", "--alpha", "nan"),
             ("two-beam", "--phi", "inf"),
+            # pc or mc^2 above 1e150 eV would overflow the spinor elements
+            ("single", "--mode", "full", "--mass-ev", "1e200"),
+            ("single", "--mode", "full", "--wavelength-nm", "1e-200"),
         ],
     )
     def test_semantic_errors_exit_2(self, capsys, argv):
@@ -162,16 +167,33 @@ class TestConfigErrors:
         with pytest.raises(Reached):
             main(list(argv))
 
+    @pytest.mark.parametrize("argv", [("single", "--mass-ev", "1e200"),
+                                      ("zeros", "--wavelength-nm", "1e-200")])
+    def test_extreme_beam_outside_full_mode_exits_0(self, capsys, argv):
+        # only the spinor elements square pc and mc^2; other commands take any finite beam
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert "error" not in err
+
     def test_internal_fault_exits_1(self, capsys, monkeypatch):
-        # a NaN amplitude is the package's own fault, not the caller's input
+        # a NaN amplitude is the package's own fault, not the caller's input,
+        # under every normalization
         from wirediff import electron
 
         monkeypatch.setattr(electron, "disk_amplitude", lambda q_r: np.full(np.shape(q_r), np.nan))
-        code, out, err = run_cli(capsys, "single")
-        assert code == 1
-        assert out == ""
-        assert "wirediff: internal error: ValueError: density must be finite" in err
-        assert "configuration error" not in err
+        for normalization in ("raw", "peak-one", "unit-area"):
+            code, out, err = run_cli(capsys, "single", "--normalization", normalization)
+            assert code == 1
+            assert out == ""
+            assert "wirediff: internal error: ValueError: density must be finite" in err
+            assert "configuration error" not in err
+
+    @pytest.mark.parametrize("command", ["single", "two-beam"])
+    def test_spin_choices_are_the_channels(self, command):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        spin = next(a for a in sub.choices[command]._actions if a.dest == "spin")
+        assert spin.choices == sorted(c.value for c in Channel) == ["flip", "no-flip", "sum"]
 
     @pytest.mark.parametrize("command", ["compare", "zeros"])
     def test_json_only_commands_take_no_format(self, capsys, command):

@@ -4,44 +4,28 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wirediff.electron import (
-    FLIP,
-    NO_FLIP,
-    Spin,
-    SpinChannel,
-    dsigma_dtheta_full,
-    dsigma_dtheta_low_energy,
-    pattern_single,
-    spinor_element,
-)
+from wirediff.electron import Channel, dsigma_dtheta, pattern_single, spinor_element
 from wirediff.patterns import Normalization, Pattern, default_grid
 from wirediff.potential import BeamParams, WirePotential, momentum_transfer_single
 
-from conftest import two_j1_over_x
-
-
-class TestSpinChannel:
-    def test_classification(self):
-        assert not NO_FLIP.is_flip
-        assert FLIP.is_flip
-        assert SpinChannel(Spin.DOWN, Spin.UP).is_flip
+from conftest import beam_and_wire, two_j1_over_x
 
 
 class TestSpinorElement:
     def test_flip_vanishes_forward(self, beam):
-        assert spinor_element(beam, 0.0, FLIP) == 0.0
+        assert spinor_element(beam, 0.0, Channel.FLIP) == 0.0
 
     def test_no_flip_static_limit(self):
         # p -> 0: element tends to E + mc^2 = 2 mc^2
         beam = BeamParams(momentum=1e-3, mass_ev=510998.95)
-        assert spinor_element(beam, 0.3, NO_FLIP) == pytest.approx(
+        assert spinor_element(beam, 0.3, Channel.NO_FLIP) == pytest.approx(
             2.0 * beam.mass_ev, rel=1e-9
         )
 
     def test_flip_to_no_flip_ratio_negligible_at_optical_momentum(self, beam):
         # ratio ~ (pc)^2 sin(theta) / (E + mc^2)^2 ~ 3.7e-12 at theta = pi/2
-        ratio = spinor_element(beam, math.pi / 2, FLIP) / spinor_element(
-            beam, math.pi / 2, NO_FLIP
+        ratio = spinor_element(beam, math.pi / 2, Channel.FLIP) / spinor_element(
+            beam, math.pi / 2, Channel.NO_FLIP
         )
         assert ratio == pytest.approx(3.7e-12, rel=0.05)
 
@@ -49,10 +33,10 @@ class TestSpinorElement:
         theta = 0.7
         pc = beam.pc_ev
         e_plus_m = beam.energy_ev + beam.mass_ev
-        assert spinor_element(beam, theta, FLIP) == pytest.approx(
+        assert spinor_element(beam, theta, Channel.FLIP) == pytest.approx(
             pc * pc * math.sin(theta) / e_plus_m, rel=1e-15
         )
-        assert spinor_element(beam, theta, NO_FLIP) == pytest.approx(
+        assert spinor_element(beam, theta, Channel.NO_FLIP) == pytest.approx(
             (e_plus_m**2 + pc * pc * math.cos(theta)) / e_plus_m, rel=1e-15
         )
 
@@ -60,8 +44,8 @@ class TestSpinorElement:
 class TestDensities:
     def test_forward_maximum_no_flip(self, beam, wire):
         # theta = 0: spinor and form factor both maximal
-        value = dsigma_dtheta_full(beam, wire, 0.0, NO_FLIP)
-        near = dsigma_dtheta_full(beam, wire, 0.01, NO_FLIP)
+        value = dsigma_dtheta(beam, wire, 0.0, "full", Channel.NO_FLIP)
+        near = dsigma_dtheta(beam, wire, 0.01, "full", Channel.NO_FLIP)
         assert value > near
         assert value == pytest.approx((2.0 * beam.mass_ev) ** 2, rel=1e-10)
 
@@ -69,42 +53,41 @@ class TestDensities:
         self, beam, wire, p_radius, j1_zeros_oracle
     ):
         theta = 2.0 * math.asin(j1_zeros_oracle[0] / (2.0 * p_radius))
-        for channel in (NO_FLIP, FLIP):
-            assert dsigma_dtheta_full(beam, wire, theta, channel) < 1e-20
+        for channel in (Channel.NO_FLIP, Channel.FLIP):
+            assert dsigma_dtheta(beam, wire, theta, "full", channel) < 1e-20
 
     def test_flip_weight_negligible(self, beam, wire):
         thetas = default_grid()
-        flip = np.array([dsigma_dtheta_full(beam, wire, float(t), FLIP) for t in thetas])
-        noflip = np.array([dsigma_dtheta_full(beam, wire, float(t), NO_FLIP) for t in thetas])
+        flip, noflip = (np.array([dsigma_dtheta(beam, wire, float(t), "full", c) for t in thetas])
+                        for c in (Channel.FLIP, Channel.NO_FLIP))
         ratio = np.trapezoid(flip, thetas) / np.trapezoid(noflip, thetas)
         assert ratio < 1e-20
 
     def test_spin_summed_is_sum(self, beam, wire):
         theta = 0.04
-        assert dsigma_dtheta_full(beam, wire, theta, None) == pytest.approx(
-            dsigma_dtheta_full(beam, wire, theta, NO_FLIP)
-            + dsigma_dtheta_full(beam, wire, theta, FLIP),
+        assert dsigma_dtheta(beam, wire, theta, "full", Channel.SUM) == pytest.approx(
+            dsigma_dtheta(beam, wire, theta, "full", Channel.NO_FLIP)
+            + dsigma_dtheta(beam, wire, theta, "full", Channel.FLIP),
             rel=1e-15,
         )
 
     def test_low_energy_forward_value(self, p_radius):
-        assert dsigma_dtheta_low_energy(p_radius, 0.0) == 1.0
+        assert dsigma_dtheta(*beam_and_wire(p_radius), 0.0) == 1.0
 
     def test_low_energy_first_zero_location(self, p_radius, j1_zeros_oracle):
         theta = 2.0 * math.asin(j1_zeros_oracle[0] / (2.0 * p_radius))
         assert theta == pytest.approx(0.045420, abs=1e-5)
-        assert dsigma_dtheta_low_energy(p_radius, theta) < 1e-20
+        assert dsigma_dtheta(*beam_and_wire(p_radius), theta) < 1e-20
 
     @given(st.floats(min_value=-1.5, max_value=1.5))
     def test_low_energy_even(self, theta):
-        assert dsigma_dtheta_low_energy(84.37, theta) == dsigma_dtheta_low_energy(
-            84.37, -theta
-        )
+        beam, wire = beam_and_wire(84.37)
+        assert dsigma_dtheta(beam, wire, theta) == dsigma_dtheta(beam, wire, -theta)
 
     def test_low_energy_matches_oracle_value(self, p_radius):
         theta = 0.03
         x = 2.0 * p_radius * math.sin(0.5 * theta)
-        assert dsigma_dtheta_low_energy(p_radius, theta) == pytest.approx(
+        assert dsigma_dtheta(*beam_and_wire(p_radius), theta) == pytest.approx(
             two_j1_over_x(x) ** 2, abs=1e-12
         )
 
@@ -143,7 +126,7 @@ class TestPatternSingle:
 
     def test_full_no_flip_matches_low_energy_shape(self, beam, wire):
         # peak-normalized full (no-flip) and low-energy patterns coincide
-        full = pattern_single(beam, wire, mode="full", channel=NO_FLIP,
+        full = pattern_single(beam, wire, mode="full", channel=Channel.NO_FLIP,
                               normalization=Normalization.PEAK_ONE)
         low = pattern_single(beam, wire, mode="low-energy",
                              normalization=Normalization.PEAK_ONE)
@@ -171,7 +154,7 @@ class TestPatternSingle:
     def test_low_energy_flip_rejected(self, beam, wire):
         # its flip element vanishes; the no-flip density must not go out as "flip"
         with pytest.raises(ValueError, match="no flip channel"):
-            pattern_single(beam, wire, mode="low-energy", channel=FLIP)
+            pattern_single(beam, wire, mode="low-energy", channel=Channel.FLIP)
 
     def test_area_matched_rejected(self, beam, wire):
         # raw data labelled area_matched would carry no area_match_scale;

@@ -4,18 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wirediff import twobeam
 from wirediff.analysis import first_dark_angle, first_dark_points, match_areas
 from wirediff.classical import ClassicalConfig, fraunhofer_single, pattern_classical
-from wirediff.electron import (
-    FLIP,
-    NO_FLIP,
-    dsigma_dtheta_full,
-    dsigma_dtheta_low_energy,
-    pattern_single,
-)
+from wirediff.electron import Channel, dsigma_dtheta, pattern_single
 from wirediff.potential import BeamParams, WirePotential
-from wirediff.twobeam import TwoBeamConfig, pattern_two_beam
+from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam, pattern_two_beam
 
 # pR 84.4 on +-0.6 rad reaches qR ~ 50: both J1 branches are sampled
 THETAS = np.linspace(-0.6, 0.6, 801)
@@ -34,21 +27,24 @@ class TestBuildersMatchScalarDensities:
     # every pattern builder evaluates its density on the whole grid at once;
     # each sample must equal the per-point scalar density bit for bit
     @pytest.mark.parametrize("mode, channel, scalar", [
-        ("low-energy", NO_FLIP, lambda t: dsigma_dtheta_low_energy(PR, t)),
-        ("full", NO_FLIP, lambda t: dsigma_dtheta_full(BEAM, WIRE, t, NO_FLIP)),
-        ("full", FLIP, lambda t: dsigma_dtheta_full(BEAM, WIRE, t, FLIP)),
-        ("full", None, lambda t: dsigma_dtheta_full(BEAM, WIRE, t, None)),
+        ("low-energy", Channel.NO_FLIP, lambda t: dsigma_dtheta(BEAM, WIRE, t)),
+        ("full", Channel.NO_FLIP, lambda t: dsigma_dtheta(BEAM, WIRE, t, "full", Channel.NO_FLIP)),
+        ("full", Channel.FLIP, lambda t: dsigma_dtheta(BEAM, WIRE, t, "full", Channel.FLIP)),
+        ("full", Channel.SUM, lambda t: dsigma_dtheta(BEAM, WIRE, t, "full", Channel.SUM)),
     ], ids=["low-energy", "no-flip", "flip", "sum"])
     def test_single_beam(self, mode, channel, scalar):
         pattern = pattern_single(BEAM, WIRE, THETAS, mode=mode, channel=channel)
         assert pattern.density.tobytes() == per_point(scalar).tobytes()
 
     @pytest.mark.parametrize("mode, channel, scalar", [
-        ("low-energy", NO_FLIP, lambda t: twobeam.dsigma_dtheta_low_energy(PR, CFG, t)),
-        ("full", NO_FLIP, lambda t: twobeam.dsigma_dtheta_full(BEAM, WIRE, CFG, t, NO_FLIP)),
-        ("full", FLIP, lambda t: twobeam.dsigma_dtheta_full(BEAM, WIRE, CFG, t, FLIP)),
-        ("full", None, lambda t: (twobeam.dsigma_dtheta_full(BEAM, WIRE, CFG, t, NO_FLIP)
-                                  + twobeam.dsigma_dtheta_full(BEAM, WIRE, CFG, t, FLIP))),
+        ("low-energy", Channel.NO_FLIP, lambda t: dsigma_dtheta_two_beam(BEAM, WIRE, CFG, t)),
+        ("full", Channel.NO_FLIP,
+         lambda t: dsigma_dtheta_two_beam(BEAM, WIRE, CFG, t, "full", Channel.NO_FLIP)),
+        ("full", Channel.FLIP,
+         lambda t: dsigma_dtheta_two_beam(BEAM, WIRE, CFG, t, "full", Channel.FLIP)),
+        ("full", Channel.SUM,
+         lambda t: (dsigma_dtheta_two_beam(BEAM, WIRE, CFG, t, "full", Channel.NO_FLIP)
+                    + dsigma_dtheta_two_beam(BEAM, WIRE, CFG, t, "full", Channel.FLIP))),
     ], ids=["low-energy", "no-flip", "flip", "sum"])
     def test_two_beam(self, mode, channel, scalar):
         pattern = pattern_two_beam(BEAM, WIRE, CFG, THETAS, mode=mode, channel=channel)

@@ -4,36 +4,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wirediff.electron import FLIP, NO_FLIP, dsigma_dtheta_full as single_full
+from wirediff.electron import Channel, dsigma_dtheta
 from wirediff.numerics import disk_amplitude
 from wirediff.patterns import Normalization, Pattern
 from wirediff.twobeam import (
     ScanResult,
     TwoBeamConfig,
-    dsigma_dtheta_full,
-    dsigma_dtheta_low_energy,
+    dsigma_dtheta_two_beam,
     pattern_two_beam,
     phi_theta_scan,
 )
 
-from conftest import two_j1_over_x
+from conftest import beam_and_wire, two_j1_over_x
 
 PR = 84.37136668408607
+BEAM_PR, WIRE_PR = beam_and_wire(PR)
 TAU = 2.0 * math.pi
 
 
 class TestLowEnergyDensity:
     def test_degenerate_intersection_quadruples_single_beam(self):
-        from wirediff.electron import dsigma_dtheta_low_energy as single_low
-
         cfg = TwoBeamConfig(alpha=0.0, phi=0.0)
         for theta in (0.0, 0.01, 0.045, 0.1):
-            assert dsigma_dtheta_low_energy(PR, cfg, theta) == pytest.approx(
-                4.0 * single_low(PR, theta), rel=1e-12
+            assert dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, cfg, theta) == pytest.approx(
+                4.0 * dsigma_dtheta(BEAM_PR, WIRE_PR, theta), rel=1e-12
             )
 
     def test_destructive_center(self):
-        assert dsigma_dtheta_low_energy(PR, TwoBeamConfig(0.1, math.pi), 0.0) \
+        assert dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(0.1, math.pi), 0.0) \
             == pytest.approx(0.0, abs=1e-25)
 
     def test_forward_value_default_two_beam_configuration(self):
@@ -41,7 +39,7 @@ class TestLowEnergyDensity:
         # q0 R = 2 pR sin(alpha/4); checked against the Bessel oracle
         q0_r = 2.0 * PR * math.sin(0.025)
         expected = 4.0 * two_j1_over_x(q0_r) ** 2
-        got = dsigma_dtheta_low_energy(PR, TwoBeamConfig(0.1, 0.0), 0.0)
+        got = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(0.1, 0.0), 0.0)
         assert got == pytest.approx(expected, rel=1e-10)
 
     @given(
@@ -51,27 +49,27 @@ class TestLowEnergyDensity:
         st.floats(min_value=-0.7, max_value=0.7),
     )
     def test_non_negative(self, p_radius, alpha, phi, theta):
-        value = dsigma_dtheta_low_energy(p_radius, TwoBeamConfig(alpha, phi), theta)
+        value = dsigma_dtheta_two_beam(*beam_and_wire(p_radius), TwoBeamConfig(alpha, phi), theta)
         assert value >= 0.0
 
     @given(st.floats(min_value=-0.5, max_value=0.5),
            st.floats(min_value=-8.0, max_value=8.0))
     def test_even_in_theta(self, theta, phi):
         cfg = TwoBeamConfig(0.1, phi)
-        a = dsigma_dtheta_low_energy(PR, cfg, theta)
-        b = dsigma_dtheta_low_energy(PR, cfg, -theta)
+        a = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, cfg, theta)
+        b = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, cfg, -theta)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
     def test_phase_periodicity_exact(self):
         # 2*pi periodicity is exact when phi + 2*pi is itself exact
         for phi in (0.0, 0.5, 1.0, -0.5, 1.5):
-            a = dsigma_dtheta_low_energy(PR, TwoBeamConfig(0.1, phi), 0.013)
-            b = dsigma_dtheta_low_energy(PR, TwoBeamConfig(0.1, phi + TAU), 0.013)
+            a = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(0.1, phi), 0.013)
+            b = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(0.1, phi + TAU), 0.013)
             assert a == b
 
     def test_zero_vs_two_pi_identical(self):
-        a = dsigma_dtheta_low_energy(PR, TwoBeamConfig(0.1, 0.0), 0.02)
-        b = dsigma_dtheta_low_energy(PR, TwoBeamConfig(0.1, TAU), 0.02)
+        a = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(0.1, 0.0), 0.02)
+        b = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(0.1, TAU), 0.02)
         assert a == b
 
     @given(st.floats(min_value=-7.0, max_value=7.0),
@@ -82,7 +80,7 @@ class TestLowEnergyDensity:
         s_plus = PR * math.sin(0.5 * theta + 0.025)
         f_minus = disk_amplitude(2.0 * s_minus)
         f_plus = disk_amplitude(2.0 * s_plus)
-        density = dsigma_dtheta_low_energy(PR, cfg, theta)
+        density = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, cfg, theta)
         bound = 2.0 * abs(f_minus * f_plus) + 1e-12
         assert abs(density - (f_minus**2 + f_plus**2)) <= bound
 
@@ -92,9 +90,9 @@ class TestFullEnergyDensity:
         thetas = np.linspace(-0.15, 0.15, 401)
         for phi in (0.0, 1.0, math.pi):
             cfg = TwoBeamConfig(0.1, phi)
-            p_radius = beam.momentum * wire.radius
-            full = np.array([dsigma_dtheta_full(beam, wire, cfg, float(t)) for t in thetas])
-            low = np.array([dsigma_dtheta_low_energy(p_radius, cfg, float(t)) for t in thetas])
+            full = np.array([dsigma_dtheta_two_beam(beam, wire, cfg, float(t), "full")
+                             for t in thetas])
+            low = np.array([dsigma_dtheta_two_beam(beam, wire, cfg, float(t)) for t in thetas])
             full /= np.max(full)
             low /= np.max(low)
             assert float(np.max(np.abs(full - low))) <= 1e-8
@@ -104,19 +102,20 @@ class TestFullEnergyDensity:
         for phi in (0.0, 0.7, 2.0):
             cfg = TwoBeamConfig(0.0, phi)
             theta = 0.03
-            expected = single_full(beam, wire, theta, NO_FLIP) * (2.0 + 2.0 * math.cos(phi))
-            got = dsigma_dtheta_full(beam, wire, cfg, theta, NO_FLIP)
+            expected = (dsigma_dtheta(beam, wire, theta, "full", Channel.NO_FLIP)
+                        * (2.0 + 2.0 * math.cos(phi)))
+            got = dsigma_dtheta_two_beam(beam, wire, cfg, theta, "full", Channel.NO_FLIP)
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_phase_periodicity(self, beam, wire):
         cfg_a = TwoBeamConfig(0.1, 0.0)
         cfg_b = TwoBeamConfig(0.1, TAU)
-        assert dsigma_dtheta_full(beam, wire, cfg_a, 0.02) == dsigma_dtheta_full(
-            beam, wire, cfg_b, 0.02
-        )
+        assert dsigma_dtheta_two_beam(beam, wire, cfg_a, 0.02, "full") \
+            == dsigma_dtheta_two_beam(beam, wire, cfg_b, 0.02, "full")
 
     def test_flip_channel_supported(self, beam, wire):
-        value = dsigma_dtheta_full(beam, wire, TwoBeamConfig(0.1, 0.0), 0.05, FLIP)
+        value = dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(0.1, 0.0), 0.05, "full",
+                                       Channel.FLIP)
         assert value >= 0.0
 
 
@@ -180,7 +179,8 @@ class TestPatternTwoBeam:
         cfg = TwoBeamConfig(0.1, 0.8)
         pattern = pattern_two_beam(beam, wire, cfg, self.THETAS)
         assert isinstance(pattern, Pattern)
-        expected = [dsigma_dtheta_low_energy(p_radius, cfg, float(t)) for t in self.THETAS]
+        expected = [dsigma_dtheta_two_beam(*beam_and_wire(p_radius), cfg, float(t))
+                    for t in self.THETAS]
         assert np.array_equal(pattern.density, expected)
         assert pattern.normalization is Normalization.RAW
         assert pattern.metadata["kind"] == "two-beam"
@@ -188,19 +188,20 @@ class TestPatternTwoBeam:
         assert pattern.metadata["alpha"] == 0.1
         assert pattern.metadata["phi"] == 0.8
 
-    @pytest.mark.parametrize("channel", [NO_FLIP, FLIP])
+    @pytest.mark.parametrize("channel", [Channel.NO_FLIP, Channel.FLIP])
     def test_full_mode_matches_density(self, beam, wire, channel):
         cfg = TwoBeamConfig(0.1, 2.0)
         pattern = pattern_two_beam(beam, wire, cfg, self.THETAS, mode="full", channel=channel)
-        expected = [dsigma_dtheta_full(beam, wire, cfg, float(t), channel) for t in self.THETAS]
+        expected = [dsigma_dtheta_two_beam(beam, wire, cfg, float(t), "full", channel)
+                    for t in self.THETAS]
         assert np.array_equal(pattern.density, expected)
-        assert pattern.metadata["channel"] == ("flip" if channel.is_flip else "no-flip")
+        assert pattern.metadata["channel"] == channel.value
 
     def test_spin_sum_is_flip_plus_no_flip(self, beam, wire):
         cfg = TwoBeamConfig(0.1, 0.4)
         summed, flip, no_flip = (
             pattern_two_beam(beam, wire, cfg, self.THETAS, mode="full", channel=c).density
-            for c in (None, FLIP, NO_FLIP)
+            for c in (Channel.SUM, Channel.FLIP, Channel.NO_FLIP)
         )
         assert np.array_equal(summed, no_flip + flip)
 
@@ -208,11 +209,11 @@ class TestPatternTwoBeam:
         # the flip element vanishes in this limit: no-flip and the spin sum
         # are the same density, and a flip pattern is refused, not relabelled
         cfg = TwoBeamConfig(0.1, 0.4)
-        a = pattern_two_beam(beam, wire, cfg, self.THETAS, channel=NO_FLIP)
-        b = pattern_two_beam(beam, wire, cfg, self.THETAS, channel=None)
+        a = pattern_two_beam(beam, wire, cfg, self.THETAS, channel=Channel.NO_FLIP)
+        b = pattern_two_beam(beam, wire, cfg, self.THETAS, channel=Channel.SUM)
         assert np.array_equal(a.density, b.density)
         with pytest.raises(ValueError, match="no flip channel"):
-            pattern_two_beam(beam, wire, cfg, self.THETAS, channel=FLIP)
+            pattern_two_beam(beam, wire, cfg, self.THETAS, channel=Channel.FLIP)
 
     def test_normalizations(self, beam, wire):
         cfg = TwoBeamConfig(0.1, 0.0)
