@@ -547,21 +547,21 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "b96abf91bfb62c1116f5ae79690f72e0f0ce493e28f7ae8516f45754710ed477"),
+             "0e6759ac539b95623dd7372b0de771c5f70760ba4b63b0aeb0b0d62337804fe8"),
             (("two-beam",),
-             "69db8b6033b7e2951a046b3d12ec233e951d6a297b5232d2b177d28bb7d9533b"),
+             "cd35ae9155771a1f19be8a2b7f9d72c41153026ea5ae56a9a74054b285c18b7e"),
             (("scan",),
-             "e8507d7f9531d973a4edf8f8c058ae0125773d82900dafc541841b2538cb0de3"),
+             "91ade8bfaaba07d4e7cb58e51572c5e7ac59017c94f2f08738fb0c6f76a93043"),
             (("compare",),
-             "f5a9b2fc2b6c828ac27b25c1270a21102d8d5560f656e49418fa2079c9a4a1cf"),
+             "4b6e8ed4284eff7ccc0232c7fc9c4aa995ca680df839a97b5e1e34d1640eb7f8"),
             (("zeros",),
-             "11b1b737c3629a2ae3561a2d0ddb3e1dbc4329e1cd5d66067773a0d069a43991"),
+             "a794efcbaedc8cc7fcfc6fe7b52510bd0c35e737a466aa8891600ab36d6cdef9"),
             (("zeros", "--n", "3"),
-             "fd4022228566dfe510c4dbbaf0c3889398fb34894d6ae31006b8775ac3b4a297"),
+             "a4fff1a3e56b844b49340302ced0ff7b164c85cde9c80e976a4ebf1b49f40d37"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "24ccbcabfdf9a148580af481788f3ae295791faa64e89c53058fb846ff4ceaab"),
+             "ab05640fea05c9a8d16c54c238cf0279e31182069d5bb55a9d7b9e120eec5628"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "450bd08d79c5a99cda1e7242ec630d4138d6ed8d87c554684a3998eed907af6b"),
+             "1b45737087881cb3ece64108e741435afe867c4e09c22ee1ccbebb53d6155162"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm"],
