@@ -6,13 +6,12 @@ the classical Fraunhofer comparator, for single-beam and interfering
 two-beam configurations, plus the derived radius-overestimation analysis.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .analysis import (
     CurveComparison,
     ZeroReport,
     compare_curves,
-    first_dark_angle,
     first_dark_points,
     match_areas,
     overestimation_factor,
@@ -57,7 +56,6 @@ __all__ = [
     "dsigma_dtheta",
     "dsigma_dtheta_two_beam",
     "find_zero",
-    "first_dark_angle",
     "first_dark_points",
     "fraunhofer_single",
     "fraunhofer_two_beam",

@@ -91,64 +91,22 @@ def match_areas(reference: Pattern, target: Pattern) -> Pattern:
                    Normalization.AREA_MATCHED, metadata)
 
 
-def first_dark_angle(pattern: Pattern) -> float | None:
-    """First theta > 0 where the sampled density touches (near) zero.
-
-    Finds the first interior local minimum below 1e-4 of the peak and
-    refines it with a parabolic fit through the three surrounding samples;
-    on these smooth curves that recovers the dark point to well below the
-    grid spacing.  Returns None when no dark minimum exists in the grid.
-    """
-    thetas = pattern.thetas
-    density = pattern.density
-    peak = float(np.max(density))
-    if peak <= 0.0:
-        return None
-    threshold = 1e-4 * peak
-    below, centre, above = density[:-2], density[1:-1], density[2:]
-    dark = np.flatnonzero((thetas[1:-1] > 0.0) & (centre <= below) & (centre <= above)
-                          & (centre <= threshold))
-    if not dark.size:
-        return None
-    i = int(dark[0]) + 1
-    d0, d1, d2 = density[i - 1], density[i], density[i + 1]
-    denom = d2 - 2.0 * d1 + d0
-    if denom <= 0.0:
-        return float(thetas[i])
-    h = 0.5 * (thetas[i + 1] - thetas[i - 1])
-    vertex = thetas[i] - 0.5 * h * (d2 - d0) / denom
-    return float(min(max(vertex, thetas[i - 1]), thetas[i + 1]))
-
-
 @dataclass(frozen=True)
 class CurveComparison:
     """Deterministic difference metrics between two patterns on one grid."""
 
     max_abs_diff: float
     l2_diff: float
-    first_zero_offset_rad: float | None
-    first_zero_a_rad: float | None
-    first_zero_b_rad: float | None
 
 
 def compare_curves(a: Pattern, b: Pattern) -> CurveComparison:
-    """Pointwise and dark-point comparison of two same-grid patterns.
+    """Pointwise comparison of two same-grid patterns.
 
-    ``l2_diff`` is the grid-native norm sqrt(trapz((a - b)^2 dtheta));
-    ``first_zero_offset_rad`` is (first dark angle of a) - (of b), None when
-    either curve has no dark point on the grid.
+    ``l2_diff`` is the grid-native norm sqrt(trapz((a - b)^2 dtheta)).
     """
     if not np.array_equal(a.thetas, b.thetas):
         raise DomainError("compare_curves: patterns must share the same theta grid")
     diff = a.density - b.density
     max_abs = float(np.max(np.abs(diff))) if diff.size else 0.0
     l2 = math.sqrt(max(grid_area(a.thetas, diff * diff), 0.0))
-    zero_a = first_dark_angle(a)
-    zero_b = first_dark_angle(b)
-    return CurveComparison(
-        max_abs_diff=max_abs,
-        l2_diff=l2,
-        first_zero_offset_rad=None if zero_a is None or zero_b is None else zero_a - zero_b,
-        first_zero_a_rad=zero_a,
-        first_zero_b_rad=zero_b,
-    )
+    return CurveComparison(max_abs_diff=max_abs, l2_diff=l2)

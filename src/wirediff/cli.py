@@ -34,16 +34,12 @@ from .patterns import Normalization
 from .potential import BeamParams, WirePotential, ELECTRON_MASS_EV
 from .twobeam import TwoBeamConfig, pattern_two_beam, phi_theta_scan
 
-_NORMALIZATIONS = {
-    "raw": Normalization.RAW,
-    "peak-one": Normalization.PEAK_ONE,
-    "unit-area": Normalization.UNIT_AREA,
-}
-
-# Fewest grid samples per classical fringe pi / (scale * pR) for which
-# ``first_dark_angle`` still finds the first dark point of both compared
-# curves: a zero halfway between two samples then leaves the nearer sample
-# at sinc^2(pi + pi/100) < 1e-4 of the peak, the detection threshold.
+# Fewest grid samples per fringe pi / (max(1, scale) * pR) for compare, whose
+# only grid-dependent numbers are trapezoid integrals (match_areas, l2_diff):
+# from this floor up, the trapezoid area of the quantum and the classical
+# curve stays within 2e-4 relative of a 64x finer grid on windows of 0.5 to
+# 10 fringes a side (property-tested; worst case ~1.4e-4, at a window edge
+# half a fringe out).
 _MIN_SAMPLES_PER_FRINGE = 50
 
 # Most grid values one command may compute and print (phi_points *
@@ -77,6 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"wirediff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the builders' normalizations; area-matched labels only match_areas' output
+    normalizations = sorted(n.value for n in Normalization if n is not Normalization.AREA_MATCHED)
 
     def add_common(p: argparse.ArgumentParser, grid: bool = True) -> None:
         p.add_argument("--wavelength-nm", type=float, default=633.0,
@@ -104,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="low-energy (default) or full")
     p_single.add_argument("--spin", choices=sorted(c.value for c in Channel), default="no-flip",
                           help="spin channel (default no-flip); flip needs --mode full")
-    p_single.add_argument("--normalization", choices=sorted(_NORMALIZATIONS), default="raw")
+    p_single.add_argument("--normalization", choices=normalizations, default="raw")
     p_single.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_two = sub.add_parser("two-beam", help="two-beam interference-plus-diffraction distribution")
@@ -115,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="interference phase in rad (default 0)")
     p_two.add_argument("--mode", choices=["low-energy", "full"], default="low-energy")
     p_two.add_argument("--spin", choices=sorted(c.value for c in Channel), default="no-flip")
-    p_two.add_argument("--normalization", choices=sorted(_NORMALIZATIONS), default="raw")
+    p_two.add_argument("--normalization", choices=normalizations, default="raw")
     p_two.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_scan = sub.add_parser("scan", help="low-energy two-beam density over a (phi, theta) grid")
@@ -231,7 +229,7 @@ def _pattern_command(args, build) -> str:
     thetas, = _resolve_grids(args, "theta")
     pattern = build(beam, wire, thetas=thetas, mode=args.mode,
                     channel=Channel(args.spin),
-                    normalization=_NORMALIZATIONS[args.normalization])
+                    normalization=Normalization(args.normalization))
     _warn_if_aliased(thetas, beam.momentum * wire.radius)
     config = _base_config(args)
     if args.format == "json":
@@ -274,15 +272,17 @@ def _cmd_compare(args) -> str:
             f"the theta grid has {per_fringe:.3g} samples per fringe of {fringe:.3g} rad "
             f"(pi / (max(1, radius scale) * pR)); compare needs at least "
             f"{_MIN_SAMPLES_PER_FRINGE}: raise --theta-points or narrow the theta range")
+    # exact dark points, inside the theta window or not; none in (0, pi/2) is a DomainError
+    zero_quantum = float(first_dark_points(p_radius, "quantum").zeros[0])
+    zero_classical = float(first_dark_points(cfg.radius_scale * p_radius, "classical").zeros[0])
     quantum = pattern_single(beam, wire, thetas, mode="low-energy")
     comparison = compare_curves(quantum, match_areas(quantum, pattern_classical(cfg, thetas)))
-    # a missing dark point, and the offset to it, serialize as null
     data = {
         "max_abs_diff": comparison.max_abs_diff,
         "l2_diff": comparison.l2_diff,
-        "first_zero_offset_rad": comparison.first_zero_offset_rad,
-        "first_zero_quantum_rad": comparison.first_zero_a_rad,
-        "first_zero_classical_rad": comparison.first_zero_b_rad,
+        "first_zero_offset_rad": zero_quantum - zero_classical,
+        "first_zero_quantum_rad": zero_quantum,
+        "first_zero_classical_rad": zero_classical,
     }
     config = _base_config(args)
     return _json_doc(config, data)

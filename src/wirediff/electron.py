@@ -16,20 +16,19 @@ normalization volume: only normalized shapes are compared.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import partial
 
 import numpy as np
 
 from .numerics import DomainError, disk_amplitude
-from .patterns import Normalization, Pattern, sample_pattern
+from .patterns import Normalization, Pattern, Spelling, sample_pattern
 from .potential import BeamParams, WirePotential, momentum_transfer_single
 
 # largest pc and mc^2 [eV]: (E + mc^2)^2 <= 5.8e300, so no density overflows
 _MAX_SPINOR_EV = 1e150
 
 
-class Channel(str, Enum):
+class Channel(Spelling):
     """Final-spin channel of a density; SUM adds the no-flip and flip densities."""
 
     NO_FLIP = "no-flip"

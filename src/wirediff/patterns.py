@@ -11,11 +11,22 @@ import numpy as np
 from .numerics import DomainError
 
 
-class Normalization(str, Enum):
+class Spelling(str, Enum):
+    """A str enum whose lookup of an unknown spelling raises DomainError."""
+
+    @classmethod
+    def _missing_(cls, value):
+        expected = ", ".join(repr(member.value) for member in cls)
+        raise DomainError(f"unknown {cls.__name__} {value!r}; expected one of {expected}")
+
+
+class Normalization(Spelling):
+    """How a pattern's density is scaled; the values are the CLI's spellings."""
+
     RAW = "raw"
-    PEAK_ONE = "peak_one"
-    UNIT_AREA = "unit_area"
-    AREA_MATCHED = "area_matched"
+    PEAK_ONE = "peak-one"
+    UNIT_AREA = "unit-area"
+    AREA_MATCHED = "area-matched"
 
 
 def default_grid() -> np.ndarray:
@@ -53,7 +64,7 @@ def normalize_density(thetas: np.ndarray, density: np.ndarray,
     """
     normalization = Normalization(normalization)
     if normalization is Normalization.AREA_MATCHED:
-        raise DomainError("area_matched needs a reference curve: use analysis.match_areas")
+        raise DomainError("area-matched needs a reference curve: use analysis.match_areas")
     if normalization is Normalization.RAW:
         return np.asarray(density, dtype=float)
     if normalization is Normalization.PEAK_ONE:

@@ -9,7 +9,6 @@ from wirediff.analysis import (
     CurveComparison,
     ZeroReport,
     compare_curves,
-    first_dark_angle,
     first_dark_points,
     match_areas,
     overestimation_factor,
@@ -213,60 +212,21 @@ class TestCompareCurves:
     def test_identical_curves_give_zero_metrics(self):
         quantum, _ = self._default_comparison_curves()
         result = compare_curves(quantum, quantum)
-        assert result.max_abs_diff == 0.0
-        assert result.l2_diff == 0.0
-        assert result.first_zero_offset_rad == 0.0
-
-    def test_first_zero_offset_matches_dark_points(self):
-        quantum, matched = self._default_comparison_curves()
-        result = compare_curves(quantum, matched)
-        expected = (
-            first_dark_points(PR, "quantum", 1).zeros[0]
-            - first_dark_points(PR, "classical", 1).zeros[0]
-        )
-        assert expected == pytest.approx(0.008173, abs=1e-5)
-        assert result.first_zero_offset_rad == pytest.approx(expected, abs=5e-6)
+        assert result == CurveComparison(max_abs_diff=0.0, l2_diff=0.0)
 
     def test_rescaled_classical_aligns_first_zeros(self):
-        # aligning direction of the multiplier convention: 1/factor
+        # aligning direction of the multiplier convention: 1/factor moves the
+        # classical dark point onto the quantum one, and the curves closer
         factor = overestimation_factor(PR)
         quantum, matched = self._default_comparison_curves(radius_scale=1.0 / factor)
-        result = compare_curves(quantum, matched)
-        assert abs(result.first_zero_offset_rad) < 1e-4
+        offset = (first_dark_points(PR, "quantum").zeros[0]
+                  - first_dark_points(PR / factor, "classical").zeros[0])
+        assert abs(offset) < 1e-4
+        assert compare_curves(quantum, matched).l2_diff < compare_curves(
+            *self._default_comparison_curves()).l2_diff
 
     def test_grid_mismatch_rejected(self):
         quantum, _ = self._default_comparison_curves()
         other = Pattern(np.linspace(-0.1, 0.1, 2001), np.ones(2001))
         with pytest.raises(ValueError):
             compare_curves(quantum, other)
-
-    @pytest.mark.parametrize("theta_max, classical_zero", [(0.03, False), (0.04, True)])
-    def test_offset_is_none_without_both_dark_points(self, theta_max, classical_zero):
-        # the dark points sit at 0.0454 (quantum) and 0.0372 rad (classical):
-        # +-0.03 holds neither, +-0.04 only the classical one
-        thetas = np.linspace(-theta_max, theta_max, 2001)
-        quantum = pattern_single(BeamParams.from_wavelength_nm(633.0),
-                                 WirePotential.from_diameter_um(17.0), thetas)
-        classical = pattern_classical(ClassicalConfig(PR), thetas)
-        result = compare_curves(quantum, match_areas(quantum, classical))
-        assert result.first_zero_a_rad is None
-        assert (result.first_zero_b_rad is not None) == classical_zero
-        assert result.first_zero_offset_rad is None
-
-
-class TestFirstDarkAngle:
-    def test_refined_location_close_to_true_zero(self):
-        thetas = np.linspace(-0.15, 0.15, 2001)
-        quantum = pattern_single(
-            BeamParams.from_wavelength_nm(633.0),
-            WirePotential.from_diameter_um(17.0),
-            thetas,
-        )
-        located = first_dark_angle(quantum)
-        true_zero = first_dark_points(PR, "quantum", 1).zeros[0]
-        assert located == pytest.approx(true_zero, abs=5e-6)
-
-    def test_no_dark_point_returns_none(self):
-        thetas = np.linspace(-0.01, 0.01, 101)
-        flat = Pattern(thetas, np.ones(101))
-        assert first_dark_angle(flat) is None

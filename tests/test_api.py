@@ -12,20 +12,20 @@ import wirediff
 from wirediff import (BeamParams, Channel, ClassicalConfig, DomainError, Normalization, Pattern,
                       TwoBeamConfig, WirePotential, compare_curves, disk_amplitude, find_zero,
                       first_dark_points, fraunhofer_single, match_areas, momentum_transfer_single,
-                      sinc, spinor_element, validate_grid)
+                      pattern_single, sinc, spinor_element, validate_grid)
 from wirediff.electron import spinor_factors
 from wirediff.patterns import normalize_density
 
-# public names deleted in 0.2.0 to 0.5.0, each a second path to a quantity
+# public names deleted in 0.2.0 to 0.6.0, each a second path to a quantity
 # that keeps one, a test oracle now in tests/oracles.py, an input-error type
-# that DomainError replaces, or a spelling of the spin channel that Channel
-# replaces
+# that DomainError replaces, a spelling of the spin channel that Channel
+# replaces, or the grid dark-point search that first_dark_points replaces
 REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_full_spin_summed", "hyp0f1_reg2", "hyp0f1_reg2_series",
            "bessel_j1", "disk_ft_oracle", "AccuracyError", "BracketError", "RangeError",
            "ConfigError", "Spin", "SpinChannel", "NO_FLIP", "FLIP", "dsigma_dtheta_full",
            "dsigma_dtheta_low_energy", "dsigma_dtheta_two_beam_full",
-           "dsigma_dtheta_two_beam_low_energy")
+           "dsigma_dtheta_two_beam_low_energy", "first_dark_angle")
 
 
 class TestPublicSurface:
@@ -34,7 +34,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 34
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 33
 
     def test_disk_amplitude_is_the_exported_amplitude(self):
         from wirediff import numerics
@@ -97,6 +97,10 @@ _BAD_INPUTS = {
     "unknown mode": lambda: spinor_factors(BeamParams(1e7), "medium"),
     "low-energy flip": lambda: spinor_factors(BeamParams(1e7), "low-energy", Channel.FLIP),
     "area_matched": lambda: normalize_density(_GRID, np.ones(5), Normalization.AREA_MATCHED),
+    "unknown normalization": lambda: pattern_single(BeamParams(1e7), WirePotential(1e-5), _GRID,
+                                                    normalization="peak_one"),
+    "unknown channel": lambda: pattern_single(BeamParams(1e7), WirePotential(1e-5), _GRID,
+                                              channel="both"),
     "zero peak": lambda: normalize_density(_GRID, np.zeros(5), Normalization.PEAK_ONE),
     "zero area": lambda: normalize_density(_GRID, np.zeros(5), Normalization.UNIT_AREA),
     "dark-point p_radius": lambda: first_dark_points(math.inf, "quantum"),

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import reference_csv
+from wirediff.analysis import first_dark_points
 from wirediff.cli import _MAX_GRID_VALUES, _MAX_ZEROS, _csv, build_parser, main
 from wirediff.electron import Channel
+from wirediff.potential import BeamParams, WirePotential
 
 
 def run_cli(capsys, *argv):
@@ -119,13 +121,16 @@ class TestConfigErrors:
             # pc or mc^2 above 1e150 eV would overflow the spinor elements
             ("single", "--mode", "full", "--mass-ev", "1e200"),
             ("single", "--mode", "full", "--wavelength-nm", "1e-200"),
+            # pR = 0.53: (0, pi/2) holds no first dark point for compare to report
+            ("compare", "--wavelength-nm", "1e5"),
         ],
     )
     def test_semantic_errors_exit_2(self, capsys, argv):
         # the suite turns RuntimeWarning into an error, so a non-finite grid
         # edge must be rejected before np.linspace multiplies by it
-        code, _, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
+        assert out == ""
         assert "configuration error" in err
 
     @pytest.mark.parametrize(
@@ -413,16 +418,27 @@ class TestCompareCommand:
         assert out == ""
         assert f"{per_fringe} samples per fringe" in err
 
-    @pytest.mark.parametrize("theta_max, classical_zero", [("0.03", False), ("0.04", True)])
-    def test_offset_is_null_without_both_dark_points(self, capsys, theta_max, classical_zero):
-        # +-0.03 rad holds neither first dark point, +-0.04 only the classical one
-        code, out, _ = run_cli(capsys, "compare", f"--theta-min=-{theta_max}",
-                               "--theta-max", theta_max)
+    @pytest.mark.parametrize("argv", [(), ("--theta-points", "501"), ("--radius-scale", "0.82"),
+                                      ("--theta-min=-0.03", "--theta-max", "0.03"),
+                                      ("--theta-min=-0.04", "--theta-max", "0.04")],
+                             ids=["default", "501-points", "scale-0.82", "window-0.03",
+                                  "window-0.04"])
+    def test_dark_points_are_exact(self, capsys, argv):
+        # the exact dark points, whatever the grid, and even when the window
+        # lacks them: they sit at 0.0454 (quantum) and 0.0372 rad (classical),
+        # so +-0.03 rad holds neither, +-0.04 only the classical one
+        code, out, _ = run_cli(capsys, "compare", *argv)
         assert code == 0
-        data = json.loads(out)["data"]
-        assert data["first_zero_offset_rad"] is None
-        assert data["first_zero_quantum_rad"] is None
-        assert (data["first_zero_classical_rad"] is not None) == classical_zero
+        doc = json.loads(out)
+        data = doc["data"]
+        p_radius = (BeamParams.from_wavelength_nm(633.0).momentum
+                    * WirePotential.from_diameter_um(17.0).radius)
+        quantum = first_dark_points(p_radius, "quantum").zeros[0]
+        classical = first_dark_points(doc["metadata"]["radius_scale"] * p_radius,
+                                      "classical").zeros[0]
+        assert data["first_zero_quantum_rad"] == quantum
+        assert data["first_zero_classical_rad"] == classical
+        assert data["first_zero_offset_rad"] == quantum - classical
 
     def test_metadata_echoes_config(self, capsys):
         _, out, _ = run_cli(capsys, "compare", "--theta-points", "501")
@@ -547,21 +563,21 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "0e6759ac539b95623dd7372b0de771c5f70760ba4b63b0aeb0b0d62337804fe8"),
+             "d499399ac13be78624f7c1aed0a0744aaf5167deaead6c0c97a830fe7e7c79e5"),
             (("two-beam",),
-             "cd35ae9155771a1f19be8a2b7f9d72c41153026ea5ae56a9a74054b285c18b7e"),
+             "e0acf406898a8f530e9ad7a2ce3499ee905806dab863e01f01a7143849da0285"),
             (("scan",),
-             "91ade8bfaaba07d4e7cb58e51572c5e7ac59017c94f2f08738fb0c6f76a93043"),
+             "d5eaec19a835fb1cb90b5aab57d603bda1a83cb90c73736160b7972889b0a72c"),
             (("compare",),
-             "4b6e8ed4284eff7ccc0232c7fc9c4aa995ca680df839a97b5e1e34d1640eb7f8"),
+             "d02231e13832554a21cdc4938e3d054628a74f32df69164c1f4422122831ee9f"),
             (("zeros",),
-             "a794efcbaedc8cc7fcfc6fe7b52510bd0c35e737a466aa8891600ab36d6cdef9"),
+             "b518038c27c92073ddb426d7ca067be82bfa4fab3c2b677e99f21a67fd0f1c59"),
             (("zeros", "--n", "3"),
-             "a4fff1a3e56b844b49340302ced0ff7b164c85cde9c80e976a4ebf1b49f40d37"),
+             "081b2286e914cce581a21fffd9f578988f0cd2768cb73797fb26d09fdb88034a"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "ab05640fea05c9a8d16c54c238cf0279e31182069d5bb55a9d7b9e120eec5628"),
+             "2d6758a367b0140f227142f122979a2a4463c51f742eaebe6b8d1d00de2ba0d7"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "1b45737087881cb3ece64108e741435afe867c4e09c22ee1ccbebb53d6155162"),
+             "93bd55103a27902d45a76529fcc3f75f0a2c8d48893ed7d15e2ac550f2168f0d"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm"],

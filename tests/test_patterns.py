@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wirediff.analysis import first_dark_angle, first_dark_points, match_areas
 from wirediff.classical import ClassicalConfig, fraunhofer_single, pattern_classical
+from wirediff.cli import _MIN_SAMPLES_PER_FRINGE
 from wirediff.electron import Channel, dsigma_dtheta, pattern_single
 from wirediff.potential import BeamParams, WirePotential
 from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam, pattern_two_beam
@@ -58,25 +58,27 @@ class TestBuildersMatchScalarDensities:
             lambda t: fraunhofer_single(cfg, t)).tobytes()
 
 
-class TestSamplingGuard:
-    # 50 samples per fringe pi / (max(1, s) pR) is the floor `compare` enforces;
-    # at that floor the grid-based dark angle of both compared curves must
-    # still find the first dark point, wherever the grid falls
+class TestCompareFloor:
+    # at the floor `compare` enforces, 50 samples per fringe pi / (max(1, s) pR),
+    # its only grid-dependent numbers, trapezoid integrals, must be accurate:
+    # the area of both compared curves within 2e-4 relative of a 64x finer grid,
+    # on windows of 0.5 to 10 fringes a side, wherever the grid falls.  The
+    # worst case, ~1.4e-4, is a window edge half a fringe out, where the
+    # density is steepest; the error falls as 1 / samples^2, so 40 fails
     @settings(deadline=None)
-    @given(log_pr=st.floats(1.7, 8.0), scale=st.floats(0.8, 1.25),
+    @given(p_radius=st.floats(20.0, 3000.0), scale=st.floats(0.8, 1.25),
+           below=st.floats(0.5, 10.0), above=st.floats(0.5, 10.0),
            offset=st.floats(0.0, 1.0, exclude_max=True))
-    def test_first_dark_angle_at_fifty_samples_per_fringe(self, log_pr, scale, offset):
+    def test_trapezoid_area_at_fifty_samples_per_fringe(self, p_radius, scale, below, above,
+                                                         offset):
+        per_fringe = _MIN_SAMPLES_PER_FRINGE
         wire = WirePotential(radius=1e-5)
-        beam = BeamParams(momentum=10.0**log_pr / wire.radius)
+        beam = BeamParams(momentum=p_radius / wire.radius)
         p_radius = beam.momentum * wire.radius
-        step = math.pi / (50 * max(1.0, scale) * p_radius)
-        thetas = (np.arange(-300, 301) + offset) * step  # +-6 fringes
-        quantum = pattern_single(beam, wire, thetas)
-        classical = match_areas(
-            quantum, pattern_classical(ClassicalConfig(p_radius, scale), thetas))
-        for pattern, zero in (
-                (quantum, first_dark_points(p_radius, "quantum").zeros[0]),
-                (classical, first_dark_points(scale * p_radius, "classical").zeros[0])):
-            found = first_dark_angle(pattern)
-            assert found is not None
-            assert abs(found - zero) <= step
+        step = math.pi / (per_fringe * max(1.0, scale) * p_radius)
+        thetas = (np.arange(-round(below * per_fringe), round(above * per_fringe) + 1)
+                  + offset) * step
+        fine = np.linspace(thetas[0], thetas[-1], 64 * (thetas.size - 1) + 1)
+        for build in (lambda grid: pattern_single(beam, wire, grid),
+                      lambda grid: pattern_classical(ClassicalConfig(p_radius, scale), grid)):
+            assert build(thetas).area() == pytest.approx(build(fine).area(), rel=2e-4)

@@ -225,11 +225,11 @@ class TestPatternTwoBeam:
         assert np.max(peak.density) == 1.0
         assert np.array_equal(peak.density, raw.density / np.max(raw.density))
         assert area.area() == pytest.approx(1.0, abs=1e-12)
-        assert area.metadata["normalization"] == "unit_area"
+        assert area.metadata["normalization"] == "unit-area"
 
     def test_area_matched_rejected(self, beam, wire):
         # only analysis.match_areas scales a curve to another's area
-        for normalization in (Normalization.AREA_MATCHED, "area_matched"):
+        for normalization in (Normalization.AREA_MATCHED, "area-matched"):
             with pytest.raises(ValueError, match="match_areas"):
                 pattern_two_beam(beam, wire, TwoBeamConfig(0.1), self.THETAS,
                                  normalization=normalization)
