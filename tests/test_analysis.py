@@ -230,3 +230,19 @@ class TestCompareCurves:
         other = Pattern(np.linspace(-0.1, 0.1, 2001), np.ones(2001))
         with pytest.raises(ValueError):
             compare_curves(quantum, other)
+
+    @pytest.mark.parametrize("theta_max, classical_zero", [(0.03, False), (0.04, True)])
+    def test_offset_is_none_without_both_dark_points(self, theta_max, classical_zero):
+        # the dark points sit at 0.0454 (quantum) and 0.0372 rad (classical):
+        # +-0.03 holds neither, +-0.04 only the classical one. The comparison
+        # carries no dark-point offset whatever the window holds; the exact
+        # dark points come from first_dark_points, which no window limits
+        thetas = np.linspace(-theta_max, theta_max, 2001)
+        quantum = pattern_single(BeamParams.from_wavelength_nm(633.0),
+                                 WirePotential.from_diameter_um(17.0), thetas)
+        classical = pattern_classical(ClassicalConfig(PR), thetas)
+        result = compare_curves(quantum, match_areas(quantum, classical))
+        assert not hasattr(result, "first_zero_offset_rad")
+        assert result.l2_diff > 0.0
+        assert first_dark_points(PR, "quantum").zeros[0] > theta_max
+        assert (first_dark_points(PR, "classical").zeros[0] < theta_max) == classical_zero

@@ -418,15 +418,10 @@ class TestCompareCommand:
         assert out == ""
         assert f"{per_fringe} samples per fringe" in err
 
-    @pytest.mark.parametrize("argv", [(), ("--theta-points", "501"), ("--radius-scale", "0.82"),
-                                      ("--theta-min=-0.03", "--theta-max", "0.03"),
-                                      ("--theta-min=-0.04", "--theta-max", "0.04")],
-                             ids=["default", "501-points", "scale-0.82", "window-0.03",
-                                  "window-0.04"])
+    @pytest.mark.parametrize("argv", [(), ("--theta-points", "501"), ("--radius-scale", "0.82")],
+                             ids=["default", "501-points", "scale-0.82"])
     def test_dark_points_are_exact(self, capsys, argv):
-        # the exact dark points, whatever the grid, and even when the window
-        # lacks them: they sit at 0.0454 (quantum) and 0.0372 rad (classical),
-        # so +-0.03 rad holds neither, +-0.04 only the classical one
+        # the exact dark points, whatever the grid
         code, out, _ = run_cli(capsys, "compare", *argv)
         assert code == 0
         doc = json.loads(out)
@@ -439,6 +434,22 @@ class TestCompareCommand:
         assert data["first_zero_quantum_rad"] == quantum
         assert data["first_zero_classical_rad"] == classical
         assert data["first_zero_offset_rad"] == quantum - classical
+
+    @pytest.mark.parametrize("theta_max, classical_zero", [("0.03", False), ("0.04", True)])
+    def test_offset_is_null_without_both_dark_points(self, capsys, theta_max, classical_zero):
+        # +-0.03 rad holds neither first dark point, +-0.04 only the classical
+        # one; such a window once gave a null offset, and now gives the exact
+        # dark points of the default window, which holds both
+        code, out, _ = run_cli(capsys, "compare", f"--theta-min=-{theta_max}",
+                               "--theta-max", theta_max)
+        assert code == 0
+        data = json.loads(out)["data"]
+        _, default_out, _ = run_cli(capsys, "compare")
+        default = json.loads(default_out)["data"]
+        for key in ("first_zero_quantum_rad", "first_zero_classical_rad", "first_zero_offset_rad"):
+            assert data[key] == default[key]
+        assert data["first_zero_quantum_rad"] > float(theta_max)
+        assert (data["first_zero_classical_rad"] < float(theta_max)) == classical_zero
 
     def test_metadata_echoes_config(self, capsys):
         _, out, _ = run_cli(capsys, "compare", "--theta-points", "501")
