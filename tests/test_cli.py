@@ -565,10 +565,11 @@ class TestTimestampFlag:
 
 
 class TestPinnedDigests:
-    # sha256 of the default stdout of each command, plus a multi-phase scan
-    # at pR ~ 534 and a 20,001-point Hankel-branch pattern.  Refactors of the
-    # amplitude model or the writer must leave these bytes unchanged;
-    # full-mode outputs are deliberately not pinned, their last digits may move.
+    # sha256 of the default stdout of each command, a multi-phase scan at
+    # pR ~ 534, a 20,001-point Hankel-branch pattern, and the full-mode spin
+    # sum of both pattern commands, the one path through spinor_element.
+    # Refactors of the amplitude model or the writer must leave these bytes
+    # unchanged.
     # ids name the argv, so a deliberate re-pin keeps every test id
     @pytest.mark.parametrize(
         "argv, digest",
@@ -589,9 +590,13 @@ class TestPinnedDigests:
              "2d6758a367b0140f227142f122979a2a4463c51f742eaebe6b8d1d00de2ba0d7"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
              "93bd55103a27902d45a76529fcc3f75f0a2c8d48893ed7d15e2ac550f2168f0d"),
+            (("single", "--mode", "full", "--spin", "sum"),
+             "3df98fe64af39cb98646ae5b5efbfda75c3204566a5680d3471fa02248b9fc63"),
+            (("two-beam", "--mode", "full", "--spin", "sum"),
+             "698047c08eebca07d753dbb5ddc6097f0ed539e9770bf38b36b8e0cbfc87c93a"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
-             "single-20nm"],
+             "single-20nm", "single-full-sum", "two-beam-full-sum"],
     )
     def test_default_output_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
