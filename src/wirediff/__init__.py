@@ -10,7 +10,6 @@ __version__ = "0.6.0"
 
 from .analysis import (
     CurveComparison,
-    ZeroReport,
     compare_curves,
     first_dark_points,
     match_areas,
@@ -49,7 +48,6 @@ __all__ = [
     "ScanResult",
     "TwoBeamConfig",
     "WirePotential",
-    "ZeroReport",
     "compare_curves",
     "default_grid",
     "disk_amplitude",

@@ -18,22 +18,13 @@ from .numerics import DomainError, disk_amplitude, find_zero
 from .patterns import Normalization, Pattern, grid_area
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroReport:
-    """First ``n`` dark-point angles (theta > 0, strictly increasing) [rad]."""
+def first_dark_points(p_radius: float, method: str, n: int = 1) -> tuple[float, ...]:
+    """First ``n`` dark points in (0, pi/2) [rad], an increasing tuple of floats.
 
-    method: str
-    zeros: np.ndarray
-    n: int
-
-
-def first_dark_points(p_radius: float, method: str, n: int = 1) -> ZeroReport:
-    """First ``n`` dark points in (0, pi/2), from their defining equations.
-
-    method "quantum": theta_k = 2 arcsin(j_{1,k} / (2 pR)), where j_{1,k},
+    They come from their defining equations.  Method "quantum": theta_k = 2 arcsin(j_{1,k} / (2 pR)), where j_{1,k},
     the k-th positive zero of ``disk_amplitude`` (2 J1(x)/x), is bisected to
     1e-12 inside (k pi, (k + 1/2) pi), a bracket that holds exactly one
-    zero.  method "classical": theta_k = arcsin(k pi / pR), the zeros of
+    zero.  Method "classical": theta_k = arcsin(k pi / pR), the zeros of
     sinc(pR sin(theta)).  A rescaled classical curve is handled by passing
     radius_scale * pR as ``p_radius``.  Bad arguments, or fewer than ``n``
     dark points in (0, pi/2), raise DomainError.
@@ -60,7 +51,7 @@ def first_dark_points(p_radius: float, method: str, n: int = 1) -> ZeroReport:
             )
         zeros.append(2.0 * math.asin(x / (2.0 * p_radius)) if quantum
                      else math.asin(x / p_radius))
-    return ZeroReport(method=method, zeros=np.array(zeros), n=n)
+    return tuple(zeros)
 
 
 def overestimation_factor(p_radius: float) -> float:
@@ -71,9 +62,7 @@ def overestimation_factor(p_radius: float) -> float:
     the two up.  In the small-angle limit the ratio tends to
     (first J1 zero)/pi = 1.21967.
     """
-    quantum = first_dark_points(p_radius, "quantum", 1).zeros[0]
-    classical = first_dark_points(p_radius, "classical", 1).zeros[0]
-    return float(quantum / classical)
+    return first_dark_points(p_radius, "quantum")[0] / first_dark_points(p_radius, "classical")[0]
 
 
 def match_areas(reference: Pattern, target: Pattern) -> Pattern:
@@ -84,11 +73,8 @@ def match_areas(reference: Pattern, target: Pattern) -> Pattern:
     tgt_area = target.area()
     if tgt_area == 0.0:
         raise DomainError("match_areas: target pattern has zero integral")
-    scale = ref_area / tgt_area
-    metadata = dict(target.metadata)
-    metadata["area_match_scale"] = scale
-    return Pattern(target.thetas, target.density * scale,
-                   Normalization.AREA_MATCHED, metadata)
+    return Pattern(target.thetas, target.density * (ref_area / tgt_area),
+                   Normalization.AREA_MATCHED)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,4 @@ def pattern_classical(
     normalization: Normalization = Normalization.RAW,
 ) -> Pattern:
     """Sample the single-beam Fraunhofer density over an angular grid."""
-    return sample_pattern(lambda theta: fraunhofer_single(cfg, theta), thetas, normalization,
-                          kind="classical", p_radius=cfg.p_radius,
-                          radius_scale=cfg.radius_scale)
+    return sample_pattern(lambda theta: fraunhofer_single(cfg, theta), thetas, normalization)

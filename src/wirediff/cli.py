@@ -273,8 +273,8 @@ def _cmd_compare(args) -> str:
             f"(pi / (max(1, radius scale) * pR)); compare needs at least "
             f"{_MIN_SAMPLES_PER_FRINGE}: raise --theta-points or narrow the theta range")
     # exact dark points, inside the theta window or not; none in (0, pi/2) is a DomainError
-    zero_quantum = float(first_dark_points(p_radius, "quantum").zeros[0])
-    zero_classical = float(first_dark_points(cfg.radius_scale * p_radius, "classical").zeros[0])
+    zero_quantum = first_dark_points(p_radius, "quantum")[0]
+    zero_classical = first_dark_points(cfg.radius_scale * p_radius, "classical")[0]
     quantum = pattern_single(beam, wire, thetas, mode="low-energy")
     comparison = compare_curves(quantum, match_areas(quantum, pattern_classical(cfg, thetas)))
     data = {
@@ -297,10 +297,10 @@ def _cmd_zeros(args) -> str:
     classical = first_dark_points(p_radius, "classical", args.n)
     data = {
         "p_radius": p_radius,
-        "quantum_zeros_rad": [float(z) for z in quantum.zeros],
-        "classical_zeros_rad": [float(z) for z in classical.zeros],
-        # overestimation_factor's ratio, from the searches above (zeros[0] is the n = 1 zero)
-        "overestimation_factor": float(quantum.zeros[0] / classical.zeros[0]),
+        "quantum_zeros_rad": quantum,
+        "classical_zeros_rad": classical,
+        # overestimation_factor's ratio, from the searches above ([0] is the n = 1 zero)
+        "overestimation_factor": quantum[0] / classical[0],
     }
     config = _base_config(args)
     return _json_doc(config, data)

@@ -16,8 +16,6 @@ normalization volume: only normalized shapes are compared.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .numerics import DomainError, disk_amplitude
@@ -62,38 +60,28 @@ def spinor_element(beam: BeamParams, theta, channel: Channel = Channel.NO_FLIP):
     return (e_plus_m * e_plus_m + pc * pc * np.cos(theta)) / e_plus_m
 
 
-def unit_spinor(theta: float) -> float:
-    """Low-energy spinor factor: exactly 1.0, so 1.0 * F == F bit for bit."""
-    return 1.0
+def amplitudes(beam: BeamParams, wire: WirePotential, theta, mode: str = "low-energy",
+               channel: Channel = Channel.NO_FLIP) -> list:
+    """Amplitudes whose squares ``mode`` sums over ``channel``, one per final spin.
 
-
-def spinor_factors(beam: BeamParams, mode: str, channel: Channel = Channel.NO_FLIP):
-    """Spinor factors of theta (scalar or array) whose squared amplitudes ``mode`` sums.
-
-    Low-energy mode is full mode with :func:`unit_spinor`, where the flip
-    element vanishes: it takes the no-flip channel or the spin sum, and the
-    flip channel raises DomainError.  Full mode takes the spinor element of
-    ``channel``, or the no-flip and flip elements for Channel.SUM.
-    """
-    channel = Channel(channel)
-    if mode == "low-energy":
-        if channel is Channel.FLIP:
-            raise DomainError("low-energy mode has no flip channel (its element vanishes "
-                              "there); use mode 'full' for the flip density")
-        return (unit_spinor,)
-    if mode != "full":
-        raise DomainError(f"unknown mode {mode!r}; expected 'low-energy' or 'full'")
-    channels = (Channel.NO_FLIP, Channel.FLIP) if channel is Channel.SUM else (channel,)
-    return tuple(partial(spinor_element, beam, channel=c) for c in channels)
-
-
-def amplitudes(p_radius: float, theta, spinors=(unit_spinor,)) -> list:
-    """Amplitudes spinor(theta) * F(qR), qR = 2 pR |sin(theta/2)|, one per spinor factor.
-
+    F = F(qR), qR = 2 pR |sin(theta/2)|.  Low-energy mode is [F]: the no-flip
+    element there is a constant, absorbed into C = 1, and the flip element
+    vanishes, so the no-flip channel and the spin sum are both [F] and the
+    flip channel raises DomainError.  Full mode is [spinor_element * F] for
+    ``channel``, or for the no-flip and flip channels under Channel.SUM.
     ``theta`` is a scalar or an array of angles; so is each amplitude.
     """
-    f = disk_amplitude(momentum_transfer_single(p_radius, theta))
-    return [spinor(theta) * f for spinor in spinors]
+    channel = Channel(channel)
+    if mode not in ("low-energy", "full"):
+        raise DomainError(f"unknown mode {mode!r}; expected 'low-energy' or 'full'")
+    if mode == "low-energy" and channel is Channel.FLIP:
+        raise DomainError("low-energy mode has no flip channel (its element vanishes "
+                          "there); use mode 'full' for the flip density")
+    f = disk_amplitude(momentum_transfer_single(beam.momentum * wire.radius, theta))
+    if mode == "low-energy":
+        return [f]
+    channels = (Channel.NO_FLIP, Channel.FLIP) if channel is Channel.SUM else (channel,)
+    return [spinor_element(beam, theta, c) * f for c in channels]
 
 
 def dsigma_dtheta(beam: BeamParams, wire: WirePotential, theta, mode: str = "low-energy",
@@ -104,17 +92,7 @@ def dsigma_dtheta(beam: BeamParams, wire: WirePotential, theta, mode: str = "low
     weights it with the squared spinor elements.  Theta (scalar or array)
     enters only through q = 2 p |sin(theta/2)|.
     """
-    spinors = spinor_factors(beam, mode, channel)
-    return sum(a * a for a in amplitudes(beam.momentum * wire.radius, theta, spinors))
-
-
-def sample_beam_pattern(density, beam: BeamParams, wire: WirePotential, thetas, mode: str,
-                        channel: Channel, normalization, **metadata) -> Pattern:
-    """Sample ``density(theta)`` with the beam's and wire's provenance in its metadata."""
-    return sample_pattern(
-        density, thetas, normalization, mode=mode, channel=Channel(channel).value,
-        wavelength_nm=beam.wavelength_m * 1e9, mass_ev=beam.mass_ev,
-        diameter_um=wire.diameter_um, **metadata)
+    return sum(a * a for a in amplitudes(beam, wire, theta, mode, channel))
 
 
 def pattern_single(
@@ -126,6 +104,5 @@ def pattern_single(
     normalization: Normalization = Normalization.RAW,
 ) -> Pattern:
     """Sample :func:`dsigma_dtheta` over an angular grid; pure and order-independent."""
-    return sample_beam_pattern(lambda theta: dsigma_dtheta(beam, wire, theta, mode, channel),
-                               beam, wire, thetas, mode, channel, normalization,
-                               kind="single-beam")
+    return sample_pattern(lambda theta: dsigma_dtheta(beam, wire, theta, mode, channel),
+                          thetas, normalization)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -80,16 +80,15 @@ def normalize_density(thetas: np.ndarray, density: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class Pattern:
-    """A sampled angular probability density d(sigma)/d(theta).
+    """A sampled angular probability density d(sigma)/d(theta) and its normalization.
 
-    ``metadata`` records provenance (beam, wire, configuration) so emitted
-    files are reproducible from their own contents.
+    A pattern carries no provenance: the builder's own arguments are the
+    record, and the CLI writes them into every file as its ``# config:`` line.
     """
 
     thetas: np.ndarray
     density: np.ndarray
     normalization: Normalization = Normalization.RAW
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         thetas = validate_grid(self.thetas)
@@ -111,13 +110,12 @@ class Pattern:
         return grid_area(self.thetas, self.density)
 
 
-def sample_pattern(density, thetas, normalization: Normalization, **metadata) -> Pattern:
+def sample_pattern(density, thetas, normalization: Normalization) -> Pattern:
     """Sample ``density`` over an angular grid (None: :func:`default_grid`).
 
     The one pattern builder: it validates the grid, evaluates the density
     once on the whole grid (``density`` maps a theta array to an array of
-    the same shape), normalizes it and records the normalization next to the
-    caller's ``metadata``.
+    the same shape) and normalizes it.
     """
     thetas = default_grid() if thetas is None else validate_grid(thetas)
     normalization = Normalization(normalization)
@@ -125,6 +123,4 @@ def sample_pattern(density, thetas, normalization: Normalization, **metadata) ->
     # the density's fault, not the caller's: before normalize_density's DomainError
     if not np.all(np.isfinite(values)):
         raise ValueError("density must be finite")
-    metadata["normalization"] = normalization.value
-    return Pattern(thetas, normalize_density(thetas, values, normalization),
-                   normalization, metadata)
+    return Pattern(thetas, normalize_density(thetas, values, normalization), normalization)

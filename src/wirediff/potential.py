@@ -40,10 +40,6 @@ class WirePotential:
         """Build from a diameter in micrometers (the usual reporting convention)."""
         return cls(radius=0.5 * diameter_um * 1e-6)
 
-    @property
-    def diameter_um(self) -> float:
-        return 2.0 * self.radius * 1e6
-
 
 @dataclass(frozen=True)
 class BeamParams:
@@ -71,10 +67,6 @@ class BeamParams:
     @classmethod
     def from_wavelength_nm(cls, wavelength_nm: float, mass_ev: float = ELECTRON_MASS_EV) -> "BeamParams":
         return cls.from_wavelength_m(wavelength_nm * 1e-9, mass_ev=mass_ev)
-
-    @property
-    def wavelength_m(self) -> float:
-        return math.tau / self.momentum
 
     @property
     def pc_ev(self) -> float:

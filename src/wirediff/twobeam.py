@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electron import Channel, amplitudes, sample_beam_pattern, spinor_factors
-from .numerics import DomainError
-from .patterns import Normalization, Pattern, validate_grid
-from .potential import BeamParams, WirePotential
+from .electron import Channel, amplitudes
+from .numerics import DomainError, disk_amplitude
+from .patterns import Normalization, Pattern, sample_pattern, validate_grid
+from .potential import BeamParams, WirePotential, momentum_transfer_single
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,8 @@ def dsigma_dtheta_two_beam(
     q_pm R = 2 pR |sin(theta/2 -/+ alpha/4)|.  Both beams carry the same spin
     labels (polarized source).  ``theta`` is a scalar or an array of angles.
     """
-    spinors = spinor_factors(beam, mode, channel)
-    p_radius = beam.momentum * wire.radius
-    minus = amplitudes(p_radius, theta - 0.5 * cfg.alpha, spinors)
-    plus = amplitudes(p_radius, theta + 0.5 * cfg.alpha, spinors)
+    minus = amplitudes(beam, wire, theta - 0.5 * cfg.alpha, mode, channel)
+    plus = amplitudes(beam, wire, theta + 0.5 * cfg.alpha, mode, channel)
     return sum(_interference_density(a, b, cfg.phi) for a, b in zip(minus, plus))
 
 
@@ -92,10 +90,9 @@ def pattern_two_beam(
 
     Modes, channels and normalizations as in :func:`~wirediff.electron.pattern_single`.
     """
-    return sample_beam_pattern(
+    return sample_pattern(
         lambda theta: dsigma_dtheta_two_beam(beam, wire, cfg, theta, mode, channel),
-        beam, wire, thetas, mode, channel, normalization,
-        kind="two-beam", alpha=cfg.alpha, phi=cfg.phi)
+        thetas, normalization)
 
 
 def phi_theta_scan(
@@ -115,7 +112,7 @@ def phi_theta_scan(
     thetas = validate_grid(theta_grid)
     # phi enters only through the combiner: the form factors F_-, F_+ are
     # computed once over the theta grid and every phi row combines them
-    (f_minus,) = amplitudes(p_radius, thetas - 0.5 * alpha)
-    (f_plus,) = amplitudes(p_radius, thetas + 0.5 * alpha)
+    f_minus = disk_amplitude(momentum_transfer_single(p_radius, thetas - 0.5 * alpha))
+    f_plus = disk_amplitude(momentum_transfer_single(p_radius, thetas + 0.5 * alpha))
     density = np.array([_interference_density(f_minus, f_plus, phi) for phi in phis.tolist()])
     return ScanResult(phis=phis, thetas=thetas, density=density)

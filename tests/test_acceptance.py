@@ -68,8 +68,8 @@ def test_criterion_2_fringe_structure(default_setup):
 
     q_peak_theta = float(quantum.thetas[np.argmax(quantum.density)])
     c_peak_theta = float(classical.thetas[np.argmax(classical.density)])
-    quantum_zero = float(first_dark_points(p_radius, "quantum", 1).zeros[0])
-    classical_zero = float(first_dark_points(p_radius, "classical", 1).zeros[0])
+    quantum_zero = first_dark_points(p_radius, "quantum", 1)[0]
+    classical_zero = first_dark_points(p_radius, "classical", 1)[0]
     matched = match_areas(quantum, classical)
     area_ratio = matched.area() / quantum.area()
 
@@ -214,13 +214,13 @@ def test_criterion_6_rescaling_alignment(default_setup):
     factor = overestimation_factor(p_radius)
     # the multiplier convention stretches the classical argument, so the
     # aligning direction applies the factor as an effective pR / factor
-    rescaled_zero = float(first_dark_points(p_radius / factor, "classical", 1).zeros[0])
-    quantum_zero = float(first_dark_points(p_radius, "quantum", 1).zeros[0])
+    rescaled_zero = first_dark_points(p_radius / factor, "classical", 1)[0]
+    quantum_zero = first_dark_points(p_radius, "quantum", 1)[0]
     residual = abs(rescaled_zero - quantum_zero)
     # equivalent statement, in the direction the rescaling experiment quotes:
     # enlarging the quantum radius by the factor lands on the classical zero
-    quantum_rescaled = float(first_dark_points(factor * p_radius, "quantum", 1).zeros[0])
-    classical_zero = float(first_dark_points(p_radius, "classical", 1).zeros[0])
+    quantum_rescaled = first_dark_points(factor * p_radius, "quantum", 1)[0]
+    classical_zero = first_dark_points(p_radius, "classical", 1)[0]
     residual_rev = abs(quantum_rescaled - classical_zero)
     _report(
         "criterion 6: rescaled classical curve aligns first dark points",

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from wirediff.analysis import (
     CurveComparison,
-    ZeroReport,
     compare_curves,
     first_dark_points,
     match_areas,
@@ -28,32 +27,32 @@ with mpmath.workdps(30):
 class TestFirstDarkPoints:
     def test_classical_first_zero(self):
         report = first_dark_points(PR, "classical", 1)
-        assert report.zeros[0] == pytest.approx(math.asin(math.pi / PR), abs=1e-12)
-        assert report.zeros[0] == pytest.approx(0.037247, abs=1e-5)
+        assert report[0] == pytest.approx(math.asin(math.pi / PR), abs=1e-12)
+        assert report[0] == pytest.approx(0.037247, abs=1e-5)
 
     def test_quantum_first_zero(self, j1_zeros_oracle):
         report = first_dark_points(PR, "quantum", 1)
         expected = 2.0 * math.asin(j1_zeros_oracle[0] / (2.0 * PR))
-        assert report.zeros[0] == pytest.approx(expected, abs=1e-12)
-        assert report.zeros[0] == pytest.approx(0.045420, abs=1e-5)
+        assert report[0] == pytest.approx(expected, abs=1e-12)
+        assert report[0] == pytest.approx(0.045420, abs=1e-5)
 
     def test_defining_equations_satisfied(self, j1_zeros_oracle):
         quantum = first_dark_points(PR, "quantum", 3)
-        for theta, j1n in zip(quantum.zeros, j1_zeros_oracle):
+        for theta, j1n in zip(quantum, j1_zeros_oracle):
             assert 2.0 * PR * math.sin(0.5 * theta) == pytest.approx(j1n, abs=1e-10)
         classical = first_dark_points(PR, "classical", 3)
-        for k, theta in enumerate(classical.zeros, start=1):
+        for k, theta in enumerate(classical, start=1):
             assert PR * math.sin(theta) == pytest.approx(k * math.pi, abs=1e-10)
 
     def test_zeros_strictly_increasing(self):
         report = first_dark_points(PR, "quantum", 5)
-        assert np.all(np.diff(report.zeros) > 0.0)
-        assert np.all(report.zeros > 0.0)
+        assert np.all(np.diff(report) > 0.0)
+        assert min(report) > 0.0
 
     def test_small_angle_classical_asymptotics(self):
         # theta_1 * pR -> pi as pR grows
         for p_radius in (1e3, 1e4, 1e5):
-            theta_1 = first_dark_points(p_radius, "classical", 1).zeros[0]
+            theta_1 = first_dark_points(p_radius, "classical", 1)[0]
             assert theta_1 * p_radius == pytest.approx(math.pi, rel=1e-5)
 
     def test_range_error_when_too_few_zeros(self):
@@ -79,7 +78,7 @@ class TestFirstDarkPoints:
                 with pytest.raises(DomainError):
                     first_dark_points(p_radius, method, n)
                 continue
-            got = first_dark_points(p_radius, method, n).zeros
+            got = first_dark_points(p_radius, method, n)
             for theta, want in zip(got, zeros):
                 assert abs(theta - float(want)) <= 1e-12 * float(want)
 
@@ -87,7 +86,7 @@ class TestFirstDarkPoints:
         from scipy.special import jn_zeros
 
         p_radius = 1e6
-        got = first_dark_points(p_radius, "quantum", 500).zeros
+        got = np.array(first_dark_points(p_radius, "quantum", 500))
         want = 2.0 * np.arcsin(jn_zeros(1, 500) / (2.0 * p_radius))
         assert np.all(np.abs(got - want) <= 1e-12 * want)
 
@@ -95,7 +94,7 @@ class TestFirstDarkPoints:
         # j_{1,1} = 3.8317 < 2.72 * sqrt(2) = 3.8467: the dark point sits
         # 0.008 rad below pi/2
         report = first_dark_points(2.72, "quantum", 1)
-        assert report.zeros[0] == pytest.approx(1.5630358, abs=1e-7)
+        assert report[0] == pytest.approx(1.5630358, abs=1e-7)
 
     def test_zero_at_right_angle_excluded(self):
         # pR sin(theta) = pi puts the classical dark point exactly at
@@ -135,8 +134,8 @@ class TestOverestimationFactor:
         # lines its first dark point up with the quantum one; the residual
         # ~6e-6 rad is the measured arcsin (small-angle) correction
         factor = overestimation_factor(PR)
-        rescaled_zero = first_dark_points(PR / factor, "classical", 1).zeros[0]
-        quantum_zero = first_dark_points(PR, "quantum", 1).zeros[0]
+        rescaled_zero = first_dark_points(PR / factor, "classical", 1)[0]
+        quantum_zero = first_dark_points(PR, "quantum", 1)[0]
         assert abs(rescaled_zero - quantum_zero) < 1e-4
         assert abs(rescaled_zero - quantum_zero) > 1e-7  # the correction is real
 
@@ -144,8 +143,8 @@ class TestOverestimationFactor:
         # the equivalent statement: enlarging the quantum wire radius by the
         # factor drops its first dark point onto the unscaled classical one
         factor = overestimation_factor(PR)
-        rescaled_quantum = first_dark_points(factor * PR, "quantum", 1).zeros[0]
-        classical_zero = first_dark_points(PR, "classical", 1).zeros[0]
+        rescaled_quantum = first_dark_points(factor * PR, "quantum", 1)[0]
+        classical_zero = first_dark_points(PR, "classical", 1)[0]
         assert abs(rescaled_quantum - classical_zero) < 1e-4
 
 
@@ -219,8 +218,8 @@ class TestCompareCurves:
         # classical dark point onto the quantum one, and the curves closer
         factor = overestimation_factor(PR)
         quantum, matched = self._default_comparison_curves(radius_scale=1.0 / factor)
-        offset = (first_dark_points(PR, "quantum").zeros[0]
-                  - first_dark_points(PR / factor, "classical").zeros[0])
+        offset = (first_dark_points(PR, "quantum")[0]
+                  - first_dark_points(PR / factor, "classical")[0])
         assert abs(offset) < 1e-4
         assert compare_curves(quantum, matched).l2_diff < compare_curves(
             *self._default_comparison_curves()).l2_diff
@@ -244,5 +243,5 @@ class TestCompareCurves:
         result = compare_curves(quantum, match_areas(quantum, classical))
         assert not hasattr(result, "first_zero_offset_rad")
         assert result.l2_diff > 0.0
-        assert first_dark_points(PR, "quantum").zeros[0] > theta_max
-        assert (first_dark_points(PR, "classical").zeros[0] < theta_max) == classical_zero
+        assert first_dark_points(PR, "quantum")[0] > theta_max
+        assert (first_dark_points(PR, "classical")[0] < theta_max) == classical_zero

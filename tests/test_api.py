@@ -13,19 +13,21 @@ from wirediff import (BeamParams, Channel, ClassicalConfig, DomainError, Normali
                       TwoBeamConfig, WirePotential, compare_curves, disk_amplitude, find_zero,
                       first_dark_points, fraunhofer_single, match_areas, momentum_transfer_single,
                       pattern_single, sinc, spinor_element, validate_grid)
-from wirediff.electron import spinor_factors
+from wirediff.electron import amplitudes
 from wirediff.patterns import normalize_density
 
-# public names deleted in 0.2.0 to 0.6.0, each a second path to a quantity
+# public names deleted in 0.2.0 to 0.7.0, each a second path to a quantity
 # that keeps one, a test oracle now in tests/oracles.py, an input-error type
 # that DomainError replaces, a spelling of the spin channel that Channel
-# replaces, or the grid dark-point search that first_dark_points replaces
+# replaces, the grid dark-point search that first_dark_points replaces, or a
+# layer that only echoed its caller's arguments or wrapped a call
 REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_full_spin_summed", "hyp0f1_reg2", "hyp0f1_reg2_series",
            "bessel_j1", "disk_ft_oracle", "AccuracyError", "BracketError", "RangeError",
            "ConfigError", "Spin", "SpinChannel", "NO_FLIP", "FLIP", "dsigma_dtheta_full",
            "dsigma_dtheta_low_energy", "dsigma_dtheta_two_beam_full",
-           "dsigma_dtheta_two_beam_low_energy", "first_dark_angle")
+           "dsigma_dtheta_two_beam_low_energy", "first_dark_angle", "ZeroReport",
+           "sample_beam_pattern", "unit_spinor", "spinor_factors")
 
 
 class TestPublicSurface:
@@ -34,7 +36,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 33
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 32
 
     def test_disk_amplitude_is_the_exported_amplitude(self):
         from wirediff import numerics
@@ -50,6 +52,21 @@ class TestPublicSurface:
             for module in (wirediff, analysis, classical, cli, electron, numerics, potential,
                            twobeam):
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_removed_attributes_are_gone(self):
+        # provenance echoes of the caller's own arguments
+        assert not hasattr(Pattern(_GRID, np.ones(5)), "metadata")
+        assert not hasattr(WirePotential(1e-5), "diameter_um")
+        assert not hasattr(BeamParams(1e7), "wavelength_m")
+
+    def test_readme_library_example_runs(self):
+        root = Path(__file__).resolve().parents[1]
+        section = (root / "README.md").read_text().split("\n## Library\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")},
+                              check=False, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     def test_version_matches_pyproject(self):
         import re
@@ -94,8 +111,9 @@ _BAD_INPUTS = {
     "empty grid": lambda: validate_grid([]),
     "non-finite grid": lambda: validate_grid([0.0, math.nan]),
     "decreasing grid": lambda: validate_grid([0.1, 0.0]),
-    "unknown mode": lambda: spinor_factors(BeamParams(1e7), "medium"),
-    "low-energy flip": lambda: spinor_factors(BeamParams(1e7), "low-energy", Channel.FLIP),
+    "unknown mode": lambda: amplitudes(BeamParams(1e7), WirePotential(1e-5), 0.1, "medium"),
+    "low-energy flip": lambda: amplitudes(BeamParams(1e7), WirePotential(1e-5), 0.1,
+                                          "low-energy", Channel.FLIP),
     "area_matched": lambda: normalize_density(_GRID, np.ones(5), Normalization.AREA_MATCHED),
     "unknown normalization": lambda: pattern_single(BeamParams(1e7), WirePotential(1e-5), _GRID,
                                                     normalization="peak_one"),

@@ -428,9 +428,9 @@ class TestCompareCommand:
         data = doc["data"]
         p_radius = (BeamParams.from_wavelength_nm(633.0).momentum
                     * WirePotential.from_diameter_um(17.0).radius)
-        quantum = first_dark_points(p_radius, "quantum").zeros[0]
+        quantum = first_dark_points(p_radius, "quantum")[0]
         classical = first_dark_points(doc["metadata"]["radius_scale"] * p_radius,
-                                      "classical").zeros[0]
+                                      "classical")[0]
         assert data["first_zero_quantum_rad"] == quantum
         assert data["first_zero_classical_rad"] == classical
         assert data["first_zero_offset_rad"] == quantum - classical

@@ -138,7 +138,7 @@ class TestPatternSingle:
         from wirediff.analysis import first_dark_points
 
         report = first_dark_points(p_radius, "quantum", 3)
-        for theta_n, j1n in zip(report.zeros, j1_zeros_oracle):
+        for theta_n, j1n in zip(report, j1_zeros_oracle):
             assert 2.0 * p_radius * math.sin(0.5 * theta_n) == pytest.approx(
                 j1n, abs=1e-10
             )
@@ -162,11 +162,6 @@ class TestPatternSingle:
         for normalization in (Normalization.AREA_MATCHED, "area-matched"):
             with pytest.raises(ValueError, match="match_areas"):
                 pattern_single(beam, wire, normalization=normalization)
-
-    def test_metadata_provenance(self, beam, wire):
-        pattern = pattern_single(beam, wire)
-        assert pattern.metadata["wavelength_nm"] == pytest.approx(633.0, rel=1e-12)
-        assert pattern.metadata["diameter_um"] == pytest.approx(17.0, rel=1e-12)
 
 
 class TestPatternValidation:

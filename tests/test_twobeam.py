@@ -183,10 +183,6 @@ class TestPatternTwoBeam:
                     for t in self.THETAS]
         assert np.array_equal(pattern.density, expected)
         assert pattern.normalization is Normalization.RAW
-        assert pattern.metadata["kind"] == "two-beam"
-        assert pattern.metadata["mode"] == "low-energy"
-        assert pattern.metadata["alpha"] == 0.1
-        assert pattern.metadata["phi"] == 0.8
 
     @pytest.mark.parametrize("channel", [Channel.NO_FLIP, Channel.FLIP])
     def test_full_mode_matches_density(self, beam, wire, channel):
@@ -195,7 +191,6 @@ class TestPatternTwoBeam:
         expected = [dsigma_dtheta_two_beam(beam, wire, cfg, float(t), "full", channel)
                     for t in self.THETAS]
         assert np.array_equal(pattern.density, expected)
-        assert pattern.metadata["channel"] == channel.value
 
     def test_spin_sum_is_flip_plus_no_flip(self, beam, wire):
         cfg = TwoBeamConfig(0.1, 0.4)
@@ -225,7 +220,7 @@ class TestPatternTwoBeam:
         assert np.max(peak.density) == 1.0
         assert np.array_equal(peak.density, raw.density / np.max(raw.density))
         assert area.area() == pytest.approx(1.0, abs=1e-12)
-        assert area.metadata["normalization"] == "unit-area"
+        assert area.normalization is Normalization.UNIT_AREA
 
     def test_area_matched_rejected(self, beam, wire):
         # only analysis.match_areas scales a curve to another's area
