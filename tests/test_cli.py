@@ -575,25 +575,25 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "d499399ac13be78624f7c1aed0a0744aaf5167deaead6c0c97a830fe7e7c79e5"),
+             "9766bb611c2418076a5cd30f5f12789456f7af898c08dbdc5a9ca05b520f3f71"),
             (("two-beam",),
-             "e0acf406898a8f530e9ad7a2ce3499ee905806dab863e01f01a7143849da0285"),
+             "56888cada64dde3fd8819408bebddba7c8cfabc6541c8b7e9906d63f8492c011"),
             (("scan",),
-             "d5eaec19a835fb1cb90b5aab57d603bda1a83cb90c73736160b7972889b0a72c"),
+             "302c080ab92b0c1ef0bd38e526ec95fb280c9bfe0c79a14adfd0bf8c01af655e"),
             (("compare",),
-             "d02231e13832554a21cdc4938e3d054628a74f32df69164c1f4422122831ee9f"),
+             "ab2148d0603561a446bb361160c9c14cc7b6737913621bdcb4a668a5c3a363b7"),
             (("zeros",),
-             "b518038c27c92073ddb426d7ca067be82bfa4fab3c2b677e99f21a67fd0f1c59"),
+             "765801ae18cf54c0fe1b901d2698088096ad0c9cf4550246108291289ac2c02d"),
             (("zeros", "--n", "3"),
-             "081b2286e914cce581a21fffd9f578988f0cd2768cb73797fb26d09fdb88034a"),
+             "af60ce473567e1a1183a8e99fc23d6b82b4c5075687391970eca5d0724106a5c"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "2d6758a367b0140f227142f122979a2a4463c51f742eaebe6b8d1d00de2ba0d7"),
+             "924029bbb825b84491304c4dda95882a5bdd42cc21d7c5e44c69dc9c3c2a4307"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "93bd55103a27902d45a76529fcc3f75f0a2c8d48893ed7d15e2ac550f2168f0d"),
+             "fd4fe47e2dc61828fa32e004a91aea0fa4e37494a47006e584bb2c4f58d83b23"),
             (("single", "--mode", "full", "--spin", "sum"),
-             "3df98fe64af39cb98646ae5b5efbfda75c3204566a5680d3471fa02248b9fc63"),
+             "dd24490db1a2331568b3b93e5e562f2ada218de477021a39202178c617fa93d9"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
-             "698047c08eebca07d753dbb5ddc6097f0ed539e9770bf38b36b8e0cbfc87c93a"),
+             "5c09510c2dfb210b6b4cdfb390d647c21a049e9dbd262ca255905ec2fa9f13ba"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum"],
