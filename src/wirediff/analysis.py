@@ -21,7 +21,8 @@ from .patterns import Normalization, Pattern, grid_area
 def first_dark_points(p_radius: float, method: str, n: int = 1) -> tuple[float, ...]:
     """First ``n`` dark points in (0, pi/2) [rad], an increasing tuple of floats.
 
-    They come from their defining equations.  Method "quantum": theta_k = 2 arcsin(j_{1,k} / (2 pR)), where j_{1,k},
+    They come from their defining equations.  Method "quantum":
+    theta_k = 2 arcsin(j_{1,k} / (2 pR)), where j_{1,k},
     the k-th positive zero of ``disk_amplitude`` (2 J1(x)/x), is bisected to
     1e-12 inside (k pi, (k + 1/2) pi), a bracket that holds exactly one
     zero.  Method "classical": theta_k = arcsin(k pi / pR), the zeros of
@@ -62,7 +63,9 @@ def overestimation_factor(p_radius: float) -> float:
     the two up.  In the small-angle limit the ratio tends to
     (first J1 zero)/pi = 1.21967.
     """
-    return first_dark_points(p_radius, "quantum")[0] / first_dark_points(p_radius, "classical")[0]
+    quantum, = first_dark_points(p_radius, "quantum")
+    classical, = first_dark_points(p_radius, "classical")
+    return quantum / classical
 
 
 def match_areas(reference: Pattern, target: Pattern) -> Pattern:

@@ -64,11 +64,12 @@ def amplitudes(beam: BeamParams, wire: WirePotential, theta, mode: str = "low-en
                channel: Channel = Channel.NO_FLIP) -> list:
     """Amplitudes whose squares ``mode`` sums over ``channel``, one per final spin.
 
-    F = F(qR), qR = 2 pR |sin(theta/2)|.  Low-energy mode is [F]: the no-flip
-    element there is a constant, absorbed into C = 1, and the flip element
-    vanishes, so the no-flip channel and the spin sum are both [F] and the
-    flip channel raises DomainError.  Full mode is [spinor_element * F] for
-    ``channel``, or for the no-flip and flip channels under Channel.SUM.
+    F = disk_amplitude(qR), qR = 2 pR |sin(theta/2)|, is computed once.
+    Low-energy mode is [F]: the no-flip element there is a constant, absorbed
+    into C = 1, and the flip element vanishes, so the no-flip channel and the
+    spin sum are both [F] and the flip channel raises DomainError.  Full mode
+    is [spinor_element * F] for ``channel``, or for the no-flip and flip
+    channels under Channel.SUM.
     ``theta`` is a scalar or an array of angles; so is each amplitude.
     """
     channel = Channel(channel)
