@@ -26,13 +26,7 @@ from .potential import (
     WirePotential,
     momentum_transfer_single,
 )
-from .twobeam import (
-    ScanResult,
-    TwoBeamConfig,
-    dsigma_dtheta_two_beam,
-    pattern_two_beam,
-    phi_theta_scan,
-)
+from .twobeam import TwoBeamConfig, dsigma_dtheta_two_beam, pattern_two_beam
 
 __all__ = [
     "__version__",
@@ -45,7 +39,6 @@ __all__ = [
     "HBARC_EV_M",
     "Normalization",
     "Pattern",
-    "ScanResult",
     "TwoBeamConfig",
     "WirePotential",
     "compare_curves",
@@ -63,7 +56,6 @@ __all__ = [
     "pattern_classical",
     "pattern_single",
     "pattern_two_beam",
-    "phi_theta_scan",
     "sinc",
     "spinor_element",
     "validate_grid",

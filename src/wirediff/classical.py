@@ -56,7 +56,9 @@ def fraunhofer_two_beam(cfg: ClassicalConfig, beams: TwoBeamConfig, theta):
     """Two-beam Fraunhofer density |sinc(a_minus) + e^{i phi} sinc(a_plus)|^2.
 
     a_pm = 2 * scale * pR * |sin(theta/2 +/- alpha/4)|.  ``theta`` is a
-    scalar or an array of angles.
+    scalar or an array of angles; a sequence of phases in ``beams.phi`` adds
+    a leading axis, one row per phase, as in
+    :func:`~wirediff.twobeam.dsigma_dtheta_two_beam`.
     """
     scaled = cfg.radius_scale * cfg.p_radius
     return _interference_density(

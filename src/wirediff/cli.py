@@ -32,7 +32,7 @@ from .electron import Channel, pattern_single
 from .numerics import DomainError
 from .patterns import Normalization
 from .potential import BeamParams, WirePotential, ELECTRON_MASS_EV
-from .twobeam import TwoBeamConfig, pattern_two_beam, phi_theta_scan
+from .twobeam import TwoBeamConfig, dsigma_dtheta_two_beam, pattern_two_beam
 
 # Fewest grid samples per fringe pi / (max(1, scale) * pR) for compare, whose
 # only grid-dependent numbers are trapezoid integrals (match_areas, l2_diff):
@@ -250,14 +250,17 @@ def _cmd_two_beam(args) -> str:
 def _cmd_scan(args) -> str:
     beam, wire = _resolve_physics(args)
     phis, thetas = _resolve_grids(args, "phi", "theta")
-    p_radius = beam.momentum * wire.radius
-    scan = phi_theta_scan(p_radius, args.alpha, phis, thetas)
-    _warn_if_aliased(thetas, p_radius)
+    density = dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(alpha=args.alpha, phi=phis),
+                                     thetas)
+    # the density's fault, not the caller's, as for the pattern commands
+    if not np.all(np.isfinite(density)):
+        raise ValueError("density must be finite")
+    _warn_if_aliased(thetas, beam.momentum * wire.radius)
     config = _base_config(args)
     if args.format == "json":
-        return _json_doc(config, {"phi_rad": scan.phis.tolist(), "theta_rad": scan.thetas.tolist(),
-                                  "density": scan.density.tolist()})
-    return _csv(config, "phi_rad,theta_rad,density", scan.thetas, scan.density, scan.phis)
+        return _json_doc(config, {"phi_rad": phis.tolist(), "theta_rad": thetas.tolist(),
+                                  "density": density.tolist()})
+    return _csv(config, "phi_rad,theta_rad,density", thetas, density, phis)
 
 
 def _cmd_compare(args) -> str:

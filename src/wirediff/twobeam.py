@@ -7,7 +7,8 @@ translating the wire across the fringes, though the quantitative mapping
 from a physical displacement to Phi is deliberately not modeled here).
 
 :func:`dsigma_dtheta_two_beam` is the one two-beam density, in either mode
-and spin channel; :func:`pattern_two_beam` and :func:`phi_theta_scan` sample it.
+and spin channel, at one phase or along an axis of phases (a phase scan);
+:func:`pattern_two_beam` samples it at one phase.
 """
 
 from __future__ import annotations
@@ -18,43 +19,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electron import Channel, amplitudes
-from .numerics import DomainError, disk_amplitude
-from .patterns import Normalization, Pattern, sample_pattern, validate_grid
-from .potential import BeamParams, WirePotential, momentum_transfer_single
+from .numerics import DomainError
+from .patterns import Normalization, Pattern, sample_pattern
+from .potential import BeamParams, WirePotential
 
 
 @dataclass(frozen=True)
 class TwoBeamConfig:
-    """Beam intersection angle alpha [rad] and interference phase phi [rad]."""
+    """Beam intersection angle alpha [rad] and interference phase phi [rad].
+
+    ``phi`` is one phase or a non-empty 1-D sequence of phases, stored as a
+    tuple of floats; a sequence adds a leading phase axis to every density.
+    """
 
     alpha: float
-    phi: float = 0.0
+    phi: float | tuple = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise DomainError(f"alpha >= 0 required, got {self.alpha!r}")
-        if not math.isfinite(self.phi):
-            raise DomainError(f"phi must be finite, got {self.phi!r}")
+        phi = np.asarray(self.phi, dtype=float)
+        if phi.ndim > 1 or phi.size == 0 or not np.all(np.isfinite(phi)):
+            raise DomainError(f"phi must be a finite phase or a non-empty 1-D sequence of "
+                              f"them, got {self.phi!r}")
+        object.__setattr__(self, "phi", tuple(phi.tolist()) if phi.ndim else phi.item())
 
 
-@dataclass(eq=False)
-class ScanResult:
-    """Density sampled on a (phi, theta) grid; density[i, j] = d(phis[i], thetas[j])."""
-
-    phis: np.ndarray
-    thetas: np.ndarray
-    density: np.ndarray
-
-
-def _interference_density(a_minus, a_plus, phi: float):
+def _interference_density(a_minus, a_plus, phi):
     # |a_minus + e^{i phi} a_plus|^2 for real amplitudes or arrays of them,
     # composed from squares so the result is non-negative in floating point
     # even under exact cancellation; the IEEE-remainder-reduced phase makes
-    # the 2*pi periodicity exact.
-    phi_r = math.remainder(phi, math.tau)
-    re = a_minus + a_plus * math.cos(phi_r)
-    im = a_plus * math.sin(phi_r)
-    return re * re + im * im
+    # the 2*pi periodicity exact.  A sequence of phases is a leading axis;
+    # its cos and sin come from math, as for one phase, since numpy's need
+    # not match libm bit for bit, and the in-place steps keep the
+    # temporaries to two arrays of the result's size.
+    phases = [math.remainder(p, math.tau) for p in np.ravel(phi).tolist()]
+    shape = (-1,) + (1,) * np.ndim(a_plus) if np.ndim(phi) else ()
+    re = a_plus * np.reshape([math.cos(p) for p in phases], shape)
+    re += a_minus
+    re *= re
+    im = a_plus * np.reshape([math.sin(p) for p in phases], shape)
+    im *= im
+    re += im
+    return re
 
 
 def dsigma_dtheta_two_beam(
@@ -70,7 +77,8 @@ def dsigma_dtheta_two_beam(
     A_pm is the single-beam amplitude (see :func:`~wirediff.electron.dsigma_dtheta`)
     at each beam's own scattering angle theta -/+ alpha/2, i.e. at
     q_pm R = 2 pR |sin(theta/2 -/+ alpha/4)|.  Both beams carry the same spin
-    labels (polarized source).  ``theta`` is a scalar or an array of angles.
+    labels (polarized source).  ``theta`` is a scalar or an array of angles;
+    a sequence of phases in ``cfg.phi`` adds a leading axis, one row per phase.
     """
     minus = amplitudes(beam, wire, theta - 0.5 * cfg.alpha, mode, channel)
     plus = amplitudes(beam, wire, theta + 0.5 * cfg.alpha, mode, channel)
@@ -89,30 +97,11 @@ def pattern_two_beam(
     """Sample :func:`dsigma_dtheta_two_beam` over an angular grid.
 
     Modes, channels and normalizations as in :func:`~wirediff.electron.pattern_single`.
+    A pattern has one phase: a sequence of phases raises DomainError.
     """
+    if np.ndim(cfg.phi):
+        raise DomainError("a pattern has one phase: use dsigma_dtheta_two_beam for a "
+                          "sequence of phases")
     return sample_pattern(
         lambda theta: dsigma_dtheta_two_beam(beam, wire, cfg, theta, mode, channel),
         thetas, normalization)
-
-
-def phi_theta_scan(
-    p_radius: float,
-    alpha: float,
-    phi_grid: np.ndarray,
-    theta_grid: np.ndarray,
-) -> ScanResult:
-    """Low-energy two-beam density on the (phi, theta) tensor grid.
-
-    Equivalent to scanning the wire across the beam intersection: the
-    per-phi integrated intensity rises and falls as the wire crosses
-    bright and dark fringes.
-    """
-    TwoBeamConfig(alpha=alpha)  # rejects a negative or non-finite alpha
-    phis = validate_grid(phi_grid)
-    thetas = validate_grid(theta_grid)
-    # phi enters only through the combiner: the form factors F_-, F_+ are
-    # computed once over the theta grid and every phi row combines them
-    f_minus = disk_amplitude(momentum_transfer_single(p_radius, thetas - 0.5 * alpha))
-    f_plus = disk_amplitude(momentum_transfer_single(p_radius, thetas + 0.5 * alpha))
-    density = np.array([_interference_density(f_minus, f_plus, phi) for phi in phis.tolist()])
-    return ScanResult(phis=phis, thetas=thetas, density=density)

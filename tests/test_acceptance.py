@@ -16,7 +16,7 @@ from wirediff.electron import Channel, dsigma_dtheta, pattern_single
 from wirediff.numerics import disk_amplitude
 from wirediff.patterns import Normalization, default_grid
 from wirediff.potential import BeamParams, WirePotential
-from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam, phi_theta_scan
+from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 
 from conftest import beam_and_wire, two_j1_over_x
 from oracles import disk_ft_oracle
@@ -150,7 +150,7 @@ def test_criterion_4_low_energy_reduction(default_setup):
 
 
 def test_criterion_5_two_beam_properties(default_setup):
-    beam, wire, p_radius = default_setup
+    beam, wire, _ = default_setup
     start = time.perf_counter()
 
     rng = np.random.default_rng(20260809)
@@ -189,8 +189,9 @@ def test_criterion_5_two_beam_properties(default_setup):
         for th in (0.0, 0.01, 0.045, 0.1)
     )
 
-    scan = phi_theta_scan(p_radius, 0.1, np.linspace(0.0, TAU, 41), default_grid())
-    masses = np.trapezoid(scan.density, scan.thetas, axis=1)
+    grid = default_grid()
+    scan = dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(0.1, np.linspace(0.0, TAU, 41)), grid)
+    masses = np.trapezoid(scan, grid, axis=1)
     elapsed = time.perf_counter() - start
 
     _report(

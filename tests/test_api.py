@@ -12,11 +12,11 @@ import wirediff
 from wirediff import (BeamParams, Channel, ClassicalConfig, DomainError, Normalization, Pattern,
                       TwoBeamConfig, WirePotential, compare_curves, disk_amplitude, find_zero,
                       first_dark_points, fraunhofer_single, match_areas, momentum_transfer_single,
-                      pattern_single, sinc, spinor_element, validate_grid)
+                      pattern_single, pattern_two_beam, sinc, spinor_element, validate_grid)
 from wirediff.electron import amplitudes
 from wirediff.patterns import normalize_density
 
-# public names deleted in 0.2.0 to 0.7.0, each a second path to a quantity
+# public names deleted in 0.2.0 to 0.8.0, each a second path to a quantity
 # that keeps one, a test oracle now in tests/oracles.py, an input-error type
 # that DomainError replaces, a spelling of the spin channel that Channel
 # replaces, the grid dark-point search that first_dark_points replaces, or a
@@ -27,7 +27,8 @@ REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "ConfigError", "Spin", "SpinChannel", "NO_FLIP", "FLIP", "dsigma_dtheta_full",
            "dsigma_dtheta_low_energy", "dsigma_dtheta_two_beam_full",
            "dsigma_dtheta_two_beam_low_energy", "first_dark_angle", "ZeroReport",
-           "sample_beam_pattern", "unit_spinor", "spinor_factors")
+           "sample_beam_pattern", "unit_spinor", "spinor_factors", "phi_theta_scan",
+           "ScanResult")
 
 
 class TestPublicSurface:
@@ -36,7 +37,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 32
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 30
 
     def test_disk_amplitude_is_the_exported_amplitude(self):
         from wirediff import numerics
@@ -106,6 +107,9 @@ _BAD_INPUTS = {
     "fraunhofer theta": lambda: fraunhofer_single(ClassicalConfig(1.0), math.nan),
     "alpha": lambda: TwoBeamConfig(alpha=-0.1),
     "phi": lambda: TwoBeamConfig(alpha=0.1, phi=math.inf),
+    "empty phi": lambda: TwoBeamConfig(alpha=0.1, phi=[]),
+    "pattern phases": lambda: pattern_two_beam(BeamParams(1e7), WirePotential(1e-5),
+                                               TwoBeamConfig(0.1, [0.0, 1.0]), _GRID),
     "p_radius": lambda: ClassicalConfig(p_radius=0.0),
     "radius_scale": lambda: ClassicalConfig(p_radius=1.0, radius_scale=math.nan),
     "empty grid": lambda: validate_grid([]),

@@ -182,12 +182,13 @@ class TestConfigErrors:
 
     def test_internal_fault_exits_1(self, capsys, monkeypatch):
         # a NaN amplitude is the package's own fault, not the caller's input,
-        # under every normalization
+        # under every normalization and in every density command
         from wirediff import electron
 
         monkeypatch.setattr(electron, "disk_amplitude", lambda q_r: np.full(np.shape(q_r), np.nan))
-        for normalization in ("raw", "peak-one", "unit-area"):
-            code, out, err = run_cli(capsys, "single", "--normalization", normalization)
+        for argv in (*(("single", "--normalization", n) for n in ("raw", "peak-one", "unit-area")),
+                     ("two-beam",), ("scan", "--phi-points", "3", "--theta-points", "5")):
+            code, out, err = run_cli(capsys, *argv)
             assert code == 1
             assert out == ""
             assert "wirediff: internal error: ValueError: density must be finite" in err

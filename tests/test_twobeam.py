@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wirediff.classical import ClassicalConfig, fraunhofer_two_beam
 from wirediff.electron import Channel, dsigma_dtheta
-from wirediff.numerics import disk_amplitude
+from wirediff.numerics import DomainError, disk_amplitude
 from wirediff.patterns import Normalization, Pattern
-from wirediff.twobeam import (
-    ScanResult,
-    TwoBeamConfig,
-    dsigma_dtheta_two_beam,
-    pattern_two_beam,
-    phi_theta_scan,
-)
+from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam, pattern_two_beam
 
 from conftest import beam_and_wire, two_j1_over_x
 
@@ -120,56 +115,82 @@ class TestFullEnergyDensity:
 
 
 class TestPhiThetaScan:
+    # the density on a (phi, theta) grid: a sequence of phases in
+    # TwoBeamConfig.phi is a leading axis of dsigma_dtheta_two_beam
+    @staticmethod
+    def scan(phis, thetas, alpha=0.1):
+        return dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(alpha, phis), thetas)
+
     def test_shape_and_non_negativity(self):
-        phis = np.linspace(0.0, TAU, 9)
-        thetas = np.linspace(-0.1, 0.1, 11)
-        scan = phi_theta_scan(PR, 0.1, phis, thetas)
-        assert isinstance(scan, ScanResult)
-        assert scan.density.shape == (9, 11)
-        assert np.all(scan.density >= 0.0)
+        density = self.scan(np.linspace(0.0, TAU, 9), np.linspace(-0.1, 0.1, 11))
+        assert density.shape == (9, 11)
+        assert np.all(density >= 0.0)
 
     def test_rows_periodic(self):
-        phis = np.array([0.5, 0.5 + TAU])
-        thetas = np.linspace(-0.1, 0.1, 101)
-        scan = phi_theta_scan(PR, 0.1, phis, thetas)
+        density = self.scan([0.5, 0.5 + TAU], np.linspace(-0.1, 0.1, 101))
         assert np.all(
-            np.abs(scan.density[0] - scan.density[1])
-            <= 1e-12 * np.maximum(np.abs(scan.density[0]), 1e-300)
+            np.abs(density[0] - density[1]) <= 1e-12 * np.maximum(np.abs(density[0]), 1e-300)
         )
 
     def test_destructive_row_vanishes_at_center(self):
-        phis = np.array([0.0, math.pi])
         thetas = np.linspace(-0.1, 0.1, 101)  # includes 0
-        scan = phi_theta_scan(PR, 0.1, phis, thetas)
+        density = self.scan([0.0, math.pi], thetas)
         j0 = int(np.argmin(np.abs(thetas)))
-        assert scan.density[1, j0] == pytest.approx(0.0, abs=1e-20)
+        assert density[1, j0] == pytest.approx(0.0, abs=1e-20)
 
     def test_row_mass_extremal_at_bright_and_dark_fringes(self):
-        phis = np.linspace(0.0, TAU, 41)
         thetas = np.linspace(-0.15, 0.15, 601)
-        scan = phi_theta_scan(PR, 0.1, phis, thetas)
-        masses = np.trapezoid(scan.density, thetas, axis=1)
+        density = self.scan(np.linspace(0.0, TAU, 41), thetas)
+        masses = np.trapezoid(density, thetas, axis=1)
         assert int(np.argmax(masses)) in (0, 40)       # phi = 0 or 2*pi
         assert int(np.argmin(masses)) == 20            # phi = pi
 
     def test_grid_violations_rejected(self):
-        with pytest.raises(ValueError):
-            phi_theta_scan(PR, 0.1, np.array([1.0, 0.0]), np.array([0.0, 0.1]))
-        with pytest.raises(ValueError):
-            phi_theta_scan(PR, 0.1, np.array([]), np.array([0.0, 0.1]))
+        # any non-empty 1-D set of finite phases is a phase axis, in any order
+        for phis in ([], [[0.0, 1.0]], [0.0, math.nan]):
+            with pytest.raises(DomainError):
+                TwoBeamConfig(0.1, np.array(phis))
+        thetas = np.array([0.0, 0.1])
+        decreasing = self.scan([1.0, 0.0], thetas)
+        assert np.array_equal(decreasing, self.scan([0.0, 1.0], thetas)[::-1])
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            phi_theta_scan(PR, -0.1, np.array([0.0, 1.0]), np.array([0.0, 0.1]))
+        with pytest.raises(DomainError):
+            self.scan([0.0, 1.0], np.array([0.0, 0.1]), alpha=-0.1)
 
-    def test_rows_equal_two_beam_patterns(self, beam, wire, p_radius):
-        # every phi row is, bit for bit, the raw low-energy two-beam pattern
+    def test_config_hashable_and_equal_to_tuple(self):
+        cfg = TwoBeamConfig(0.1, np.array([0.0, 1.0]))
+        assert cfg == TwoBeamConfig(0.1, (0.0, 1.0))
+        assert hash(cfg) == hash(TwoBeamConfig(0.1, [0.0, 1.0]))
+        assert cfg.phi == (0.0, 1.0)
+
+    def test_rows_equal_two_beam_patterns(self, beam, wire):
+        # every phi row is, bit for bit, the density at that one phase
         phis = np.linspace(-1.0, TAU + 1.0, 13)
         thetas = np.linspace(-0.15, 0.15, 301)
-        scan = phi_theta_scan(p_radius, 0.1, phis, thetas)
-        for phi, row in zip(phis, scan.density):
-            pattern = pattern_two_beam(beam, wire, TwoBeamConfig(0.1, float(phi)), thetas)
-            assert np.array_equal(row, pattern.density)
+        for mode, channel in [("low-energy", Channel.NO_FLIP), ("full", Channel.NO_FLIP),
+                              ("full", Channel.FLIP), ("full", Channel.SUM)]:
+            density = dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(0.1, phis), thetas,
+                                             mode, channel)
+            assert density.shape == (13, 301)
+            for phi, row in zip(phis.tolist(), density):
+                pattern = pattern_two_beam(beam, wire, TwoBeamConfig(0.1, phi), thetas,
+                                           mode, channel)
+                assert np.array_equal(row, pattern.density)
+
+    def test_classical_rows_equal_single_phase(self, p_radius):
+        phis = np.linspace(-1.0, TAU + 1.0, 13)
+        thetas = np.linspace(-0.15, 0.15, 301)
+        cfg = ClassicalConfig(p_radius, radius_scale=1.1)
+        density = fraunhofer_two_beam(cfg, TwoBeamConfig(0.1, phis), thetas)
+        assert density.shape == (13, 301)
+        for phi, row in zip(phis.tolist(), density):
+            assert np.array_equal(row, fraunhofer_two_beam(cfg, TwoBeamConfig(0.1, phi), thetas))
+
+    def test_scalar_theta_gives_one_value_per_phase(self):
+        density = self.scan([0.0, math.pi], 0.0)
+        assert density.shape == (2,)
+        assert density[0] == dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(0.1), 0.0)
 
 
 class TestPatternTwoBeam:
@@ -238,6 +259,10 @@ class TestPatternTwoBeam:
             pattern_two_beam(beam, wire, TwoBeamConfig(0.1), self.THETAS, mode="fast")
         with pytest.raises(ValueError):
             pattern_two_beam(beam, wire, TwoBeamConfig(0.1), self.THETAS[::-1])
+
+    def test_phase_sequence_rejected(self, beam, wire):
+        with pytest.raises(DomainError, match="dsigma_dtheta_two_beam"):
+            pattern_two_beam(beam, wire, TwoBeamConfig(0.1, [0.0, 1.0]), self.THETAS)
 
     def test_exported(self):
         import wirediff
