@@ -576,25 +576,25 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "9766bb611c2418076a5cd30f5f12789456f7af898c08dbdc5a9ca05b520f3f71"),
+             "a81d69e496596a7ede1956ecfb38f109f70f2c96b376a825d601e1fb3f16965a"),
             (("two-beam",),
-             "56888cada64dde3fd8819408bebddba7c8cfabc6541c8b7e9906d63f8492c011"),
+             "c1d91bf3446a90a1ca5a4fb718ec98c0b4abbf1b59ce78ca0eeb080ca9d9e80d"),
             (("scan",),
-             "302c080ab92b0c1ef0bd38e526ec95fb280c9bfe0c79a14adfd0bf8c01af655e"),
+             "564e049e18ec5d1719c5f2b78f0c48f5c41b53b419409915f53a8522ab2764b1"),
             (("compare",),
-             "ab2148d0603561a446bb361160c9c14cc7b6737913621bdcb4a668a5c3a363b7"),
+             "f50e23d9f5c7e2e9fddf33cede221897d99653b93b5c8bc83fc45ffea3c09eff"),
             (("zeros",),
-             "765801ae18cf54c0fe1b901d2698088096ad0c9cf4550246108291289ac2c02d"),
+             "29f002ada684ad09cf4792d67bf1b1d6f6fecf8e3047e5b46de7d86d51f601e8"),
             (("zeros", "--n", "3"),
-             "af60ce473567e1a1183a8e99fc23d6b82b4c5075687391970eca5d0724106a5c"),
+             "6999a338025aea106c87dc79d3cfe856783e820f892cff6fa8ccb4b4cce5c296"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "924029bbb825b84491304c4dda95882a5bdd42cc21d7c5e44c69dc9c3c2a4307"),
+             "c9f53bc1d66671eb612c627a8a533d63d36a3600cb0cd91257e17436a49234b7"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "fd4fe47e2dc61828fa32e004a91aea0fa4e37494a47006e584bb2c4f58d83b23"),
+             "4035569054fed5f0e6ca52e21f7bcaa66d0db9422be5bc838ded9eb08d7f4a20"),
             (("single", "--mode", "full", "--spin", "sum"),
-             "dd24490db1a2331568b3b93e5e562f2ada218de477021a39202178c617fa93d9"),
+             "fba41340eda8be4780b05eab061db42df6e28354421555f9995d3c9d7e6a891e"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
-             "5c09510c2dfb210b6b4cdfb390d647c21a049e9dbd262ca255905ec2fa9f13ba"),
+             "a1ed0f75757773274590779af742bce99775bffaf3063fb250797b500ec2dd9c"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum"],
