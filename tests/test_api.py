@@ -107,7 +107,6 @@ _BAD_INPUTS = {
     "fraunhofer theta": lambda: fraunhofer_single(ClassicalConfig(1.0), math.nan),
     "alpha": lambda: TwoBeamConfig(alpha=-0.1),
     "phi": lambda: TwoBeamConfig(alpha=0.1, phi=math.inf),
-    "empty phi": lambda: TwoBeamConfig(alpha=0.1, phi=[]),
     "pattern phases": lambda: pattern_two_beam(BeamParams(1e7), WirePotential(1e-5),
                                                TwoBeamConfig(0.1, [0.0, 1.0]), _GRID),
     "p_radius": lambda: ClassicalConfig(p_radius=0.0),
