@@ -17,7 +17,7 @@ from .analysis import (
 )
 from .classical import ClassicalConfig, fraunhofer_single, fraunhofer_two_beam, pattern_classical
 from .electron import Channel, dsigma_dtheta, pattern_single, spinor_element
-from .numerics import DomainError, disk_amplitude, find_zero, sinc
+from .numerics import DomainError, disk_amplitude, sinc
 from .patterns import Normalization, Pattern, default_grid, validate_grid
 from .potential import (
     ELECTRON_MASS_EV,
@@ -46,7 +46,6 @@ __all__ = [
     "disk_amplitude",
     "dsigma_dtheta",
     "dsigma_dtheta_two_beam",
-    "find_zero",
     "first_dark_points",
     "fraunhofer_single",
     "fraunhofer_two_beam",

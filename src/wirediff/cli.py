@@ -46,8 +46,8 @@ _MIN_SAMPLES_PER_FRINGE = 50
 # theta_points for scan): ~0.6 GB of CSV, checked before any allocation.
 _MAX_GRID_VALUES = 10_000_000
 
-# Most dark points ``zeros --n`` may ask for per curve: each quantum one is a
-# bisection of ~0.1 ms at large pR, so the cap bounds a run to about a second.
+# Most dark points ``zeros --n`` may ask for per curve: each one is closed
+# form, so the cap bounds the output, ~0.6 MB of JSON, not the compute time.
 _MAX_ZEROS = 10_000
 
 
@@ -73,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"wirediff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # the builders' normalizations; area-matched labels only match_areas' output
-    normalizations = sorted(n.value for n in Normalization if n is not Normalization.AREA_MATCHED)
+    normalizations = sorted(n.value for n in Normalization)
 
     def add_common(p: argparse.ArgumentParser, grid: bool = True) -> None:
         p.add_argument("--wavelength-nm", type=float, default=633.0,

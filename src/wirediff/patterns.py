@@ -26,7 +26,6 @@ class Normalization(Spelling):
     RAW = "raw"
     PEAK_ONE = "peak-one"
     UNIT_AREA = "unit-area"
-    AREA_MATCHED = "area-matched"
 
 
 def default_grid() -> np.ndarray:
@@ -57,14 +56,8 @@ def grid_area(thetas: np.ndarray, density: np.ndarray) -> float:
 
 def normalize_density(thetas: np.ndarray, density: np.ndarray,
                       normalization: Normalization) -> np.ndarray:
-    """Rescale a sampled density according to the requested mode.
-
-    AREA_MATCHED is rejected: it labels a curve scaled to another curve's
-    area, which only :func:`~wirediff.analysis.match_areas` produces.
-    """
+    """Rescale a sampled density according to the requested mode."""
     normalization = Normalization(normalization)
-    if normalization is Normalization.AREA_MATCHED:
-        raise DomainError("area-matched needs a reference curve: use analysis.match_areas")
     if normalization is Normalization.RAW:
         return np.asarray(density, dtype=float)
     if normalization is Normalization.PEAK_ONE:
@@ -80,7 +73,7 @@ def normalize_density(thetas: np.ndarray, density: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class Pattern:
-    """A sampled angular probability density d(sigma)/d(theta) and its normalization.
+    """A sampled angular probability density d(sigma)/d(theta).
 
     A pattern carries no provenance: the builder's own arguments are the
     record, and the CLI writes them into every file as its ``# config:`` line.
@@ -88,7 +81,6 @@ class Pattern:
 
     thetas: np.ndarray
     density: np.ndarray
-    normalization: Normalization = Normalization.RAW
 
     def __post_init__(self):
         thetas = validate_grid(self.thetas)
@@ -103,7 +95,6 @@ class Pattern:
             raise ValueError("density must be non-negative")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "density", density)
-        object.__setattr__(self, "normalization", Normalization(self.normalization))
 
     def area(self) -> float:
         """Trapezoidal integral of the density over the grid."""
@@ -123,4 +114,4 @@ def sample_pattern(density, thetas, normalization: Normalization) -> Pattern:
     # the density's fault, not the caller's: before normalize_density's DomainError
     if not np.all(np.isfinite(values)):
         raise ValueError("density must be finite")
-    return Pattern(thetas, normalize_density(thetas, values, normalization), normalization)
+    return Pattern(thetas, normalize_density(thetas, values, normalization))

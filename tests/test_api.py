@@ -10,17 +10,17 @@ import pytest
 
 import wirediff
 from wirediff import (BeamParams, Channel, ClassicalConfig, DomainError, Normalization, Pattern,
-                      TwoBeamConfig, WirePotential, compare_curves, disk_amplitude, find_zero,
+                      TwoBeamConfig, WirePotential, compare_curves, disk_amplitude,
                       first_dark_points, fraunhofer_single, match_areas, momentum_transfer_single,
                       pattern_single, pattern_two_beam, sinc, spinor_element, validate_grid)
 from wirediff.electron import amplitudes
 from wirediff.patterns import normalize_density
 
-# public names deleted in 0.2.0 to 0.8.0, each a second path to a quantity
+# public names deleted in 0.2.0 to 0.9.0, each a second path to a quantity
 # that keeps one, a test oracle now in tests/oracles.py, an input-error type
 # that DomainError replaces, a spelling of the spin channel that Channel
-# replaces, the grid dark-point search that first_dark_points replaces, or a
-# layer that only echoed its caller's arguments or wrapped a call
+# replaces, a dark-point search that closed forms replace, or a layer that
+# only echoed its caller's arguments or wrapped a call
 REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_full_spin_summed", "hyp0f1_reg2", "hyp0f1_reg2_series",
            "bessel_j1", "disk_ft_oracle", "AccuracyError", "BracketError", "RangeError",
@@ -28,7 +28,7 @@ REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_low_energy", "dsigma_dtheta_two_beam_full",
            "dsigma_dtheta_two_beam_low_energy", "first_dark_angle", "ZeroReport",
            "sample_beam_pattern", "unit_spinor", "spinor_factors", "phi_theta_scan",
-           "ScanResult")
+           "ScanResult", "find_zero")
 
 
 class TestPublicSurface:
@@ -37,7 +37,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 30
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 29
 
     def test_disk_amplitude_is_the_exported_amplitude(self):
         from wirediff import numerics
@@ -55,8 +55,10 @@ class TestPublicSurface:
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
 
     def test_removed_attributes_are_gone(self):
-        # provenance echoes of the caller's own arguments
+        # provenance echoes of the caller's own arguments, and a label no code read
         assert not hasattr(Pattern(_GRID, np.ones(5)), "metadata")
+        assert not hasattr(Pattern(_GRID, np.ones(5)), "normalization")
+        assert not hasattr(Normalization, "AREA_MATCHED")
         assert not hasattr(WirePotential(1e-5), "diameter_um")
         assert not hasattr(BeamParams(1e7), "wavelength_m")
 
@@ -117,7 +119,7 @@ _BAD_INPUTS = {
     "unknown mode": lambda: amplitudes(BeamParams(1e7), WirePotential(1e-5), 0.1, "medium"),
     "low-energy flip": lambda: amplitudes(BeamParams(1e7), WirePotential(1e-5), 0.1,
                                           "low-energy", Channel.FLIP),
-    "area_matched": lambda: normalize_density(_GRID, np.ones(5), Normalization.AREA_MATCHED),
+    "area_matched": lambda: normalize_density(_GRID, np.ones(5), "area-matched"),
     "unknown normalization": lambda: pattern_single(BeamParams(1e7), WirePotential(1e-5), _GRID,
                                                     normalization="peak_one"),
     "unknown channel": lambda: pattern_single(BeamParams(1e7), WirePotential(1e-5), _GRID,
@@ -128,9 +130,6 @@ _BAD_INPUTS = {
     "dark-point n": lambda: first_dark_points(100.0, "quantum", 0),
     "dark-point method": lambda: first_dark_points(100.0, "semiclassical"),
     "too few dark points": lambda: first_dark_points(2.5, "quantum", 2),
-    "no sign change": lambda: find_zero(math.sin, 3.3, 3.5),
-    "reversed bracket": lambda: find_zero(math.sin, 3.3, 3.0),
-    "tolerance": lambda: find_zero(math.sin, 3.0, 3.3, tol=0.0),
     "match_areas grid": lambda: match_areas(_FLAT, Pattern(_GRID + 1.0, np.ones(5))),
     "zero target": lambda: match_areas(_FLAT, Pattern(_GRID, np.zeros(5))),
     "compare_curves grid": lambda: compare_curves(_FLAT, Pattern(_GRID + 1.0, np.ones(5))),

@@ -10,7 +10,7 @@ from wirediff.classical import (
     fraunhofer_two_beam,
     pattern_classical,
 )
-from wirediff.numerics import DomainError, find_zero
+from wirediff.numerics import DomainError
 from wirediff.patterns import Normalization
 from wirediff.twobeam import TwoBeamConfig
 
@@ -22,10 +22,12 @@ class TestFraunhoferSingle:
         assert fraunhofer_single(ClassicalConfig(PR), 0.0) == 1.0
 
     def test_first_zero_location(self):
-        # root of the amplitude sinc(pR sin(theta)), expected at asin(pi/pR)
-        theta = find_zero(lambda t: math.sin(PR * math.sin(t)) / (PR * math.sin(t)),
-                          0.03, 0.05, tol=1e-12)
-        assert theta == pytest.approx(math.asin(math.pi / PR), abs=1e-12)
+        # the amplitude sinc(pR sin(theta)) changes sign across asin(pi/pR)
+        def amplitude(t):
+            return math.sin(PR * math.sin(t)) / (PR * math.sin(t))
+
+        theta = math.asin(math.pi / PR)
+        assert amplitude(theta - 1e-12) > 0.0 > amplitude(theta + 1e-12)
         assert theta == pytest.approx(0.037247, abs=1e-5)
         assert fraunhofer_single(ClassicalConfig(PR), theta) < 1e-20
 

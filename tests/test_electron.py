@@ -157,11 +157,9 @@ class TestPatternSingle:
             pattern_single(beam, wire, mode="low-energy", channel=Channel.FLIP)
 
     def test_area_matched_rejected(self, beam, wire):
-        # raw data labelled area-matched would carry no area_match_scale;
         # only analysis.match_areas scales a curve to another's area
-        for normalization in (Normalization.AREA_MATCHED, "area-matched"):
-            with pytest.raises(ValueError, match="match_areas"):
-                pattern_single(beam, wire, normalization=normalization)
+        with pytest.raises(ValueError, match="unknown Normalization 'area-matched'"):
+            pattern_single(beam, wire, normalization="area-matched")
 
 
 class TestPatternValidation:

@@ -7,10 +7,10 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wirediff import numerics
-from wirediff.numerics import DomainError, disk_amplitude, find_zero, sinc
+from wirediff.numerics import DomainError, _j1_zero, disk_amplitude, sinc
 
 from conftest import two_j1_over_x
 from oracles import AccuracyError, disk_ft_oracle
@@ -197,7 +197,7 @@ class TestJ1Kernel:
         generated: dict = {}
         exec(done.stdout, generated)
         names = [name for name in generated if name.startswith("_J1_")]
-        assert names == ["_J1_ZERO_SQ", "_J1_G", "_J1_P", "_J1_XQ"]
+        assert names == ["_J1_ZERO_SQ", "_J1_ZEROS", "_J1_G", "_J1_P", "_J1_XQ"]
         for name in names:
             assert getattr(numerics, name) == generated[name], name
 
@@ -232,33 +232,27 @@ class TestDiskFtOracle:
             disk_ft_oracle(1.0, rule_order=1)
 
 
-class TestFindZero:
-    def test_sine_root(self):
-        root = find_zero(math.sin, 3.0, 3.3, tol=1e-12)
-        assert abs(root - math.pi) < 1e-12
-        assert abs(math.sin(root)) < 1e-9
+def _j1_zero_rel_error(k: int) -> float:
+    with mpmath.workdps(40):
+        want = mpmath.besseljzero(1, k)
+        return float(abs((_j1_zero(k) - want) / want))
 
-    def test_sinc_root(self):
-        root = find_zero(sinc, 3.0, 3.3, tol=1e-12)
-        assert abs(root - math.pi) < 1e-12
 
-    def test_disk_transform_root_is_bessel_zero(self, j1_zeros_oracle):
-        root = find_zero(disk_amplitude, 3.0, 4.5, tol=1e-12)
-        assert abs(root - j1_zeros_oracle[0]) < 1e-10
-        assert abs(disk_amplitude(root)) < 1e-9
+class TestJ1Zero:
+    # j_{1,k} in closed form: the table up to k = 23, five-term McMahon above
+    def test_matches_mpmath_up_to_k_200(self):
+        assert max(_j1_zero_rel_error(k) for k in range(1, 201)) <= 4e-16
 
-    def test_endpoint_root_returned(self):
-        assert find_zero(lambda x: x, 0.0, 1.0) == 0.0
-        assert find_zero(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    @settings(deadline=None)
+    @given(st.integers(24, 10**5))
+    def test_mcmahon_matches_mpmath(self, k):
+        assert _j1_zero_rel_error(k) <= 4e-16
 
-    def test_no_sign_change_raises(self):
-        with pytest.raises(DomainError):
-            find_zero(math.sin, 3.3, 3.5)
-
-    def test_bad_bracket_raises(self):
-        with pytest.raises(DomainError):
-            find_zero(math.sin, 3.3, 3.0)
-
-    def test_bad_tol_raises(self):
-        with pytest.raises(DomainError):
-            find_zero(math.sin, 3.0, 3.3, tol=0.0)
+    def test_zeros_are_disk_amplitude_roots(self, j1_zeros_oracle):
+        # F changes sign across each zero, from (-1)^(k-1) below to (-1)^k above
+        assert [_j1_zero(k) for k in range(1, 6)] == pytest.approx(j1_zeros_oracle, rel=1e-15)
+        for k in range(1, 101):
+            x = _j1_zero(k)
+            sign = (-1.0) ** (k - 1)
+            assert sign * disk_amplitude(x * (1.0 - 1e-13)) > 0.0
+            assert sign * disk_amplitude(x * (1.0 + 1e-13)) < 0.0

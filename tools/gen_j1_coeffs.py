@@ -1,12 +1,13 @@
-"""Fit the coefficients of the J1 kernel in ``wirediff.numerics``.
+"""Fit the coefficients of the J1 kernel in ``wirediff.numerics`` and
+tabulate the zeros of J1.
 
 Usage (from the repository root; needs mpmath, a test extra):
 
     python tools/gen_j1_coeffs.py
 
-prints the coefficient block of ``src/wirediff/numerics.py`` as Python
-source.  ``tests/test_numerics.py`` runs this script and checks that every
-printed tuple equals the committed one exactly.
+prints the coefficient and zero block of ``src/wirediff/numerics.py`` as
+Python source.  ``tests/test_numerics.py`` runs this script and checks that
+every printed tuple equals the committed one exactly.
 
 The kernel evaluates F(x) = 2 J1(x)/x, x >= 0, on two branches:
 
@@ -22,8 +23,10 @@ The kernel evaluates F(x) = 2 J1(x)/x, x >= 0, on two branches:
   both are printed scaled by 2 sqrt(2/pi).  P and Q are interpolated in
   t = 2 (13/x)^2 - 1 from 50-digit Bessel J1 and Y1.
 
-Every tuple runs from the highest degree down to the constant term, the
-order ``numerics._clenshaw`` consumes.
+Every coefficient tuple runs from the highest degree down to the constant
+term, the order ``numerics._clenshaw`` consumes.  ``_J1_ZEROS`` holds
+j_{1,1} ... j_{1,23} rounded to doubles, the dark points' table below the
+range where McMahon's expansion is exact to double precision.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import mpmath as mp
 DPS = 50
 CUTOFF = 13
 N_ZEROS = 4
+N_TABLE = 23
 # the highest coefficient kept, times the largest zero-factor product
 # (1.3e7) or the x^(-3/2) of the Hankel branch (0.02), is below 1e-17 in F
 DEGREE_G = 16
@@ -97,6 +101,7 @@ def main() -> None:
     g = fit_g(zeros)
     p, q = fit_pq()
     print(render("_J1_ZERO_SQ", zero_sq))
+    print(render("_J1_ZEROS", [float(mp.besseljzero(1, k)) for k in range(1, N_TABLE + 1)]))
     print(render("_J1_G", [float(c) for c in reversed(g)]))
     print(render("_J1_P", [float(c) for c in reversed(p)]))
     print(render("_J1_XQ", [float(c) for c in reversed(q)]))
