@@ -583,25 +583,25 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "a81d69e496596a7ede1956ecfb38f109f70f2c96b376a825d601e1fb3f16965a"),
+             "78ecb36546823f90764d8e755a10a9c4f926191747a1c29ad79fa96fcf326f1c"),
             (("two-beam",),
-             "c1d91bf3446a90a1ca5a4fb718ec98c0b4abbf1b59ce78ca0eeb080ca9d9e80d"),
+             "6de07eddd9662e0eaf74caa48b658ed4bdca7e7f4d2c8405a0c212924d76eefc"),
             (("scan",),
-             "564e049e18ec5d1719c5f2b78f0c48f5c41b53b419409915f53a8522ab2764b1"),
+             "fc9ae9f4ff73bb93a61e874c865a7b20af2e8041e45268ba7fa281c63744e816"),
             (("compare",),
-             "6b4ab53df31da3f69b41976ce18fbf11cd4f1c9978223898608b2ddff57fa73c"),
+             "5090a9a97a4d7ef53e1a5b2c5e5feb5360a377f905538018f15ff3e7528ab4bb"),
             (("zeros",),
-             "dd076d6ce606be08c8b78b5b462a336523d508b99540a961f1cbcd27732f555e"),
+             "ae5a73d00018c98bdad7b251e86f2445701f95fa2be36610958f1ce8f1fea6b3"),
             (("zeros", "--n", "3"),
-             "9ef1deed412e2f46137e4161449c1156384466c9d081bac32c90b3c974acad45"),
+             "e3ed792b04f66b3dd5fb7e3a56caec90a39c0088e94819d1b513136ad74aba76"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "c9f53bc1d66671eb612c627a8a533d63d36a3600cb0cd91257e17436a49234b7"),
+             "dd6f18a4bf2deccfeb21e6875841d56c11bcbfc136b3fbfaa7075d254d5314f0"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "4035569054fed5f0e6ca52e21f7bcaa66d0db9422be5bc838ded9eb08d7f4a20"),
+             "bb4bc2de465617fdecaf2e2c71cd9352346971c7ab19b367202683be7b5c6902"),
             (("single", "--mode", "full", "--spin", "sum"),
-             "fba41340eda8be4780b05eab061db42df6e28354421555f9995d3c9d7e6a891e"),
+             "7372e5170104d987deedb712eb0cf66054cc72a02633200f7647c571c0fa69de"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
-             "a1ed0f75757773274590779af742bce99775bffaf3063fb250797b500ec2dd9c"),
+             "b9e799b62b064018fa014355fcd7f0986d10910e4ebe7512d5d238e20790041f"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum"],
