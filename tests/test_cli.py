@@ -574,8 +574,9 @@ class TestTimestampFlag:
 
 class TestPinnedDigests:
     # sha256 of the default stdout of each command, a multi-phase scan at
-    # pR ~ 534, a 20,001-point Hankel-branch pattern, and the full-mode spin
-    # sum of both pattern commands, the one path through spinor_element.
+    # pR ~ 534, a 20,001-point Hankel-branch pattern, the full-mode spin
+    # sum of both pattern commands, the one path through spinor_element,
+    # and a compare whose classical radius is rescaled.
     # Refactors of the amplitude model or the writer must leave these bytes
     # unchanged.
     # ids name the argv, so a deliberate re-pin keeps every test id
@@ -602,9 +603,11 @@ class TestPinnedDigests:
              "7372e5170104d987deedb712eb0cf66054cc72a02633200f7647c571c0fa69de"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
              "b9e799b62b064018fa014355fcd7f0986d10910e4ebe7512d5d238e20790041f"),
+            (("compare", "--radius-scale", "0.82"),
+             "3e9c77b337e0080c36b018fa1840732767ecef1621213459ee4ada406e2d736a"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
-             "single-20nm", "single-full-sum", "two-beam-full-sum"],
+             "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82"],
     )
     def test_default_output_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
