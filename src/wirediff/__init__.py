@@ -15,7 +15,7 @@ from .analysis import (
     match_areas,
     overestimation_factor,
 )
-from .classical import ClassicalConfig, fraunhofer_single, fraunhofer_two_beam, pattern_classical
+from .classical import fraunhofer_single, fraunhofer_two_beam, pattern_classical
 from .electron import Channel, dsigma_dtheta, pattern_single, spinor_element
 from .numerics import DomainError, disk_amplitude, sinc
 from .patterns import Normalization, Pattern, default_grid, validate_grid
@@ -32,7 +32,6 @@ __all__ = [
     "__version__",
     "BeamParams",
     "Channel",
-    "ClassicalConfig",
     "CurveComparison",
     "DomainError",
     "ELECTRON_MASS_EV",

@@ -17,6 +17,9 @@ import numpy as np
 from .numerics import DomainError, _j1_zero
 from .patterns import Pattern, grid_area
 
+# pi to 1e-34 in three parts; k times the first two, of <= 30 bits, is exact for k < 2**23
+_PI_A, _PI_B, _PI_C = 3.141592651605606, 1.9841871583270443e-09, 1.034036596358821e-18
+
 
 def first_dark_points(p_radius: float, method: str, n: int = 1) -> tuple[float, ...]:
     """First ``n`` dark points in (0, pi/2) [rad], an increasing tuple of floats.
@@ -27,7 +30,7 @@ def first_dark_points(p_radius: float, method: str, n: int = 1) -> tuple[float, 
     up to k = 23 and five-term McMahon above, within 4e-16 relative of the
     exact zero; no amplitude is evaluated.  Method "classical":
     theta_k = arcsin(k pi / pR), the zeros of sinc(pR sin(theta)).  A
-    rescaled classical curve is handled by passing radius_scale * pR as
+    rescaled classical curve is handled by passing scale * pR as
     ``p_radius``.  Bad arguments, or fewer than ``n`` dark points in
     (0, pi/2), raise DomainError.
     """
@@ -48,8 +51,14 @@ def first_dark_points(p_radius: float, method: str, n: int = 1) -> tuple[float, 
                 f"only {k - 1} dark points of the requested {n} exist in "
                 f"(0, pi/2) for p_radius={p_radius!r} ({method})"
             )
-        zeros.append(2.0 * math.asin(x / (2.0 * p_radius)) if quantum
-                     else math.asin(x / p_radius))
+        if quantum:
+            zeros.append(2.0 * math.asin(x / (2.0 * p_radius)))
+        elif x < 0.5 * p_radius:
+            zeros.append(math.asin(x / p_radius))
+        else:  # asin would amplify x / pR's rounding by 1 / cos(theta); atan2 with the
+            # exact pR - k pi does not, and x >= pR / 2 keeps the product from overflowing
+            d = p_radius - k * _PI_A - k * _PI_B - k * _PI_C
+            zeros.append(math.atan2(x, math.sqrt(d * (p_radius + x))))
     return tuple(zeros)
 
 

@@ -27,14 +27,14 @@ import numpy as np
 
 from . import __version__
 from .analysis import compare_curves, first_dark_points, match_areas
-from .classical import ClassicalConfig, pattern_classical
+from .classical import pattern_classical
 from .electron import Channel, pattern_single
 from .numerics import DomainError
 from .patterns import Normalization
 from .potential import BeamParams, WirePotential, ELECTRON_MASS_EV
 from .twobeam import TwoBeamConfig, dsigma_dtheta_two_beam, pattern_two_beam
 
-# Fewest grid samples per fringe pi / (max(1, scale) * pR) for compare, whose
+# Fewest grid samples per fringe pi / max(pR, scale * pR) for compare, whose
 # only grid-dependent numbers are trapezoid integrals (match_areas, l2_diff):
 # from this floor up, the trapezoid area of the quantum and the classical
 # curve stays within 2e-4 relative of a 64x finer grid on windows of 0.5 to
@@ -265,9 +265,11 @@ def _cmd_scan(args) -> str:
 def _cmd_compare(args) -> str:
     beam, wire = _resolve_physics(args)
     thetas, = _resolve_grids(args, "theta")
+    if not (args.radius_scale > 0.0 and math.isfinite(args.radius_scale)):
+        raise DomainError(f"--radius-scale must be positive, got {args.radius_scale}")
     p_radius = beam.momentum * wire.radius
-    cfg = ClassicalConfig(p_radius=p_radius, radius_scale=args.radius_scale)
-    fringe = math.pi / (max(1.0, cfg.radius_scale) * p_radius)
+    classical_pr = args.radius_scale * p_radius
+    fringe = math.pi / max(p_radius, classical_pr)
     per_fringe = _samples_per_fringe(thetas, fringe)
     if per_fringe < _MIN_SAMPLES_PER_FRINGE:
         raise DomainError(
@@ -276,9 +278,10 @@ def _cmd_compare(args) -> str:
             f"{_MIN_SAMPLES_PER_FRINGE}: raise --theta-points or narrow the theta range")
     # exact dark points, inside the theta window or not; none in (0, pi/2) is a DomainError
     zero_quantum = first_dark_points(p_radius, "quantum")[0]
-    zero_classical = first_dark_points(cfg.radius_scale * p_radius, "classical")[0]
+    zero_classical = first_dark_points(classical_pr, "classical")[0]
     quantum = pattern_single(beam, wire, thetas, mode="low-energy")
-    comparison = compare_curves(quantum, match_areas(quantum, pattern_classical(cfg, thetas)))
+    classical = pattern_classical(classical_pr, thetas)
+    comparison = compare_curves(quantum, match_areas(quantum, classical))
     data = {
         "max_abs_diff": comparison.max_abs_diff,
         "l2_diff": comparison.l2_diff,
@@ -286,8 +289,7 @@ def _cmd_compare(args) -> str:
         "first_zero_quantum_rad": zero_quantum,
         "first_zero_classical_rad": zero_classical,
     }
-    config = _base_config(args)
-    return _json_doc(config, data)
+    return _json_doc(_base_config(args), data)
 
 
 def _cmd_zeros(args) -> str:
@@ -301,11 +303,10 @@ def _cmd_zeros(args) -> str:
         "p_radius": p_radius,
         "quantum_zeros_rad": quantum,
         "classical_zeros_rad": classical,
-        # overestimation_factor's ratio, from the searches above ([0] is the n = 1 zero)
+        # overestimation_factor's ratio, from the dark points above ([0] is the n = 1 one)
         "overestimation_factor": quantum[0] / classical[0],
     }
-    config = _base_config(args)
-    return _json_doc(config, data)
+    return _json_doc(_base_config(args), data)
 
 
 _COMMANDS = {
@@ -322,9 +323,12 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
+    os.umask(umask := os.umask(0))  # reads the umask, which os has no getter for
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".wirediff-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            # mkstemp's file is 0600; give it the mode open(path, "w") would
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp_path, path)
     except BaseException:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wirediff.analysis import compare_curves, first_dark_points, match_areas, overestimation_factor
-from wirediff.classical import ClassicalConfig, pattern_classical
+from wirediff.classical import pattern_classical
 from wirediff.cli import main
 from wirediff.electron import Channel, dsigma_dtheta, pattern_single
 from wirediff.numerics import disk_amplitude
@@ -64,7 +64,7 @@ def test_criterion_2_fringe_structure(default_setup):
     beam, wire, p_radius = default_setup
     thetas = default_grid()
     quantum = pattern_single(beam, wire, thetas)
-    classical = pattern_classical(ClassicalConfig(p_radius), thetas)
+    classical = pattern_classical(p_radius, thetas)
 
     q_peak_theta = float(quantum.thetas[np.argmax(quantum.density)])
     c_peak_theta = float(classical.thetas[np.argmax(classical.density)])

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wirediff.analysis import (
     CurveComparison,
@@ -12,7 +12,7 @@ from wirediff.analysis import (
     match_areas,
     overestimation_factor,
 )
-from wirediff.classical import ClassicalConfig, pattern_classical
+from wirediff.classical import pattern_classical
 from wirediff.electron import pattern_single
 from wirediff.numerics import DomainError
 from wirediff.patterns import Pattern
@@ -61,6 +61,8 @@ class TestFirstDarkPoints:
 
     @settings(deadline=None)
     @given(log_pr=st.floats(0.0, 8.0), n=st.integers(1, 10))
+    # classical k = 4 at 4 pi / pR = 0.99976, where asin(4 pi / pR) was 1.3e-15 off
+    @example(log_pr=1.099401197384813, n=4)
     def test_matches_mpmath_defining_equations(self, log_pr, n):
         # the n-th zero lies in (0, pi/2) when its defining equation's
         # right-hand side is below the left-hand side at theta = pi/2
@@ -81,6 +83,16 @@ class TestFirstDarkPoints:
             got = first_dark_points(p_radius, method, n)
             for theta, want in zip(got, zeros):
                 assert abs(theta - float(want)) <= 1e-15 * float(want)
+
+    @pytest.mark.parametrize("k", [1, 4, 1000, 10**6])
+    def test_classical_zero_next_to_right_angle(self, k):
+        # pR the first double above k pi: sin(theta_k) = k pi / pR is within
+        # 1e-16 of 1, where asin(k pi / pR) lost half the digits
+        p_radius = math.nextafter(k * math.pi, math.inf)
+        with mpmath.workdps(40):
+            want = float(mpmath.asin(k * mpmath.pi / mpmath.mpf(p_radius)))
+        got = first_dark_points(p_radius, "classical", k)[-1]
+        assert abs(got - want) <= 1e-15 * want
 
     def test_zeros_at_large_k(self):
         from scipy.special import jn_zeros
@@ -156,7 +168,7 @@ class TestMatchAreas:
             WirePotential.from_diameter_um(17.0),
             thetas,
         )
-        classical = pattern_classical(ClassicalConfig(PR), thetas)
+        classical = pattern_classical(PR, thetas)
         return quantum, classical
 
     def test_identity_is_unchanged(self):
@@ -202,9 +214,7 @@ class TestCompareCurves:
             WirePotential.from_diameter_um(17.0),
             thetas,
         )
-        classical = pattern_classical(
-            ClassicalConfig(PR, radius_scale=radius_scale), thetas
-        )
+        classical = pattern_classical(radius_scale * PR, thetas)
         return quantum, match_areas(quantum, classical)
 
     def test_identical_curves_give_zero_metrics(self):
@@ -238,7 +248,7 @@ class TestCompareCurves:
         thetas = np.linspace(-theta_max, theta_max, 2001)
         quantum = pattern_single(BeamParams.from_wavelength_nm(633.0),
                                  WirePotential.from_diameter_um(17.0), thetas)
-        classical = pattern_classical(ClassicalConfig(PR), thetas)
+        classical = pattern_classical(PR, thetas)
         result = compare_curves(quantum, match_areas(quantum, classical))
         assert not hasattr(result, "first_zero_offset_rad")
         assert result.l2_diff > 0.0

@@ -9,18 +9,19 @@ import numpy as np
 import pytest
 
 import wirediff
-from wirediff import (BeamParams, Channel, ClassicalConfig, DomainError, Normalization, Pattern,
-                      TwoBeamConfig, WirePotential, compare_curves, disk_amplitude,
-                      first_dark_points, fraunhofer_single, match_areas, momentum_transfer_single,
-                      pattern_single, pattern_two_beam, sinc, spinor_element, validate_grid)
+from wirediff import (BeamParams, Channel, DomainError, Normalization, Pattern, TwoBeamConfig,
+                      WirePotential, compare_curves, disk_amplitude, first_dark_points,
+                      fraunhofer_single, fraunhofer_two_beam, match_areas,
+                      momentum_transfer_single, pattern_classical, pattern_single,
+                      pattern_two_beam, sinc, spinor_element, validate_grid)
 from wirediff.electron import amplitudes
 from wirediff.patterns import normalize_density
 
-# public names deleted in 0.2.0 to 0.9.0, each a second path to a quantity
+# public names deleted in 0.2.0 to 0.10.0, each a second path to a quantity
 # that keeps one, a test oracle now in tests/oracles.py, an input-error type
 # that DomainError replaces, a spelling of the spin channel that Channel
 # replaces, a dark-point search that closed forms replace, or a layer that
-# only echoed its caller's arguments or wrapped a call
+# only echoed its caller's arguments, wrapped a call or held one product
 REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_full_spin_summed", "hyp0f1_reg2", "hyp0f1_reg2_series",
            "bessel_j1", "disk_ft_oracle", "AccuracyError", "BracketError", "RangeError",
@@ -28,7 +29,7 @@ REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_low_energy", "dsigma_dtheta_two_beam_full",
            "dsigma_dtheta_two_beam_low_energy", "first_dark_angle", "ZeroReport",
            "sample_beam_pattern", "unit_spinor", "spinor_factors", "phi_theta_scan",
-           "ScanResult", "find_zero")
+           "ScanResult", "find_zero", "ClassicalConfig")
 
 
 class TestPublicSurface:
@@ -37,7 +38,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 29
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 28
 
     def test_disk_amplitude_is_the_exported_amplitude(self):
         from wirediff import numerics
@@ -106,13 +107,14 @@ _BAD_INPUTS = {
     "spinor theta": lambda: spinor_element(BeamParams(1e7), math.inf),
     "spinor sum": lambda: spinor_element(BeamParams(1e7), 0.1, Channel.SUM),
     "spinor energy": lambda: spinor_element(BeamParams(1e7, mass_ev=1e200), 0.1),
-    "fraunhofer theta": lambda: fraunhofer_single(ClassicalConfig(1.0), math.nan),
+    "fraunhofer theta": lambda: fraunhofer_single(1.0, math.nan),
     "alpha": lambda: TwoBeamConfig(alpha=-0.1),
     "phi": lambda: TwoBeamConfig(alpha=0.1, phi=math.inf),
     "pattern phases": lambda: pattern_two_beam(BeamParams(1e7), WirePotential(1e-5),
                                                TwoBeamConfig(0.1, [0.0, 1.0]), _GRID),
-    "p_radius": lambda: ClassicalConfig(p_radius=0.0),
-    "radius_scale": lambda: ClassicalConfig(p_radius=1.0, radius_scale=math.nan),
+    "p_radius": lambda: pattern_classical(0.0, _GRID),
+    # a NaN radius scale gives the classical curve a NaN pR
+    "radius_scale": lambda: fraunhofer_two_beam(math.nan, TwoBeamConfig(0.1), 0.1),
     "empty grid": lambda: validate_grid([]),
     "non-finite grid": lambda: validate_grid([0.0, math.nan]),
     "decreasing grid": lambda: validate_grid([0.1, 0.0]),

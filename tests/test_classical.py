@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wirediff.classical import (
-    ClassicalConfig,
-    fraunhofer_single,
-    fraunhofer_two_beam,
-    pattern_classical,
-)
+from wirediff.classical import fraunhofer_single, fraunhofer_two_beam, pattern_classical
 from wirediff.numerics import DomainError
 from wirediff.patterns import Normalization
 from wirediff.twobeam import TwoBeamConfig
@@ -19,7 +14,7 @@ PR = 84.37136668408607  # 2*pi * 8.5e-6 / 633e-9
 
 class TestFraunhoferSingle:
     def test_forward_maximum(self):
-        assert fraunhofer_single(ClassicalConfig(PR), 0.0) == 1.0
+        assert fraunhofer_single(PR, 0.0) == 1.0
 
     def test_first_zero_location(self):
         # the amplitude sinc(pR sin(theta)) changes sign across asin(pi/pR)
@@ -29,16 +24,15 @@ class TestFraunhoferSingle:
         theta = math.asin(math.pi / PR)
         assert amplitude(theta - 1e-12) > 0.0 > amplitude(theta + 1e-12)
         assert theta == pytest.approx(0.037247, abs=1e-5)
-        assert fraunhofer_single(ClassicalConfig(PR), theta) < 1e-20
+        assert fraunhofer_single(PR, theta) < 1e-20
 
     def test_zeros_exact_grid(self):
-        cfg = ClassicalConfig(PR)
         for n in (1, 2, 3):
             theta_n = math.asin(n * math.pi / PR)
-            assert fraunhofer_single(cfg, theta_n) < 1e-20
+            assert fraunhofer_single(PR, theta_n) < 1e-20
 
     def test_radius_scale_moves_first_zero_inward(self):
-        scaled = ClassicalConfig(PR, radius_scale=1.21)
+        scaled = 1.21 * PR
         theta_unscaled = math.asin(math.pi / PR)
         theta_scaled = math.asin(math.pi / (1.21 * PR))
         assert theta_scaled == pytest.approx(theta_unscaled / 1.21, rel=1e-3)
@@ -46,70 +40,66 @@ class TestFraunhoferSingle:
 
     @given(st.floats(min_value=-1.5, max_value=1.5))
     def test_even_and_bounded(self, theta):
-        cfg = ClassicalConfig(PR)
-        value = fraunhofer_single(cfg, theta)
-        assert value == fraunhofer_single(cfg, -theta)
+        value = fraunhofer_single(PR, theta)
+        assert value == fraunhofer_single(PR, -theta)
         assert 0.0 <= value <= 1.0
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
-            ClassicalConfig(p_radius=-1.0)
+            fraunhofer_single(-1.0, 0.1)
         with pytest.raises(ValueError):
-            ClassicalConfig(p_radius=PR, radius_scale=0.0)
+            fraunhofer_two_beam(0.0 * PR, TwoBeamConfig(0.1), 0.1)
 
 
 class TestFraunhoferTwoBeam:
     def test_degenerate_intersection_is_quadrupled_single(self):
         # alpha = 0, phi = 0: both amplitudes equal the q-form single-beam one
-        cfg = ClassicalConfig(PR)
         for theta in (0.0, 0.01, 0.04, 0.1):
             s = 2.0 * PR * math.sin(0.5 * theta)
             single_q = (math.sin(s) / s if s else 1.0) ** 2
-            assert fraunhofer_two_beam(cfg, TwoBeamConfig(0.0), theta) == pytest.approx(
+            assert fraunhofer_two_beam(PR, TwoBeamConfig(0.0), theta) == pytest.approx(
                 4.0 * single_q, rel=1e-12
             )
 
     def test_destructive_center(self):
-        assert fraunhofer_two_beam(ClassicalConfig(PR), TwoBeamConfig(0.1, math.pi), 0.0) \
+        assert fraunhofer_two_beam(PR, TwoBeamConfig(0.1, math.pi), 0.0) \
             == pytest.approx(0.0, abs=1e-25)
 
     @given(st.floats(min_value=-0.6, max_value=0.6),
            st.floats(min_value=-10.0, max_value=10.0))
     def test_even_in_theta_any_phase(self, theta, phi):
-        cfg = ClassicalConfig(PR)
         beams = TwoBeamConfig(0.1, phi)
-        assert fraunhofer_two_beam(cfg, beams, theta) == pytest.approx(
-            fraunhofer_two_beam(cfg, beams, -theta), rel=1e-12, abs=1e-300
+        assert fraunhofer_two_beam(PR, beams, theta) == pytest.approx(
+            fraunhofer_two_beam(PR, beams, -theta), rel=1e-12, abs=1e-300
         )
 
     @given(st.floats(min_value=-6.0, max_value=6.0))
     def test_phase_periodicity(self, phi):
-        cfg = ClassicalConfig(PR)
-        a = fraunhofer_two_beam(cfg, TwoBeamConfig(0.1, phi), 0.02)
-        b = fraunhofer_two_beam(cfg, TwoBeamConfig(0.1, phi + 2.0 * math.pi), 0.02)
+        a = fraunhofer_two_beam(PR, TwoBeamConfig(0.1, phi), 0.02)
+        b = fraunhofer_two_beam(PR, TwoBeamConfig(0.1, phi + 2.0 * math.pi), 0.02)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("scale, alpha, phi", [(1.0, 0.1, 0.0), (0.82, 0.07, 1.3),
                                                    (1.21, 0.0, math.pi)])
     def test_array_theta_matches_scalars(self, scale, alpha, phi):
-        cfg = ClassicalConfig(PR, radius_scale=scale)
+        p_radius = scale * PR
         beams = TwoBeamConfig(alpha, phi)
         thetas = np.linspace(-0.6, 0.6, 801)
-        values = fraunhofer_two_beam(cfg, beams, thetas)
-        scalars = np.array([fraunhofer_two_beam(cfg, beams, t) for t in thetas.tolist()])
+        values = fraunhofer_two_beam(p_radius, beams, thetas)
+        scalars = np.array([fraunhofer_two_beam(p_radius, beams, t) for t in thetas.tolist()])
         assert values.shape == thetas.shape
         assert np.max(np.abs(values - scalars)) <= 1e-15 * np.max(scalars)
 
     def test_non_finite_theta_rejected(self):
         with pytest.raises(DomainError):
-            fraunhofer_two_beam(ClassicalConfig(PR), TwoBeamConfig(0.1), math.nan)
+            fraunhofer_two_beam(PR, TwoBeamConfig(0.1), math.nan)
 
 
 class TestPatternClassical:
     def test_peak_one(self):
-        pattern = pattern_classical(ClassicalConfig(PR), normalization=Normalization.PEAK_ONE)
+        pattern = pattern_classical(PR, normalization=Normalization.PEAK_ONE)
         assert float(np.max(pattern.density)) == 1.0
 
     def test_unit_area(self):
-        pattern = pattern_classical(ClassicalConfig(PR), normalization=Normalization.UNIT_AREA)
+        pattern = pattern_classical(PR, normalization=Normalization.UNIT_AREA)
         assert pattern.area() == pytest.approx(1.0, abs=1e-9)

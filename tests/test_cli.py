@@ -3,6 +3,8 @@ import hashlib
 import json
 import logging
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -83,6 +85,20 @@ class TestSingleCommand:
         assert "\r" not in content
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".wirediff")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_output_file_mode_follows_umask(self, capsys, tmp_path, umask, mode):
+        # as open(path, "w") would: 0666 minus the umask, for a new file and
+        # for one rewritten in place
+        target = tmp_path / "z.json"
+        old = os.umask(umask)
+        try:
+            for _ in range(2):
+                assert run_cli(capsys, "zeros", "--output", str(target))[0] == 0
+                assert stat.S_IMODE(target.stat().st_mode) == mode
+        finally:
+            os.umask(old)
 
     def test_unwritable_output_is_runtime_error(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "single.csv"
@@ -344,11 +360,11 @@ class TestZerosCommand:
         assert a == b
 
     @pytest.mark.parametrize("n", [_MAX_ZEROS + 1, 100_000_000])
-    def test_too_many_zeros_exit_2_before_searching(self, capsys, monkeypatch, n):
+    def test_too_many_zeros_exit_2_before_any_dark_point(self, capsys, monkeypatch, n):
         from wirediff import cli
 
         def refuse(*args, **kwargs):
-            raise AssertionError("dark-point search reached for an oversized --n")
+            raise AssertionError("first_dark_points reached for an oversized --n")
 
         monkeypatch.setattr(cli, "first_dark_points", refuse)
         code, out, err = run_cli(capsys, "zeros", "--wavelength-nm", "1e-6", "--n", str(n))
@@ -356,7 +372,7 @@ class TestZerosCommand:
         assert out == ""
         assert f"--n must be in [1, 10,000], got {n}" in err
 
-    def test_zeros_at_the_cap_are_searched(self, capsys, monkeypatch):
+    def test_zeros_at_the_cap_are_computed(self, capsys, monkeypatch):
         from wirediff import cli
 
         asked = []
@@ -370,7 +386,7 @@ class TestZerosCommand:
         assert code == 1
         assert asked == [_MAX_ZEROS]
 
-    def test_dark_point_search_runs_once(self, capsys, monkeypatch):
+    def test_zeros_evaluates_no_amplitude(self, capsys, monkeypatch):
         # dark points are closed form and the factor reuses them: count every
         # amplitude kernel call, wherever the package binds the kernel
         import importlib
@@ -417,6 +433,13 @@ class TestCompareCommand:
         data = json.loads(out)["data"]
         assert abs(data["first_zero_offset_rad"]) < 1e-4
 
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_bad_radius_scale_names_the_flag(self, capsys, scale):
+        code, out, err = run_cli(capsys, "compare", "--radius-scale", scale)
+        assert code == 2
+        assert out == ""
+        assert "--radius-scale must be positive" in err
+
     @pytest.mark.parametrize("wavelength_nm, per_fringe", [("20", "7.84"), ("0.00536", "0.0021")])
     def test_undersampled_grid_exits_2(self, capsys, wavelength_nm, per_fringe):
         # the default grid resolves the 633 nm fringes only; at 20 nm the
@@ -444,10 +467,10 @@ class TestCompareCommand:
         assert data["first_zero_offset_rad"] == quantum - classical
 
     @pytest.mark.parametrize("theta_max, classical_zero", [("0.03", False), ("0.04", True)])
-    def test_offset_is_null_without_both_dark_points(self, capsys, theta_max, classical_zero):
+    def test_dark_points_do_not_depend_on_theta_window(self, capsys, theta_max, classical_zero):
         # +-0.03 rad holds neither first dark point, +-0.04 only the classical
-        # one; such a window once gave a null offset, and now gives the exact
-        # dark points of the default window, which holds both
+        # one; each window gives the exact dark points of the default window,
+        # which holds both
         code, out, _ = run_cli(capsys, "compare", f"--theta-min=-{theta_max}",
                                "--theta-max", theta_max)
         assert code == 0

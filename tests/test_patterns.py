@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wirediff.classical import ClassicalConfig, fraunhofer_single, pattern_classical
+from wirediff.classical import fraunhofer_single, pattern_classical
 from wirediff.cli import _MIN_SAMPLES_PER_FRINGE
 from wirediff.electron import Channel, dsigma_dtheta, pattern_single
 from wirediff.potential import BeamParams, WirePotential
@@ -52,14 +52,14 @@ class TestBuildersMatchScalarDensities:
 
     @pytest.mark.parametrize("scale", [1.0, 0.82])
     def test_classical(self, scale):
-        cfg = ClassicalConfig(p_radius=PR, radius_scale=scale)
-        pattern = pattern_classical(cfg, THETAS)
+        p_radius = scale * PR
+        pattern = pattern_classical(p_radius, THETAS)
         assert pattern.density.tobytes() == per_point(
-            lambda t: fraunhofer_single(cfg, t)).tobytes()
+            lambda t: fraunhofer_single(p_radius, t)).tobytes()
 
 
 class TestCompareFloor:
-    # at the floor `compare` enforces, 50 samples per fringe pi / (max(1, s) pR),
+    # at the floor `compare` enforces, 50 samples per fringe pi / max(pR, s pR),
     # its only grid-dependent numbers, trapezoid integrals, must be accurate:
     # the area of both compared curves within 2e-4 relative of a 64x finer grid,
     # on windows of 0.5 to 10 fringes a side, wherever the grid falls.  The
@@ -80,5 +80,5 @@ class TestCompareFloor:
                   + offset) * step
         fine = np.linspace(thetas[0], thetas[-1], 64 * (thetas.size - 1) + 1)
         for build in (lambda grid: pattern_single(beam, wire, grid),
-                      lambda grid: pattern_classical(ClassicalConfig(p_radius, scale), grid)):
+                      lambda grid: pattern_classical(scale * p_radius, grid)):
             assert build(thetas).area() == pytest.approx(build(fine).area(), rel=2e-4)

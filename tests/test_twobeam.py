@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wirediff.classical import ClassicalConfig, fraunhofer_two_beam
+from wirediff.classical import fraunhofer_two_beam
 from wirediff.electron import Channel, dsigma_dtheta
 from wirediff.numerics import DomainError, disk_amplitude
 from wirediff.patterns import Normalization, Pattern
@@ -181,11 +181,12 @@ class TestPhiThetaScan:
     def test_classical_rows_equal_single_phase(self, p_radius):
         phis = np.linspace(-1.0, TAU + 1.0, 13)
         thetas = np.linspace(-0.15, 0.15, 301)
-        cfg = ClassicalConfig(p_radius, radius_scale=1.1)
-        density = fraunhofer_two_beam(cfg, TwoBeamConfig(0.1, phis), thetas)
+        classical_pr = 1.1 * p_radius
+        density = fraunhofer_two_beam(classical_pr, TwoBeamConfig(0.1, phis), thetas)
         assert density.shape == (13, 301)
         for phi, row in zip(phis.tolist(), density):
-            assert np.array_equal(row, fraunhofer_two_beam(cfg, TwoBeamConfig(0.1, phi), thetas))
+            assert np.array_equal(row, fraunhofer_two_beam(classical_pr, TwoBeamConfig(0.1, phi),
+                                                           thetas))
 
     def test_scalar_theta_gives_one_value_per_phase(self):
         density = self.scan([0.0, math.pi], 0.0)
