@@ -607,27 +607,27 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "78ecb36546823f90764d8e755a10a9c4f926191747a1c29ad79fa96fcf326f1c"),
+             "5ed356e73d1ee42d1bf1ac6371aeedda1698644d16ae4b90c2457a8ff077da25"),
             (("two-beam",),
-             "6de07eddd9662e0eaf74caa48b658ed4bdca7e7f4d2c8405a0c212924d76eefc"),
+             "c7c651619931d01e673cc7efc8ff6124b04ee299badb2610273587fe804525c8"),
             (("scan",),
-             "fc9ae9f4ff73bb93a61e874c865a7b20af2e8041e45268ba7fa281c63744e816"),
+             "1cdc56a2133e60b15c7b79eb5e0aefa5adbeaf975b101a41c45e28ef3f5a5739"),
             (("compare",),
-             "5090a9a97a4d7ef53e1a5b2c5e5feb5360a377f905538018f15ff3e7528ab4bb"),
+             "9c83ec76a25434aa04be31459b1a0c52c2f1f47ca7d27e12d6bfefc13bf5cada"),
             (("zeros",),
-             "ae5a73d00018c98bdad7b251e86f2445701f95fa2be36610958f1ce8f1fea6b3"),
+             "7f56fff0ba2935f7b6ddf90c14f795045e2f0abd136bd891b84c917cea554fdd"),
             (("zeros", "--n", "3"),
-             "e3ed792b04f66b3dd5fb7e3a56caec90a39c0088e94819d1b513136ad74aba76"),
+             "e8b4d8fe6bf6a4e4dbde78632aa6395b3fb98ccff315e5200ec637abdf86ea8a"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "dd6f18a4bf2deccfeb21e6875841d56c11bcbfc136b3fbfaa7075d254d5314f0"),
+             "035ce1a70f8c8b56629a13b988689c6694f755d86921655b79651ba62c48dc1f"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "bb4bc2de465617fdecaf2e2c71cd9352346971c7ab19b367202683be7b5c6902"),
+             "497303dcd0cc0a06d97078aeaddd76aef093b1b3ecd0fb1f7ab16b019adac3a4"),
             (("single", "--mode", "full", "--spin", "sum"),
-             "7372e5170104d987deedb712eb0cf66054cc72a02633200f7647c571c0fa69de"),
+             "200ecf0409f90b7d1d91a04caeb08da55e11d1b090d448b51e15d48d2cb27d45"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
-             "b9e799b62b064018fa014355fcd7f0986d10910e4ebe7512d5d238e20790041f"),
+             "d8693aa337848124038663fe4a8614c6403be3df8cdb888cf8e9c913c5bb0ac2"),
             (("compare", "--radius-scale", "0.82"),
-             "3e9c77b337e0080c36b018fa1840732767ecef1621213459ee4ada406e2d736a"),
+             "bdbd916e31ce13ff98ae029f5d504ea8e2a4a4e15962072739fe0292a67fee0e"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82"],
