@@ -15,10 +15,10 @@ from .analysis import (
     match_areas,
     overestimation_factor,
 )
-from .classical import fraunhofer_single, fraunhofer_two_beam, pattern_classical
-from .electron import Channel, dsigma_dtheta, pattern_single, spinor_element
+from .classical import fraunhofer_single, fraunhofer_two_beam
+from .electron import Channel, dsigma_dtheta, spinor_element
 from .numerics import DomainError, disk_amplitude, sinc
-from .patterns import Normalization, Pattern, default_grid, validate_grid
+from .patterns import Normalization, Pattern, default_grid, sample_pattern, validate_grid
 from .potential import (
     ELECTRON_MASS_EV,
     HBARC_EV_M,
@@ -26,7 +26,7 @@ from .potential import (
     WirePotential,
     momentum_transfer_single,
 )
-from .twobeam import TwoBeamConfig, dsigma_dtheta_two_beam, pattern_two_beam
+from .twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 
 __all__ = [
     "__version__",
@@ -51,9 +51,7 @@ __all__ = [
     "match_areas",
     "momentum_transfer_single",
     "overestimation_factor",
-    "pattern_classical",
-    "pattern_single",
-    "pattern_two_beam",
+    "sample_pattern",
     "sinc",
     "spinor_element",
     "validate_grid",

@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from .numerics import DomainError, sinc
-from .patterns import Normalization, Pattern, sample_pattern
 from .potential import momentum_transfer_single
 from .twobeam import TwoBeamConfig, _interference_density
 
@@ -47,15 +46,8 @@ def fraunhofer_two_beam(p_radius: float, beams: TwoBeamConfig, theta):
     axis, one row per phase, as in
     :func:`~wirediff.twobeam.dsigma_dtheta_two_beam`.
     """
+    if not (math.isfinite(p_radius) and p_radius > 0.0):
+        raise DomainError(f"fraunhofer_two_beam: p_radius > 0 required, got {p_radius!r}")
     return _interference_density(
         sinc(momentum_transfer_single(p_radius, theta - 0.5 * beams.alpha)),
         sinc(momentum_transfer_single(p_radius, theta + 0.5 * beams.alpha)), beams.phi)
-
-
-def pattern_classical(
-    p_radius: float,
-    thetas: np.ndarray | None = None,
-    normalization: Normalization = Normalization.RAW,
-) -> Pattern:
-    """Sample the single-beam Fraunhofer density over an angular grid."""
-    return sample_pattern(lambda theta: fraunhofer_single(p_radius, theta), thetas, normalization)

@@ -27,12 +27,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import compare_curves, first_dark_points, match_areas
-from .classical import pattern_classical
-from .electron import Channel, pattern_single
+from .classical import fraunhofer_single
+from .electron import Channel, dsigma_dtheta
 from .numerics import DomainError
-from .patterns import Normalization
+from .patterns import Normalization, sample_pattern
 from .potential import BeamParams, WirePotential, ELECTRON_MASS_EV
-from .twobeam import TwoBeamConfig, dsigma_dtheta_two_beam, pattern_two_beam
+from .twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 
 # Fewest grid samples per fringe pi / max(pR, scale * pR) for compare, whose
 # only grid-dependent numbers are trapezoid integrals (match_areas, l2_diff):
@@ -222,13 +222,13 @@ def _json_doc(config: dict, data: dict) -> str:
     return json.dumps({"metadata": config, "data": data}, sort_keys=True, indent=2) + "\n"
 
 
-def _pattern_command(args, build) -> str:
+def _pattern_command(args, density, *beams) -> str:
     # parse -> call -> serialize, shared by the single- and two-beam commands
     beam, wire = _resolve_physics(args)
     thetas, = _resolve_grids(args, "theta")
-    pattern = build(beam, wire, thetas=thetas, mode=args.mode,
-                    channel=Channel(args.spin),
-                    normalization=Normalization(args.normalization))
+    pattern = sample_pattern(
+        partial(density, beam, wire, *beams, mode=args.mode, channel=Channel(args.spin)),
+        thetas, args.normalization)
     _warn_if_aliased(thetas, beam.momentum * wire.radius)
     config = _base_config(args)
     if args.format == "json":
@@ -238,12 +238,12 @@ def _pattern_command(args, build) -> str:
 
 
 def _cmd_single(args) -> str:
-    return _pattern_command(args, pattern_single)
+    return _pattern_command(args, dsigma_dtheta)
 
 
 def _cmd_two_beam(args) -> str:
-    return _pattern_command(
-        args, partial(pattern_two_beam, cfg=TwoBeamConfig(alpha=args.alpha, phi=args.phi)))
+    return _pattern_command(args, dsigma_dtheta_two_beam,
+                            TwoBeamConfig(alpha=args.alpha, phi=args.phi))
 
 
 def _cmd_scan(args) -> str:
@@ -278,9 +278,13 @@ def _cmd_compare(args) -> str:
             f"{_MIN_SAMPLES_PER_FRINGE}: raise --theta-points or narrow the theta range")
     # exact dark points, inside the theta window or not; none in (0, pi/2) is a DomainError
     zero_quantum = first_dark_points(p_radius, "quantum")[0]
-    zero_classical = first_dark_points(classical_pr, "classical")[0]
-    quantum = pattern_single(beam, wire, thetas, mode="low-energy")
-    classical = pattern_classical(classical_pr, thetas)
+    try:
+        zero_classical = first_dark_points(classical_pr, "classical")[0]
+    except DomainError:
+        raise DomainError(f"--radius-scale {args.radius_scale} makes the classical pR "
+                          f"{classical_pr:g}, with no dark point in (0, pi/2)") from None
+    quantum = sample_pattern(partial(dsigma_dtheta, beam, wire), thetas)
+    classical = sample_pattern(partial(fraunhofer_single, classical_pr), thetas)
     comparison = compare_curves(quantum, match_areas(quantum, classical))
     data = {
         "max_abs_diff": comparison.max_abs_diff,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .numerics import DomainError, disk_amplitude
-from .patterns import Normalization, Pattern, Spelling, sample_pattern
+from .patterns import Spelling
 from .potential import BeamParams, WirePotential, momentum_transfer_single
 
 # largest pc and mc^2 [eV]: (E + mc^2)^2 <= 5.8e300, so no density overflows
@@ -94,16 +94,3 @@ def dsigma_dtheta(beam: BeamParams, wire: WirePotential, theta, mode: str = "low
     enters only through q = 2 p |sin(theta/2)|.
     """
     return sum(a * a for a in amplitudes(beam, wire, theta, mode, channel))
-
-
-def pattern_single(
-    beam: BeamParams,
-    wire: WirePotential,
-    thetas: np.ndarray | None = None,
-    mode: str = "low-energy",
-    channel: Channel = Channel.NO_FLIP,
-    normalization: Normalization = Normalization.RAW,
-) -> Pattern:
-    """Sample :func:`dsigma_dtheta` over an angular grid; pure and order-independent."""
-    return sample_pattern(lambda theta: dsigma_dtheta(beam, wire, theta, mode, channel),
-                          thetas, normalization)

@@ -101,16 +101,26 @@ class Pattern:
         return grid_area(self.thetas, self.density)
 
 
-def sample_pattern(density, thetas, normalization: Normalization) -> Pattern:
+def sample_pattern(density, thetas: np.ndarray | None = None,
+                   normalization: Normalization = Normalization.RAW) -> Pattern:
     """Sample ``density`` over an angular grid (None: :func:`default_grid`).
 
     The one pattern builder: it validates the grid, evaluates the density
-    once on the whole grid (``density`` maps a theta array to an array of
-    the same shape) and normalizes it.
+    once on the whole grid and normalizes it.  ``density`` maps the theta
+    array to one value per theta, as the package's densities do when their
+    other arguments are bound, for example
+    ``partial(dsigma_dtheta, beam, wire, mode="full", channel="sum")``,
+    ``partial(dsigma_dtheta_two_beam, beam, wire, cfg)``,
+    ``partial(fraunhofer_single, pR)`` or ``partial(fraunhofer_two_beam, pR, cfg)``.
+    A result of another shape, such as one row per phase of a phase
+    sequence, raises DomainError.
     """
     thetas = default_grid() if thetas is None else validate_grid(thetas)
     normalization = Normalization(normalization)
     values = density(thetas)
+    if np.shape(values) != thetas.shape:
+        raise DomainError(f"a pattern has one density value per theta: got shape "
+                          f"{np.shape(values)} on a grid of shape {thetas.shape}")
     # the density's fault, not the caller's: before normalize_density's DomainError
     if not np.all(np.isfinite(values)):
         raise ValueError("density must be finite")

@@ -8,7 +8,7 @@ from a physical displacement to Phi is deliberately not modeled here).
 
 :func:`dsigma_dtheta_two_beam` is the one two-beam density, in either mode
 and spin channel, at one phase or along an axis of phases (a phase scan);
-:func:`pattern_two_beam` samples it at one phase.
+:func:`~wirediff.patterns.sample_pattern` samples it at one phase.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .electron import Channel, amplitudes
 from .numerics import DomainError
-from .patterns import Normalization, Pattern, sample_pattern
 from .potential import BeamParams, WirePotential
 
 
@@ -83,25 +82,3 @@ def dsigma_dtheta_two_beam(
     minus = amplitudes(beam, wire, theta - 0.5 * cfg.alpha, mode, channel)
     plus = amplitudes(beam, wire, theta + 0.5 * cfg.alpha, mode, channel)
     return sum(_interference_density(a, b, cfg.phi) for a, b in zip(minus, plus))
-
-
-def pattern_two_beam(
-    beam: BeamParams,
-    wire: WirePotential,
-    cfg: TwoBeamConfig,
-    thetas: np.ndarray | None = None,
-    mode: str = "low-energy",
-    channel: Channel = Channel.NO_FLIP,
-    normalization: Normalization = Normalization.RAW,
-) -> Pattern:
-    """Sample :func:`dsigma_dtheta_two_beam` over an angular grid.
-
-    Modes, channels and normalizations as in :func:`~wirediff.electron.pattern_single`.
-    A pattern has one phase: a sequence of phases raises DomainError.
-    """
-    if np.ndim(cfg.phi):
-        raise DomainError("a pattern has one phase: use dsigma_dtheta_two_beam for a "
-                          "sequence of phases")
-    return sample_pattern(
-        lambda theta: dsigma_dtheta_two_beam(beam, wire, cfg, theta, mode, channel),
-        thetas, normalization)

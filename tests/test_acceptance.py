@@ -5,16 +5,17 @@ PASS/FAIL line with the measured values (run with -s to see them all).
 import json
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from wirediff.analysis import compare_curves, first_dark_points, match_areas, overestimation_factor
-from wirediff.classical import pattern_classical
+from wirediff.classical import fraunhofer_single
 from wirediff.cli import main
-from wirediff.electron import Channel, dsigma_dtheta, pattern_single
+from wirediff.electron import Channel, dsigma_dtheta
 from wirediff.numerics import disk_amplitude
-from wirediff.patterns import Normalization, default_grid
+from wirediff.patterns import Normalization, default_grid, sample_pattern
 from wirediff.potential import BeamParams, WirePotential
 from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 
@@ -63,8 +64,8 @@ def test_criterion_1_overestimation_factor(default_setup, j1_zeros_oracle):
 def test_criterion_2_fringe_structure(default_setup):
     beam, wire, p_radius = default_setup
     thetas = default_grid()
-    quantum = pattern_single(beam, wire, thetas)
-    classical = pattern_classical(p_radius, thetas)
+    quantum = sample_pattern(partial(dsigma_dtheta, beam, wire), thetas)
+    classical = sample_pattern(partial(fraunhofer_single, p_radius), thetas)
 
     q_peak_theta = float(quantum.thetas[np.argmax(quantum.density)])
     c_peak_theta = float(classical.thetas[np.argmax(classical.density)])
@@ -124,10 +125,10 @@ def test_criterion_3_special_function_identities(j1_zeros_oracle):
 def test_criterion_4_low_energy_reduction(default_setup):
     beam, wire, _ = default_setup
     thetas = default_grid()
-    full = pattern_single(beam, wire, thetas, mode="full", channel=Channel.NO_FLIP,
-                          normalization=Normalization.PEAK_ONE)
-    low = pattern_single(beam, wire, thetas, mode="low-energy",
-                         normalization=Normalization.PEAK_ONE)
+    full = sample_pattern(partial(dsigma_dtheta, beam, wire, mode="full",
+                                  channel=Channel.NO_FLIP), thetas, Normalization.PEAK_ONE)
+    low = sample_pattern(partial(dsigma_dtheta, beam, wire, mode="low-energy"), thetas,
+                         Normalization.PEAK_ONE)
     pointwise = float(np.max(np.abs(full.density - low.density)))
 
     flip, noflip = (np.array([dsigma_dtheta(beam, wire, float(t), "full", c) for t in thetas])

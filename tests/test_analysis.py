@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -12,10 +13,10 @@ from wirediff.analysis import (
     match_areas,
     overestimation_factor,
 )
-from wirediff.classical import pattern_classical
-from wirediff.electron import pattern_single
+from wirediff.classical import fraunhofer_single
+from wirediff.electron import dsigma_dtheta
 from wirediff.numerics import DomainError
-from wirediff.patterns import Pattern
+from wirediff.patterns import Pattern, sample_pattern
 from wirediff.potential import BeamParams, WirePotential
 
 PR = 84.37136668408607
@@ -163,12 +164,12 @@ class TestOverestimationFactor:
 class TestMatchAreas:
     def _patterns(self):
         thetas = np.linspace(-0.15, 0.15, 501)
-        quantum = pattern_single(
-            BeamParams.from_wavelength_nm(633.0),
-            WirePotential.from_diameter_um(17.0),
+        quantum = sample_pattern(
+            partial(dsigma_dtheta, BeamParams.from_wavelength_nm(633.0),
+                    WirePotential.from_diameter_um(17.0)),
             thetas,
         )
-        classical = pattern_classical(PR, thetas)
+        classical = sample_pattern(partial(fraunhofer_single, PR), thetas)
         return quantum, classical
 
     def test_identity_is_unchanged(self):
@@ -209,12 +210,12 @@ class TestMatchAreas:
 class TestCompareCurves:
     def _default_comparison_curves(self, radius_scale=1.0, points=2001):
         thetas = np.linspace(-0.15, 0.15, points)
-        quantum = pattern_single(
-            BeamParams.from_wavelength_nm(633.0),
-            WirePotential.from_diameter_um(17.0),
+        quantum = sample_pattern(
+            partial(dsigma_dtheta, BeamParams.from_wavelength_nm(633.0),
+                    WirePotential.from_diameter_um(17.0)),
             thetas,
         )
-        classical = pattern_classical(radius_scale * PR, thetas)
+        classical = sample_pattern(partial(fraunhofer_single, radius_scale * PR), thetas)
         return quantum, match_areas(quantum, classical)
 
     def test_identical_curves_give_zero_metrics(self):
@@ -246,9 +247,9 @@ class TestCompareCurves:
         # carries no dark-point offset whatever the window holds; the exact
         # dark points come from first_dark_points, which no window limits
         thetas = np.linspace(-theta_max, theta_max, 2001)
-        quantum = pattern_single(BeamParams.from_wavelength_nm(633.0),
-                                 WirePotential.from_diameter_um(17.0), thetas)
-        classical = pattern_classical(PR, thetas)
+        quantum = sample_pattern(partial(dsigma_dtheta, BeamParams.from_wavelength_nm(633.0),
+                                         WirePotential.from_diameter_um(17.0)), thetas)
+        classical = sample_pattern(partial(fraunhofer_single, PR), thetas)
         result = compare_curves(quantum, match_areas(quantum, classical))
         assert not hasattr(result, "first_zero_offset_rad")
         assert result.l2_diff > 0.0

@@ -1,4 +1,5 @@
 import os
+from functools import partial
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +11,14 @@ import pytest
 
 import wirediff
 from wirediff import (BeamParams, Channel, DomainError, Normalization, Pattern, TwoBeamConfig,
-                      WirePotential, compare_curves, disk_amplitude, first_dark_points,
-                      fraunhofer_single, fraunhofer_two_beam, match_areas,
-                      momentum_transfer_single, pattern_classical, pattern_single,
-                      pattern_two_beam, sinc, spinor_element, validate_grid)
+                      WirePotential, compare_curves, disk_amplitude, dsigma_dtheta,
+                      dsigma_dtheta_two_beam, first_dark_points, fraunhofer_single,
+                      fraunhofer_two_beam, match_areas, momentum_transfer_single,
+                      sample_pattern, sinc, spinor_element, validate_grid)
 from wirediff.electron import amplitudes
 from wirediff.patterns import normalize_density
 
-# public names deleted in 0.2.0 to 0.10.0, each a second path to a quantity
+# public names deleted in 0.2.0 to 0.11.0, each a second path to a quantity
 # that keeps one, a test oracle now in tests/oracles.py, an input-error type
 # that DomainError replaces, a spelling of the spin channel that Channel
 # replaces, a dark-point search that closed forms replace, or a layer that
@@ -29,7 +30,8 @@ REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_low_energy", "dsigma_dtheta_two_beam_full",
            "dsigma_dtheta_two_beam_low_energy", "first_dark_angle", "ZeroReport",
            "sample_beam_pattern", "unit_spinor", "spinor_factors", "phi_theta_scan",
-           "ScanResult", "find_zero", "ClassicalConfig")
+           "ScanResult", "find_zero", "ClassicalConfig", "pattern_single",
+           "pattern_two_beam", "pattern_classical")
 
 
 class TestPublicSurface:
@@ -38,7 +40,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 28
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 26
 
     def test_disk_amplitude_is_the_exported_amplitude(self):
         from wirediff import numerics
@@ -110,9 +112,11 @@ _BAD_INPUTS = {
     "fraunhofer theta": lambda: fraunhofer_single(1.0, math.nan),
     "alpha": lambda: TwoBeamConfig(alpha=-0.1),
     "phi": lambda: TwoBeamConfig(alpha=0.1, phi=math.inf),
-    "pattern phases": lambda: pattern_two_beam(BeamParams(1e7), WirePotential(1e-5),
-                                               TwoBeamConfig(0.1, [0.0, 1.0]), _GRID),
-    "p_radius": lambda: pattern_classical(0.0, _GRID),
+    # a phase sequence gives one row per phase, not one value per theta
+    "pattern phases": lambda: sample_pattern(partial(
+        dsigma_dtheta_two_beam, BeamParams(1e7), WirePotential(1e-5),
+        TwoBeamConfig(0.1, [0.0, 1.0])), _GRID),
+    "p_radius": lambda: sample_pattern(partial(fraunhofer_single, 0.0), _GRID),
     # a NaN radius scale gives the classical curve a NaN pR
     "radius_scale": lambda: fraunhofer_two_beam(math.nan, TwoBeamConfig(0.1), 0.1),
     "empty grid": lambda: validate_grid([]),
@@ -122,10 +126,10 @@ _BAD_INPUTS = {
     "low-energy flip": lambda: amplitudes(BeamParams(1e7), WirePotential(1e-5), 0.1,
                                           "low-energy", Channel.FLIP),
     "area_matched": lambda: normalize_density(_GRID, np.ones(5), "area-matched"),
-    "unknown normalization": lambda: pattern_single(BeamParams(1e7), WirePotential(1e-5), _GRID,
-                                                    normalization="peak_one"),
-    "unknown channel": lambda: pattern_single(BeamParams(1e7), WirePotential(1e-5), _GRID,
-                                              channel="both"),
+    "unknown normalization": lambda: sample_pattern(
+        partial(dsigma_dtheta, BeamParams(1e7), WirePotential(1e-5)), _GRID, "peak_one"),
+    "unknown channel": lambda: sample_pattern(
+        partial(dsigma_dtheta, BeamParams(1e7), WirePotential(1e-5), channel="both"), _GRID),
     "zero peak": lambda: normalize_density(_GRID, np.zeros(5), Normalization.PEAK_ONE),
     "zero area": lambda: normalize_density(_GRID, np.zeros(5), Normalization.UNIT_AREA),
     "dark-point p_radius": lambda: first_dark_points(math.inf, "quantum"),
@@ -137,12 +141,15 @@ _BAD_INPUTS = {
     "compare_curves grid": lambda: compare_curves(_FLAT, Pattern(_GRID + 1.0, np.ones(5))),
 }
 
+# rows whose message must name the function the caller called
+_NAMED = {"radius_scale": "fraunhofer_two_beam"}
+
 
 class TestInputErrors:
-    @pytest.mark.parametrize("call", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
-    def test_input_check_raises_domain_error(self, call):
-        with pytest.raises(DomainError):
-            call()
+    @pytest.mark.parametrize("name", _BAD_INPUTS, ids=_BAD_INPUTS.keys())
+    def test_input_check_raises_domain_error(self, name):
+        with pytest.raises(DomainError, match=_NAMED.get(name)):
+            _BAD_INPUTS[name]()
 
     @pytest.mark.parametrize("density", [[1.0, -1.0], [1.0, math.nan], [1.0]])
     def test_pattern_density_invariants_stay_value_errors(self, density):

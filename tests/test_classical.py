@@ -1,12 +1,13 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wirediff.classical import fraunhofer_single, fraunhofer_two_beam, pattern_classical
+from wirediff.classical import fraunhofer_single, fraunhofer_two_beam
 from wirediff.numerics import DomainError
-from wirediff.patterns import Normalization
+from wirediff.patterns import Normalization, sample_pattern
 from wirediff.twobeam import TwoBeamConfig
 
 PR = 84.37136668408607  # 2*pi * 8.5e-6 / 633e-9
@@ -97,9 +98,10 @@ class TestFraunhoferTwoBeam:
 
 class TestPatternClassical:
     def test_peak_one(self):
-        pattern = pattern_classical(PR, normalization=Normalization.PEAK_ONE)
+        pattern = sample_pattern(partial(fraunhofer_single, PR), normalization=Normalization.PEAK_ONE)
         assert float(np.max(pattern.density)) == 1.0
 
     def test_unit_area(self):
-        pattern = pattern_classical(PR, normalization=Normalization.UNIT_AREA)
+        pattern = sample_pattern(partial(fraunhofer_single, PR),
+                                 normalization=Normalization.UNIT_AREA)
         assert pattern.area() == pytest.approx(1.0, abs=1e-9)

@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import stat
+from functools import partial
 
 import numpy as np
 import pytest
@@ -59,11 +60,11 @@ class TestSingleCommand:
         doc = json.loads(out)
         assert doc["metadata"]["command"] == "single"
         assert doc["metadata"]["wavelength_nm"] == 633.0
-        from wirediff import BeamParams, WirePotential, pattern_single
+        from wirediff import BeamParams, WirePotential, dsigma_dtheta, sample_pattern
 
-        pattern = pattern_single(
-            BeamParams.from_wavelength_nm(633.0),
-            WirePotential.from_diameter_um(17.0),
+        pattern = sample_pattern(
+            partial(dsigma_dtheta, BeamParams.from_wavelength_nm(633.0),
+                    WirePotential.from_diameter_um(17.0)),
             np.linspace(-0.15, 0.15, 101),
         )
         assert doc["data"]["density"] == [float(d) for d in pattern.density]
@@ -439,6 +440,18 @@ class TestCompareCommand:
         assert code == 2
         assert out == ""
         assert "--radius-scale must be positive" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--radius-scale", "1e-320"),
+         "--radius-scale 1e-320 makes the classical pR 8.43706e-319, with no dark point"),
+        # the quantum curve is checked first, and the flag is not to blame
+        (("--wavelength-nm", "1e5"), "for p_radius=0.5340707511102648 (quantum)"),
+    ], ids=["classical", "quantum"])
+    def test_missing_dark_point_names_its_cause(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "compare", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     @pytest.mark.parametrize("wavelength_nm, per_fringe", [("20", "7.84"), ("0.00536", "0.0021")])
     def test_undersampled_grid_exits_2(self, capsys, wavelength_nm, per_fringe):

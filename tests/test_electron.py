@@ -1,11 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wirediff.electron import Channel, dsigma_dtheta, pattern_single, spinor_element
-from wirediff.patterns import Normalization, Pattern, default_grid
+from wirediff.electron import Channel, dsigma_dtheta, spinor_element
+from wirediff.patterns import Normalization, Pattern, default_grid, sample_pattern
 from wirediff.potential import BeamParams, WirePotential, momentum_transfer_single
 
 from conftest import beam_and_wire, two_j1_over_x
@@ -104,20 +105,22 @@ class TestDensities:
 
 class TestPatternSingle:
     def test_peak_one_at_center(self, beam, wire):
-        pattern = pattern_single(beam, wire, normalization=Normalization.PEAK_ONE)
+        pattern = sample_pattern(partial(dsigma_dtheta, beam, wire),
+                                 normalization=Normalization.PEAK_ONE)
         center = np.argmin(np.abs(pattern.thetas))
         assert pattern.thetas[center] == pytest.approx(0.0, abs=1e-12)
         assert pattern.density[center] == 1.0
 
     def test_unit_area_integrates_to_one(self, beam, wire):
-        pattern = pattern_single(beam, wire, normalization=Normalization.UNIT_AREA)
+        pattern = sample_pattern(partial(dsigma_dtheta, beam, wire),
+                                 normalization=Normalization.UNIT_AREA)
         assert pattern.area() == pytest.approx(1.0, abs=1e-9)
 
     def test_evenness(self, beam, wire):
         # exactly mirrored grid: density must be symmetric to 1e-12 relative
         positive = np.linspace(7.5e-5, 0.15, 1000)
         thetas = np.concatenate([-positive[::-1], [0.0], positive])
-        pattern = pattern_single(beam, wire, thetas=thetas)
+        pattern = sample_pattern(partial(dsigma_dtheta, beam, wire), thetas)
         flipped = pattern.density[::-1]
         assert np.all(
             np.abs(pattern.density - flipped)
@@ -126,9 +129,10 @@ class TestPatternSingle:
 
     def test_full_no_flip_matches_low_energy_shape(self, beam, wire):
         # peak-normalized full (no-flip) and low-energy patterns coincide
-        full = pattern_single(beam, wire, mode="full", channel=Channel.NO_FLIP,
+        full = sample_pattern(partial(dsigma_dtheta, beam, wire, mode="full",
+                                      channel=Channel.NO_FLIP),
                               normalization=Normalization.PEAK_ONE)
-        low = pattern_single(beam, wire, mode="low-energy",
+        low = sample_pattern(partial(dsigma_dtheta, beam, wire, mode="low-energy"),
                              normalization=Normalization.PEAK_ONE)
         deviation = np.abs(full.density - low.density) / np.maximum(low.density, 1e-300)
         assert float(np.max(deviation)) <= 1e-10
@@ -145,21 +149,22 @@ class TestPatternSingle:
 
     def test_grid_violation_rejected(self, beam, wire):
         with pytest.raises(ValueError):
-            pattern_single(beam, wire, thetas=np.array([0.1, 0.0, -0.1]))
+            sample_pattern(partial(dsigma_dtheta, beam, wire), np.array([0.1, 0.0, -0.1]))
 
     def test_unknown_mode_rejected(self, beam, wire):
         with pytest.raises(ValueError):
-            pattern_single(beam, wire, mode="fast")
+            sample_pattern(partial(dsigma_dtheta, beam, wire, mode="fast"))
 
     def test_low_energy_flip_rejected(self, beam, wire):
         # its flip element vanishes; the no-flip density must not go out as "flip"
         with pytest.raises(ValueError, match="no flip channel"):
-            pattern_single(beam, wire, mode="low-energy", channel=Channel.FLIP)
+            sample_pattern(partial(dsigma_dtheta, beam, wire, mode="low-energy",
+                                   channel=Channel.FLIP))
 
     def test_area_matched_rejected(self, beam, wire):
         # only analysis.match_areas scales a curve to another's area
         with pytest.raises(ValueError, match="unknown Normalization 'area-matched'"):
-            pattern_single(beam, wire, normalization="area-matched")
+            sample_pattern(partial(dsigma_dtheta, beam, wire), normalization="area-matched")
 
 
 class TestPatternValidation:

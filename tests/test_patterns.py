@@ -1,14 +1,17 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wirediff.classical import fraunhofer_single, pattern_classical
+from wirediff.classical import fraunhofer_single, fraunhofer_two_beam
 from wirediff.cli import _MIN_SAMPLES_PER_FRINGE
-from wirediff.electron import Channel, dsigma_dtheta, pattern_single
+from wirediff.electron import Channel, dsigma_dtheta
+from wirediff.numerics import DomainError
+from wirediff.patterns import Normalization, sample_pattern
 from wirediff.potential import BeamParams, WirePotential
-from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam, pattern_two_beam
+from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 
 # pR 84.4 on +-0.6 rad reaches qR ~ 50: both J1 branches are sampled
 THETAS = np.linspace(-0.6, 0.6, 801)
@@ -24,7 +27,7 @@ def per_point(density):
 
 
 class TestBuildersMatchScalarDensities:
-    # every pattern builder evaluates its density on the whole grid at once;
+    # the pattern builder evaluates each density on the whole grid at once;
     # each sample must equal the per-point scalar density bit for bit
     @pytest.mark.parametrize("mode, channel, scalar", [
         ("low-energy", Channel.NO_FLIP, lambda t: dsigma_dtheta(BEAM, WIRE, t)),
@@ -33,7 +36,8 @@ class TestBuildersMatchScalarDensities:
         ("full", Channel.SUM, lambda t: dsigma_dtheta(BEAM, WIRE, t, "full", Channel.SUM)),
     ], ids=["low-energy", "no-flip", "flip", "sum"])
     def test_single_beam(self, mode, channel, scalar):
-        pattern = pattern_single(BEAM, WIRE, THETAS, mode=mode, channel=channel)
+        pattern = sample_pattern(partial(dsigma_dtheta, BEAM, WIRE, mode=mode, channel=channel),
+                                 THETAS)
         assert pattern.density.tobytes() == per_point(scalar).tobytes()
 
     @pytest.mark.parametrize("mode, channel, scalar", [
@@ -47,15 +51,46 @@ class TestBuildersMatchScalarDensities:
                     + dsigma_dtheta_two_beam(BEAM, WIRE, CFG, t, "full", Channel.FLIP))),
     ], ids=["low-energy", "no-flip", "flip", "sum"])
     def test_two_beam(self, mode, channel, scalar):
-        pattern = pattern_two_beam(BEAM, WIRE, CFG, THETAS, mode=mode, channel=channel)
+        pattern = sample_pattern(
+            partial(dsigma_dtheta_two_beam, BEAM, WIRE, CFG, mode=mode, channel=channel), THETAS)
         assert pattern.density.tobytes() == per_point(scalar).tobytes()
 
     @pytest.mark.parametrize("scale", [1.0, 0.82])
     def test_classical(self, scale):
         p_radius = scale * PR
-        pattern = pattern_classical(p_radius, THETAS)
+        pattern = sample_pattern(partial(fraunhofer_single, p_radius), THETAS)
         assert pattern.density.tobytes() == per_point(
             lambda t: fraunhofer_single(p_radius, t)).tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.82])
+    def test_classical_two_beam(self, scale):
+        density = partial(fraunhofer_two_beam, scale * PR, CFG)
+        pattern = sample_pattern(density, THETAS)
+        assert pattern.density.tobytes() == per_point(density).tobytes()
+        area = sample_pattern(density, THETAS, normalization="unit-area")
+        assert area.area() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSamplePattern:
+    def test_checks_run_in_order(self):
+        # the grid and the normalization spelling before the density runs,
+        # then the density's shape before its finiteness
+        def density(theta):
+            raise AssertionError("density called")
+
+        with pytest.raises(DomainError, match="strictly increasing"):
+            sample_pattern(density, THETAS[::-1])
+        with pytest.raises(DomainError, match="unknown Normalization"):
+            sample_pattern(density, THETAS, "area-matched")
+        with pytest.raises(DomainError, match=r"got shape \(3,\) on a grid of shape \(801,\)"):
+            sample_pattern(lambda theta: np.full(3, math.nan), THETAS)
+
+    @pytest.mark.parametrize("normalization", list(Normalization))
+    def test_non_finite_density_is_not_input(self, normalization):
+        # the package's own density at fault: ValueError, before normalizing
+        with pytest.raises(ValueError, match="density must be finite") as exc:
+            sample_pattern(lambda theta: np.full(theta.shape, math.nan), THETAS, normalization)
+        assert not isinstance(exc.value, DomainError)
 
 
 class TestCompareFloor:
@@ -79,6 +114,7 @@ class TestCompareFloor:
         thetas = (np.arange(-round(below * per_fringe), round(above * per_fringe) + 1)
                   + offset) * step
         fine = np.linspace(thetas[0], thetas[-1], 64 * (thetas.size - 1) + 1)
-        for build in (lambda grid: pattern_single(beam, wire, grid),
-                      lambda grid: pattern_classical(scale * p_radius, grid)):
-            assert build(thetas).area() == pytest.approx(build(fine).area(), rel=2e-4)
+        for density in (partial(dsigma_dtheta, beam, wire),
+                        partial(fraunhofer_single, scale * p_radius)):
+            assert sample_pattern(density, thetas).area() == pytest.approx(
+                sample_pattern(density, fine).area(), rel=2e-4)

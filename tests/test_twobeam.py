@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from wirediff.classical import fraunhofer_two_beam
 from wirediff.electron import Channel, dsigma_dtheta
 from wirediff.numerics import DomainError, disk_amplitude
-from wirediff.patterns import Normalization, Pattern
-from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam, pattern_two_beam
+from wirediff.patterns import Normalization, Pattern, sample_pattern
+from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 
 from conftest import beam_and_wire, two_j1_over_x
 
@@ -174,8 +175,9 @@ class TestPhiThetaScan:
                                              mode, channel)
             assert density.shape == (13, 301)
             for phi, row in zip(phis.tolist(), density):
-                pattern = pattern_two_beam(beam, wire, TwoBeamConfig(0.1, phi), thetas,
-                                           mode, channel)
+                pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire,
+                                                 TwoBeamConfig(0.1, phi), mode=mode,
+                                                 channel=channel), thetas)
                 assert np.array_equal(row, pattern.density)
 
     def test_classical_rows_equal_single_phase(self, p_radius):
@@ -199,7 +201,7 @@ class TestPatternTwoBeam:
 
     def test_low_energy_matches_density(self, beam, wire, p_radius):
         cfg = TwoBeamConfig(0.1, 0.8)
-        pattern = pattern_two_beam(beam, wire, cfg, self.THETAS)
+        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, cfg), self.THETAS)
         assert isinstance(pattern, Pattern)
         expected = [dsigma_dtheta_two_beam(*beam_and_wire(p_radius), cfg, float(t))
                     for t in self.THETAS]
@@ -208,7 +210,8 @@ class TestPatternTwoBeam:
     @pytest.mark.parametrize("channel", [Channel.NO_FLIP, Channel.FLIP])
     def test_full_mode_matches_density(self, beam, wire, channel):
         cfg = TwoBeamConfig(0.1, 2.0)
-        pattern = pattern_two_beam(beam, wire, cfg, self.THETAS, mode="full", channel=channel)
+        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, cfg, mode="full",
+                                         channel=channel), self.THETAS)
         expected = [dsigma_dtheta_two_beam(beam, wire, cfg, float(t), "full", channel)
                     for t in self.THETAS]
         assert np.array_equal(pattern.density, expected)
@@ -216,7 +219,8 @@ class TestPatternTwoBeam:
     def test_spin_sum_is_flip_plus_no_flip(self, beam, wire):
         cfg = TwoBeamConfig(0.1, 0.4)
         summed, flip, no_flip = (
-            pattern_two_beam(beam, wire, cfg, self.THETAS, mode="full", channel=c).density
+            sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, cfg, mode="full",
+                                   channel=c), self.THETAS).density
             for c in (Channel.SUM, Channel.FLIP, Channel.NO_FLIP)
         )
         assert np.array_equal(summed, no_flip + flip)
@@ -225,19 +229,19 @@ class TestPatternTwoBeam:
         # the flip element vanishes in this limit: no-flip and the spin sum
         # are the same density, and a flip pattern is refused, not relabelled
         cfg = TwoBeamConfig(0.1, 0.4)
-        a = pattern_two_beam(beam, wire, cfg, self.THETAS, channel=Channel.NO_FLIP)
-        b = pattern_two_beam(beam, wire, cfg, self.THETAS, channel=Channel.SUM)
+        a, b = (sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, cfg, channel=c),
+                               self.THETAS) for c in (Channel.NO_FLIP, Channel.SUM))
         assert np.array_equal(a.density, b.density)
         with pytest.raises(ValueError, match="no flip channel"):
-            pattern_two_beam(beam, wire, cfg, self.THETAS, channel=Channel.FLIP)
+            sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, cfg,
+                                   channel=Channel.FLIP), self.THETAS)
 
     def test_normalizations(self, beam, wire):
         cfg = TwoBeamConfig(0.1, 0.0)
-        raw = pattern_two_beam(beam, wire, cfg, self.THETAS)
-        peak = pattern_two_beam(beam, wire, cfg, self.THETAS,
-                                normalization=Normalization.PEAK_ONE)
-        area = pattern_two_beam(beam, wire, cfg, self.THETAS,
-                                normalization=Normalization.UNIT_AREA)
+        raw, peak, area = (sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, cfg),
+                                          self.THETAS, n)
+                           for n in (Normalization.RAW, Normalization.PEAK_ONE,
+                                     Normalization.UNIT_AREA))
         assert np.max(peak.density) == 1.0
         assert np.array_equal(peak.density, raw.density / np.max(raw.density))
         assert area.area() == pytest.approx(1.0, abs=1e-12)
@@ -245,25 +249,31 @@ class TestPatternTwoBeam:
     def test_area_matched_rejected(self, beam, wire):
         # only analysis.match_areas scales a curve to another's area
         with pytest.raises(ValueError, match="unknown Normalization 'area-matched'"):
-            pattern_two_beam(beam, wire, TwoBeamConfig(0.1), self.THETAS,
-                             normalization="area-matched")
+            sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, TwoBeamConfig(0.1)),
+                           self.THETAS, "area-matched")
 
     def test_default_grid(self, beam, wire):
-        pattern = pattern_two_beam(beam, wire, TwoBeamConfig(0.1))
+        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, TwoBeamConfig(0.1)))
         assert pattern.thetas.size == 2001
 
     def test_bad_inputs_rejected(self, beam, wire):
         with pytest.raises(ValueError):
-            pattern_two_beam(beam, wire, TwoBeamConfig(0.1), self.THETAS, mode="fast")
+            sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, TwoBeamConfig(0.1),
+                                   mode="fast"), self.THETAS)
         with pytest.raises(ValueError):
-            pattern_two_beam(beam, wire, TwoBeamConfig(0.1), self.THETAS[::-1])
+            sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, TwoBeamConfig(0.1)),
+                           self.THETAS[::-1])
 
     def test_phase_sequence_rejected(self, beam, wire):
-        with pytest.raises(DomainError, match="dsigma_dtheta_two_beam"):
-            pattern_two_beam(beam, wire, TwoBeamConfig(0.1, [0.0, 1.0]), self.THETAS)
+        # one row per phase is not one value per theta
+        with pytest.raises(DomainError, match=r"got shape \(2, 201\) on a grid of shape"):
+            sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire,
+                                   TwoBeamConfig(0.1, [0.0, 1.0])), self.THETAS)
 
     def test_exported(self):
         import wirediff
 
-        assert wirediff.pattern_two_beam is pattern_two_beam
-        assert "pattern_two_beam" in wirediff.__all__
+        # the density and the one pattern builder that samples it
+        assert wirediff.dsigma_dtheta_two_beam is dsigma_dtheta_two_beam
+        assert wirediff.sample_pattern is sample_pattern
+        assert {"dsigma_dtheta_two_beam", "sample_pattern"} <= set(wirediff.__all__)
