@@ -620,27 +620,27 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "5ed356e73d1ee42d1bf1ac6371aeedda1698644d16ae4b90c2457a8ff077da25"),
+             "ad8061781fa00d1d5dc251e3c76d4d7b0d4e83d2a94c7d7ae531333d22cd693e"),
             (("two-beam",),
-             "c7c651619931d01e673cc7efc8ff6124b04ee299badb2610273587fe804525c8"),
+             "280b51eb465226f8347f7624649eed226ee02df5e80bbd734f6061fba219a4a0"),
             (("scan",),
-             "1cdc56a2133e60b15c7b79eb5e0aefa5adbeaf975b101a41c45e28ef3f5a5739"),
+             "d9d7ded10e456ccd31cb0eb4c41828deeb826929afcdd81065edc5c417ce8e52"),
             (("compare",),
-             "9c83ec76a25434aa04be31459b1a0c52c2f1f47ca7d27e12d6bfefc13bf5cada"),
+             "f1d9d922f1252a3f2cbf96bb1d1408186f60e48238e662549471e5f859c91470"),
             (("zeros",),
-             "7f56fff0ba2935f7b6ddf90c14f795045e2f0abd136bd891b84c917cea554fdd"),
+             "2beb4a1cd8ce3dffe56e1e447dd9bd5debc85648c659a5d4dcc8f1175ca338f7"),
             (("zeros", "--n", "3"),
-             "e8b4d8fe6bf6a4e4dbde78632aa6395b3fb98ccff315e5200ec637abdf86ea8a"),
+             "77494fc96793da6b511fd4879b8fb85802c69f1a34f2785c0e89ed57cb0b7c35"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "035ce1a70f8c8b56629a13b988689c6694f755d86921655b79651ba62c48dc1f"),
+             "93835f7ce0c591e9a10b3186ea1fe096f1bce3a75b07e8e4e11bea0b84603487"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "497303dcd0cc0a06d97078aeaddd76aef093b1b3ecd0fb1f7ab16b019adac3a4"),
+             "20c3df3bb33300953de9a1ba2698498b26fe2575f84654edc19ef555509de27b"),
             (("single", "--mode", "full", "--spin", "sum"),
-             "200ecf0409f90b7d1d91a04caeb08da55e11d1b090d448b51e15d48d2cb27d45"),
+             "1bd2224ede05c7b05a6b79309755edcd23b32c8f4bc81e5076c6c7291a9f4f8b"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
-             "d8693aa337848124038663fe4a8614c6403be3df8cdb888cf8e9c913c5bb0ac2"),
+             "9beaefc8586727a4c25d5441190641ac159ef71d1b911dbfea6130e9fb1e4a27"),
             (("compare", "--radius-scale", "0.82"),
-             "bdbd916e31ce13ff98ae029f5d504ea8e2a4a4e15962072739fe0292a67fee0e"),
+             "95cf6268a3bbe7f5a6f52a1c643b9a8979b75577b3e119a3b597b52f4b3f6767"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82"],
