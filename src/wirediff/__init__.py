@@ -23,7 +23,6 @@ from .potential import (
     ELECTRON_MASS_EV,
     HBARC_EV_M,
     BeamParams,
-    WirePotential,
     momentum_transfer_single,
 )
 from .twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
@@ -39,7 +38,6 @@ __all__ = [
     "Normalization",
     "Pattern",
     "TwoBeamConfig",
-    "WirePotential",
     "compare_curves",
     "default_grid",
     "disk_amplitude",

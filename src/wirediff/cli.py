@@ -31,7 +31,7 @@ from .classical import fraunhofer_single
 from .electron import Channel, dsigma_dtheta
 from .numerics import DomainError
 from .patterns import Normalization, sample_pattern
-from .potential import BeamParams, WirePotential, ELECTRON_MASS_EV
+from .potential import BeamParams, ELECTRON_MASS_EV
 from .twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 
 # Fewest grid samples per fringe pi / max(pR, scale * pR) for compare, whose
@@ -141,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_physics(args) -> tuple[BeamParams, WirePotential]:
+def _resolve_physics(args) -> tuple[BeamParams, float]:
+    # the one place pR is formed from a beam; every command takes it from here
     if not (args.wavelength_nm > 0.0 and math.isfinite(args.wavelength_nm)):
         raise DomainError(f"--wavelength-nm must be positive, got {args.wavelength_nm}")
     if not (args.diameter_um > 0.0 and math.isfinite(args.diameter_um)):
@@ -149,8 +150,12 @@ def _resolve_physics(args) -> tuple[BeamParams, WirePotential]:
     if not (args.mass_ev > 0.0 and math.isfinite(args.mass_ev)):
         raise DomainError(f"--mass-ev must be positive, got {args.mass_ev}")
     beam = BeamParams.from_wavelength_nm(args.wavelength_nm, mass_ev=args.mass_ev)
-    wire = WirePotential.from_diameter_um(args.diameter_um)
-    return beam, wire
+    p_radius = beam.momentum * (0.5 * args.diameter_um * 1e-6)
+    if not (p_radius > 0.0 and math.isfinite(p_radius)):
+        raise DomainError(f"--wavelength-nm {args.wavelength_nm} and --diameter-um "
+                          f"{args.diameter_um} give pR = {p_radius:g}, which must be "
+                          f"positive and finite")
+    return beam, p_radius
 
 
 def _resolve_grids(args, *names: str) -> list[np.ndarray]:
@@ -224,12 +229,12 @@ def _json_doc(config: dict, data: dict) -> str:
 
 def _pattern_command(args, density, *beams) -> str:
     # parse -> call -> serialize, shared by the single- and two-beam commands
-    beam, wire = _resolve_physics(args)
+    beam, p_radius = _resolve_physics(args)
     thetas, = _resolve_grids(args, "theta")
     pattern = sample_pattern(
-        partial(density, beam, wire, *beams, mode=args.mode, channel=Channel(args.spin)),
+        partial(density, beam, p_radius, *beams, mode=args.mode, channel=Channel(args.spin)),
         thetas, args.normalization)
-    _warn_if_aliased(thetas, beam.momentum * wire.radius)
+    _warn_if_aliased(thetas, p_radius)
     config = _base_config(args)
     if args.format == "json":
         return _json_doc(config, {"theta_rad": pattern.thetas.tolist(),
@@ -247,14 +252,14 @@ def _cmd_two_beam(args) -> str:
 
 
 def _cmd_scan(args) -> str:
-    beam, wire = _resolve_physics(args)
+    beam, p_radius = _resolve_physics(args)
     phis, thetas = _resolve_grids(args, "phi", "theta")
-    density = dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(alpha=args.alpha, phi=phis),
+    density = dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(alpha=args.alpha, phi=phis),
                                      thetas)
     # the density's fault, not the caller's, as for the pattern commands
     if not np.all(np.isfinite(density)):
         raise ValueError("density must be finite")
-    _warn_if_aliased(thetas, beam.momentum * wire.radius)
+    _warn_if_aliased(thetas, p_radius)
     config = _base_config(args)
     if args.format == "json":
         return _json_doc(config, {"phi_rad": phis.tolist(), "theta_rad": thetas.tolist(),
@@ -263,11 +268,10 @@ def _cmd_scan(args) -> str:
 
 
 def _cmd_compare(args) -> str:
-    beam, wire = _resolve_physics(args)
+    beam, p_radius = _resolve_physics(args)
     thetas, = _resolve_grids(args, "theta")
     if not (args.radius_scale > 0.0 and math.isfinite(args.radius_scale)):
         raise DomainError(f"--radius-scale must be positive, got {args.radius_scale}")
-    p_radius = beam.momentum * wire.radius
     classical_pr = args.radius_scale * p_radius
     fringe = math.pi / max(p_radius, classical_pr)
     per_fringe = _samples_per_fringe(thetas, fringe)
@@ -283,7 +287,7 @@ def _cmd_compare(args) -> str:
     except DomainError:
         raise DomainError(f"--radius-scale {args.radius_scale} makes the classical pR "
                           f"{classical_pr:g}, with no dark point in (0, pi/2)") from None
-    quantum = sample_pattern(partial(dsigma_dtheta, beam, wire), thetas)
+    quantum = sample_pattern(partial(dsigma_dtheta, beam, p_radius), thetas)
     classical = sample_pattern(partial(fraunhofer_single, classical_pr), thetas)
     comparison = compare_curves(quantum, match_areas(quantum, classical))
     data = {
@@ -297,10 +301,9 @@ def _cmd_compare(args) -> str:
 
 
 def _cmd_zeros(args) -> str:
-    beam, wire = _resolve_physics(args)
+    _, p_radius = _resolve_physics(args)
     if not 1 <= args.n <= _MAX_ZEROS:
         raise DomainError(f"--n must be in [1, {_MAX_ZEROS:,}], got {args.n}")
-    p_radius = beam.momentum * wire.radius
     quantum = first_dark_points(p_radius, "quantum", args.n)
     classical = first_dark_points(p_radius, "classical", args.n)
     data = {

@@ -1,11 +1,11 @@
 """Electron scattering amplitudes and angular probability distributions.
 
 A :class:`Channel` picks the no-flip or flip channel or their sum.  Mode
-"full" keeps the full-energy spinor matrix elements exactly as modeled,
-including the sin(theta) numerator of the spin-flip channel; textbook
-spin-flip elements usually carry sin(theta/2) instead, so the flip channel
-here should be read as part of this model's definition rather than as a
-general result.  At optical momenta (pc ~ eV against mc^2 ~ 0.5 MeV) the
+"full" keeps the full-energy spinor matrix elements u'^dagger u, with both
+spins quantized along the incident beam: in that basis sin(theta) is the
+flip element's angular factor, and the sin(theta/2) of textbook flip
+elements belongs to the helicity basis, whose final spin follows the
+scattered momentum.  At optical momenta (pc ~ eV against mc^2 ~ 0.5 MeV) the
 flip channel is negligible either way and the no-flip channel reduces to a
 constant, leaving the squared disk form factor alone: mode "low-energy".
 
@@ -16,11 +16,13 @@ normalization volume: only normalized shapes are compared.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .numerics import DomainError, disk_amplitude
 from .patterns import Spelling
-from .potential import BeamParams, WirePotential, momentum_transfer_single
+from .potential import BeamParams, momentum_transfer_single
 
 # largest pc and mc^2 [eV]: (E + mc^2)^2 <= 5.8e300, so no density overflows
 _MAX_SPINOR_EV = 1e150
@@ -60,7 +62,7 @@ def spinor_element(beam: BeamParams, theta, channel: Channel = Channel.NO_FLIP):
     return (e_plus_m * e_plus_m + pc * pc * np.cos(theta)) / e_plus_m
 
 
-def amplitudes(beam: BeamParams, wire: WirePotential, theta, mode: str = "low-energy",
+def amplitudes(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy",
                channel: Channel = Channel.NO_FLIP) -> list:
     """Amplitudes whose squares ``mode`` sums over ``channel``, one per final spin.
 
@@ -70,22 +72,25 @@ def amplitudes(beam: BeamParams, wire: WirePotential, theta, mode: str = "low-en
     spin sum are both [F] and the flip channel raises DomainError.  Full mode
     is [spinor_element * F] for ``channel``, or for the no-flip and flip
     channels under Channel.SUM.
-    ``theta`` is a scalar or an array of angles; so is each amplitude.
+    ``p_radius`` is the wire's pR; ``theta`` is a scalar or an array of
+    angles, and so is each amplitude.
     """
+    if not (math.isfinite(p_radius) and p_radius > 0.0):
+        raise DomainError(f"p_radius > 0 required, got {p_radius!r}")
     channel = Channel(channel)
     if mode not in ("low-energy", "full"):
         raise DomainError(f"unknown mode {mode!r}; expected 'low-energy' or 'full'")
     if mode == "low-energy" and channel is Channel.FLIP:
         raise DomainError("low-energy mode has no flip channel (its element vanishes "
                           "there); use mode 'full' for the flip density")
-    f = disk_amplitude(momentum_transfer_single(beam.momentum * wire.radius, theta))
+    f = disk_amplitude(momentum_transfer_single(p_radius, theta))
     if mode == "low-energy":
         return [f]
     channels = (Channel.NO_FLIP, Channel.FLIP) if channel is Channel.SUM else (channel,)
     return [spinor_element(beam, theta, c) * f for c in channels]
 
 
-def dsigma_dtheta(beam: BeamParams, wire: WirePotential, theta, mode: str = "low-energy",
+def dsigma_dtheta(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy",
                   channel: Channel = Channel.NO_FLIP):
     """Single-beam density, |spinor * F(qR)|^2 summed over ``channel``, C = 1.
 
@@ -93,4 +98,4 @@ def dsigma_dtheta(beam: BeamParams, wire: WirePotential, theta, mode: str = "low
     weights it with the squared spinor elements.  Theta (scalar or array)
     enters only through q = 2 p |sin(theta/2)|.
     """
-    return sum(a * a for a in amplitudes(beam, wire, theta, mode, channel))
+    return sum(a * a for a in amplitudes(beam, p_radius, theta, mode, channel))

@@ -109,8 +109,8 @@ def sample_pattern(density, thetas: np.ndarray | None = None,
     once on the whole grid and normalizes it.  ``density`` maps the theta
     array to one value per theta, as the package's densities do when their
     other arguments are bound, for example
-    ``partial(dsigma_dtheta, beam, wire, mode="full", channel="sum")``,
-    ``partial(dsigma_dtheta_two_beam, beam, wire, cfg)``,
+    ``partial(dsigma_dtheta, beam, pR, mode="full", channel="sum")``,
+    ``partial(dsigma_dtheta_two_beam, beam, pR, cfg)``,
     ``partial(fraunhofer_single, pR)`` or ``partial(fraunhofer_two_beam, pR, cfg)``.
     A result of another shape, such as one row per phase of a phase
     sequence, raises DomainError.

@@ -1,8 +1,12 @@
-"""Cylindrical-barrier wire model, beam kinematics, and unit handling.
+"""Beam kinematics, momentum transfer, and unit handling.
 
 Natural units (hbar = c = 1) are used internally, so momenta are inverse
-meters and the momentum-radius product p*R is dimensionless.  Public
-constructors accept SI quantities (nm, um, eV) and convert at the boundary.
+meters and the momentum-radius product p*R is dimensionless.  The wire, a
+cylindrical barrier of radius R, enters every density only through p*R, so
+the densities take that product and no wire object.  The barrier height
+only rescales the overall constant of the transition probability, never a
+normalized angular shape, so it is not modeled.  Public constructors accept
+SI quantities (nm, eV) and convert at the boundary.
 """
 
 from __future__ import annotations
@@ -19,26 +23,6 @@ HBARC_EV_M = 1.973269804e-7
 
 ELECTRON_MASS_EV = 510_998.95
 """Electron rest energy in eV."""
-
-
-@dataclass(frozen=True)
-class WirePotential:
-    """Cylindrical barrier of radius ``radius`` [m].
-
-    The barrier height only rescales the overall constant of the transition
-    probability, never a normalized angular shape, so it is not modeled.
-    """
-
-    radius: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise DomainError(f"wire radius must be positive and finite, got {self.radius!r}")
-
-    @classmethod
-    def from_diameter_um(cls, diameter_um: float) -> "WirePotential":
-        """Build from a diameter in micrometers (the usual reporting convention)."""
-        return cls(radius=0.5 * diameter_um * 1e-6)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,12 @@ import numpy as np
 
 from .electron import Channel, amplitudes
 from .numerics import DomainError
-from .potential import BeamParams, WirePotential
+from .potential import BeamParams
 
 
 @dataclass(frozen=True)
 class TwoBeamConfig:
-    """Beam intersection angle alpha [rad] and interference phase phi [rad].
+    """Beam intersection angle alpha in [0, pi] [rad] and interference phase phi [rad].
 
     ``phi`` is one phase or a non-empty 1-D sequence of phases, stored as a
     tuple of floats; a sequence adds a leading phase axis to every density.
@@ -35,8 +35,8 @@ class TwoBeamConfig:
     phi: float | tuple = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
-            raise DomainError(f"alpha >= 0 required, got {self.alpha!r}")
+        if not 0.0 <= self.alpha <= math.pi:
+            raise DomainError(f"alpha in [0, pi] required, got {self.alpha!r}")
         phi = np.asarray(self.phi, dtype=float)
         if phi.ndim > 1 or phi.size == 0 or not np.all(np.isfinite(phi)):
             raise DomainError(f"phi must be a finite phase or a non-empty 1-D sequence of "
@@ -65,7 +65,7 @@ def _interference_density(a_minus, a_plus, phi):
 
 def dsigma_dtheta_two_beam(
     beam: BeamParams,
-    wire: WirePotential,
+    p_radius: float,
     cfg: TwoBeamConfig,
     theta,
     mode: str = "low-energy",
@@ -79,6 +79,6 @@ def dsigma_dtheta_two_beam(
     labels (polarized source).  ``theta`` is a scalar or an array of angles;
     a sequence of phases in ``cfg.phi`` adds a leading axis, one row per phase.
     """
-    minus = amplitudes(beam, wire, theta - 0.5 * cfg.alpha, mode, channel)
-    plus = amplitudes(beam, wire, theta + 0.5 * cfg.alpha, mode, channel)
+    minus = amplitudes(beam, p_radius, theta - 0.5 * cfg.alpha, mode, channel)
+    plus = amplitudes(beam, p_radius, theta + 0.5 * cfg.alpha, mode, channel)
     return sum(_interference_density(a, b, cfg.phi) for a, b in zip(minus, plus))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from wirediff import BeamParams, WirePotential
+from wirediff import BeamParams
 
 # Default configuration used throughout: 633 nm beam, 17 um wire diameter.
 WAVELENGTH_NM = 633.0
@@ -16,14 +16,9 @@ def beam() -> BeamParams:
 
 
 @pytest.fixture(scope="session")
-def wire() -> WirePotential:
-    return WirePotential.from_diameter_um(DIAMETER_UM)
-
-
-@pytest.fixture(scope="session")
-def p_radius(beam, wire) -> float:
-    # 2*pi * 8.5e-6 / 633e-9 = 84.3714
-    return beam.momentum * wire.radius
+def p_radius(beam) -> float:
+    # 2*pi * 8.5e-6 / 633e-9 = 84.3714, formed as the CLI forms it
+    return beam.momentum * (0.5 * DIAMETER_UM * 1e-6)
 
 
 @pytest.fixture(scope="session")
@@ -32,11 +27,6 @@ def j1_zeros_oracle():
     from scipy.special import jn_zeros
 
     return [float(z) for z in jn_zeros(1, 5)]
-
-
-def beam_and_wire(p_radius: float) -> tuple[BeamParams, WirePotential]:
-    """A beam and a wire whose p*R is ``p_radius`` exactly (R = 1 m)."""
-    return BeamParams(momentum=p_radius), WirePotential(radius=1.0)
 
 
 def bessel_oracle(x: float) -> float:

@@ -3,6 +3,8 @@
 ``disk_ft_oracle`` evaluates the disk transform 0F1(2, -q_r^2/4) by brute
 quadrature over the unit disk, independently of the package's Chebyshev /
 Hankel kernel.  It is a test oracle only; mpmath is the stronger one.
+``dirac_spinor_element`` builds explicit Dirac spinors with numpy and takes
+their product, independently of the closed forms of ``spinor_element``.
 """
 
 from __future__ import annotations
@@ -60,3 +62,30 @@ def disk_ft_oracle(q_r: float, rule_order: int | None = None) -> complex:
             f"{abs(fine - coarse):.3e} at q_r={q_r!r}; increase rule_order"
         )
     return fine
+
+
+_PAULI = (np.array([[0, 1], [1, 0]], dtype=complex),
+          np.array([[0, -1j], [1j, 0]]),
+          np.array([[1, 0], [0, -1]], dtype=complex))
+_SPIN_UP = np.array([1, 0], dtype=complex)
+_SPIN_DOWN = np.array([0, 1], dtype=complex)
+
+
+def _dirac_spinor(pc: float, mass: float, direction, chi: np.ndarray) -> np.ndarray:
+    # u = sqrt(E + m) (chi, sigma.p chi / (E + m)), normalized to u^dagger u = 2E
+    e_plus_m = math.sqrt(pc * pc + mass * mass) + mass
+    sigma_p = sum(pc * n * sigma for n, sigma in zip(direction, _PAULI))
+    return math.sqrt(e_plus_m) * np.concatenate([chi, sigma_p @ chi / e_plus_m])
+
+
+def dirac_spinor_element(pc: float, mass: float, theta: float, flip: bool) -> complex:
+    """Element u'^dagger u between explicit Dirac spinors, in eV (pc and mass in eV).
+
+    The incident spinor moves along z with spin up along z, the beam axis;
+    the scattered one moves at ``theta`` in the x-z plane with the same |p|
+    and spin down (``flip``) or up along z.
+    """
+    incident = _dirac_spinor(pc, mass, (0.0, 0.0, 1.0), _SPIN_UP)
+    scattered = _dirac_spinor(pc, mass, (math.sin(theta), 0.0, math.cos(theta)),
+                              _SPIN_DOWN if flip else _SPIN_UP)
+    return complex(np.vdot(scattered, incident))

@@ -16,10 +16,10 @@ from wirediff.cli import main
 from wirediff.electron import Channel, dsigma_dtheta
 from wirediff.numerics import disk_amplitude
 from wirediff.patterns import Normalization, default_grid, sample_pattern
-from wirediff.potential import BeamParams, WirePotential
+from wirediff.potential import BeamParams
 from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 
-from conftest import beam_and_wire, two_j1_over_x
+from conftest import two_j1_over_x
 from oracles import disk_ft_oracle
 
 TAU = 2.0 * math.pi
@@ -38,12 +38,11 @@ def _report(criterion: str, checks: list[tuple[str, bool]]):
 @pytest.fixture(scope="module")
 def default_setup():
     beam = BeamParams.from_wavelength_nm(633.0)
-    wire = WirePotential.from_diameter_um(17.0)
-    return beam, wire, beam.momentum * wire.radius
+    return beam, beam.momentum * 8.5e-6
 
 
 def test_criterion_1_overestimation_factor(default_setup, j1_zeros_oracle):
-    _, _, p_radius = default_setup
+    _, p_radius = default_setup
     start = time.perf_counter()
     factor = overestimation_factor(p_radius)
     elapsed = time.perf_counter() - start
@@ -62,9 +61,9 @@ def test_criterion_1_overestimation_factor(default_setup, j1_zeros_oracle):
 
 
 def test_criterion_2_fringe_structure(default_setup):
-    beam, wire, p_radius = default_setup
+    beam, p_radius = default_setup
     thetas = default_grid()
-    quantum = sample_pattern(partial(dsigma_dtheta, beam, wire), thetas)
+    quantum = sample_pattern(partial(dsigma_dtheta, beam, p_radius), thetas)
     classical = sample_pattern(partial(fraunhofer_single, p_radius), thetas)
 
     q_peak_theta = float(quantum.thetas[np.argmax(quantum.density)])
@@ -123,15 +122,15 @@ def test_criterion_3_special_function_identities(j1_zeros_oracle):
 
 
 def test_criterion_4_low_energy_reduction(default_setup):
-    beam, wire, _ = default_setup
+    beam, p_radius = default_setup
     thetas = default_grid()
-    full = sample_pattern(partial(dsigma_dtheta, beam, wire, mode="full",
+    full = sample_pattern(partial(dsigma_dtheta, beam, p_radius, mode="full",
                                   channel=Channel.NO_FLIP), thetas, Normalization.PEAK_ONE)
-    low = sample_pattern(partial(dsigma_dtheta, beam, wire, mode="low-energy"), thetas,
+    low = sample_pattern(partial(dsigma_dtheta, beam, p_radius, mode="low-energy"), thetas,
                          Normalization.PEAK_ONE)
     pointwise = float(np.max(np.abs(full.density - low.density)))
 
-    flip, noflip = (np.array([dsigma_dtheta(beam, wire, float(t), "full", c) for t in thetas])
+    flip, noflip = (np.array([dsigma_dtheta(beam, p_radius, float(t), "full", c) for t in thetas])
                     for c in (Channel.FLIP, Channel.NO_FLIP))
     flip_weight = float(np.trapezoid(flip, thetas) / np.trapezoid(noflip, thetas))
     momentum_ratio = beam.pc_ev / beam.mass_ev
@@ -151,7 +150,7 @@ def test_criterion_4_low_energy_reduction(default_setup):
 
 
 def test_criterion_5_two_beam_properties(default_setup):
-    beam, wire, _ = default_setup
+    beam, p_radius = default_setup
     start = time.perf_counter()
 
     rng = np.random.default_rng(20260809)
@@ -161,37 +160,37 @@ def test_criterion_5_two_beam_properties(default_setup):
     phis = rng.uniform(-TAU, 2.0 * TAU, n_samples)
     thetas = rng.uniform(-0.7, 0.7, n_samples)
     non_negative = all(
-        dsigma_dtheta_two_beam(*beam_and_wire(pr), TwoBeamConfig(a, ph), th) >= 0.0
+        dsigma_dtheta_two_beam(BeamParams(pr), pr, TwoBeamConfig(a, ph), th) >= 0.0
         for pr, a, ph, th in zip(p_rs, alphas, phis, thetas)
     )
 
     even_ok = True
     for pr, a, ph, th in zip(p_rs[:200], alphas[:200], phis[:200], thetas[:200]):
         cfg = TwoBeamConfig(a, ph)
-        at_pr = beam_and_wire(pr)
-        lhs = dsigma_dtheta_two_beam(*at_pr, cfg, th)
-        rhs = dsigma_dtheta_two_beam(*at_pr, cfg, -th)
+        beam_pr = BeamParams(pr)
+        lhs = dsigma_dtheta_two_beam(beam_pr, pr, cfg, th)
+        rhs = dsigma_dtheta_two_beam(beam_pr, pr, cfg, -th)
         if abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs), 1e-300):
             even_ok = False
             break
 
     # exact periodicity at phases whose phi + 2*pi is exactly representable
     periodic_ok = all(
-        dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(0.1, ph), 0.0123)
-        == dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(0.1, ph + TAU), 0.0123)
+        dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(0.1, ph), 0.0123)
+        == dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(0.1, ph + TAU), 0.0123)
         for ph in (0.0, 0.25, 0.5, 1.0, 1.5, -0.5)
     )
 
-    dark_center = dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(0.1, math.pi), 0.0)
+    dark_center = dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(0.1, math.pi), 0.0)
 
     degenerate_ok = all(
-        dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(0.0, 0.0), th)
-        == pytest.approx(4.0 * dsigma_dtheta(beam, wire, th), rel=1e-12)
+        dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(0.0, 0.0), th)
+        == pytest.approx(4.0 * dsigma_dtheta(beam, p_radius, th), rel=1e-12)
         for th in (0.0, 0.01, 0.045, 0.1)
     )
 
     grid = default_grid()
-    scan = dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(0.1, np.linspace(0.0, TAU, 41)), grid)
+    scan = dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(0.1, np.linspace(0.0, TAU, 41)), grid)
     masses = np.trapezoid(scan, grid, axis=1)
     elapsed = time.perf_counter() - start
 
@@ -212,7 +211,7 @@ def test_criterion_5_two_beam_properties(default_setup):
 
 
 def test_criterion_6_rescaling_alignment(default_setup):
-    _, _, p_radius = default_setup
+    _, p_radius = default_setup
     factor = overestimation_factor(p_radius)
     # the multiplier convention stretches the classical argument, so the
     # aligning direction applies the factor as an effective pR / factor

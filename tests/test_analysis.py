@@ -17,7 +17,7 @@ from wirediff.classical import fraunhofer_single
 from wirediff.electron import dsigma_dtheta
 from wirediff.numerics import DomainError
 from wirediff.patterns import Pattern, sample_pattern
-from wirediff.potential import BeamParams, WirePotential
+from wirediff.potential import BeamParams
 
 PR = 84.37136668408607
 
@@ -164,11 +164,8 @@ class TestOverestimationFactor:
 class TestMatchAreas:
     def _patterns(self):
         thetas = np.linspace(-0.15, 0.15, 501)
-        quantum = sample_pattern(
-            partial(dsigma_dtheta, BeamParams.from_wavelength_nm(633.0),
-                    WirePotential.from_diameter_um(17.0)),
-            thetas,
-        )
+        quantum = sample_pattern(partial(dsigma_dtheta, BeamParams.from_wavelength_nm(633.0), PR),
+                                 thetas)
         classical = sample_pattern(partial(fraunhofer_single, PR), thetas)
         return quantum, classical
 
@@ -210,11 +207,8 @@ class TestMatchAreas:
 class TestCompareCurves:
     def _default_comparison_curves(self, radius_scale=1.0, points=2001):
         thetas = np.linspace(-0.15, 0.15, points)
-        quantum = sample_pattern(
-            partial(dsigma_dtheta, BeamParams.from_wavelength_nm(633.0),
-                    WirePotential.from_diameter_um(17.0)),
-            thetas,
-        )
+        quantum = sample_pattern(partial(dsigma_dtheta, BeamParams.from_wavelength_nm(633.0), PR),
+                                 thetas)
         classical = sample_pattern(partial(fraunhofer_single, radius_scale * PR), thetas)
         return quantum, match_areas(quantum, classical)
 
@@ -247,8 +241,8 @@ class TestCompareCurves:
         # carries no dark-point offset whatever the window holds; the exact
         # dark points come from first_dark_points, which no window limits
         thetas = np.linspace(-theta_max, theta_max, 2001)
-        quantum = sample_pattern(partial(dsigma_dtheta, BeamParams.from_wavelength_nm(633.0),
-                                         WirePotential.from_diameter_um(17.0)), thetas)
+        quantum = sample_pattern(partial(dsigma_dtheta, BeamParams.from_wavelength_nm(633.0), PR),
+                                 thetas)
         classical = sample_pattern(partial(fraunhofer_single, PR), thetas)
         result = compare_curves(quantum, match_areas(quantum, classical))
         assert not hasattr(result, "first_zero_offset_rad")

@@ -11,18 +11,19 @@ import pytest
 
 import wirediff
 from wirediff import (BeamParams, Channel, DomainError, Normalization, Pattern, TwoBeamConfig,
-                      WirePotential, compare_curves, disk_amplitude, dsigma_dtheta,
-                      dsigma_dtheta_two_beam, first_dark_points, fraunhofer_single,
-                      fraunhofer_two_beam, match_areas, momentum_transfer_single,
-                      sample_pattern, sinc, spinor_element, validate_grid)
+                      compare_curves, disk_amplitude, dsigma_dtheta, dsigma_dtheta_two_beam,
+                      first_dark_points, fraunhofer_single, fraunhofer_two_beam, match_areas,
+                      momentum_transfer_single, sample_pattern, sinc, spinor_element,
+                      validate_grid)
 from wirediff.electron import amplitudes
 from wirediff.patterns import normalize_density
 
-# public names deleted in 0.2.0 to 0.11.0, each a second path to a quantity
+# public names deleted in 0.2.0 to 0.12.0, each a second path to a quantity
 # that keeps one, a test oracle now in tests/oracles.py, an input-error type
 # that DomainError replaces, a spelling of the spin channel that Channel
 # replaces, a dark-point search that closed forms replace, or a layer that
-# only echoed its caller's arguments, wrapped a call or held one product
+# only echoed its caller's arguments, wrapped a call or held one product or
+# one factor of it
 REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_full_spin_summed", "hyp0f1_reg2", "hyp0f1_reg2_series",
            "bessel_j1", "disk_ft_oracle", "AccuracyError", "BracketError", "RangeError",
@@ -31,7 +32,7 @@ REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_two_beam_low_energy", "first_dark_angle", "ZeroReport",
            "sample_beam_pattern", "unit_spinor", "spinor_factors", "phi_theta_scan",
            "ScanResult", "find_zero", "ClassicalConfig", "pattern_single",
-           "pattern_two_beam", "pattern_classical")
+           "pattern_two_beam", "pattern_classical", "WirePotential")
 
 
 class TestPublicSurface:
@@ -40,7 +41,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 26
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 25
 
     def test_disk_amplitude_is_the_exported_amplitude(self):
         from wirediff import numerics
@@ -62,7 +63,6 @@ class TestPublicSurface:
         assert not hasattr(Pattern(_GRID, np.ones(5)), "metadata")
         assert not hasattr(Pattern(_GRID, np.ones(5)), "normalization")
         assert not hasattr(Normalization, "AREA_MATCHED")
-        assert not hasattr(WirePotential(1e-5), "diameter_um")
         assert not hasattr(BeamParams(1e7), "wavelength_m")
 
     def test_readme_library_example_runs(self):
@@ -98,7 +98,7 @@ _FLAT = Pattern(_GRID, np.ones(5))
 
 # every check of a caller's argument in the library, one bad input each
 _BAD_INPUTS = {
-    "wire radius": lambda: WirePotential(radius=0.0),
+    "wire pR": lambda: amplitudes(BeamParams(1e7), 0.0, 0.1),
     "beam momentum": lambda: BeamParams(momentum=-1.0),
     "beam mass": lambda: BeamParams(momentum=1e7, mass_ev=math.nan),
     "wavelength": lambda: BeamParams.from_wavelength_m(0.0),
@@ -111,10 +111,12 @@ _BAD_INPUTS = {
     "spinor energy": lambda: spinor_element(BeamParams(1e7, mass_ev=1e200), 0.1),
     "fraunhofer theta": lambda: fraunhofer_single(1.0, math.nan),
     "alpha": lambda: TwoBeamConfig(alpha=-0.1),
+    # theta -/+ alpha/2 at alpha ~ 1e17 rounds every grid angle to one double
+    "alpha above pi": lambda: TwoBeamConfig(alpha=4.0),
     "phi": lambda: TwoBeamConfig(alpha=0.1, phi=math.inf),
     # a phase sequence gives one row per phase, not one value per theta
     "pattern phases": lambda: sample_pattern(partial(
-        dsigma_dtheta_two_beam, BeamParams(1e7), WirePotential(1e-5),
+        dsigma_dtheta_two_beam, BeamParams(1e7), 100.0,
         TwoBeamConfig(0.1, [0.0, 1.0])), _GRID),
     "p_radius": lambda: sample_pattern(partial(fraunhofer_single, 0.0), _GRID),
     # a NaN radius scale gives the classical curve a NaN pR
@@ -122,14 +124,14 @@ _BAD_INPUTS = {
     "empty grid": lambda: validate_grid([]),
     "non-finite grid": lambda: validate_grid([0.0, math.nan]),
     "decreasing grid": lambda: validate_grid([0.1, 0.0]),
-    "unknown mode": lambda: amplitudes(BeamParams(1e7), WirePotential(1e-5), 0.1, "medium"),
-    "low-energy flip": lambda: amplitudes(BeamParams(1e7), WirePotential(1e-5), 0.1,
+    "unknown mode": lambda: amplitudes(BeamParams(1e7), 100.0, 0.1, "medium"),
+    "low-energy flip": lambda: amplitudes(BeamParams(1e7), 100.0, 0.1,
                                           "low-energy", Channel.FLIP),
     "area_matched": lambda: normalize_density(_GRID, np.ones(5), "area-matched"),
     "unknown normalization": lambda: sample_pattern(
-        partial(dsigma_dtheta, BeamParams(1e7), WirePotential(1e-5)), _GRID, "peak_one"),
+        partial(dsigma_dtheta, BeamParams(1e7), 100.0), _GRID, "peak_one"),
     "unknown channel": lambda: sample_pattern(
-        partial(dsigma_dtheta, BeamParams(1e7), WirePotential(1e-5), channel="both"), _GRID),
+        partial(dsigma_dtheta, BeamParams(1e7), 100.0, channel="both"), _GRID),
     "zero peak": lambda: normalize_density(_GRID, np.zeros(5), Normalization.PEAK_ONE),
     "zero area": lambda: normalize_density(_GRID, np.zeros(5), Normalization.UNIT_AREA),
     "dark-point p_radius": lambda: first_dark_points(math.inf, "quantum"),
@@ -141,8 +143,8 @@ _BAD_INPUTS = {
     "compare_curves grid": lambda: compare_curves(_FLAT, Pattern(_GRID + 1.0, np.ones(5))),
 }
 
-# rows whose message must name the function the caller called
-_NAMED = {"radius_scale": "fraunhofer_two_beam"}
+# rows whose message must name the function the caller called, or its argument
+_NAMED = {"radius_scale": "fraunhofer_two_beam", "wire pR": "^p_radius > 0 required"}
 
 
 class TestInputErrors:

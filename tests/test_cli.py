@@ -15,7 +15,7 @@ from conftest import reference_csv
 from wirediff.analysis import first_dark_points
 from wirediff.cli import _MAX_GRID_VALUES, _MAX_ZEROS, _csv, build_parser, main
 from wirediff.electron import Channel
-from wirediff.potential import BeamParams, WirePotential
+from wirediff.potential import BeamParams
 
 
 def run_cli(capsys, *argv):
@@ -60,13 +60,11 @@ class TestSingleCommand:
         doc = json.loads(out)
         assert doc["metadata"]["command"] == "single"
         assert doc["metadata"]["wavelength_nm"] == 633.0
-        from wirediff import BeamParams, WirePotential, dsigma_dtheta, sample_pattern
+        from wirediff import dsigma_dtheta, sample_pattern
 
-        pattern = sample_pattern(
-            partial(dsigma_dtheta, BeamParams.from_wavelength_nm(633.0),
-                    WirePotential.from_diameter_um(17.0)),
-            np.linspace(-0.15, 0.15, 101),
-        )
+        beam = BeamParams.from_wavelength_nm(633.0)
+        pattern = sample_pattern(partial(dsigma_dtheta, beam, beam.momentum * 8.5e-6),
+                                 np.linspace(-0.15, 0.15, 101))
         assert doc["data"]["density"] == [float(d) for d in pattern.density]
 
     def test_full_mode_spin_channels(self, capsys):
@@ -140,6 +138,9 @@ class TestConfigErrors:
             ("single", "--mode", "full", "--wavelength-nm", "1e-200"),
             # pR = 0.53: (0, pi/2) holds no first dark point for compare to report
             ("compare", "--wavelength-nm", "1e5"),
+            # an intersection angle above pi; near 1e17 it would flatten the pattern
+            ("two-beam", "--alpha", "4"),
+            ("scan", "--alpha", "1e17"),
         ],
     )
     def test_semantic_errors_exit_2(self, capsys, argv):
@@ -149,6 +150,17 @@ class TestConfigErrors:
         assert code == 2
         assert out == ""
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("command", ["single", "two-beam", "scan", "compare", "zeros"])
+    @pytest.mark.parametrize("wavelength_nm, diameter_um", [("1e-5", "1e300"), ("633", "1e-320")],
+                             ids=["pR-inf", "pR-zero"])
+    def test_bad_p_radius_names_both_flags(self, capsys, command, wavelength_nm, diameter_um):
+        # each flag is finite and positive; only their product leaves (0, inf)
+        code, out, err = run_cli(capsys, command, "--wavelength-nm", wavelength_nm,
+                                 "--diameter-um", diameter_um)
+        assert code == 2
+        assert out == ""
+        assert "--wavelength-nm" in err and "--diameter-um" in err
 
     @pytest.mark.parametrize(
         "argv, values",
@@ -470,8 +482,7 @@ class TestCompareCommand:
         assert code == 0
         doc = json.loads(out)
         data = doc["data"]
-        p_radius = (BeamParams.from_wavelength_nm(633.0).momentum
-                    * WirePotential.from_diameter_um(17.0).radius)
+        p_radius = BeamParams.from_wavelength_nm(633.0).momentum * 8.5e-6
         quantum = first_dark_points(p_radius, "quantum")[0]
         classical = first_dark_points(doc["metadata"]["radius_scale"] * p_radius,
                                       "classical")[0]

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wirediff.electron import Channel, dsigma_dtheta, spinor_element
+from wirediff.numerics import DomainError
 from wirediff.patterns import Normalization, Pattern, default_grid, sample_pattern
-from wirediff.potential import BeamParams, WirePotential, momentum_transfer_single
+from wirediff.potential import ELECTRON_MASS_EV, HBARC_EV_M, BeamParams, momentum_transfer_single
+from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 
-from conftest import beam_and_wire, two_j1_over_x
+from conftest import two_j1_over_x
+from oracles import dirac_spinor_element
 
 
 class TestSpinorElement:
@@ -41,103 +44,131 @@ class TestSpinorElement:
             (e_plus_m**2 + pc * pc * math.cos(theta)) / e_plus_m, rel=1e-15
         )
 
+    # both identities hold exactly: (sigma.n) sigma_z = cos(theta) - i sin(theta) sigma_y
+    @given(theta=st.floats(-1.4, 1.4), pc_over_mc2=st.floats(0.05, 2.0))
+    def test_matches_dirac_spinors(self, theta, pc_over_mc2):
+        beam = BeamParams(momentum=pc_over_mc2 * ELECTRON_MASS_EV / HBARC_EV_M)
+        bound = 1e-14 * (beam.energy_ev + beam.mass_ev)
+        for channel, flip in ((Channel.NO_FLIP, False), (Channel.FLIP, True)):
+            oracle = dirac_spinor_element(beam.pc_ev, beam.mass_ev, theta, flip)
+            assert abs(oracle.imag) <= bound
+            assert abs(spinor_element(beam, theta, channel) - oracle.real) <= bound
+
+    @given(theta=st.floats(-1.4, 1.4), pc_over_mc2=st.floats(0.05, 2.0))
+    def test_channels_sum_to_mott_trace(self, theta, pc_over_mc2):
+        # no-flip^2 + flip^2 = 2 (E^2 + m^2 + p^2 cos(theta)), to 1e-14 (E + m)^2
+        beam = BeamParams(momentum=pc_over_mc2 * ELECTRON_MASS_EV / HBARC_EV_M)
+        energy, mass, pc = beam.energy_ev, beam.mass_ev, beam.pc_ev
+        no_flip = spinor_element(beam, theta, Channel.NO_FLIP)
+        flip = spinor_element(beam, theta, Channel.FLIP)
+        trace = 2.0 * (energy * energy + mass * mass + pc * pc * math.cos(theta))
+        assert abs(no_flip**2 + flip**2 - trace) <= 1e-14 * (energy + mass) ** 2
+
 
 class TestDensities:
-    def test_forward_maximum_no_flip(self, beam, wire):
+    def test_forward_maximum_no_flip(self, beam, p_radius):
         # theta = 0: spinor and form factor both maximal
-        value = dsigma_dtheta(beam, wire, 0.0, "full", Channel.NO_FLIP)
-        near = dsigma_dtheta(beam, wire, 0.01, "full", Channel.NO_FLIP)
+        value = dsigma_dtheta(beam, p_radius, 0.0, "full", Channel.NO_FLIP)
+        near = dsigma_dtheta(beam, p_radius, 0.01, "full", Channel.NO_FLIP)
         assert value > near
         assert value == pytest.approx((2.0 * beam.mass_ev) ** 2, rel=1e-10)
 
     def test_both_channels_vanish_at_form_factor_zero(
-        self, beam, wire, p_radius, j1_zeros_oracle
+        self, beam, p_radius, j1_zeros_oracle
     ):
         theta = 2.0 * math.asin(j1_zeros_oracle[0] / (2.0 * p_radius))
         for channel in (Channel.NO_FLIP, Channel.FLIP):
-            assert dsigma_dtheta(beam, wire, theta, "full", channel) < 1e-20
+            assert dsigma_dtheta(beam, p_radius, theta, "full", channel) < 1e-20
 
-    def test_flip_weight_negligible(self, beam, wire):
+    def test_flip_weight_negligible(self, beam, p_radius):
         thetas = default_grid()
-        flip, noflip = (np.array([dsigma_dtheta(beam, wire, float(t), "full", c) for t in thetas])
+        flip, noflip = (np.array([dsigma_dtheta(beam, p_radius, float(t), "full", c) for t in thetas])
                         for c in (Channel.FLIP, Channel.NO_FLIP))
         ratio = np.trapezoid(flip, thetas) / np.trapezoid(noflip, thetas)
         assert ratio < 1e-20
 
-    def test_spin_summed_is_sum(self, beam, wire):
+    def test_spin_summed_is_sum(self, beam, p_radius):
         theta = 0.04
-        assert dsigma_dtheta(beam, wire, theta, "full", Channel.SUM) == pytest.approx(
-            dsigma_dtheta(beam, wire, theta, "full", Channel.NO_FLIP)
-            + dsigma_dtheta(beam, wire, theta, "full", Channel.FLIP),
+        assert dsigma_dtheta(beam, p_radius, theta, "full", Channel.SUM) == pytest.approx(
+            dsigma_dtheta(beam, p_radius, theta, "full", Channel.NO_FLIP)
+            + dsigma_dtheta(beam, p_radius, theta, "full", Channel.FLIP),
             rel=1e-15,
         )
 
+    @pytest.mark.parametrize("bad", [0.0, -1e-6, math.nan, math.inf])
+    def test_bad_p_radius_rejected(self, beam, bad):
+        # named as passed, not as the argument p of momentum_transfer_single
+        for density in (partial(dsigma_dtheta, beam, bad),
+                        partial(dsigma_dtheta_two_beam, beam, bad, TwoBeamConfig(0.1))):
+            with pytest.raises(DomainError, match="^p_radius > 0 required"):
+                density(0.1)
+
     def test_low_energy_forward_value(self, p_radius):
-        assert dsigma_dtheta(*beam_and_wire(p_radius), 0.0) == 1.0
+        assert dsigma_dtheta(BeamParams(p_radius), p_radius, 0.0) == 1.0
 
     def test_low_energy_first_zero_location(self, p_radius, j1_zeros_oracle):
         theta = 2.0 * math.asin(j1_zeros_oracle[0] / (2.0 * p_radius))
         assert theta == pytest.approx(0.045420, abs=1e-5)
-        assert dsigma_dtheta(*beam_and_wire(p_radius), theta) < 1e-20
+        assert dsigma_dtheta(BeamParams(p_radius), p_radius, theta) < 1e-20
 
     @given(st.floats(min_value=-1.5, max_value=1.5))
     def test_low_energy_even(self, theta):
-        beam, wire = beam_and_wire(84.37)
-        assert dsigma_dtheta(beam, wire, theta) == dsigma_dtheta(beam, wire, -theta)
+        beam = BeamParams(84.37)
+        assert dsigma_dtheta(beam, 84.37, theta) == dsigma_dtheta(beam, 84.37, -theta)
 
     def test_low_energy_matches_oracle_value(self, p_radius):
         theta = 0.03
         x = 2.0 * p_radius * math.sin(0.5 * theta)
-        assert dsigma_dtheta(*beam_and_wire(p_radius), theta) == pytest.approx(
+        assert dsigma_dtheta(BeamParams(p_radius), p_radius, theta) == pytest.approx(
             two_j1_over_x(x) ** 2, abs=1e-12
         )
 
-    def test_depends_on_theta_only_through_q(self, beam, wire):
+    def test_depends_on_theta_only_through_q(self, p_radius):
         # equal momentum transfer => equal form factor, whatever the sign of theta
         from wirediff.numerics import disk_amplitude
 
         theta = 0.11
-        q1 = momentum_transfer_single(beam.momentum, theta)
-        q2 = momentum_transfer_single(beam.momentum, -theta)
-        assert q1 == q2
-        assert disk_amplitude(q1 * wire.radius) == disk_amplitude(q2 * wire.radius)
+        q1_r = momentum_transfer_single(p_radius, theta)
+        q2_r = momentum_transfer_single(p_radius, -theta)
+        assert q1_r == q2_r
+        assert disk_amplitude(q1_r) == disk_amplitude(q2_r)
 
 
 class TestPatternSingle:
-    def test_peak_one_at_center(self, beam, wire):
-        pattern = sample_pattern(partial(dsigma_dtheta, beam, wire),
+    def test_peak_one_at_center(self, beam, p_radius):
+        pattern = sample_pattern(partial(dsigma_dtheta, beam, p_radius),
                                  normalization=Normalization.PEAK_ONE)
         center = np.argmin(np.abs(pattern.thetas))
         assert pattern.thetas[center] == pytest.approx(0.0, abs=1e-12)
         assert pattern.density[center] == 1.0
 
-    def test_unit_area_integrates_to_one(self, beam, wire):
-        pattern = sample_pattern(partial(dsigma_dtheta, beam, wire),
+    def test_unit_area_integrates_to_one(self, beam, p_radius):
+        pattern = sample_pattern(partial(dsigma_dtheta, beam, p_radius),
                                  normalization=Normalization.UNIT_AREA)
         assert pattern.area() == pytest.approx(1.0, abs=1e-9)
 
-    def test_evenness(self, beam, wire):
+    def test_evenness(self, beam, p_radius):
         # exactly mirrored grid: density must be symmetric to 1e-12 relative
         positive = np.linspace(7.5e-5, 0.15, 1000)
         thetas = np.concatenate([-positive[::-1], [0.0], positive])
-        pattern = sample_pattern(partial(dsigma_dtheta, beam, wire), thetas)
+        pattern = sample_pattern(partial(dsigma_dtheta, beam, p_radius), thetas)
         flipped = pattern.density[::-1]
         assert np.all(
             np.abs(pattern.density - flipped)
             <= 1e-12 * np.maximum(np.abs(flipped), 1e-300)
         )
 
-    def test_full_no_flip_matches_low_energy_shape(self, beam, wire):
+    def test_full_no_flip_matches_low_energy_shape(self, beam, p_radius):
         # peak-normalized full (no-flip) and low-energy patterns coincide
-        full = sample_pattern(partial(dsigma_dtheta, beam, wire, mode="full",
+        full = sample_pattern(partial(dsigma_dtheta, beam, p_radius, mode="full",
                                       channel=Channel.NO_FLIP),
                               normalization=Normalization.PEAK_ONE)
-        low = sample_pattern(partial(dsigma_dtheta, beam, wire, mode="low-energy"),
+        low = sample_pattern(partial(dsigma_dtheta, beam, p_radius, mode="low-energy"),
                              normalization=Normalization.PEAK_ONE)
         deviation = np.abs(full.density - low.density) / np.maximum(low.density, 1e-300)
         assert float(np.max(deviation)) <= 1e-10
 
-    def test_dark_points_follow_bessel_zeros(self, beam, wire, p_radius, j1_zeros_oracle):
+    def test_dark_points_follow_bessel_zeros(self, beam, p_radius, j1_zeros_oracle):
         # nth dark point satisfies 2 pR sin(theta/2) = j1n for n = 1, 2, 3
         from wirediff.analysis import first_dark_points
 
@@ -147,24 +178,24 @@ class TestPatternSingle:
                 j1n, abs=1e-10
             )
 
-    def test_grid_violation_rejected(self, beam, wire):
+    def test_grid_violation_rejected(self, beam, p_radius):
         with pytest.raises(ValueError):
-            sample_pattern(partial(dsigma_dtheta, beam, wire), np.array([0.1, 0.0, -0.1]))
+            sample_pattern(partial(dsigma_dtheta, beam, p_radius), np.array([0.1, 0.0, -0.1]))
 
-    def test_unknown_mode_rejected(self, beam, wire):
+    def test_unknown_mode_rejected(self, beam, p_radius):
         with pytest.raises(ValueError):
-            sample_pattern(partial(dsigma_dtheta, beam, wire, mode="fast"))
+            sample_pattern(partial(dsigma_dtheta, beam, p_radius, mode="fast"))
 
-    def test_low_energy_flip_rejected(self, beam, wire):
+    def test_low_energy_flip_rejected(self, beam, p_radius):
         # its flip element vanishes; the no-flip density must not go out as "flip"
         with pytest.raises(ValueError, match="no flip channel"):
-            sample_pattern(partial(dsigma_dtheta, beam, wire, mode="low-energy",
+            sample_pattern(partial(dsigma_dtheta, beam, p_radius, mode="low-energy",
                                    channel=Channel.FLIP))
 
-    def test_area_matched_rejected(self, beam, wire):
+    def test_area_matched_rejected(self, beam, p_radius):
         # only analysis.match_areas scales a curve to another's area
         with pytest.raises(ValueError, match="unknown Normalization 'area-matched'"):
-            sample_pattern(partial(dsigma_dtheta, beam, wire), normalization="area-matched")
+            sample_pattern(partial(dsigma_dtheta, beam, p_radius), normalization="area-matched")
 
 
 class TestPatternValidation:

@@ -10,15 +10,14 @@ from wirediff.cli import _MIN_SAMPLES_PER_FRINGE
 from wirediff.electron import Channel, dsigma_dtheta
 from wirediff.numerics import DomainError
 from wirediff.patterns import Normalization, sample_pattern
-from wirediff.potential import BeamParams, WirePotential
+from wirediff.potential import BeamParams
 from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 
 # pR 84.4 on +-0.6 rad reaches qR ~ 50: both J1 branches are sampled
 THETAS = np.linspace(-0.6, 0.6, 801)
-WIRE = WirePotential.from_diameter_um(17.0)
 # pc / mc^2 ~ 2, so the flip channel carries weight
 BEAM = BeamParams.from_wavelength_nm(633.0, mass_ev=1.0)
-PR = BEAM.momentum * WIRE.radius
+PR = BEAM.momentum * 8.5e-6
 CFG = TwoBeamConfig(alpha=0.07, phi=1.3)
 
 
@@ -30,29 +29,29 @@ class TestBuildersMatchScalarDensities:
     # the pattern builder evaluates each density on the whole grid at once;
     # each sample must equal the per-point scalar density bit for bit
     @pytest.mark.parametrize("mode, channel, scalar", [
-        ("low-energy", Channel.NO_FLIP, lambda t: dsigma_dtheta(BEAM, WIRE, t)),
-        ("full", Channel.NO_FLIP, lambda t: dsigma_dtheta(BEAM, WIRE, t, "full", Channel.NO_FLIP)),
-        ("full", Channel.FLIP, lambda t: dsigma_dtheta(BEAM, WIRE, t, "full", Channel.FLIP)),
-        ("full", Channel.SUM, lambda t: dsigma_dtheta(BEAM, WIRE, t, "full", Channel.SUM)),
+        ("low-energy", Channel.NO_FLIP, lambda t: dsigma_dtheta(BEAM, PR, t)),
+        ("full", Channel.NO_FLIP, lambda t: dsigma_dtheta(BEAM, PR, t, "full", Channel.NO_FLIP)),
+        ("full", Channel.FLIP, lambda t: dsigma_dtheta(BEAM, PR, t, "full", Channel.FLIP)),
+        ("full", Channel.SUM, lambda t: dsigma_dtheta(BEAM, PR, t, "full", Channel.SUM)),
     ], ids=["low-energy", "no-flip", "flip", "sum"])
     def test_single_beam(self, mode, channel, scalar):
-        pattern = sample_pattern(partial(dsigma_dtheta, BEAM, WIRE, mode=mode, channel=channel),
+        pattern = sample_pattern(partial(dsigma_dtheta, BEAM, PR, mode=mode, channel=channel),
                                  THETAS)
         assert pattern.density.tobytes() == per_point(scalar).tobytes()
 
     @pytest.mark.parametrize("mode, channel, scalar", [
-        ("low-energy", Channel.NO_FLIP, lambda t: dsigma_dtheta_two_beam(BEAM, WIRE, CFG, t)),
+        ("low-energy", Channel.NO_FLIP, lambda t: dsigma_dtheta_two_beam(BEAM, PR, CFG, t)),
         ("full", Channel.NO_FLIP,
-         lambda t: dsigma_dtheta_two_beam(BEAM, WIRE, CFG, t, "full", Channel.NO_FLIP)),
+         lambda t: dsigma_dtheta_two_beam(BEAM, PR, CFG, t, "full", Channel.NO_FLIP)),
         ("full", Channel.FLIP,
-         lambda t: dsigma_dtheta_two_beam(BEAM, WIRE, CFG, t, "full", Channel.FLIP)),
+         lambda t: dsigma_dtheta_two_beam(BEAM, PR, CFG, t, "full", Channel.FLIP)),
         ("full", Channel.SUM,
-         lambda t: (dsigma_dtheta_two_beam(BEAM, WIRE, CFG, t, "full", Channel.NO_FLIP)
-                    + dsigma_dtheta_two_beam(BEAM, WIRE, CFG, t, "full", Channel.FLIP))),
+         lambda t: (dsigma_dtheta_two_beam(BEAM, PR, CFG, t, "full", Channel.NO_FLIP)
+                    + dsigma_dtheta_two_beam(BEAM, PR, CFG, t, "full", Channel.FLIP))),
     ], ids=["low-energy", "no-flip", "flip", "sum"])
     def test_two_beam(self, mode, channel, scalar):
         pattern = sample_pattern(
-            partial(dsigma_dtheta_two_beam, BEAM, WIRE, CFG, mode=mode, channel=channel), THETAS)
+            partial(dsigma_dtheta_two_beam, BEAM, PR, CFG, mode=mode, channel=channel), THETAS)
         assert pattern.density.tobytes() == per_point(scalar).tobytes()
 
     @pytest.mark.parametrize("scale", [1.0, 0.82])
@@ -107,14 +106,11 @@ class TestCompareFloor:
     def test_trapezoid_area_at_fifty_samples_per_fringe(self, p_radius, scale, below, above,
                                                          offset):
         per_fringe = _MIN_SAMPLES_PER_FRINGE
-        wire = WirePotential(radius=1e-5)
-        beam = BeamParams(momentum=p_radius / wire.radius)
-        p_radius = beam.momentum * wire.radius
         step = math.pi / (per_fringe * max(1.0, scale) * p_radius)
         thetas = (np.arange(-round(below * per_fringe), round(above * per_fringe) + 1)
                   + offset) * step
         fine = np.linspace(thetas[0], thetas[-1], 64 * (thetas.size - 1) + 1)
-        for density in (partial(dsigma_dtheta, beam, wire),
+        for density in (partial(dsigma_dtheta, BEAM, p_radius),
                         partial(fraunhofer_single, scale * p_radius)):
             assert sample_pattern(density, thetas).area() == pytest.approx(
                 sample_pattern(density, fine).area(), rel=2e-4)

@@ -8,7 +8,6 @@ from wirediff.potential import (
     ELECTRON_MASS_EV,
     HBARC_EV_M,
     BeamParams,
-    WirePotential,
     momentum_transfer_single,
 )
 
@@ -47,17 +46,6 @@ class TestBeamParams:
         assert HBARC_EV_M == pytest.approx(197.3269804e6 * 1e-15, rel=1e-12)
 
 
-class TestWirePotential:
-    def test_diameter_round_trip(self):
-        wire = WirePotential.from_diameter_um(17.0)
-        assert wire.radius == pytest.approx(8.5e-6, rel=1e-15)
-
-    @pytest.mark.parametrize("bad", [0.0, -1e-6, math.nan])
-    def test_bad_radius_rejected(self, bad):
-        with pytest.raises(ValueError):
-            WirePotential(radius=bad)
-
-
 class TestMomentumTransfer:
     def test_forward_scattering(self, beam):
         assert momentum_transfer_single(beam.momentum, 0.0) == 0.0
@@ -66,13 +54,13 @@ class TestMomentumTransfer:
         q = momentum_transfer_single(beam.momentum, math.pi)
         assert q == pytest.approx(2.0 * beam.momentum, rel=1e-15)
 
-    def test_first_dark_point_condition(self, beam, wire, p_radius, j1_zeros_oracle):
+    def test_first_dark_point_condition(self, p_radius, j1_zeros_oracle):
         # at the angle solving 2 pR sin(theta/2) = j11, the transfer obeys qR = j11
         j11 = j1_zeros_oracle[0]
         theta = 2.0 * math.asin(j11 / (2.0 * p_radius))
         assert theta == pytest.approx(0.045420, abs=1e-5)
-        q = momentum_transfer_single(beam.momentum, theta)
-        assert q * wire.radius == pytest.approx(j11, rel=1e-12)
+        q_r = momentum_transfer_single(p_radius, theta)
+        assert q_r == pytest.approx(j11, rel=1e-12)
 
     @given(st.floats(min_value=-math.pi, max_value=math.pi))
     def test_even_in_theta(self, theta):
@@ -84,33 +72,30 @@ class TestMomentumTransfer:
 
 
 class TestFormFactor:
-    def test_unity_at_zero_transfer(self, wire):
-        assert disk_amplitude(0.0 * wire.radius) == 1.0
+    # the form factor is a function of qR alone
+    def test_unity_at_zero_transfer(self):
+        assert disk_amplitude(0.0) == 1.0
 
-    def test_zero_at_first_bessel_zero(self, wire, j1_zeros_oracle):
-        q = j1_zeros_oracle[0] / wire.radius
-        assert abs(disk_amplitude(q * wire.radius)) < 1e-12
+    def test_zero_at_first_bessel_zero(self, j1_zeros_oracle):
+        assert abs(disk_amplitude(j1_zeros_oracle[0])) < 1e-12
 
-    def test_matches_disk_quadrature(self, wire):
-        q = 10.0 / wire.radius
-        assert disk_amplitude(q * wire.radius) == pytest.approx(disk_ft_oracle(10.0).real,
-                                                                 abs=1e-8)
+    def test_matches_disk_quadrature(self):
+        assert disk_amplitude(10.0) == pytest.approx(disk_ft_oracle(10.0).real, abs=1e-8)
 
-    def test_monotone_decreasing_to_first_zero(self, wire, j1_zeros_oracle):
+    def test_monotone_decreasing_to_first_zero(self, j1_zeros_oracle):
         import numpy as np
 
-        qs = np.linspace(0.0, j1_zeros_oracle[0] / wire.radius, 200)
-        values = [disk_amplitude(float(q) * wire.radius) for q in qs]
+        q_rs = np.linspace(0.0, j1_zeros_oracle[0], 200)
+        values = [disk_amplitude(float(q_r)) for q_r in q_rs]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_range(self, wire):
+    def test_range(self):
         import numpy as np
 
-        for q in np.linspace(0.0, 25.0 / wire.radius, 500):
-            f = disk_amplitude(float(q) * wire.radius)
+        for q_r in np.linspace(0.0, 25.0, 500):
+            f = disk_amplitude(float(q_r))
             assert -0.133 < f <= 1.0
 
-    def test_matches_oracle_normalization(self, wire):
+    def test_matches_oracle_normalization(self):
         # against the independent Bessel oracle at an arbitrary transfer
-        q = 4.7 / wire.radius
-        assert disk_amplitude(q * wire.radius) == pytest.approx(two_j1_over_x(4.7), abs=1e-12)
+        assert disk_amplitude(4.7) == pytest.approx(two_j1_over_x(4.7), abs=1e-12)

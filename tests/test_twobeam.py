@@ -9,12 +9,13 @@ from wirediff.classical import fraunhofer_two_beam
 from wirediff.electron import Channel, dsigma_dtheta
 from wirediff.numerics import DomainError, disk_amplitude
 from wirediff.patterns import Normalization, Pattern, sample_pattern
+from wirediff.potential import BeamParams
 from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 
-from conftest import beam_and_wire, two_j1_over_x
+from conftest import two_j1_over_x
 
 PR = 84.37136668408607
-BEAM_PR, WIRE_PR = beam_and_wire(PR)
+BEAM_PR = BeamParams(PR)
 TAU = 2.0 * math.pi
 
 
@@ -22,12 +23,12 @@ class TestLowEnergyDensity:
     def test_degenerate_intersection_quadruples_single_beam(self):
         cfg = TwoBeamConfig(alpha=0.0, phi=0.0)
         for theta in (0.0, 0.01, 0.045, 0.1):
-            assert dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, cfg, theta) == pytest.approx(
-                4.0 * dsigma_dtheta(BEAM_PR, WIRE_PR, theta), rel=1e-12
+            assert dsigma_dtheta_two_beam(BEAM_PR, PR, cfg, theta) == pytest.approx(
+                4.0 * dsigma_dtheta(BEAM_PR, PR, theta), rel=1e-12
             )
 
     def test_destructive_center(self):
-        assert dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(0.1, math.pi), 0.0) \
+        assert dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(0.1, math.pi), 0.0) \
             == pytest.approx(0.0, abs=1e-25)
 
     def test_forward_value_default_two_beam_configuration(self):
@@ -35,7 +36,7 @@ class TestLowEnergyDensity:
         # q0 R = 2 pR sin(alpha/4); checked against the Bessel oracle
         q0_r = 2.0 * PR * math.sin(0.025)
         expected = 4.0 * two_j1_over_x(q0_r) ** 2
-        got = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(0.1, 0.0), 0.0)
+        got = dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(0.1, 0.0), 0.0)
         assert got == pytest.approx(expected, rel=1e-10)
 
     @given(
@@ -45,27 +46,27 @@ class TestLowEnergyDensity:
         st.floats(min_value=-0.7, max_value=0.7),
     )
     def test_non_negative(self, p_radius, alpha, phi, theta):
-        value = dsigma_dtheta_two_beam(*beam_and_wire(p_radius), TwoBeamConfig(alpha, phi), theta)
+        value = dsigma_dtheta_two_beam(BeamParams(p_radius), p_radius, TwoBeamConfig(alpha, phi), theta)
         assert value >= 0.0
 
     @given(st.floats(min_value=-0.5, max_value=0.5),
            st.floats(min_value=-8.0, max_value=8.0))
     def test_even_in_theta(self, theta, phi):
         cfg = TwoBeamConfig(0.1, phi)
-        a = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, cfg, theta)
-        b = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, cfg, -theta)
+        a = dsigma_dtheta_two_beam(BEAM_PR, PR, cfg, theta)
+        b = dsigma_dtheta_two_beam(BEAM_PR, PR, cfg, -theta)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
     def test_phase_periodicity_exact(self):
         # 2*pi periodicity is exact when phi + 2*pi is itself exact
         for phi in (0.0, 0.5, 1.0, -0.5, 1.5):
-            a = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(0.1, phi), 0.013)
-            b = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(0.1, phi + TAU), 0.013)
+            a = dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(0.1, phi), 0.013)
+            b = dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(0.1, phi + TAU), 0.013)
             assert a == b
 
     def test_zero_vs_two_pi_identical(self):
-        a = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(0.1, 0.0), 0.02)
-        b = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(0.1, TAU), 0.02)
+        a = dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(0.1, 0.0), 0.02)
+        b = dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(0.1, TAU), 0.02)
         assert a == b
 
     @given(st.floats(min_value=-7.0, max_value=7.0),
@@ -76,41 +77,41 @@ class TestLowEnergyDensity:
         s_plus = PR * math.sin(0.5 * theta + 0.025)
         f_minus = disk_amplitude(2.0 * s_minus)
         f_plus = disk_amplitude(2.0 * s_plus)
-        density = dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, cfg, theta)
+        density = dsigma_dtheta_two_beam(BEAM_PR, PR, cfg, theta)
         bound = 2.0 * abs(f_minus * f_plus) + 1e-12
         assert abs(density - (f_minus**2 + f_plus**2)) <= bound
 
 
 class TestFullEnergyDensity:
-    def test_matches_low_energy_shape_at_optical_momentum(self, beam, wire):
+    def test_matches_low_energy_shape_at_optical_momentum(self, beam, p_radius):
         thetas = np.linspace(-0.15, 0.15, 401)
         for phi in (0.0, 1.0, math.pi):
             cfg = TwoBeamConfig(0.1, phi)
-            full = np.array([dsigma_dtheta_two_beam(beam, wire, cfg, float(t), "full")
+            full = np.array([dsigma_dtheta_two_beam(beam, p_radius, cfg, float(t), "full")
                              for t in thetas])
-            low = np.array([dsigma_dtheta_two_beam(beam, wire, cfg, float(t)) for t in thetas])
+            low = np.array([dsigma_dtheta_two_beam(beam, p_radius, cfg, float(t)) for t in thetas])
             full /= np.max(full)
             low /= np.max(low)
             assert float(np.max(np.abs(full - low))) <= 1e-8
 
-    def test_degenerate_intersection_reduces_to_single(self, beam, wire):
+    def test_degenerate_intersection_reduces_to_single(self, beam, p_radius):
         # alpha = 0: density = single-beam full * (2 + 2 cos(phi))
         for phi in (0.0, 0.7, 2.0):
             cfg = TwoBeamConfig(0.0, phi)
             theta = 0.03
-            expected = (dsigma_dtheta(beam, wire, theta, "full", Channel.NO_FLIP)
+            expected = (dsigma_dtheta(beam, p_radius, theta, "full", Channel.NO_FLIP)
                         * (2.0 + 2.0 * math.cos(phi)))
-            got = dsigma_dtheta_two_beam(beam, wire, cfg, theta, "full", Channel.NO_FLIP)
+            got = dsigma_dtheta_two_beam(beam, p_radius, cfg, theta, "full", Channel.NO_FLIP)
             assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_phase_periodicity(self, beam, wire):
+    def test_phase_periodicity(self, beam, p_radius):
         cfg_a = TwoBeamConfig(0.1, 0.0)
         cfg_b = TwoBeamConfig(0.1, TAU)
-        assert dsigma_dtheta_two_beam(beam, wire, cfg_a, 0.02, "full") \
-            == dsigma_dtheta_two_beam(beam, wire, cfg_b, 0.02, "full")
+        assert dsigma_dtheta_two_beam(beam, p_radius, cfg_a, 0.02, "full") \
+            == dsigma_dtheta_two_beam(beam, p_radius, cfg_b, 0.02, "full")
 
-    def test_flip_channel_supported(self, beam, wire):
-        value = dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(0.1, 0.0), 0.05, "full",
+    def test_flip_channel_supported(self, beam, p_radius):
+        value = dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(0.1, 0.0), 0.05, "full",
                                        Channel.FLIP)
         assert value >= 0.0
 
@@ -120,7 +121,7 @@ class TestPhiThetaScan:
     # TwoBeamConfig.phi is a leading axis of dsigma_dtheta_two_beam
     @staticmethod
     def scan(phis, thetas, alpha=0.1):
-        return dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(alpha, phis), thetas)
+        return dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(alpha, phis), thetas)
 
     def test_shape_and_non_negativity(self):
         density = self.scan(np.linspace(0.0, TAU, 9), np.linspace(-0.1, 0.1, 11))
@@ -165,17 +166,17 @@ class TestPhiThetaScan:
         assert hash(cfg) == hash(TwoBeamConfig(0.1, [0.0, 1.0]))
         assert cfg.phi == (0.0, 1.0)
 
-    def test_rows_equal_two_beam_patterns(self, beam, wire):
+    def test_rows_equal_two_beam_patterns(self, beam, p_radius):
         # every phi row is, bit for bit, the density at that one phase
         phis = np.linspace(-1.0, TAU + 1.0, 13)
         thetas = np.linspace(-0.15, 0.15, 301)
         for mode, channel in [("low-energy", Channel.NO_FLIP), ("full", Channel.NO_FLIP),
                               ("full", Channel.FLIP), ("full", Channel.SUM)]:
-            density = dsigma_dtheta_two_beam(beam, wire, TwoBeamConfig(0.1, phis), thetas,
+            density = dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(0.1, phis), thetas,
                                              mode, channel)
             assert density.shape == (13, 301)
             for phi, row in zip(phis.tolist(), density):
-                pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire,
+                pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius,
                                                  TwoBeamConfig(0.1, phi), mode=mode,
                                                  channel=channel), thetas)
                 assert np.array_equal(row, pattern.density)
@@ -193,52 +194,52 @@ class TestPhiThetaScan:
     def test_scalar_theta_gives_one_value_per_phase(self):
         density = self.scan([0.0, math.pi], 0.0)
         assert density.shape == (2,)
-        assert density[0] == dsigma_dtheta_two_beam(BEAM_PR, WIRE_PR, TwoBeamConfig(0.1), 0.0)
+        assert density[0] == dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(0.1), 0.0)
 
 
 class TestPatternTwoBeam:
     THETAS = np.linspace(-0.15, 0.15, 201)
 
-    def test_low_energy_matches_density(self, beam, wire, p_radius):
+    def test_low_energy_matches_density(self, beam, p_radius):
         cfg = TwoBeamConfig(0.1, 0.8)
-        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, cfg), self.THETAS)
+        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, cfg), self.THETAS)
         assert isinstance(pattern, Pattern)
-        expected = [dsigma_dtheta_two_beam(*beam_and_wire(p_radius), cfg, float(t))
+        expected = [dsigma_dtheta_two_beam(BeamParams(p_radius), p_radius, cfg, float(t))
                     for t in self.THETAS]
         assert np.array_equal(pattern.density, expected)
 
     @pytest.mark.parametrize("channel", [Channel.NO_FLIP, Channel.FLIP])
-    def test_full_mode_matches_density(self, beam, wire, channel):
+    def test_full_mode_matches_density(self, beam, p_radius, channel):
         cfg = TwoBeamConfig(0.1, 2.0)
-        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, cfg, mode="full",
+        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, cfg, mode="full",
                                          channel=channel), self.THETAS)
-        expected = [dsigma_dtheta_two_beam(beam, wire, cfg, float(t), "full", channel)
+        expected = [dsigma_dtheta_two_beam(beam, p_radius, cfg, float(t), "full", channel)
                     for t in self.THETAS]
         assert np.array_equal(pattern.density, expected)
 
-    def test_spin_sum_is_flip_plus_no_flip(self, beam, wire):
+    def test_spin_sum_is_flip_plus_no_flip(self, beam, p_radius):
         cfg = TwoBeamConfig(0.1, 0.4)
         summed, flip, no_flip = (
-            sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, cfg, mode="full",
+            sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, cfg, mode="full",
                                    channel=c), self.THETAS).density
             for c in (Channel.SUM, Channel.FLIP, Channel.NO_FLIP)
         )
         assert np.array_equal(summed, no_flip + flip)
 
-    def test_low_energy_has_no_flip_channel(self, beam, wire):
+    def test_low_energy_has_no_flip_channel(self, beam, p_radius):
         # the flip element vanishes in this limit: no-flip and the spin sum
         # are the same density, and a flip pattern is refused, not relabelled
         cfg = TwoBeamConfig(0.1, 0.4)
-        a, b = (sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, cfg, channel=c),
+        a, b = (sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, cfg, channel=c),
                                self.THETAS) for c in (Channel.NO_FLIP, Channel.SUM))
         assert np.array_equal(a.density, b.density)
         with pytest.raises(ValueError, match="no flip channel"):
-            sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, cfg,
+            sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, cfg,
                                    channel=Channel.FLIP), self.THETAS)
 
-    def test_normalizations(self, beam, wire):
+    def test_normalizations(self, beam, p_radius):
         cfg = TwoBeamConfig(0.1, 0.0)
-        raw, peak, area = (sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, cfg),
+        raw, peak, area = (sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, cfg),
                                           self.THETAS, n)
                            for n in (Normalization.RAW, Normalization.PEAK_ONE,
                                      Normalization.UNIT_AREA))
@@ -246,28 +247,28 @@ class TestPatternTwoBeam:
         assert np.array_equal(peak.density, raw.density / np.max(raw.density))
         assert area.area() == pytest.approx(1.0, abs=1e-12)
 
-    def test_area_matched_rejected(self, beam, wire):
+    def test_area_matched_rejected(self, beam, p_radius):
         # only analysis.match_areas scales a curve to another's area
         with pytest.raises(ValueError, match="unknown Normalization 'area-matched'"):
-            sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, TwoBeamConfig(0.1)),
+            sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, TwoBeamConfig(0.1)),
                            self.THETAS, "area-matched")
 
-    def test_default_grid(self, beam, wire):
-        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, TwoBeamConfig(0.1)))
+    def test_default_grid(self, beam, p_radius):
+        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, TwoBeamConfig(0.1)))
         assert pattern.thetas.size == 2001
 
-    def test_bad_inputs_rejected(self, beam, wire):
+    def test_bad_inputs_rejected(self, beam, p_radius):
         with pytest.raises(ValueError):
-            sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, TwoBeamConfig(0.1),
+            sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, TwoBeamConfig(0.1),
                                    mode="fast"), self.THETAS)
         with pytest.raises(ValueError):
-            sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire, TwoBeamConfig(0.1)),
+            sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, TwoBeamConfig(0.1)),
                            self.THETAS[::-1])
 
-    def test_phase_sequence_rejected(self, beam, wire):
+    def test_phase_sequence_rejected(self, beam, p_radius):
         # one row per phase is not one value per theta
         with pytest.raises(DomainError, match=r"got shape \(2, 201\) on a grid of shape"):
-            sample_pattern(partial(dsigma_dtheta_two_beam, beam, wire,
+            sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius,
                                    TwoBeamConfig(0.1, [0.0, 1.0])), self.THETAS)
 
     def test_exported(self):
