@@ -6,7 +6,7 @@ the classical Fraunhofer comparator, for single-beam and interfering
 two-beam configurations, plus the derived radius-overestimation analysis.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .analysis import (
     CurveComparison,

@@ -631,27 +631,27 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "ad8061781fa00d1d5dc251e3c76d4d7b0d4e83d2a94c7d7ae531333d22cd693e"),
+             "750b6e7004ae98d4ecaa2fc235fddacc0ccc1e54d7039cf022a7479256b3ad56"),
             (("two-beam",),
-             "280b51eb465226f8347f7624649eed226ee02df5e80bbd734f6061fba219a4a0"),
+             "754ca066c76f3923a3ce7a50eb6d1b1d6dc46f7ae1f65c331ad93bbb3ec3e801"),
             (("scan",),
-             "d9d7ded10e456ccd31cb0eb4c41828deeb826929afcdd81065edc5c417ce8e52"),
+             "60ea38957e0e4e468ca49f2cd0fade66ae959375ceb2b889a0192dbf8c5996fa"),
             (("compare",),
-             "f1d9d922f1252a3f2cbf96bb1d1408186f60e48238e662549471e5f859c91470"),
+             "0e025c61ea5677b14243c18a5b98c3e83b72ff3267b961829f4cee127956df18"),
             (("zeros",),
-             "2beb4a1cd8ce3dffe56e1e447dd9bd5debc85648c659a5d4dcc8f1175ca338f7"),
+             "54e2d7835cc148461d13195708dc2bb38ae745c1a4d3e7a512d0d25a38cdf691"),
             (("zeros", "--n", "3"),
-             "77494fc96793da6b511fd4879b8fb85802c69f1a34f2785c0e89ed57cb0b7c35"),
+             "fbba366aea33f611c834ccdd170438c179e0c2242aff0874ca0b793d0e1d05a1"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "93835f7ce0c591e9a10b3186ea1fe096f1bce3a75b07e8e4e11bea0b84603487"),
+             "20c421651ad2be206ec8b8a0df5e587a9cd03e93868b19444a3fdf4d39010c56"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "20c3df3bb33300953de9a1ba2698498b26fe2575f84654edc19ef555509de27b"),
+             "110d653a1350c81308df59bd59e8865f36df20c3675e0980a1a0d2ab7d53a33d"),
             (("single", "--mode", "full", "--spin", "sum"),
-             "1bd2224ede05c7b05a6b79309755edcd23b32c8f4bc81e5076c6c7291a9f4f8b"),
+             "08ccd98edea759e1c0c483f3bf3671ffa24e41b4d8766d5016cb2fa36bac92fb"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
-             "9beaefc8586727a4c25d5441190641ac159ef71d1b911dbfea6130e9fb1e4a27"),
+             "c3ea362f8460f0508e6917b8bb013c2ca82af5ff57389be78b45b70473bf15c2"),
             (("compare", "--radius-scale", "0.82"),
-             "95cf6268a3bbe7f5a6f52a1c643b9a8979b75577b3e119a3b597b52f4b3f6767"),
+             "430e09ca6300ad00b47b9f8fd2f5ace79e1d43b119e905973dbb3cce2f09dac1"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82"],
