@@ -5,9 +5,11 @@ A :class:`Channel` picks the no-flip or flip channel or their sum.  Mode
 spins quantized along the incident beam: in that basis sin(theta) is the
 flip element's angular factor, and the sin(theta/2) of textbook flip
 elements belongs to the helicity basis, whose final spin follows the
-scattered momentum.  At optical momenta (pc ~ eV against mc^2 ~ 0.5 MeV) the
-flip channel is negligible either way and the no-flip channel reduces to a
-constant, leaving the squared disk form factor alone: mode "low-energy".
+scattered momentum.  Each channel's density depends on that basis; their
+sum, the Mott trace 2 (E^2 + m^2 + p^2 cos(theta)), does not.  At optical
+momenta (pc ~ eV against mc^2 ~ 0.5 MeV) the flip channel is negligible
+either way and the no-flip channel reduces to a constant, leaving the
+squared disk form factor alone: mode "low-energy".
 
 The overall constant multiplying every distribution is fixed by the chosen
 normalization mode and never computed from the barrier height or the
