@@ -5,6 +5,9 @@ quadrature over the unit disk, independently of the package's Chebyshev /
 Hankel kernel.  It is a test oracle only; mpmath is the stronger one.
 ``dirac_spinor_element`` builds explicit Dirac spinors with numpy and takes
 their product, independently of the closed forms of ``spinor_element``.
+``mp_single_density`` and ``mp_two_beam_density`` evaluate the densities at
+40 digits with mpmath, over a per-beam amplitude at 40 digits:
+``mp_quantum_amplitude`` or ``mp_classical_amplitude``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 from wirediff import DomainError
@@ -89,3 +93,50 @@ def dirac_spinor_element(pc: float, mass: float, theta: float, flip: bool) -> co
     scattered = _dirac_spinor(pc, mass, (math.sin(theta), 0.0, math.cos(theta)),
                               _SPIN_DOWN if flip else _SPIN_UP)
     return complex(np.vdot(scattered, incident))
+
+
+_DPS = 40
+
+
+def mp_quantum_amplitude(pc: float, mass: float, p_radius: float, mode: str = "low-energy",
+                         channel: str = "no-flip"):
+    """The quantum amplitudes of one beam at 40 digits, as a function of its angle.
+
+    The returned callable maps an mpf angle theta to one mpf per final spin:
+    F = 2 J1(qR)/qR at qR = 2 pR |sin(theta/2)| in mode "low-energy", and
+    the spinor elements (pc and mass in eV) times F in mode "full", with
+    both channels under "sum".
+    """
+    def amplitude(theta):
+        q_r = 2 * mpmath.mpf(p_radius) * abs(mpmath.sin(theta / 2))
+        f = 2 * mpmath.besselj(1, q_r) / q_r if q_r else mpmath.mpf(1)
+        if mode == "low-energy":
+            return [f]
+        p, m = mpmath.mpf(pc), mpmath.mpf(mass)
+        e_plus_m = mpmath.sqrt(p * p + m * m) + m
+        elements = {"no-flip": (e_plus_m ** 2 + p * p * mpmath.cos(theta)) / e_plus_m,
+                    "flip": p * p * mpmath.sin(theta) / e_plus_m}
+        return [elements[c] * f for c in (("no-flip", "flip") if channel == "sum" else (channel,))]
+
+    return amplitude
+
+
+def mp_classical_amplitude(p_radius: float):
+    """The Fraunhofer amplitude [sinc(pR sin(theta))] of one beam at 40 digits."""
+    return lambda theta: [mpmath.sinc(mpmath.mpf(p_radius) * mpmath.sin(theta))]
+
+
+def mp_single_density(amplitude, theta: float) -> float:
+    """Sum of the squared amplitudes at ``theta``, evaluated at 40 digits."""
+    with mpmath.workdps(_DPS):
+        return float(sum(a * a for a in amplitude(mpmath.mpf(theta))))
+
+
+def mp_two_beam_density(amplitude, alpha: float, phi: float, theta: float) -> float:
+    """|A(theta - alpha/2) + e^{i phi} A(theta + alpha/2)|^2 summed over the final
+    spins, evaluated at 40 digits."""
+    with mpmath.workdps(_DPS):
+        theta, half = mpmath.mpf(theta), mpmath.mpf(alpha) / 2
+        phase = mpmath.expj(mpmath.mpf(phi))
+        return float(sum(abs(a + phase * b) ** 2
+                         for a, b in zip(amplitude(theta - half), amplitude(theta + half))))
