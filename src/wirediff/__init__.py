@@ -1,9 +1,10 @@
 """wirediff: wire-barrier diffraction distributions.
 
 Angular probability densities for particle beams scattering from a
-cylindrical-barrier wire model, in the lowest-order quantum treatment and
-the classical Fraunhofer comparator, for single-beam and interfering
-two-beam configurations, plus the derived radius-overestimation analysis.
+cylindrical-barrier wire model: one density per beam geometry (single
+beam, two interfering beams) over a per-beam amplitude, the lowest-order
+quantum one or the classical Fraunhofer comparator, plus the derived
+radius-overestimation analysis.
 """
 
 __version__ = "0.12.0"
@@ -15,8 +16,8 @@ from .analysis import (
     match_areas,
     overestimation_factor,
 )
-from .classical import fraunhofer_single, fraunhofer_two_beam
-from .electron import Channel, dsigma_dtheta, spinor_element
+from .classical import fraunhofer_amplitudes
+from .electron import Channel, amplitudes, dsigma_dtheta, spinor_element
 from .numerics import DomainError, disk_amplitude, sinc
 from .patterns import Normalization, Pattern, default_grid, sample_pattern, validate_grid
 from .potential import (
@@ -38,14 +39,14 @@ __all__ = [
     "Normalization",
     "Pattern",
     "TwoBeamConfig",
+    "amplitudes",
     "compare_curves",
     "default_grid",
     "disk_amplitude",
     "dsigma_dtheta",
     "dsigma_dtheta_two_beam",
     "first_dark_points",
-    "fraunhofer_single",
-    "fraunhofer_two_beam",
+    "fraunhofer_amplitudes",
     "match_areas",
     "momentum_transfer_single",
     "overestimation_factor",

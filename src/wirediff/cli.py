@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import compare_curves, first_dark_points, match_areas
-from .classical import fraunhofer_single
-from .electron import Channel, dsigma_dtheta
+from .classical import fraunhofer_amplitudes
+from .electron import Channel, amplitudes, dsigma_dtheta
 from .numerics import DomainError
 from .patterns import Normalization, sample_pattern
 from .potential import BeamParams, ELECTRON_MASS_EV
@@ -231,9 +231,8 @@ def _pattern_command(args, density, *beams) -> str:
     # parse -> call -> serialize, shared by the single- and two-beam commands
     beam, p_radius = _resolve_physics(args)
     thetas, = _resolve_grids(args, "theta")
-    pattern = sample_pattern(
-        partial(density, beam, p_radius, *beams, mode=args.mode, channel=Channel(args.spin)),
-        thetas, args.normalization)
+    amplitude = partial(amplitudes, beam, p_radius, mode=args.mode, channel=Channel(args.spin))
+    pattern = sample_pattern(partial(density, amplitude, *beams), thetas, args.normalization)
     _warn_if_aliased(thetas, p_radius)
     config = _base_config(args)
     if args.format == "json":
@@ -254,8 +253,8 @@ def _cmd_two_beam(args) -> str:
 def _cmd_scan(args) -> str:
     beam, p_radius = _resolve_physics(args)
     phis, thetas = _resolve_grids(args, "phi", "theta")
-    density = dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(alpha=args.alpha, phi=phis),
-                                     thetas)
+    amplitude = partial(amplitudes, beam, p_radius)
+    density = dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(alpha=args.alpha, phi=phis), thetas)
     # the density's fault, not the caller's, as for the pattern commands
     if not np.all(np.isfinite(density)):
         raise ValueError("density must be finite")
@@ -287,8 +286,9 @@ def _cmd_compare(args) -> str:
     except DomainError:
         raise DomainError(f"--radius-scale {args.radius_scale} makes the classical pR "
                           f"{classical_pr:g}, with no dark point in (0, pi/2)") from None
-    quantum = sample_pattern(partial(dsigma_dtheta, beam, p_radius), thetas)
-    classical = sample_pattern(partial(fraunhofer_single, classical_pr), thetas)
+    quantum = sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius)), thetas)
+    classical = sample_pattern(
+        partial(dsigma_dtheta, partial(fraunhofer_amplitudes, classical_pr)), thetas)
     comparison = compare_curves(quantum, match_areas(quantum, classical))
     data = {
         "max_abs_diff": comparison.max_abs_diff,

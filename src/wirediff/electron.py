@@ -1,4 +1,4 @@
-"""Electron scattering amplitudes and angular probability distributions.
+"""Electron scattering amplitudes and the single-beam density over an amplitude.
 
 A :class:`Channel` picks the no-flip or flip channel or their sum.  Mode
 "full" keeps the full-energy spinor matrix elements u'^dagger u, with both
@@ -92,12 +92,14 @@ def amplitudes(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy
     return [spinor_element(beam, theta, c) * f for c in channels]
 
 
-def dsigma_dtheta(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy",
-                  channel: Channel = Channel.NO_FLIP):
-    """Single-beam density, |spinor * F(qR)|^2 summed over ``channel``, C = 1.
+def dsigma_dtheta(amplitude, theta):
+    """Single-beam density: the squares of ``amplitude(theta)`` summed, C = 1.
 
-    Mode "low-energy" is {0F1(2, -(pR)^2 sin^2(theta/2))}^2; mode "full"
-    weights it with the squared spinor elements.  Theta (scalar or array)
-    enters only through q = 2 p |sin(theta/2)|.
+    ``amplitude`` maps an angle, or an array of them, to a list of real
+    amplitudes, one per final spin: the quantum one,
+    ``partial(amplitudes, beam, pR, mode=..., channel=...)``, or the
+    classical ``partial(fraunhofer_amplitudes, pR)``.  Over the quantum one
+    in mode "low-energy" the density is {0F1(2, -(pR)^2 sin^2(theta/2))}^2;
+    mode "full" weights it with the squared spinor elements.
     """
-    return sum(a * a for a in amplitudes(beam, p_radius, theta, mode, channel))
+    return sum(a * a for a in amplitude(theta))

@@ -107,11 +107,12 @@ def sample_pattern(density, thetas: np.ndarray | None = None,
 
     The one pattern builder: it validates the grid, evaluates the density
     once on the whole grid and normalizes it.  ``density`` maps the theta
-    array to one value per theta, as the package's densities do when their
-    other arguments are bound, for example
-    ``partial(dsigma_dtheta, beam, pR, mode="full", channel="sum")``,
-    ``partial(dsigma_dtheta_two_beam, beam, pR, cfg)``,
-    ``partial(fraunhofer_single, pR)`` or ``partial(fraunhofer_two_beam, pR, cfg)``.
+    array to one value per theta, as the package's two densities do when
+    their other arguments are bound, for example
+    ``partial(dsigma_dtheta, partial(amplitudes, beam, pR, mode="full", channel="sum"))``,
+    ``partial(dsigma_dtheta_two_beam, partial(amplitudes, beam, pR), cfg)``,
+    ``partial(dsigma_dtheta, partial(fraunhofer_amplitudes, pR))`` or
+    ``partial(dsigma_dtheta_two_beam, partial(fraunhofer_amplitudes, pR), cfg)``.
     A result of another shape, such as one row per phase of a phase
     sequence, raises DomainError.
     """

@@ -1,13 +1,16 @@
 """Two-beam interference-plus-diffraction distributions.
 
-Two beams crossing at angle alpha produce amplitudes at the shifted
-momentum transfers q_pm = 2 p |sin(theta/2 +/- alpha/4)|; the relative
-phase Phi shifts the interference pattern (scanning Phi plays the role of
-translating the wire across the fringes, though the quantitative mapping
-from a physical displacement to Phi is deliberately not modeled here).
+Two beams crossing at angle alpha scatter into theta at their own angles
+theta -/+ alpha/2, and each contributes its single-beam amplitude there;
+the relative phase Phi shifts the interference pattern (scanning Phi plays
+the role of translating the wire across the fringes, though the
+quantitative mapping from a physical displacement to Phi is deliberately
+not modeled here).
 
-:func:`dsigma_dtheta_two_beam` is the one two-beam density, in either mode
-and spin channel, at one phase or along an axis of phases (a phase scan);
+:func:`dsigma_dtheta_two_beam` is the one two-beam density.  It takes the
+per-beam amplitude as a callable, so one function serves the quantum model,
+in either mode and spin channel, and the classical one, at one phase or
+along an axis of phases (a phase scan);
 :func:`~wirediff.patterns.sample_pattern` samples it at one phase.
 """
 
@@ -18,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electron import Channel, amplitudes
 from .numerics import DomainError
-from .potential import BeamParams
 
 
 @dataclass(frozen=True)
@@ -63,22 +64,16 @@ def _interference_density(a_minus, a_plus, phi):
     return re
 
 
-def dsigma_dtheta_two_beam(
-    beam: BeamParams,
-    p_radius: float,
-    cfg: TwoBeamConfig,
-    theta,
-    mode: str = "low-energy",
-    channel: Channel = Channel.NO_FLIP,
-):
-    """Two-beam density |A_- + e^{i Phi} A_+|^2 summed over ``channel``, C = 1, hence >= 0.
+def dsigma_dtheta_two_beam(amplitude, cfg: TwoBeamConfig, theta):
+    """Two-beam density |A_- + e^{i Phi} A_+|^2 summed over the final spins, C = 1, hence >= 0.
 
-    A_pm is the single-beam amplitude (see :func:`~wirediff.electron.dsigma_dtheta`)
-    at each beam's own scattering angle theta -/+ alpha/2, i.e. at
-    q_pm R = 2 pR |sin(theta/2 -/+ alpha/4)|.  Both beams carry the same spin
-    labels (polarized source).  ``theta`` is a scalar or an array of angles;
-    a sequence of phases in ``cfg.phi`` adds a leading axis, one row per phase.
+    A_pm is ``amplitude`` (see :func:`~wirediff.electron.dsigma_dtheta`) at
+    each beam's own scattering angle theta -/+ alpha/2: for the quantum
+    amplitude, at q_pm R = 2 pR |sin(theta/2 -/+ alpha/4)|.  Both beams carry
+    the same spin labels (polarized source).  ``theta`` is a scalar or an
+    array of angles; a sequence of phases in ``cfg.phi`` adds a leading axis,
+    one row per phase.
     """
-    minus = amplitudes(beam, p_radius, theta - 0.5 * cfg.alpha, mode, channel)
-    plus = amplitudes(beam, p_radius, theta + 0.5 * cfg.alpha, mode, channel)
+    minus = amplitude(theta - 0.5 * cfg.alpha)
+    plus = amplitude(theta + 0.5 * cfg.alpha)
     return sum(_interference_density(a, b, cfg.phi) for a, b in zip(minus, plus))

@@ -1,8 +1,9 @@
 import json
+from functools import partial
 
 import pytest
 
-from wirediff import BeamParams
+from wirediff import BeamParams, amplitudes
 
 # Default configuration used throughout: 633 nm beam, 17 um wire diameter.
 WAVELENGTH_NM = 633.0
@@ -18,6 +19,12 @@ def beam() -> BeamParams:
 def p_radius(beam) -> float:
     # 2*pi * 8.5e-6 / 633e-9 = 84.3714, formed as the CLI forms it
     return beam.momentum * (0.5 * DIAMETER_UM * 1e-6)
+
+
+@pytest.fixture(scope="session")
+def amplitude(beam, p_radius):
+    """The default configuration's low-energy quantum amplitude, a function of theta."""
+    return partial(amplitudes, beam, p_radius)
 
 
 @pytest.fixture(scope="session")

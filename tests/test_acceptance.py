@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from wirediff.analysis import compare_curves, first_dark_points, match_areas, overestimation_factor
-from wirediff.classical import fraunhofer_single
+from wirediff.classical import fraunhofer_amplitudes
 from wirediff.cli import main
-from wirediff.electron import Channel, dsigma_dtheta
+from wirediff.electron import Channel, amplitudes, dsigma_dtheta
 from wirediff.numerics import disk_amplitude
 from wirediff.patterns import Normalization, default_grid, sample_pattern
 from wirediff.potential import BeamParams
@@ -63,8 +63,9 @@ def test_criterion_1_overestimation_factor(default_setup, j1_zeros_oracle):
 def test_criterion_2_fringe_structure(default_setup):
     beam, p_radius = default_setup
     thetas = default_grid()
-    quantum = sample_pattern(partial(dsigma_dtheta, beam, p_radius), thetas)
-    classical = sample_pattern(partial(fraunhofer_single, p_radius), thetas)
+    quantum = sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius)), thetas)
+    classical = sample_pattern(partial(dsigma_dtheta, partial(fraunhofer_amplitudes, p_radius)),
+                               thetas)
 
     q_peak_theta = float(quantum.thetas[np.argmax(quantum.density)])
     c_peak_theta = float(classical.thetas[np.argmax(classical.density)])
@@ -124,14 +125,15 @@ def test_criterion_3_special_function_identities(j1_zeros_oracle):
 def test_criterion_4_low_energy_reduction(default_setup):
     beam, p_radius = default_setup
     thetas = default_grid()
-    full = sample_pattern(partial(dsigma_dtheta, beam, p_radius, mode="full",
-                                  channel=Channel.NO_FLIP), thetas, Normalization.PEAK_ONE)
-    low = sample_pattern(partial(dsigma_dtheta, beam, p_radius, mode="low-energy"), thetas,
-                         Normalization.PEAK_ONE)
+    full, low = (sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius,
+                                                               mode=mode)),
+                                thetas, Normalization.PEAK_ONE)
+                 for mode in ("full", "low-energy"))
     pointwise = float(np.max(np.abs(full.density - low.density)))
 
-    flip, noflip = (np.array([dsigma_dtheta(beam, p_radius, float(t), "full", c) for t in thetas])
-                    for c in (Channel.FLIP, Channel.NO_FLIP))
+    flip, noflip = (np.array([dsigma_dtheta(amplitude, float(t)) for t in thetas])
+                    for amplitude in (partial(amplitudes, beam, p_radius, mode="full", channel=c)
+                                      for c in (Channel.FLIP, Channel.NO_FLIP)))
     flip_weight = float(np.trapezoid(flip, thetas) / np.trapezoid(noflip, thetas))
     momentum_ratio = beam.pc_ev / beam.mass_ev
 
@@ -160,37 +162,39 @@ def test_criterion_5_two_beam_properties(default_setup):
     phis = rng.uniform(-TAU, 2.0 * TAU, n_samples)
     thetas = rng.uniform(-0.7, 0.7, n_samples)
     non_negative = all(
-        dsigma_dtheta_two_beam(BeamParams(pr), pr, TwoBeamConfig(a, ph), th) >= 0.0
+        dsigma_dtheta_two_beam(partial(amplitudes, BeamParams(pr), pr), TwoBeamConfig(a, ph), th)
+        >= 0.0
         for pr, a, ph, th in zip(p_rs, alphas, phis, thetas)
     )
 
     even_ok = True
     for pr, a, ph, th in zip(p_rs[:200], alphas[:200], phis[:200], thetas[:200]):
         cfg = TwoBeamConfig(a, ph)
-        beam_pr = BeamParams(pr)
-        lhs = dsigma_dtheta_two_beam(beam_pr, pr, cfg, th)
-        rhs = dsigma_dtheta_two_beam(beam_pr, pr, cfg, -th)
+        amplitude = partial(amplitudes, BeamParams(pr), pr)
+        lhs = dsigma_dtheta_two_beam(amplitude, cfg, th)
+        rhs = dsigma_dtheta_two_beam(amplitude, cfg, -th)
         if abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs), 1e-300):
             even_ok = False
             break
 
+    amplitude = partial(amplitudes, beam, p_radius)
     # exact periodicity at phases whose phi + 2*pi is exactly representable
     periodic_ok = all(
-        dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(0.1, ph), 0.0123)
-        == dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(0.1, ph + TAU), 0.0123)
+        dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.1, ph), 0.0123)
+        == dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.1, ph + TAU), 0.0123)
         for ph in (0.0, 0.25, 0.5, 1.0, 1.5, -0.5)
     )
 
-    dark_center = dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(0.1, math.pi), 0.0)
+    dark_center = dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.1, math.pi), 0.0)
 
     degenerate_ok = all(
-        dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(0.0, 0.0), th)
-        == pytest.approx(4.0 * dsigma_dtheta(beam, p_radius, th), rel=1e-12)
+        dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.0, 0.0), th)
+        == pytest.approx(4.0 * dsigma_dtheta(amplitude, th), rel=1e-12)
         for th in (0.0, 0.01, 0.045, 0.1)
     )
 
     grid = default_grid()
-    scan = dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(0.1, np.linspace(0.0, TAU, 41)), grid)
+    scan = dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.1, np.linspace(0.0, TAU, 41)), grid)
     masses = np.trapezoid(scan, grid, axis=1)
     elapsed = time.perf_counter() - start
 

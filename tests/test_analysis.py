@@ -13,13 +13,19 @@ from wirediff.analysis import (
     match_areas,
     overestimation_factor,
 )
-from wirediff.classical import fraunhofer_single
-from wirediff.electron import dsigma_dtheta
+from wirediff.classical import fraunhofer_amplitudes
+from wirediff.electron import amplitudes, dsigma_dtheta
 from wirediff.numerics import DomainError
 from wirediff.patterns import Pattern, sample_pattern
 from wirediff.potential import BeamParams
 
 PR = 84.37136668408607
+# the single-beam densities compared: the low-energy quantum one at PR, the classical at any pR
+QUANTUM = partial(dsigma_dtheta, partial(amplitudes, BeamParams.from_wavelength_nm(633.0), PR))
+
+
+def classical_density(p_radius):
+    return partial(dsigma_dtheta, partial(fraunhofer_amplitudes, p_radius))
 
 with mpmath.workdps(30):
     _MP_J1_ZEROS = [mpmath.besseljzero(1, k) for k in range(1, 11)]
@@ -164,9 +170,8 @@ class TestOverestimationFactor:
 class TestMatchAreas:
     def _patterns(self):
         thetas = np.linspace(-0.15, 0.15, 501)
-        quantum = sample_pattern(partial(dsigma_dtheta, BeamParams.from_wavelength_nm(633.0), PR),
-                                 thetas)
-        classical = sample_pattern(partial(fraunhofer_single, PR), thetas)
+        quantum = sample_pattern(QUANTUM, thetas)
+        classical = sample_pattern(classical_density(PR), thetas)
         return quantum, classical
 
     def test_identity_is_unchanged(self):
@@ -207,9 +212,8 @@ class TestMatchAreas:
 class TestCompareCurves:
     def _default_comparison_curves(self, radius_scale=1.0, points=2001):
         thetas = np.linspace(-0.15, 0.15, points)
-        quantum = sample_pattern(partial(dsigma_dtheta, BeamParams.from_wavelength_nm(633.0), PR),
-                                 thetas)
-        classical = sample_pattern(partial(fraunhofer_single, radius_scale * PR), thetas)
+        quantum = sample_pattern(QUANTUM, thetas)
+        classical = sample_pattern(classical_density(radius_scale * PR), thetas)
         return quantum, match_areas(quantum, classical)
 
     def test_identical_curves_give_zero_metrics(self):
@@ -241,9 +245,8 @@ class TestCompareCurves:
         # carries no dark-point offset whatever the window holds; the exact
         # dark points come from first_dark_points, which no window limits
         thetas = np.linspace(-theta_max, theta_max, 2001)
-        quantum = sample_pattern(partial(dsigma_dtheta, BeamParams.from_wavelength_nm(633.0), PR),
-                                 thetas)
-        classical = sample_pattern(partial(fraunhofer_single, PR), thetas)
+        quantum = sample_pattern(QUANTUM, thetas)
+        classical = sample_pattern(classical_density(PR), thetas)
         result = compare_curves(quantum, match_areas(quantum, classical))
         assert not hasattr(result, "first_zero_offset_rad")
         assert result.l2_diff > 0.0

@@ -11,19 +11,19 @@ import pytest
 
 import wirediff
 from wirediff import (BeamParams, Channel, DomainError, Normalization, Pattern, TwoBeamConfig,
-                      compare_curves, disk_amplitude, dsigma_dtheta, dsigma_dtheta_two_beam,
-                      first_dark_points, fraunhofer_single, fraunhofer_two_beam, match_areas,
-                      momentum_transfer_single, sample_pattern, sinc, spinor_element,
-                      validate_grid)
-from wirediff.electron import amplitudes
+                      amplitudes, compare_curves, disk_amplitude, dsigma_dtheta,
+                      dsigma_dtheta_two_beam, first_dark_points, fraunhofer_amplitudes,
+                      match_areas, momentum_transfer_single, sample_pattern, sinc,
+                      spinor_element, validate_grid)
 from wirediff.patterns import normalize_density
 
-# public names deleted in 0.2.0 to 0.12.0, each a second path to a quantity
+# public names deleted in 0.2.0 to 0.13.0, each a second path to a quantity
 # that keeps one, a test oracle now in tests/oracles.py, an input-error type
 # that DomainError replaces, a spelling of the spin channel that Channel
-# replaces, a dark-point search that closed forms replace, or a layer that
+# replaces, a dark-point search that closed forms replace, a layer that
 # only echoed its caller's arguments, wrapped a call or held one product or
-# one factor of it
+# one factor of it, or a classical density that the two densities give over
+# fraunhofer_amplitudes
 REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_full_spin_summed", "hyp0f1_reg2", "hyp0f1_reg2_series",
            "bessel_j1", "disk_ft_oracle", "AccuracyError", "BracketError", "RangeError",
@@ -32,7 +32,8 @@ REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_two_beam_low_energy", "first_dark_angle", "ZeroReport",
            "sample_beam_pattern", "unit_spinor", "spinor_factors", "phi_theta_scan",
            "ScanResult", "find_zero", "ClassicalConfig", "pattern_single",
-           "pattern_two_beam", "pattern_classical", "WirePotential")
+           "pattern_two_beam", "pattern_classical", "WirePotential", "fraunhofer_single",
+           "fraunhofer_two_beam")
 
 
 class TestPublicSurface:
@@ -109,18 +110,18 @@ _BAD_INPUTS = {
     "spinor theta": lambda: spinor_element(BeamParams(1e7), math.inf),
     "spinor sum": lambda: spinor_element(BeamParams(1e7), 0.1, Channel.SUM),
     "spinor energy": lambda: spinor_element(BeamParams(1e7, mass_ev=1e200), 0.1),
-    "fraunhofer theta": lambda: fraunhofer_single(1.0, math.nan),
+    "fraunhofer theta": lambda: fraunhofer_amplitudes(1.0, math.nan),
     "alpha": lambda: TwoBeamConfig(alpha=-0.1),
     # theta -/+ alpha/2 at alpha ~ 1e17 rounds every grid angle to one double
     "alpha above pi": lambda: TwoBeamConfig(alpha=4.0),
     "phi": lambda: TwoBeamConfig(alpha=0.1, phi=math.inf),
     # a phase sequence gives one row per phase, not one value per theta
     "pattern phases": lambda: sample_pattern(partial(
-        dsigma_dtheta_two_beam, BeamParams(1e7), 100.0,
+        dsigma_dtheta_two_beam, partial(amplitudes, BeamParams(1e7), 100.0),
         TwoBeamConfig(0.1, [0.0, 1.0])), _GRID),
-    "p_radius": lambda: sample_pattern(partial(fraunhofer_single, 0.0), _GRID),
     # a NaN radius scale gives the classical curve a NaN pR
-    "radius_scale": lambda: fraunhofer_two_beam(math.nan, TwoBeamConfig(0.1), 0.1),
+    "p_radius": lambda: sample_pattern(
+        partial(dsigma_dtheta, partial(fraunhofer_amplitudes, math.nan)), _GRID),
     "empty grid": lambda: validate_grid([]),
     "non-finite grid": lambda: validate_grid([0.0, math.nan]),
     "decreasing grid": lambda: validate_grid([0.1, 0.0]),
@@ -129,9 +130,10 @@ _BAD_INPUTS = {
                                           "low-energy", Channel.FLIP),
     "area_matched": lambda: normalize_density(_GRID, np.ones(5), "area-matched"),
     "unknown normalization": lambda: sample_pattern(
-        partial(dsigma_dtheta, BeamParams(1e7), 100.0), _GRID, "peak_one"),
+        partial(dsigma_dtheta, partial(amplitudes, BeamParams(1e7), 100.0)), _GRID, "peak_one"),
     "unknown channel": lambda: sample_pattern(
-        partial(dsigma_dtheta, BeamParams(1e7), 100.0, channel="both"), _GRID),
+        partial(dsigma_dtheta, partial(amplitudes, BeamParams(1e7), 100.0, channel="both")),
+        _GRID),
     "zero peak": lambda: normalize_density(_GRID, np.zeros(5), Normalization.PEAK_ONE),
     "zero area": lambda: normalize_density(_GRID, np.zeros(5), Normalization.UNIT_AREA),
     "dark-point p_radius": lambda: first_dark_points(math.inf, "quantum"),
@@ -144,7 +146,7 @@ _BAD_INPUTS = {
 }
 
 # rows whose message must name the function the caller called, or its argument
-_NAMED = {"radius_scale": "fraunhofer_two_beam", "wire pR": "^p_radius > 0 required"}
+_NAMED = {"p_radius": "fraunhofer_amplitudes", "wire pR": "^p_radius > 0 required"}
 
 
 class TestInputErrors:

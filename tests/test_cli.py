@@ -60,10 +60,11 @@ class TestSingleCommand:
         doc = json.loads(out)
         assert doc["metadata"]["command"] == "single"
         assert doc["metadata"]["wavelength_nm"] == 633.0
-        from wirediff import dsigma_dtheta, sample_pattern
+        from wirediff import amplitudes, dsigma_dtheta, sample_pattern
 
         beam = BeamParams.from_wavelength_nm(633.0)
-        pattern = sample_pattern(partial(dsigma_dtheta, beam, beam.momentum * 8.5e-6),
+        pattern = sample_pattern(partial(dsigma_dtheta,
+                                         partial(amplitudes, beam, beam.momentum * 8.5e-6)),
                                  np.linspace(-0.15, 0.15, 101))
         assert doc["data"]["density"] == [float(d) for d in pattern.density]
 

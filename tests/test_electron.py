@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wirediff.electron import Channel, dsigma_dtheta, spinor_element
+from wirediff.electron import Channel, amplitudes, dsigma_dtheta, spinor_element
 from wirediff.numerics import DomainError
 from wirediff.patterns import Normalization, Pattern, default_grid, sample_pattern
 from wirediff.potential import ELECTRON_MASS_EV, HBARC_EV_M, BeamParams, momentum_transfer_single
@@ -68,8 +68,9 @@ class TestSpinorElement:
 class TestDensities:
     def test_forward_maximum_no_flip(self, beam, p_radius):
         # theta = 0: spinor and form factor both maximal
-        value = dsigma_dtheta(beam, p_radius, 0.0, "full", Channel.NO_FLIP)
-        near = dsigma_dtheta(beam, p_radius, 0.01, "full", Channel.NO_FLIP)
+        amplitude = partial(amplitudes, beam, p_radius, mode="full", channel=Channel.NO_FLIP)
+        value = dsigma_dtheta(amplitude, 0.0)
+        near = dsigma_dtheta(amplitude, 0.01)
         assert value > near
         assert value == pytest.approx((2.0 * beam.mass_ev) ** 2, rel=1e-10)
 
@@ -78,48 +79,51 @@ class TestDensities:
     ):
         theta = 2.0 * math.asin(j1_zeros_oracle[0] / (2.0 * p_radius))
         for channel in (Channel.NO_FLIP, Channel.FLIP):
-            assert dsigma_dtheta(beam, p_radius, theta, "full", channel) < 1e-20
+            amplitude = partial(amplitudes, beam, p_radius, mode="full", channel=channel)
+            assert dsigma_dtheta(amplitude, theta) < 1e-20
 
     def test_flip_weight_negligible(self, beam, p_radius):
         thetas = default_grid()
-        flip, noflip = (np.array([dsigma_dtheta(beam, p_radius, float(t), "full", c) for t in thetas])
+        flip, noflip = (np.array([dsigma_dtheta(partial(amplitudes, beam, p_radius, mode="full",
+                                                        channel=c), float(t)) for t in thetas])
                         for c in (Channel.FLIP, Channel.NO_FLIP))
         ratio = np.trapezoid(flip, thetas) / np.trapezoid(noflip, thetas)
         assert ratio < 1e-20
 
     def test_spin_summed_is_sum(self, beam, p_radius):
         theta = 0.04
-        assert dsigma_dtheta(beam, p_radius, theta, "full", Channel.SUM) == pytest.approx(
-            dsigma_dtheta(beam, p_radius, theta, "full", Channel.NO_FLIP)
-            + dsigma_dtheta(beam, p_radius, theta, "full", Channel.FLIP),
-            rel=1e-15,
-        )
+        no_flip, flip, both = (
+            dsigma_dtheta(partial(amplitudes, beam, p_radius, mode="full", channel=c), theta)
+            for c in (Channel.NO_FLIP, Channel.FLIP, Channel.SUM))
+        assert both == pytest.approx(no_flip + flip, rel=1e-15)
 
     @pytest.mark.parametrize("bad", [0.0, -1e-6, math.nan, math.inf])
     def test_bad_p_radius_rejected(self, beam, bad):
         # named as passed, not as the argument p of momentum_transfer_single
-        for density in (partial(dsigma_dtheta, beam, bad),
-                        partial(dsigma_dtheta_two_beam, beam, bad, TwoBeamConfig(0.1))):
+        amplitude = partial(amplitudes, beam, bad)
+        for density in (partial(dsigma_dtheta, amplitude),
+                        partial(dsigma_dtheta_two_beam, amplitude, TwoBeamConfig(0.1))):
             with pytest.raises(DomainError, match="^p_radius > 0 required"):
                 density(0.1)
 
     def test_low_energy_forward_value(self, p_radius):
-        assert dsigma_dtheta(BeamParams(p_radius), p_radius, 0.0) == 1.0
+        assert dsigma_dtheta(partial(amplitudes, BeamParams(p_radius), p_radius), 0.0) == 1.0
 
     def test_low_energy_first_zero_location(self, p_radius, j1_zeros_oracle):
         theta = 2.0 * math.asin(j1_zeros_oracle[0] / (2.0 * p_radius))
         assert theta == pytest.approx(0.045420, abs=1e-5)
-        assert dsigma_dtheta(BeamParams(p_radius), p_radius, theta) < 1e-20
+        assert dsigma_dtheta(partial(amplitudes, BeamParams(p_radius), p_radius), theta) < 1e-20
 
     @given(st.floats(min_value=-1.5, max_value=1.5))
     def test_low_energy_even(self, theta):
-        beam = BeamParams(84.37)
-        assert dsigma_dtheta(beam, 84.37, theta) == dsigma_dtheta(beam, 84.37, -theta)
+        amplitude = partial(amplitudes, BeamParams(84.37), 84.37)
+        assert dsigma_dtheta(amplitude, theta) == dsigma_dtheta(amplitude, -theta)
 
     def test_low_energy_matches_oracle_value(self, p_radius):
         theta = 0.03
         x = 2.0 * p_radius * math.sin(0.5 * theta)
-        assert dsigma_dtheta(BeamParams(p_radius), p_radius, theta) == pytest.approx(
+        assert dsigma_dtheta(partial(amplitudes, BeamParams(p_radius), p_radius), theta) \
+            == pytest.approx(
             two_j1_over_x(x) ** 2, abs=1e-12
         )
 
@@ -135,23 +139,26 @@ class TestDensities:
 
 
 class TestPatternSingle:
-    def test_peak_one_at_center(self, beam, p_radius):
-        pattern = sample_pattern(partial(dsigma_dtheta, beam, p_radius),
-                                 normalization=Normalization.PEAK_ONE)
+    @pytest.fixture
+    def density(self, beam, p_radius):
+        # the low-energy single-beam density as a function of theta
+        return partial(dsigma_dtheta, partial(amplitudes, beam, p_radius))
+
+    def test_peak_one_at_center(self, density):
+        pattern = sample_pattern(density, normalization=Normalization.PEAK_ONE)
         center = np.argmin(np.abs(pattern.thetas))
         assert pattern.thetas[center] == pytest.approx(0.0, abs=1e-12)
         assert pattern.density[center] == 1.0
 
-    def test_unit_area_integrates_to_one(self, beam, p_radius):
-        pattern = sample_pattern(partial(dsigma_dtheta, beam, p_radius),
-                                 normalization=Normalization.UNIT_AREA)
+    def test_unit_area_integrates_to_one(self, density):
+        pattern = sample_pattern(density, normalization=Normalization.UNIT_AREA)
         assert pattern.area() == pytest.approx(1.0, abs=1e-9)
 
-    def test_evenness(self, beam, p_radius):
+    def test_evenness(self, density):
         # exactly mirrored grid: density must be symmetric to 1e-12 relative
         positive = np.linspace(7.5e-5, 0.15, 1000)
         thetas = np.concatenate([-positive[::-1], [0.0], positive])
-        pattern = sample_pattern(partial(dsigma_dtheta, beam, p_radius), thetas)
+        pattern = sample_pattern(density, thetas)
         flipped = pattern.density[::-1]
         assert np.all(
             np.abs(pattern.density - flipped)
@@ -160,11 +167,10 @@ class TestPatternSingle:
 
     def test_full_no_flip_matches_low_energy_shape(self, beam, p_radius):
         # peak-normalized full (no-flip) and low-energy patterns coincide
-        full = sample_pattern(partial(dsigma_dtheta, beam, p_radius, mode="full",
-                                      channel=Channel.NO_FLIP),
-                              normalization=Normalization.PEAK_ONE)
-        low = sample_pattern(partial(dsigma_dtheta, beam, p_radius, mode="low-energy"),
-                             normalization=Normalization.PEAK_ONE)
+        full, low = (sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius,
+                                                                   mode=mode)),
+                                    normalization=Normalization.PEAK_ONE)
+                     for mode in ("full", "low-energy"))
         deviation = np.abs(full.density - low.density) / np.maximum(low.density, 1e-300)
         assert float(np.max(deviation)) <= 1e-10
 
@@ -178,24 +184,24 @@ class TestPatternSingle:
                 j1n, abs=1e-10
             )
 
-    def test_grid_violation_rejected(self, beam, p_radius):
+    def test_grid_violation_rejected(self, density):
         with pytest.raises(ValueError):
-            sample_pattern(partial(dsigma_dtheta, beam, p_radius), np.array([0.1, 0.0, -0.1]))
+            sample_pattern(density, np.array([0.1, 0.0, -0.1]))
 
     def test_unknown_mode_rejected(self, beam, p_radius):
         with pytest.raises(ValueError):
-            sample_pattern(partial(dsigma_dtheta, beam, p_radius, mode="fast"))
+            sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius, mode="fast")))
 
     def test_low_energy_flip_rejected(self, beam, p_radius):
         # its flip element vanishes; the no-flip density must not go out as "flip"
         with pytest.raises(ValueError, match="no flip channel"):
-            sample_pattern(partial(dsigma_dtheta, beam, p_radius, mode="low-energy",
-                                   channel=Channel.FLIP))
+            sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius,
+                                                          mode="low-energy", channel=Channel.FLIP)))
 
-    def test_area_matched_rejected(self, beam, p_radius):
+    def test_area_matched_rejected(self, density):
         # only analysis.match_areas scales a curve to another's area
         with pytest.raises(ValueError, match="unknown Normalization 'area-matched'"):
-            sample_pattern(partial(dsigma_dtheta, beam, p_radius), normalization="area-matched")
+            sample_pattern(density, normalization="area-matched")
 
 
 class TestPatternValidation:

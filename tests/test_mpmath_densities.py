@@ -9,11 +9,13 @@ error test_numerics bounds by 1e-15 and which reaches 6.7e-16 where F is
 near 1 (qR = 0.17), so the squares reach 1.4e-15 there.
 """
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wirediff import (ELECTRON_MASS_EV, HBARC_EV_M, BeamParams, TwoBeamConfig, dsigma_dtheta,
-                      dsigma_dtheta_two_beam, fraunhofer_single)
+from wirediff import (ELECTRON_MASS_EV, HBARC_EV_M, BeamParams, TwoBeamConfig, amplitudes,
+                      dsigma_dtheta, dsigma_dtheta_two_beam, fraunhofer_amplitudes)
 
 from oracles import (mp_classical_amplitude, mp_quantum_amplitude, mp_single_density,
                      mp_two_beam_density)
@@ -34,7 +36,8 @@ class TestSingleBeam:
     def test_low_energy(self, p_radius, theta):
         want = mp_single_density(mp_quantum_amplitude(_BEAM.pc_ev, _BEAM.mass_ev, p_radius),
                                  theta)
-        assert abs(dsigma_dtheta(_BEAM, p_radius, theta) - want) <= _TOL_QUANTUM
+        got = dsigma_dtheta(partial(amplitudes, _BEAM, p_radius), theta)
+        assert abs(got - want) <= _TOL_QUANTUM
 
     @pytest.mark.parametrize("channel", ["no-flip", "flip", "sum"])
     @settings(deadline=None)
@@ -45,14 +48,16 @@ class TestSingleBeam:
             mp_quantum_amplitude(beam.pc_ev, beam.mass_ev, p_radius, "full", "sum"), 0.0)
         want = mp_single_density(
             mp_quantum_amplitude(beam.pc_ev, beam.mass_ev, p_radius, "full", channel), theta)
-        got = dsigma_dtheta(beam, p_radius, theta, "full", channel)
+        got = dsigma_dtheta(partial(amplitudes, beam, p_radius, mode="full", channel=channel),
+                            theta)
         assert abs(got - want) <= _TOL_QUANTUM * peak
 
     @settings(deadline=None)
     @given(p_radius=_PR, theta=_THETA)
     def test_classical(self, p_radius, theta):
         want = mp_single_density(mp_classical_amplitude(p_radius), theta)
-        assert abs(fraunhofer_single(p_radius, theta) - want) <= _TOL_CLASSICAL
+        got = dsigma_dtheta(partial(fraunhofer_amplitudes, p_radius), theta)
+        assert abs(got - want) <= _TOL_CLASSICAL
 
 
 class TestTwoBeam:
@@ -61,5 +66,14 @@ class TestTwoBeam:
     def test_low_energy(self, p_radius, theta, alpha, phi):
         want = mp_two_beam_density(mp_quantum_amplitude(_BEAM.pc_ev, _BEAM.mass_ev, p_radius),
                                    alpha, phi, theta)
-        got = dsigma_dtheta_two_beam(_BEAM, p_radius, TwoBeamConfig(alpha, phi), theta)
+        got = dsigma_dtheta_two_beam(partial(amplitudes, _BEAM, p_radius),
+                                     TwoBeamConfig(alpha, phi), theta)
         assert abs(got - want) <= _TOL_QUANTUM * 4.0
+
+    @settings(deadline=None)
+    @given(p_radius=_PR, theta=_THETA, alpha=_ALPHA, phi=_PHI)
+    def test_classical(self, p_radius, theta, alpha, phi):
+        want = mp_two_beam_density(mp_classical_amplitude(p_radius), alpha, phi, theta)
+        got = dsigma_dtheta_two_beam(partial(fraunhofer_amplitudes, p_radius),
+                                     TwoBeamConfig(alpha, phi), theta)
+        assert abs(got - want) <= _TOL_CLASSICAL * 4.0

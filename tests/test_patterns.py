@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wirediff.classical import fraunhofer_single, fraunhofer_two_beam
+from wirediff.classical import fraunhofer_amplitudes
 from wirediff.cli import _MIN_SAMPLES_PER_FRINGE
-from wirediff.electron import Channel, dsigma_dtheta
+from wirediff.electron import Channel, amplitudes, dsigma_dtheta
 from wirediff.numerics import DomainError
 from wirediff.patterns import Normalization, sample_pattern
 from wirediff.potential import BeamParams
@@ -25,45 +25,47 @@ def per_point(density):
     return np.array([density(theta) for theta in THETAS.tolist()])
 
 
+def quantum(mode="low-energy", channel=Channel.NO_FLIP):
+    return partial(amplitudes, BEAM, PR, mode=mode, channel=channel)
+
+
 class TestBuildersMatchScalarDensities:
     # the pattern builder evaluates each density on the whole grid at once;
     # each sample must equal the per-point scalar density bit for bit
     @pytest.mark.parametrize("mode, channel, scalar", [
-        ("low-energy", Channel.NO_FLIP, lambda t: dsigma_dtheta(BEAM, PR, t)),
-        ("full", Channel.NO_FLIP, lambda t: dsigma_dtheta(BEAM, PR, t, "full", Channel.NO_FLIP)),
-        ("full", Channel.FLIP, lambda t: dsigma_dtheta(BEAM, PR, t, "full", Channel.FLIP)),
-        ("full", Channel.SUM, lambda t: dsigma_dtheta(BEAM, PR, t, "full", Channel.SUM)),
+        ("low-energy", Channel.NO_FLIP, lambda t: dsigma_dtheta(quantum(), t)),
+        ("full", Channel.NO_FLIP, lambda t: dsigma_dtheta(quantum("full", Channel.NO_FLIP), t)),
+        ("full", Channel.FLIP, lambda t: dsigma_dtheta(quantum("full", Channel.FLIP), t)),
+        ("full", Channel.SUM, lambda t: dsigma_dtheta(quantum("full", Channel.SUM), t)),
     ], ids=["low-energy", "no-flip", "flip", "sum"])
     def test_single_beam(self, mode, channel, scalar):
-        pattern = sample_pattern(partial(dsigma_dtheta, BEAM, PR, mode=mode, channel=channel),
-                                 THETAS)
+        pattern = sample_pattern(partial(dsigma_dtheta, quantum(mode, channel)), THETAS)
         assert pattern.density.tobytes() == per_point(scalar).tobytes()
 
     @pytest.mark.parametrize("mode, channel, scalar", [
-        ("low-energy", Channel.NO_FLIP, lambda t: dsigma_dtheta_two_beam(BEAM, PR, CFG, t)),
+        ("low-energy", Channel.NO_FLIP, lambda t: dsigma_dtheta_two_beam(quantum(), CFG, t)),
         ("full", Channel.NO_FLIP,
-         lambda t: dsigma_dtheta_two_beam(BEAM, PR, CFG, t, "full", Channel.NO_FLIP)),
+         lambda t: dsigma_dtheta_two_beam(quantum("full", Channel.NO_FLIP), CFG, t)),
         ("full", Channel.FLIP,
-         lambda t: dsigma_dtheta_two_beam(BEAM, PR, CFG, t, "full", Channel.FLIP)),
+         lambda t: dsigma_dtheta_two_beam(quantum("full", Channel.FLIP), CFG, t)),
         ("full", Channel.SUM,
-         lambda t: (dsigma_dtheta_two_beam(BEAM, PR, CFG, t, "full", Channel.NO_FLIP)
-                    + dsigma_dtheta_two_beam(BEAM, PR, CFG, t, "full", Channel.FLIP))),
+         lambda t: (dsigma_dtheta_two_beam(quantum("full", Channel.NO_FLIP), CFG, t)
+                    + dsigma_dtheta_two_beam(quantum("full", Channel.FLIP), CFG, t))),
     ], ids=["low-energy", "no-flip", "flip", "sum"])
     def test_two_beam(self, mode, channel, scalar):
-        pattern = sample_pattern(
-            partial(dsigma_dtheta_two_beam, BEAM, PR, CFG, mode=mode, channel=channel), THETAS)
+        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, quantum(mode, channel), CFG),
+                                 THETAS)
         assert pattern.density.tobytes() == per_point(scalar).tobytes()
 
     @pytest.mark.parametrize("scale", [1.0, 0.82])
     def test_classical(self, scale):
-        p_radius = scale * PR
-        pattern = sample_pattern(partial(fraunhofer_single, p_radius), THETAS)
-        assert pattern.density.tobytes() == per_point(
-            lambda t: fraunhofer_single(p_radius, t)).tobytes()
+        density = partial(dsigma_dtheta, partial(fraunhofer_amplitudes, scale * PR))
+        pattern = sample_pattern(density, THETAS)
+        assert pattern.density.tobytes() == per_point(density).tobytes()
 
     @pytest.mark.parametrize("scale", [1.0, 0.82])
     def test_classical_two_beam(self, scale):
-        density = partial(fraunhofer_two_beam, scale * PR, CFG)
+        density = partial(dsigma_dtheta_two_beam, partial(fraunhofer_amplitudes, scale * PR), CFG)
         pattern = sample_pattern(density, THETAS)
         assert pattern.density.tobytes() == per_point(density).tobytes()
         area = sample_pattern(density, THETAS, normalization="unit-area")
@@ -110,7 +112,8 @@ class TestCompareFloor:
         thetas = (np.arange(-round(below * per_fringe), round(above * per_fringe) + 1)
                   + offset) * step
         fine = np.linspace(thetas[0], thetas[-1], 64 * (thetas.size - 1) + 1)
-        for density in (partial(dsigma_dtheta, BEAM, p_radius),
-                        partial(fraunhofer_single, scale * p_radius)):
+        for amplitude in (partial(amplitudes, BEAM, p_radius),
+                          partial(fraunhofer_amplitudes, scale * p_radius)):
+            density = partial(dsigma_dtheta, amplitude)
             assert sample_pattern(density, thetas).area() == pytest.approx(
                 sample_pattern(density, fine).area(), rel=2e-4)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wirediff.classical import fraunhofer_two_beam
-from wirediff.electron import Channel, dsigma_dtheta
+from wirediff.classical import fraunhofer_amplitudes
+from wirediff.electron import Channel, amplitudes, dsigma_dtheta
 from wirediff.numerics import DomainError, disk_amplitude
 from wirediff.patterns import Normalization, Pattern, sample_pattern
 from wirediff.potential import BeamParams
@@ -15,7 +15,7 @@ from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 from conftest import two_j1_over_x
 
 PR = 84.37136668408607
-BEAM_PR = BeamParams(PR)
+AMPLITUDE = partial(amplitudes, BeamParams(PR), PR)
 TAU = 2.0 * math.pi
 
 
@@ -23,12 +23,12 @@ class TestLowEnergyDensity:
     def test_degenerate_intersection_quadruples_single_beam(self):
         cfg = TwoBeamConfig(alpha=0.0, phi=0.0)
         for theta in (0.0, 0.01, 0.045, 0.1):
-            assert dsigma_dtheta_two_beam(BEAM_PR, PR, cfg, theta) == pytest.approx(
-                4.0 * dsigma_dtheta(BEAM_PR, PR, theta), rel=1e-12
+            assert dsigma_dtheta_two_beam(AMPLITUDE, cfg, theta) == pytest.approx(
+                4.0 * dsigma_dtheta(AMPLITUDE, theta), rel=1e-12
             )
 
     def test_destructive_center(self):
-        assert dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(0.1, math.pi), 0.0) \
+        assert dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(0.1, math.pi), 0.0) \
             == pytest.approx(0.0, abs=1e-25)
 
     def test_forward_value_default_two_beam_configuration(self):
@@ -36,7 +36,7 @@ class TestLowEnergyDensity:
         # q0 R = 2 pR sin(alpha/4); checked against the Bessel oracle
         q0_r = 2.0 * PR * math.sin(0.025)
         expected = 4.0 * two_j1_over_x(q0_r) ** 2
-        got = dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(0.1, 0.0), 0.0)
+        got = dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(0.1, 0.0), 0.0)
         assert got == pytest.approx(expected, rel=1e-10)
 
     @given(
@@ -46,27 +46,28 @@ class TestLowEnergyDensity:
         st.floats(min_value=-0.7, max_value=0.7),
     )
     def test_non_negative(self, p_radius, alpha, phi, theta):
-        value = dsigma_dtheta_two_beam(BeamParams(p_radius), p_radius, TwoBeamConfig(alpha, phi), theta)
+        value = dsigma_dtheta_two_beam(partial(amplitudes, BeamParams(p_radius), p_radius),
+                                       TwoBeamConfig(alpha, phi), theta)
         assert value >= 0.0
 
     @given(st.floats(min_value=-0.5, max_value=0.5),
            st.floats(min_value=-8.0, max_value=8.0))
     def test_even_in_theta(self, theta, phi):
         cfg = TwoBeamConfig(0.1, phi)
-        a = dsigma_dtheta_two_beam(BEAM_PR, PR, cfg, theta)
-        b = dsigma_dtheta_two_beam(BEAM_PR, PR, cfg, -theta)
+        a = dsigma_dtheta_two_beam(AMPLITUDE, cfg, theta)
+        b = dsigma_dtheta_two_beam(AMPLITUDE, cfg, -theta)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
     def test_phase_periodicity_exact(self):
         # 2*pi periodicity is exact when phi + 2*pi is itself exact
         for phi in (0.0, 0.5, 1.0, -0.5, 1.5):
-            a = dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(0.1, phi), 0.013)
-            b = dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(0.1, phi + TAU), 0.013)
+            a = dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(0.1, phi), 0.013)
+            b = dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(0.1, phi + TAU), 0.013)
             assert a == b
 
     def test_zero_vs_two_pi_identical(self):
-        a = dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(0.1, 0.0), 0.02)
-        b = dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(0.1, TAU), 0.02)
+        a = dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(0.1, 0.0), 0.02)
+        b = dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(0.1, TAU), 0.02)
         assert a == b
 
     @given(st.floats(min_value=-7.0, max_value=7.0),
@@ -77,42 +78,42 @@ class TestLowEnergyDensity:
         s_plus = PR * math.sin(0.5 * theta + 0.025)
         f_minus = disk_amplitude(2.0 * s_minus)
         f_plus = disk_amplitude(2.0 * s_plus)
-        density = dsigma_dtheta_two_beam(BEAM_PR, PR, cfg, theta)
+        density = dsigma_dtheta_two_beam(AMPLITUDE, cfg, theta)
         bound = 2.0 * abs(f_minus * f_plus) + 1e-12
         assert abs(density - (f_minus**2 + f_plus**2)) <= bound
 
 
 class TestFullEnergyDensity:
-    def test_matches_low_energy_shape_at_optical_momentum(self, beam, p_radius):
+    def test_matches_low_energy_shape_at_optical_momentum(self, beam, p_radius, amplitude):
         thetas = np.linspace(-0.15, 0.15, 401)
+        full_amplitude = partial(amplitudes, beam, p_radius, mode="full")
         for phi in (0.0, 1.0, math.pi):
             cfg = TwoBeamConfig(0.1, phi)
-            full = np.array([dsigma_dtheta_two_beam(beam, p_radius, cfg, float(t), "full")
+            full = np.array([dsigma_dtheta_two_beam(full_amplitude, cfg, float(t))
                              for t in thetas])
-            low = np.array([dsigma_dtheta_two_beam(beam, p_radius, cfg, float(t)) for t in thetas])
+            low = np.array([dsigma_dtheta_two_beam(amplitude, cfg, float(t)) for t in thetas])
             full /= np.max(full)
             low /= np.max(low)
             assert float(np.max(np.abs(full - low))) <= 1e-8
 
     def test_degenerate_intersection_reduces_to_single(self, beam, p_radius):
         # alpha = 0: density = single-beam full * (2 + 2 cos(phi))
+        amplitude = partial(amplitudes, beam, p_radius, mode="full", channel=Channel.NO_FLIP)
         for phi in (0.0, 0.7, 2.0):
             cfg = TwoBeamConfig(0.0, phi)
             theta = 0.03
-            expected = (dsigma_dtheta(beam, p_radius, theta, "full", Channel.NO_FLIP)
-                        * (2.0 + 2.0 * math.cos(phi)))
-            got = dsigma_dtheta_two_beam(beam, p_radius, cfg, theta, "full", Channel.NO_FLIP)
+            expected = dsigma_dtheta(amplitude, theta) * (2.0 + 2.0 * math.cos(phi))
+            got = dsigma_dtheta_two_beam(amplitude, cfg, theta)
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_phase_periodicity(self, beam, p_radius):
-        cfg_a = TwoBeamConfig(0.1, 0.0)
-        cfg_b = TwoBeamConfig(0.1, TAU)
-        assert dsigma_dtheta_two_beam(beam, p_radius, cfg_a, 0.02, "full") \
-            == dsigma_dtheta_two_beam(beam, p_radius, cfg_b, 0.02, "full")
+        amplitude = partial(amplitudes, beam, p_radius, mode="full")
+        assert dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.1, 0.0), 0.02) \
+            == dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.1, TAU), 0.02)
 
     def test_flip_channel_supported(self, beam, p_radius):
-        value = dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(0.1, 0.0), 0.05, "full",
-                                       Channel.FLIP)
+        value = dsigma_dtheta_two_beam(partial(amplitudes, beam, p_radius, mode="full",
+                                               channel=Channel.FLIP), TwoBeamConfig(0.1, 0.0), 0.05)
         assert value >= 0.0
 
 
@@ -121,7 +122,7 @@ class TestPhiThetaScan:
     # TwoBeamConfig.phi is a leading axis of dsigma_dtheta_two_beam
     @staticmethod
     def scan(phis, thetas, alpha=0.1):
-        return dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(alpha, phis), thetas)
+        return dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(alpha, phis), thetas)
 
     def test_shape_and_non_negativity(self):
         density = self.scan(np.linspace(0.0, TAU, 9), np.linspace(-0.1, 0.1, 11))
@@ -172,56 +173,54 @@ class TestPhiThetaScan:
         thetas = np.linspace(-0.15, 0.15, 301)
         for mode, channel in [("low-energy", Channel.NO_FLIP), ("full", Channel.NO_FLIP),
                               ("full", Channel.FLIP), ("full", Channel.SUM)]:
-            density = dsigma_dtheta_two_beam(beam, p_radius, TwoBeamConfig(0.1, phis), thetas,
-                                             mode, channel)
+            amplitude = partial(amplitudes, beam, p_radius, mode=mode, channel=channel)
+            density = dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.1, phis), thetas)
             assert density.shape == (13, 301)
             for phi, row in zip(phis.tolist(), density):
-                pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius,
-                                                 TwoBeamConfig(0.1, phi), mode=mode,
-                                                 channel=channel), thetas)
+                pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude,
+                                                 TwoBeamConfig(0.1, phi)), thetas)
                 assert np.array_equal(row, pattern.density)
 
     def test_classical_rows_equal_single_phase(self, p_radius):
         phis = np.linspace(-1.0, TAU + 1.0, 13)
         thetas = np.linspace(-0.15, 0.15, 301)
-        classical_pr = 1.1 * p_radius
-        density = fraunhofer_two_beam(classical_pr, TwoBeamConfig(0.1, phis), thetas)
+        classical = partial(fraunhofer_amplitudes, 1.1 * p_radius)
+        density = dsigma_dtheta_two_beam(classical, TwoBeamConfig(0.1, phis), thetas)
         assert density.shape == (13, 301)
         for phi, row in zip(phis.tolist(), density):
-            assert np.array_equal(row, fraunhofer_two_beam(classical_pr, TwoBeamConfig(0.1, phi),
-                                                           thetas))
+            assert np.array_equal(row, dsigma_dtheta_two_beam(classical, TwoBeamConfig(0.1, phi),
+                                                              thetas))
 
     def test_scalar_theta_gives_one_value_per_phase(self):
         density = self.scan([0.0, math.pi], 0.0)
         assert density.shape == (2,)
-        assert density[0] == dsigma_dtheta_two_beam(BEAM_PR, PR, TwoBeamConfig(0.1), 0.0)
+        assert density[0] == dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(0.1), 0.0)
 
 
 class TestPatternTwoBeam:
     THETAS = np.linspace(-0.15, 0.15, 201)
 
-    def test_low_energy_matches_density(self, beam, p_radius):
+    def test_low_energy_matches_density(self, amplitude):
         cfg = TwoBeamConfig(0.1, 0.8)
-        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, cfg), self.THETAS)
+        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, cfg), self.THETAS)
         assert isinstance(pattern, Pattern)
-        expected = [dsigma_dtheta_two_beam(BeamParams(p_radius), p_radius, cfg, float(t))
-                    for t in self.THETAS]
+        expected = [dsigma_dtheta_two_beam(amplitude, cfg, float(t)) for t in self.THETAS]
         assert np.array_equal(pattern.density, expected)
 
     @pytest.mark.parametrize("channel", [Channel.NO_FLIP, Channel.FLIP])
     def test_full_mode_matches_density(self, beam, p_radius, channel):
         cfg = TwoBeamConfig(0.1, 2.0)
-        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, cfg, mode="full",
-                                         channel=channel), self.THETAS)
-        expected = [dsigma_dtheta_two_beam(beam, p_radius, cfg, float(t), "full", channel)
-                    for t in self.THETAS]
+        amplitude = partial(amplitudes, beam, p_radius, mode="full", channel=channel)
+        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, cfg), self.THETAS)
+        expected = [dsigma_dtheta_two_beam(amplitude, cfg, float(t)) for t in self.THETAS]
         assert np.array_equal(pattern.density, expected)
 
     def test_spin_sum_is_flip_plus_no_flip(self, beam, p_radius):
         cfg = TwoBeamConfig(0.1, 0.4)
         summed, flip, no_flip = (
-            sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, cfg, mode="full",
-                                   channel=c), self.THETAS).density
+            sample_pattern(partial(dsigma_dtheta_two_beam, partial(amplitudes, beam, p_radius,
+                                                                   mode="full", channel=c),
+                                   cfg), self.THETAS).density
             for c in (Channel.SUM, Channel.FLIP, Channel.NO_FLIP)
         )
         assert np.array_equal(summed, no_flip + flip)
@@ -230,16 +229,18 @@ class TestPatternTwoBeam:
         # the flip element vanishes in this limit: no-flip and the spin sum
         # are the same density, and a flip pattern is refused, not relabelled
         cfg = TwoBeamConfig(0.1, 0.4)
-        a, b = (sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, cfg, channel=c),
+        a, b = (sample_pattern(partial(dsigma_dtheta_two_beam,
+                                       partial(amplitudes, beam, p_radius, channel=c), cfg),
                                self.THETAS) for c in (Channel.NO_FLIP, Channel.SUM))
         assert np.array_equal(a.density, b.density)
         with pytest.raises(ValueError, match="no flip channel"):
-            sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, cfg,
-                                   channel=Channel.FLIP), self.THETAS)
+            sample_pattern(partial(dsigma_dtheta_two_beam,
+                                   partial(amplitudes, beam, p_radius, channel=Channel.FLIP), cfg),
+                           self.THETAS)
 
-    def test_normalizations(self, beam, p_radius):
+    def test_normalizations(self, amplitude):
         cfg = TwoBeamConfig(0.1, 0.0)
-        raw, peak, area = (sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, cfg),
+        raw, peak, area = (sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, cfg),
                                           self.THETAS, n)
                            for n in (Normalization.RAW, Normalization.PEAK_ONE,
                                      Normalization.UNIT_AREA))
@@ -247,28 +248,29 @@ class TestPatternTwoBeam:
         assert np.array_equal(peak.density, raw.density / np.max(raw.density))
         assert area.area() == pytest.approx(1.0, abs=1e-12)
 
-    def test_area_matched_rejected(self, beam, p_radius):
+    def test_area_matched_rejected(self, amplitude):
         # only analysis.match_areas scales a curve to another's area
         with pytest.raises(ValueError, match="unknown Normalization 'area-matched'"):
-            sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, TwoBeamConfig(0.1)),
+            sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, TwoBeamConfig(0.1)),
                            self.THETAS, "area-matched")
 
-    def test_default_grid(self, beam, p_radius):
-        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, TwoBeamConfig(0.1)))
+    def test_default_grid(self, amplitude):
+        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, TwoBeamConfig(0.1)))
         assert pattern.thetas.size == 2001
 
-    def test_bad_inputs_rejected(self, beam, p_radius):
+    def test_bad_inputs_rejected(self, beam, p_radius, amplitude):
         with pytest.raises(ValueError):
-            sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, TwoBeamConfig(0.1),
-                                   mode="fast"), self.THETAS)
+            sample_pattern(partial(dsigma_dtheta_two_beam,
+                                   partial(amplitudes, beam, p_radius, mode="fast"),
+                                   TwoBeamConfig(0.1)), self.THETAS)
         with pytest.raises(ValueError):
-            sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius, TwoBeamConfig(0.1)),
+            sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, TwoBeamConfig(0.1)),
                            self.THETAS[::-1])
 
-    def test_phase_sequence_rejected(self, beam, p_radius):
+    def test_phase_sequence_rejected(self, amplitude):
         # one row per phase is not one value per theta
         with pytest.raises(DomainError, match=r"got shape \(2, 201\) on a grid of shape"):
-            sample_pattern(partial(dsigma_dtheta_two_beam, beam, p_radius,
+            sample_pattern(partial(dsigma_dtheta_two_beam, amplitude,
                                    TwoBeamConfig(0.1, [0.0, 1.0])), self.THETAS)
 
     def test_exported(self):
