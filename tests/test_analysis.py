@@ -147,6 +147,15 @@ class TestOverestimationFactor:
         for pr in (50.0, 84.37, 200.0):
             assert abs(overestimation_factor(pr) - limit) < 1e-3
 
+    @given(st.floats(5.0, 1e4))
+    def test_pr_law(self, p_radius):
+        # (j/pi)(1 + (j^2 - 4 pi^2) / (24 pR^2)) + O(pR^-4), j = j_{1,1}: the
+        # residual is 5.6 / pR^4 from pR 10 up and 7.3 / pR^4 at pR 5; near
+        # pR 1e4 rounding (8.9e-16 there) exceeds it, hence the 1e-15
+        j = float(_MP_J1_ZEROS[0])
+        law = j / math.pi * (1.0 + (j * j - 4.0 * math.pi**2) / (24.0 * p_radius**2))
+        assert abs(overestimation_factor(p_radius) - law) <= 8.0 / p_radius**4 + 1e-15
+
     def test_rescaled_classical_zero_aligns(self):
         # rescaling the classical wire radius by the factor (aligning
         # direction: effective pR / factor under the multiplier convention)
