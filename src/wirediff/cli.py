@@ -149,7 +149,13 @@ def _resolve_physics(args) -> tuple[BeamParams, float]:
         raise DomainError(f"--diameter-um must be positive, got {args.diameter_um}")
     if not (args.mass_ev > 0.0 and math.isfinite(args.mass_ev)):
         raise DomainError(f"--mass-ev must be positive, got {args.mass_ev}")
-    beam = BeamParams.from_wavelength_nm(args.wavelength_nm, mass_ev=args.mass_ev)
+    try:
+        beam = BeamParams.from_wavelength_nm(args.wavelength_nm, mass_ev=args.mass_ev)
+    except DomainError:
+        # with the flags checked, only the momentum can be out of range: below ~3.5e-299
+        # nm it overflows, and below ~5e-315 nm the wavelength in m underflows to 0
+        raise DomainError(f"--wavelength-nm {args.wavelength_nm} is too small: the beam "
+                          f"momentum 2 pi / wavelength overflows") from None
     p_radius = beam.momentum * (0.5 * args.diameter_um * 1e-6)
     if not (p_radius > 0.0 and math.isfinite(p_radius)):
         raise DomainError(f"--wavelength-nm {args.wavelength_nm} and --diameter-um "

@@ -163,6 +163,15 @@ class TestConfigErrors:
         assert out == ""
         assert "--wavelength-nm" in err and "--diameter-um" in err
 
+    @pytest.mark.parametrize("command", ["single", "two-beam", "scan", "compare", "zeros"])
+    @pytest.mark.parametrize("wavelength_nm", ["1e-300", "1e-320"], ids=["overflow", "underflow"])
+    def test_overflowing_momentum_names_the_wavelength(self, capsys, command, wavelength_nm):
+        # 2 pi / wavelength overflows; at 1e-320 nm the wavelength in m is 0 first
+        code, out, err = run_cli(capsys, command, "--wavelength-nm", wavelength_nm)
+        assert code == 2
+        assert out == ""
+        assert f"--wavelength-nm {float(wavelength_nm)} is too small" in err
+
     @pytest.mark.parametrize(
         "argv, values",
         [
