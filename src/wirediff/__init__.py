@@ -7,7 +7,7 @@ quantum one or the classical Fraunhofer comparator, plus the derived
 radius-overestimation analysis.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .analysis import (
     CurveComparison,

@@ -641,27 +641,27 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "750b6e7004ae98d4ecaa2fc235fddacc0ccc1e54d7039cf022a7479256b3ad56"),
+             "2babc7726fb9d7bb9c17ad3ce262e2c696cbd686142174d0bec038ad4e6f948a"),
             (("two-beam",),
-             "754ca066c76f3923a3ce7a50eb6d1b1d6dc46f7ae1f65c331ad93bbb3ec3e801"),
+             "6cc9708189c3ba5ad0ec4046c8448f65d35fe455670927672e1849f0f858f190"),
             (("scan",),
-             "60ea38957e0e4e468ca49f2cd0fade66ae959375ceb2b889a0192dbf8c5996fa"),
+             "8600811700049ec640c3a4ce70e091f0291a8ccad0a6b2eec19870c4d968a6a6"),
             (("compare",),
-             "0e025c61ea5677b14243c18a5b98c3e83b72ff3267b961829f4cee127956df18"),
+             "677be215084ae9cf0f25c0ca0d84057f561b6c1a3e244d18a942f4138f8c3ff9"),
             (("zeros",),
-             "54e2d7835cc148461d13195708dc2bb38ae745c1a4d3e7a512d0d25a38cdf691"),
+             "63f525543cb6aeb60c812017c5bef83c647a6860c330d781d7874896cc8b0a38"),
             (("zeros", "--n", "3"),
-             "fbba366aea33f611c834ccdd170438c179e0c2242aff0874ca0b793d0e1d05a1"),
+             "97071c385b2248bb7f7f54ef23c510f1c6fcdc79cbedbffa70154389c3680667"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "20c421651ad2be206ec8b8a0df5e587a9cd03e93868b19444a3fdf4d39010c56"),
+             "daf268a83e88d53c6f658d43d726696748f9e3d1514ab35f51fe3af7ad46e781"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "110d653a1350c81308df59bd59e8865f36df20c3675e0980a1a0d2ab7d53a33d"),
+             "f39c8f24a65641ec3c8752e45f47c6f56976179ae3b2e410b0f600dbdb2d828a"),
             (("single", "--mode", "full", "--spin", "sum"),
-             "08ccd98edea759e1c0c483f3bf3671ffa24e41b4d8766d5016cb2fa36bac92fb"),
+             "385e98b793462769fc52929350d208b5062c3838c81de784022287b42b263767"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
-             "c3ea362f8460f0508e6917b8bb013c2ca82af5ff57389be78b45b70473bf15c2"),
+             "2fc40f97912af76b80ea77b39132e486597203fe7826807e9e0c8a0e4ab6ac38"),
             (("compare", "--radius-scale", "0.82"),
-             "430e09ca6300ad00b47b9f8fd2f5ace79e1d43b119e905973dbb3cce2f09dac1"),
+             "cb88e49ff7dc99790c027c51a515a2427732c1954053f36263db0f0b1fa8c354"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82"],
