@@ -119,9 +119,11 @@ _BAD_INPUTS = {
     "pattern phases": lambda: sample_pattern(partial(
         dsigma_dtheta_two_beam, partial(amplitudes, BeamParams(1e7), 100.0),
         TwoBeamConfig(0.1, [0.0, 1.0])), _GRID),
-    # a NaN radius scale gives the classical curve a NaN pR
     "p_radius": lambda: sample_pattern(
-        partial(dsigma_dtheta, partial(fraunhofer_amplitudes, math.nan)), _GRID),
+        partial(dsigma_dtheta, partial(fraunhofer_amplitudes, 0.0)), _GRID),
+    # a NaN radius scale gives the classical curve a NaN pR
+    "radius_scale": lambda: dsigma_dtheta_two_beam(
+        partial(fraunhofer_amplitudes, math.nan), TwoBeamConfig(0.1), 0.1),
     "empty grid": lambda: validate_grid([]),
     "non-finite grid": lambda: validate_grid([0.0, math.nan]),
     "decreasing grid": lambda: validate_grid([0.1, 0.0]),
@@ -146,7 +148,8 @@ _BAD_INPUTS = {
 }
 
 # rows whose message must name the function the caller called, or its argument
-_NAMED = {"p_radius": "fraunhofer_amplitudes", "wire pR": "^p_radius > 0 required"}
+_NAMED = {"p_radius": "fraunhofer_amplitudes", "radius_scale": "fraunhofer_amplitudes",
+          "wire pR": "^p_radius > 0 required"}
 
 
 class TestInputErrors:
