@@ -21,7 +21,7 @@ import os
 import re
 import sys
 import tempfile
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -65,7 +65,13 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and returned by
+    every later one: ``main`` parses each argv with the same parser.  It is
+    shared, so callers must not mutate it (add arguments, set defaults);
+    ``build_parser.__wrapped__()`` builds a fresh one.
+    """
     parser = _Parser(
         prog="wirediff",
         description="Wire-barrier diffraction distributions: quantum vs classical, "

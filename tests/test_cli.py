@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import reference_csv
+from wirediff import cli
 from wirediff.analysis import first_dark_points
 from wirediff.cli import _MAX_GRID_VALUES, _MAX_ZEROS, _csv, build_parser, main
 from wirediff.electron import Channel
@@ -627,6 +628,60 @@ class TestTimestampFlag:
     def test_opt_in(self, capsys):
         _, out, _ = run_cli(capsys, "zeros", "--timestamp")
         assert "timestamp" in json.loads(out)["metadata"]
+
+
+class TestParserReuse:
+    # main parses every argv with the one parser build_parser builds on its
+    # first call; no call may leave state in it that changes a later call
+
+    @staticmethod
+    def run(capsys, *argv):
+        # run_cli for argvs that argparse ends with SystemExit (--help, usage errors)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def run_fresh(self, capsys, monkeypatch, *argv):
+        # the same argv parsed by a parser built for this call alone
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", build_parser.__wrapped__)
+            return self.run(capsys, *argv)
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+        assert build_parser.__wrapped__() is not build_parser()
+
+    @pytest.mark.parametrize("first, second", [
+        (("zeros", "--timestamp"), ("zeros",)),
+        (("zeros", "--output", "{path}"), ("zeros",)),
+        (("single", "--format", "json"), ("single",)),
+        (("single", "--mode", "full", "--spin", "sum"), ("single",)),
+        (("single", "--frobnicate"), ("zeros",)),
+    ], ids=["timestamp", "output", "format-json", "full-sum", "usage-error"])
+    def test_second_call_prints_what_it_prints_alone(self, capsys, monkeypatch, tmp_path,
+                                                     first, second):
+        path = tmp_path / "first.out"
+        code, _, _ = self.run(capsys, *(str(path) if a == "{path}" else a for a in first))
+        assert code == (2 if "--frobnicate" in first else 0)
+        assert path.exists() == ("{path}" in first)
+        assert self.run(capsys, *second) == self.run_fresh(capsys, monkeypatch, *second)
+
+    @pytest.mark.parametrize("command", ["", "single", "two-beam", "scan", "compare", "zeros"],
+                             ids=lambda command: command or "top-level")
+    def test_help_is_what_a_fresh_parser_prints(self, capsys, monkeypatch, command):
+        # a call of every command, with non-default options, and a usage error
+        for argv in (("single", "--format", "json"), ("two-beam", "--mode", "full"),
+                     ("scan", "--phi-points", "3", "--theta-points", "101", "--timestamp"),
+                     ("compare", "--radius-scale", "0.82"), ("zeros", "--n", "3"), ("bogus",)):
+            self.run(capsys, *argv)
+        argv = (command, "--help") if command else ("--help",)
+        code, out, err = self.run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: wirediff")
+        assert (code, out, err) == self.run_fresh(capsys, monkeypatch, *argv)
 
 
 class TestPinnedDigests:
