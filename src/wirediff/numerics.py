@@ -14,15 +14,17 @@ branches:
   Chebyshev series in t = 2 (13/x)^2 - 1.
 
 ``tools/gen_j1_coeffs.py`` fits the coefficients with mpmath at 50 digits.
-The absolute error in F against mpmath is below 1e-15 (at most 4.4e-16 in
-30,000 random draws on [0, 1e4]) and below 1e-16 at the doubles nearest
-the zeros of J1; every finite x is accepted.  Both branches sum their
-series by Clenshaw's recurrence, which uses only + and *; with IEEE sqrt,
-and sin and cos from the same libm, a Python float and each element of an
-array get the same bits.  :func:`disk_amplitude` and :func:`sinc`
-take either and split them only to check finiteness and to pick ``math``
-or ``numpy``: a scalar call stays cheap, and an array is done in a few
-whole-array passes.
+The absolute error in F against mpmath is below 1e-15 and below 1e-16 at
+the doubles nearest the zeros of J1; every finite x is accepted.  It is
+largest at small x, where F is near 1: 6.8e-16 (6 ulp of 1) at x = 0.0178,
+the worst of 20,001 evenly spaced points on [0, 2] against mpmath at 40
+digits.  30,000 random draws on [0, 1e4], which almost never fall below 2,
+give at most 4.4e-16.  Both branches sum their series by Clenshaw's
+recurrence, which uses only + and *; with IEEE sqrt, and sin and cos from
+the same libm, a Python float and each element of an array get the same
+bits.  :func:`disk_amplitude` and :func:`sinc` take either and split them
+only to check finiteness and to pick ``math`` or ``numpy``: a scalar call
+stays cheap, and an array is done in a few whole-array passes.
 
 :func:`_j1_zero` gives j_{1,k}, the k-th positive zero of J1 and of F, in
 closed form: a table of j_{1,1} ... j_{1,23} rounded to doubles (written by
