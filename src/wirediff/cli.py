@@ -1,14 +1,18 @@
 """Command-line interface.
 
-Subcommands: single, two-beam, scan, compare, zeros.  Pattern commands
-emit CSV by default (JSON on request); zeros and compare emit JSON.
+Subcommands: single, two-beam, scan, compare, zeros.  ``main`` runs each
+through one pipeline: parse the argv; resolve the beam and its pR; compute
+the command's data (``_cmd_*``: columns in order, arrays or floats); warn
+when a theta column has fewer than 2 samples per fringe; serialize by
+``--format``, CSV or JSON (compare and zeros: JSON only), echoing the
+resolved configuration; write once, to stdout or atomically to ``--output``.
 Outputs are deterministic: the same configuration produces byte-identical
-bytes, and every file embeds the resolved configuration that generated it.
-Angles are accepted in radians only.
+bytes.  Angles are accepted in radians only.
 
-Exit codes: 0 success; 2 for a DomainError, input the caller can fix,
-whether the CLI or the library finds it; 1 for a write failure or any
-other exception, an internal fault.
+Exit codes: 0 success; 2 for a usage error in the parse, or for a
+DomainError, input the caller can fix, raised while resolving or computing,
+whether the CLI or the library finds it; 1 for any other exception before
+the write, an internal fault, or for a failed write.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ import numpy as np
 from . import __version__
 from .analysis import compare_curves, first_dark_points, match_areas
 from .classical import fraunhofer_amplitudes
-from .electron import Channel, amplitudes, dsigma_dtheta
+from .electron import _MODES, Channel, amplitudes, dsigma_dtheta
 from .numerics import DomainError
-from .patterns import Normalization, sample_pattern
+from .patterns import _DEFAULT_GRID, Normalization, sample_pattern
 from .potential import BeamParams, ELECTRON_MASS_EV
 from .twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 
@@ -79,71 +83,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"wirediff {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    normalizations = sorted(n.value for n in Normalization)
-
-    def add_common(p: argparse.ArgumentParser, grid: bool = True) -> None:
-        p.add_argument("--wavelength-nm", type=float, default=633.0,
-                       help="beam wavelength in nm (default 633)")
-        p.add_argument("--diameter-um", type=float, default=17.0,
-                       help="wire diameter in um (default 17)")
-        p.add_argument("--mass-ev", type=float, default=ELECTRON_MASS_EV,
-                       help=f"particle rest energy in eV (default electron, {ELECTRON_MASS_EV})")
-        if grid:
-            p.add_argument("--theta-min", type=float, default=-0.15,
-                           help="lower edge of the angular grid in rad (default -0.15)")
-            p.add_argument("--theta-max", type=float, default=0.15,
-                           help="upper edge of the angular grid in rad (default 0.15)")
-            p.add_argument("--theta-points", type=int, default=2001,
-                           help="number of grid points (default 2001)")
-        p.add_argument("--output", type=str, default=None,
-                       help="output file path (default: stdout)")
-        p.add_argument("--timestamp", action="store_true",
-                       help="embed a generation timestamp in the metadata "
-                            "(off by default so outputs stay byte-identical)")
-
-    p_single = sub.add_parser("single", help="single-beam angular distribution")
-    add_common(p_single)
-    p_single.add_argument("--mode", choices=["low-energy", "full"], default="low-energy",
-                          help="low-energy (default) or full")
-    p_single.add_argument("--spin", choices=sorted(c.value for c in Channel), default="no-flip",
-                          help="spin channel (default no-flip); flip needs --mode full")
-    p_single.add_argument("--normalization", choices=normalizations, default="raw")
-    p_single.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    p_two = sub.add_parser("two-beam", help="two-beam interference-plus-diffraction distribution")
-    add_common(p_two)
-    p_two.add_argument("--alpha", type=float, default=0.1,
-                       help="beam intersection angle in rad (default 0.1)")
-    p_two.add_argument("--phi", type=float, default=0.0,
-                       help="interference phase in rad (default 0)")
-    p_two.add_argument("--mode", choices=["low-energy", "full"], default="low-energy")
-    p_two.add_argument("--spin", choices=sorted(c.value for c in Channel), default="no-flip")
-    p_two.add_argument("--normalization", choices=normalizations, default="raw")
-    p_two.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    p_scan = sub.add_parser("scan", help="low-energy two-beam density over a (phi, theta) grid")
-    add_common(p_scan)
-    p_scan.add_argument("--alpha", type=float, default=0.1)
-    p_scan.add_argument("--phi-min", type=float, default=0.0,
-                        help="lower edge of the phase grid in rad (default 0)")
-    p_scan.add_argument("--phi-max", type=float, default=math.tau,
-                        help="upper edge of the phase grid in rad (default 2*pi)")
-    p_scan.add_argument("--phi-points", type=int, default=81,
-                        help="number of phase grid points (default 81)")
-    p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    p_cmp = sub.add_parser("compare",
-                           help="area-matched quantum vs classical comparison metrics (JSON)")
-    add_common(p_cmp)
-    p_cmp.add_argument("--radius-scale", type=float, default=1.0,
-                       help="multiplier applied to the classical wire radius (default 1)")
-
-    p_zeros = sub.add_parser("zeros",
-                             help="dark-point angles and the radius overestimation factor (JSON)")
-    add_common(p_zeros, grid=False)
-    p_zeros.add_argument("--n", type=int, default=1,
-                         help="number of dark points per curve (default 1)")
-
+    grid_min, grid_max, grid_points = _DEFAULT_GRID
+    # every option with its one help string; each command below lists its own
+    options = {
+        "--wavelength-nm": dict(type=float, default=633.0,
+                                help="beam wavelength in nm (default 633)"),
+        "--diameter-um": dict(type=float, default=17.0, help="wire diameter in um (default 17)"),
+        "--mass-ev": dict(type=float, default=ELECTRON_MASS_EV,
+                          help=f"particle rest energy in eV (default electron, {ELECTRON_MASS_EV})"),
+        "--theta-min": dict(type=float, default=grid_min,
+                            help=f"lower edge of the angular grid in rad (default {grid_min})"),
+        "--theta-max": dict(type=float, default=grid_max,
+                            help=f"upper edge of the angular grid in rad (default {grid_max})"),
+        "--theta-points": dict(type=int, default=grid_points,
+                               help=f"number of grid points (default {grid_points})"),
+        "--output": dict(type=str, default=None, help="output file path (default: stdout)"),
+        "--timestamp": dict(action="store_true",
+                            help="embed a generation timestamp in the metadata "
+                                 "(off by default so outputs stay byte-identical)"),
+        "--alpha": dict(type=float, default=0.1,
+                        help="beam intersection angle in rad (default 0.1)"),
+        "--phi": dict(type=float, default=0.0, help="interference phase in rad (default 0)"),
+        "--mode": dict(choices=_MODES, default="low-energy", help="low-energy (default) or full"),
+        "--spin": dict(choices=sorted(c.value for c in Channel), default="no-flip",
+                       help="spin channel (default no-flip); flip needs --mode full"),
+        "--normalization": dict(choices=sorted(n.value for n in Normalization), default="raw",
+                                help="density scaling (default raw)"),
+        "--format": dict(choices=["csv", "json"], default="csv",
+                         help="output format (default csv)"),
+        "--phi-min": dict(type=float, default=0.0,
+                          help="lower edge of the phase grid in rad (default 0)"),
+        "--phi-max": dict(type=float, default=math.tau,
+                          help="upper edge of the phase grid in rad (default 2*pi)"),
+        "--phi-points": dict(type=int, default=81,
+                             help="number of phase grid points (default 81)"),
+        "--radius-scale": dict(type=float, default=1.0,
+                               help="multiplier applied to the classical wire radius (default 1)"),
+        "--n": dict(type=int, default=1, help="number of dark points per curve (default 1)"),
+    }
+    beam = ("--wavelength-nm", "--diameter-um", "--mass-ev")
+    grid = ("--theta-min", "--theta-max", "--theta-points")
+    output = ("--output", "--timestamp")
+    pattern = ("--mode", "--spin", "--normalization", "--format")
+    for command, summary, flags in (
+        ("single", "single-beam angular distribution", beam + grid + output + pattern),
+        ("two-beam", "two-beam interference-plus-diffraction distribution",
+         beam + grid + output + ("--alpha", "--phi") + pattern),
+        ("scan", "low-energy two-beam density over a (phi, theta) grid",
+         beam + grid + output + ("--alpha", "--phi-min", "--phi-max", "--phi-points", "--format")),
+        ("compare", "area-matched quantum vs classical comparison metrics (JSON)",
+         beam + grid + output + ("--radius-scale",)),
+        ("zeros", "dark-point angles and the radius overestimation factor (JSON)",
+         beam + output + ("--n",)),
+    ):
+        p = sub.add_parser(command, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        if "--format" not in flags:
+            p.set_defaults(format="json")
     return parser
 
 
@@ -217,69 +214,59 @@ def _base_config(args) -> dict:
     return cfg
 
 
-def _csv(config: dict, header: str, thetas: np.ndarray, density: np.ndarray,
-         phis: np.ndarray | None = None) -> str:
-    """CSV of a pattern (one density row) or a scan (one density row per
-    phi; rows phi-major, theta ascending), floats with 17 significant digits
+def _csv(config: dict, data: dict) -> str:
+    """CSV of a command's data, header from its keys: a pattern (one density
+    row) or, when ``phi_rad`` is present, a scan (one density row per phi;
+    rows phi-major, theta ascending), floats with 17 significant digits
     (lossless round trip), after a ``# config:`` line when config is set.
 
     Each coordinate is formatted once: a phi block is one ``%`` on a
     template of its phi and theta strings, which never contain ``%``.
     """
     lines = ["# config: " + json.dumps(config, sort_keys=True) + "\n"] if config else []
-    lines.append(header + "\n")
-    rows = [format(t, ".17g") + ",%.17g\n" for t in thetas.tolist()]
+    lines.append(",".join(data) + "\n")
+    rows = [format(t, ".17g") + ",%.17g\n" for t in data["theta_rad"].tolist()]
+    phis = data.get("phi_rad")
     leads = [""] if phis is None else [format(p, ".17g") + "," for p in phis.tolist()]
-    for lead, block in zip(leads, density.reshape(len(leads), len(rows)).tolist()):
+    for lead, block in zip(leads, data["density"].reshape(len(leads), len(rows)).tolist()):
         lines.append((lead + lead.join(rows)) % tuple(block))
     return "".join(lines)
 
 
 def _json_doc(config: dict, data: dict) -> str:
+    data = {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in data.items()}
     return json.dumps({"metadata": config, "data": data}, sort_keys=True, indent=2) + "\n"
 
 
-def _pattern_command(args, density, *beams) -> str:
-    # parse -> call -> serialize, shared by the single- and two-beam commands
-    beam, p_radius = _resolve_physics(args)
+def _pattern(args, beam, p_radius, density, *beams) -> dict:
+    # the single- and two-beam commands
     thetas, = _resolve_grids(args, "theta")
     amplitude = partial(amplitudes, beam, p_radius, mode=args.mode, channel=Channel(args.spin))
     pattern = sample_pattern(partial(density, amplitude, *beams), thetas, args.normalization)
-    _warn_if_aliased(thetas, p_radius)
-    config = _base_config(args)
-    if args.format == "json":
-        return _json_doc(config, {"theta_rad": pattern.thetas.tolist(),
-                                  "density": pattern.density.tolist()})
-    return _csv(config, "theta_rad,density", pattern.thetas, pattern.density)
+    return {"theta_rad": pattern.thetas, "density": pattern.density}
 
 
-def _cmd_single(args) -> str:
-    return _pattern_command(args, dsigma_dtheta)
+def _cmd_single(args, beam, p_radius) -> dict:
+    return _pattern(args, beam, p_radius, dsigma_dtheta)
 
 
-def _cmd_two_beam(args) -> str:
-    return _pattern_command(args, dsigma_dtheta_two_beam,
-                            TwoBeamConfig(alpha=args.alpha, phi=args.phi))
+def _cmd_two_beam(args, beam, p_radius) -> dict:
+    return _pattern(args, beam, p_radius, dsigma_dtheta_two_beam,
+                    TwoBeamConfig(alpha=args.alpha, phi=args.phi))
 
 
-def _cmd_scan(args) -> str:
-    beam, p_radius = _resolve_physics(args)
+def _cmd_scan(args, beam, p_radius) -> dict:
     phis, thetas = _resolve_grids(args, "phi", "theta")
     amplitude = partial(amplitudes, beam, p_radius)
     density = dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(alpha=args.alpha, phi=phis), thetas)
     # the density's fault, not the caller's, as for the pattern commands
     if not np.all(np.isfinite(density)):
         raise ValueError("density must be finite")
-    _warn_if_aliased(thetas, p_radius)
-    config = _base_config(args)
-    if args.format == "json":
-        return _json_doc(config, {"phi_rad": phis.tolist(), "theta_rad": thetas.tolist(),
-                                  "density": density.tolist()})
-    return _csv(config, "phi_rad,theta_rad,density", thetas, density, phis)
+    return {"phi_rad": phis, "theta_rad": thetas, "density": density}
 
 
-def _cmd_compare(args) -> str:
-    beam, p_radius = _resolve_physics(args)
+def _cmd_compare(args, beam, p_radius) -> dict:
     thetas, = _resolve_grids(args, "theta")
     if not (args.radius_scale > 0.0 and math.isfinite(args.radius_scale)):
         raise DomainError(f"--radius-scale must be positive, got {args.radius_scale}")
@@ -302,30 +289,27 @@ def _cmd_compare(args) -> str:
     classical = sample_pattern(
         partial(dsigma_dtheta, partial(fraunhofer_amplitudes, classical_pr)), thetas)
     comparison = compare_curves(quantum, match_areas(quantum, classical))
-    data = {
+    return {
         "max_abs_diff": comparison.max_abs_diff,
         "l2_diff": comparison.l2_diff,
         "first_zero_offset_rad": zero_quantum - zero_classical,
         "first_zero_quantum_rad": zero_quantum,
         "first_zero_classical_rad": zero_classical,
     }
-    return _json_doc(_base_config(args), data)
 
 
-def _cmd_zeros(args) -> str:
-    _, p_radius = _resolve_physics(args)
+def _cmd_zeros(args, beam, p_radius) -> dict:
     if not 1 <= args.n <= _MAX_ZEROS:
         raise DomainError(f"--n must be in [1, {_MAX_ZEROS:,}], got {args.n}")
     quantum = first_dark_points(p_radius, "quantum", args.n)
     classical = first_dark_points(p_radius, "classical", args.n)
-    data = {
+    return {
         "p_radius": p_radius,
         "quantum_zeros_rad": quantum,
         "classical_zeros_rad": classical,
         # overestimation_factor's ratio, from the dark points above ([0] is the n = 1 one)
         "overestimation_factor": quantum[0] / classical[0],
     }
-    return _json_doc(_base_config(args), data)
 
 
 _COMMANDS = {
@@ -359,10 +343,13 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        text = _COMMANDS[args.command](args)
+        beam, p_radius = _resolve_physics(args)
+        data = _COMMANDS[args.command](args, beam, p_radius)
+        if "theta_rad" in data:
+            _warn_if_aliased(data["theta_rad"], p_radius)
+        text = (_json_doc if args.format == "json" else _csv)(_base_config(args), data)
     except DomainError as exc:
         print(f"wirediff: configuration error: {exc}", file=sys.stderr)
         return 2

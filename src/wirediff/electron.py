@@ -29,6 +29,9 @@ from .potential import BeamParams, momentum_transfer_single
 # largest pc and mc^2 [eV]: (E + mc^2)^2 <= 5.8e300, so no density overflows
 _MAX_SPINOR_EV = 1e150
 
+# the spellings of ``amplitudes``' mode, which the CLI's --mode offers
+_MODES = ("low-energy", "full")
+
 
 class Channel(Spelling):
     """Final-spin channel of a density; SUM adds the no-flip and flip densities."""
@@ -80,7 +83,7 @@ def amplitudes(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy
     if not (math.isfinite(p_radius) and p_radius > 0.0):
         raise DomainError(f"p_radius > 0 required, got {p_radius!r}")
     channel = Channel(channel)
-    if mode not in ("low-energy", "full"):
+    if mode not in _MODES:
         raise DomainError(f"unknown mode {mode!r}; expected 'low-energy' or 'full'")
     if mode == "low-energy" and channel is Channel.FLIP:
         raise DomainError("low-energy mode has no flip channel (its element vanishes "

@@ -28,13 +28,18 @@ class Normalization(Spelling):
     UNIT_AREA = "unit-area"
 
 
+# (theta min [rad], theta max [rad], points) of default_grid and of the CLI's
+# --theta-min, --theta-max and --theta-points defaults
+_DEFAULT_GRID = (-0.15, 0.15, 2001)
+
+
 def default_grid() -> np.ndarray:
     """Uniform grid theta in [-0.15, 0.15] rad, 2001 points.
 
     Wide enough to cover at least three dark fringes at the default
     633 nm / 17 um configuration (first dark point near 0.045 rad).
     """
-    return np.linspace(-0.15, 0.15, 2001)
+    return np.linspace(*_DEFAULT_GRID)
 
 
 def validate_grid(thetas) -> np.ndarray:

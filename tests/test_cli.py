@@ -547,29 +547,34 @@ class TestEmitters:
             header = "phi_rad,theta_rad,density"
             expected = reference_csv(config, header, np.repeat(phis, columns),
                                      np.tile(thetas, rows), density.ravel())
-            assert _csv(config, header, thetas, density, phis) == expected
+            assert _csv(config, {"phi_rad": phis, "theta_rad": thetas,
+                                 "density": density}) == expected
         else:
             density = floats(columns)
             expected = reference_csv(config, "theta_rad,density", thetas, density)
-            assert _csv(config, "theta_rad,density", thetas, density) == expected
+            assert _csv(config, {"theta_rad": thetas, "density": density}) == expected
 
     def test_empty_metadata_csv_still_valid(self):
         from wirediff.patterns import Pattern
 
         pattern = Pattern(np.array([0.0, 0.1]), np.array([1.0, 0.5]))
-        text = _csv({}, "theta_rad,density", pattern.thetas, pattern.density)
+        text = _csv({}, {"theta_rad": pattern.thetas, "density": pattern.density})
         lines = text.split("\n")
         assert lines[0] == "theta_rad,density"
         assert lines[1] == "0,1"
 
-    def test_file_output_equals_stdout(self, capsys, tmp_path):
-        for argv in (("zeros",), ("scan", "--phi-points", "5", "--theta-points", "41")):
-            _, stdout_text, _ = run_cli(capsys, *argv)
-            target = tmp_path / f"{argv[0]}.out"
-            code, out, _ = run_cli(capsys, *argv, "--output", str(target))
-            assert code == 0
-            assert out == ""
-            assert target.read_bytes() == stdout_text.encode("utf-8")
+    @pytest.mark.parametrize("argv", [
+        ("single",), ("single", "--format", "json"), ("two-beam",),
+        ("two-beam", "--format", "json"), ("scan", "--phi-points", "5", "--theta-points", "41"),
+        ("compare",), ("zeros",),
+    ], ids=["single", "single-json", "two-beam", "two-beam-json", "scan", "compare", "zeros"])
+    def test_file_output_equals_stdout(self, capsys, tmp_path, argv):
+        _, stdout_text, _ = run_cli(capsys, *argv)
+        target = tmp_path / f"{argv[0]}.out"
+        code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 0
+        assert out == ""
+        assert target.read_bytes() == stdout_text.encode("utf-8")
 
 
 class TestAliasingWarning:
@@ -682,6 +687,35 @@ class TestParserReuse:
         assert (code, err) == (0, "")
         assert out.startswith("usage: wirediff")
         assert (code, out, err) == self.run_fresh(capsys, monkeypatch, *argv)
+
+
+class TestSharedOptionHelp:
+    # an option that several commands take is declared once, with one help string
+    @staticmethod
+    def help_entry(capsys, command, flag):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        lines = capsys.readouterr().out.split("\n")
+        start = next(i for i, line in enumerate(lines) if line.startswith(f"  {flag} "))
+        entry = [lines[start]]
+        for line in lines[start + 1:]:
+            if not line.startswith("   "):  # an entry's help wraps onto indented lines
+                break
+            entry.append(line)
+        return "\n".join(entry)
+
+    @pytest.mark.parametrize("flag, commands", [
+        ("--mode", ("single", "two-beam")),
+        ("--spin", ("single", "two-beam")),
+        ("--normalization", ("single", "two-beam")),
+        ("--format", ("single", "two-beam", "scan")),
+        ("--alpha", ("two-beam", "scan")),
+    ], ids=lambda value: value.lstrip("-") if isinstance(value, str) else "-".join(value))
+    def test_same_help_line_in_every_command(self, capsys, monkeypatch, flag, commands):
+        monkeypatch.setenv("COLUMNS", "80")
+        entries = [self.help_entry(capsys, command, flag) for command in commands]
+        assert "default" in entries[0]
+        assert entries == entries[:1] * len(commands)
 
 
 class TestPinnedDigests:
