@@ -6,6 +6,9 @@ the command's data (``_cmd_*``: columns in order, arrays or floats); warn
 when a theta column has fewer than 2 samples per fringe; serialize by
 ``--format``, CSV or JSON (compare and zeros: JSON only), echoing the
 resolved configuration; write once, to stdout or atomically to ``--output``.
+CSV prints every float as ``.17g``; JSON is the bytes of ``json.dumps(...,
+sort_keys=True, indent=2)``, floats in their shortest round-trip repr, laid
+out here from the C encoder, which json itself uses only without indent.
 Outputs are deterministic: the same configuration produces byte-identical
 bytes.  Angles are accepted in radians only.
 
@@ -220,23 +223,64 @@ def _csv(config: dict, data: dict) -> str:
     rows phi-major, theta ascending), floats with 17 significant digits
     (lossless round trip), after a ``# config:`` line when config is set.
 
-    Each coordinate is formatted once: a phi block is one ``%`` on a
-    template of its phi and theta strings, which never contain ``%``.
+    Each value is formatted once, by one ``%`` per block: a pattern is one
+    ``"%.17g,%.17g\\n"`` template over its interleaved theta and density
+    values; a scan formats each phi and theta once, into the template of
+    its phi block, and those strings never contain ``%``.
     """
     lines = ["# config: " + json.dumps(config, sort_keys=True) + "\n"] if config else []
     lines.append(",".join(data) + "\n")
-    rows = [format(t, ".17g") + ",%.17g\n" for t in data["theta_rad"].tolist()]
-    phis = data.get("phi_rad")
-    leads = [""] if phis is None else [format(p, ".17g") + "," for p in phis.tolist()]
-    for lead, block in zip(leads, data["density"].reshape(len(leads), len(rows)).tolist()):
+    thetas, density, phis = data["theta_rad"], data["density"], data.get("phi_rad")
+    if phis is None:
+        values = np.stack((thetas, density), axis=1).ravel().tolist()
+        lines.append("%.17g,%.17g\n" * thetas.size % tuple(values))
+        return "".join(lines)
+    rows = [format(t, ".17g") + ",%.17g\n" for t in thetas.tolist()]
+    leads = [format(p, ".17g") + "," for p in phis.tolist()]
+    for lead, block in zip(leads, density.reshape(len(leads), len(rows)).tolist()):
         lines.append((lead + lead.join(rows)) % tuple(block))
     return "".join(lines)
 
 
+@cache
+def _json_encode(indent: str):
+    # json's C encoder, which it runs only when indent is None; the item
+    # separator carries the newline and indent, so one call lays out a
+    # container of scalars one item per line
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + indent, ": ")).encode
+
+
+def _json_value(value, indent: str) -> str:
+    # value as json.dumps(sort_keys=True, indent=2) lays it out after a line's
+    # indent: one encoder call for a scalar, a 1-D array or tuple, or a dict
+    # of scalars; a 2-D array or a dict holding containers item by item
+    inner = indent + "  "
+    if isinstance(value, np.ndarray):
+        if value.ndim > 1:
+            text = "[" + (",\n" + inner).join(_json_value(row, inner) for row in value) + "]"
+        else:
+            text = _json_encode(inner)(value.tolist())
+    elif isinstance(value, dict) and any(isinstance(v, (dict, list, tuple, np.ndarray))
+                                         for v in value.values()):
+        text = "{" + (",\n" + inner).join(
+            _json_encode(inner)(key) + ": " + _json_value(value[key], inner)
+            for key in sorted(value)) + "}"
+    else:
+        text = _json_encode(inner)(value)
+    if text in ("[]", "{}") or text[0] not in "[{":
+        return text
+    return text[0] + "\n" + inner + text[1:-1] + "\n" + indent + text[-1]
+
+
 def _json_doc(config: dict, data: dict) -> str:
-    data = {key: value.tolist() if isinstance(value, np.ndarray) else value
-            for key, value in data.items()}
-    return json.dumps({"metadata": config, "data": data}, sort_keys=True, indent=2) + "\n"
+    """``json.dumps({"metadata": config, "data": data}, sort_keys=True,
+    indent=2) + "\\n"``, byte for byte: keys sorted, one array element per
+    line, a 2-D array nested by rows.  Keys are strings; a data value is a
+    float or an array (an ndarray of any ndim, or a flat tuple), a config
+    value a scalar.
+    """
+    return ('{\n  "data": ' + _json_value(data, "  ") + ',\n  "metadata": '
+            + _json_value(config, "  ") + "\n}\n")
 
 
 def _pattern(args, beam, p_radius, density, *beams) -> dict:

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from conftest import reference_csv
 from wirediff import cli
 from wirediff.analysis import first_dark_points
-from wirediff.cli import _MAX_GRID_VALUES, _MAX_ZEROS, _csv, build_parser, main
+from wirediff.cli import _MAX_GRID_VALUES, _MAX_ZEROS, _csv, _json_doc, build_parser, main
 from wirediff.electron import Channel
 from wirediff.potential import BeamParams
 
@@ -532,8 +532,36 @@ _CSV_VALUES = st.one_of(
     st.floats(),
 )
 
+_JSON_ARRAYS = st.one_of(
+    st.lists(_CSV_VALUES, max_size=4).map(np.array),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda shape: st.lists(_CSV_VALUES, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]).map(
+            lambda values: np.array(values, dtype=float).reshape(shape))),
+    st.lists(_CSV_VALUES, max_size=4).map(tuple),
+)
+
+_JSON_SCALARS = st.one_of(
+    _CSV_VALUES, st.integers(-2**63, 2**63), st.booleans(), st.none(),
+    st.sampled_from(["", "a, b", 'say "hi"', "back\\slash", "x: y", "\u00e9\u2202\U0001f600",
+                     "[1, 2]", "{}"]),
+    st.text(max_size=6),
+)
+
 
 class TestEmitters:
+    # the data of every command: arrays (1-D, 2-D as scan's density, tuples
+    # as zeros') beside scalars, or scalars alone as compare's
+    @given(config=st.dictionaries(st.text(max_size=6), _JSON_SCALARS, max_size=6),
+           data=st.one_of(st.dictionaries(st.text(max_size=6), _JSON_ARRAYS | _CSV_VALUES,
+                                          max_size=4),
+                          st.dictionaries(st.text(max_size=6), _CSV_VALUES, max_size=4)))
+    def test_json_doc_matches_json_dumps(self, config, data):
+        plain = {key: value.tolist() if isinstance(value, np.ndarray) else value
+                 for key, value in data.items()}
+        expected = json.dumps({"metadata": config, "data": plain}, sort_keys=True, indent=2)
+        assert _json_doc(config, data) == expected + "\n"
+
     @given(rows=st.integers(1, 4), columns=st.integers(2, 12), scan=st.booleans(),
            config=st.sampled_from([{}, {"command": "scan", "phi_points": 3, "version": "0.1.0"}]),
            data=st.data())
@@ -722,7 +750,8 @@ class TestPinnedDigests:
     # sha256 of the default stdout of each command, a multi-phase scan at
     # pR ~ 534, a 20,001-point Hankel-branch pattern, the full-mode spin
     # sum of both pattern commands, the one path through spinor_element,
-    # and a compare whose classical radius is rescaled.
+    # a compare whose classical radius is rescaled, and the JSON arrays of
+    # both pattern commands and of a scan (density nested per phi).
     # Refactors of the amplitude model or the writer must leave these bytes
     # unchanged.
     # ids name the argv, so a deliberate re-pin keeps every test id
@@ -751,9 +780,16 @@ class TestPinnedDigests:
              "2fc40f97912af76b80ea77b39132e486597203fe7826807e9e0c8a0e4ab6ac38"),
             (("compare", "--radius-scale", "0.82"),
              "cb88e49ff7dc99790c027c51a515a2427732c1954053f36263db0f0b1fa8c354"),
+            (("single", "--format", "json"),
+             "0d6aaafb93392ae77afb8e7b2a301be8bf6360e56faf2080f3e928f26fa3675d"),
+            (("two-beam", "--mode", "full", "--spin", "sum", "--format", "json"),
+             "a6ec5009ae622c6f8bae9e32b0761a0afa1c2401cd71428349e5efd1b0845f94"),
+            (("scan", "--format", "json", "--phi-points", "3", "--theta-points", "101"),
+             "a9f4e594a00c05a71578dbf3ef0ae73a0d66bec3337ae74d31b07fb3fbde29fe"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
-             "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82"],
+             "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82",
+             "single-json", "two-beam-full-sum-json", "scan-json"],
     )
     def test_default_output_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
