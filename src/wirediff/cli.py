@@ -279,6 +279,8 @@ def _json_doc(config: dict, data: dict) -> str:
     float or an array (an ndarray of any ndim, or a flat tuple), a config
     value a scalar.
     """
+    # the two top-level keys are written directly, so the ~20 us zeros and
+    # compare documents cost no more than under json.dumps
     return ('{\n  "data": ' + _json_value(data, "  ") + ',\n  "metadata": '
             + _json_value(config, "  ") + "\n}\n")
 
