@@ -7,7 +7,7 @@ quantum one or the classical Fraunhofer comparator, plus the derived
 radius-overestimation analysis.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .analysis import (
     CurveComparison,
@@ -20,12 +20,7 @@ from .classical import fraunhofer_amplitudes
 from .electron import Channel, amplitudes, dsigma_dtheta, spinor_element
 from .numerics import DomainError, disk_amplitude, sinc
 from .patterns import Normalization, Pattern, default_grid, sample_pattern, validate_grid
-from .potential import (
-    ELECTRON_MASS_EV,
-    HBARC_EV_M,
-    BeamParams,
-    momentum_transfer_single,
-)
+from .potential import ELECTRON_MASS_EV, HBARC_EV_M, BeamParams
 from .twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 
 __all__ = [
@@ -48,7 +43,6 @@ __all__ = [
     "first_dark_points",
     "fraunhofer_amplitudes",
     "match_areas",
-    "momentum_transfer_single",
     "overestimation_factor",
     "sample_pattern",
     "sinc",

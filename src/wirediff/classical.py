@@ -31,6 +31,7 @@ def fraunhofer_amplitudes(p_radius: float, theta) -> list:
     """
     if not (math.isfinite(p_radius) and p_radius > 0.0):
         raise DomainError(f"fraunhofer_amplitudes: p_radius > 0 required, got {p_radius!r}")
+    # theta before np.sin, which warns on inf; sinc checks its argument as any caller's
     if not np.all(np.isfinite(theta)):
         raise DomainError(f"fraunhofer_amplitudes: theta must be finite, got {theta!r}")
     return [sinc(p_radius * np.sin(theta))]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .numerics import DomainError, disk_amplitude
 from .patterns import Spelling
-from .potential import BeamParams, momentum_transfer_single
+from .potential import BeamParams
 
 # largest pc and mc^2 [eV]: (E + mc^2)^2 <= 5.8e300, so no density overflows
 _MAX_SPINOR_EV = 1e150
@@ -88,10 +88,14 @@ def amplitudes(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy
     if mode == "low-energy" and channel is Channel.FLIP:
         raise DomainError("low-energy mode has no flip channel (its element vanishes "
                           "there); use mode 'full' for the flip density")
-    f = disk_amplitude(momentum_transfer_single(p_radius, theta))
+    # theta first, as np.sin warns on inf; disk_amplitude rechecks qR, which overflows near pR 1e308
+    if not np.all(np.isfinite(theta)):
+        raise DomainError(f"amplitudes: theta must be finite, got {theta!r}")
+    f = disk_amplitude(2.0 * p_radius * np.abs(np.sin(0.5 * theta)))
     if mode == "low-energy":
         return [f]
     channels = (Channel.NO_FLIP, Channel.FLIP) if channel is Channel.SUM else (channel,)
+    # spinor_element checks theta and the beam per channel: one copy of its arithmetic and bound
     return [spinor_element(beam, theta, c) * f for c in channels]
 
 

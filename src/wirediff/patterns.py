@@ -59,23 +59,6 @@ def grid_area(thetas: np.ndarray, density: np.ndarray) -> float:
     return float(np.trapezoid(density, thetas))
 
 
-def normalize_density(thetas: np.ndarray, density: np.ndarray,
-                      normalization: Normalization) -> np.ndarray:
-    """Rescale a sampled density according to the requested mode."""
-    normalization = Normalization(normalization)
-    if normalization is Normalization.RAW:
-        return np.asarray(density, dtype=float)
-    if normalization is Normalization.PEAK_ONE:
-        peak = float(np.max(density))
-        if peak <= 0.0:
-            raise DomainError("cannot peak-normalize an identically zero density")
-        return density / peak
-    area = grid_area(thetas, density)
-    if area <= 0.0 or not math.isfinite(area):
-        raise DomainError("cannot area-normalize: integral is zero or non-finite")
-    return density / area
-
-
 @dataclass(frozen=True, eq=False)
 class Pattern:
     """A sampled angular probability density d(sigma)/d(theta).
@@ -127,7 +110,18 @@ def sample_pattern(density, thetas: np.ndarray | None = None,
     if np.shape(values) != thetas.shape:
         raise DomainError(f"a pattern has one density value per theta: got shape "
                           f"{np.shape(values)} on a grid of shape {thetas.shape}")
-    # the density's fault, not the caller's: before normalize_density's DomainError
+    # the density's fault, not the caller's: before the normalization's DomainError
     if not np.all(np.isfinite(values)):
         raise ValueError("density must be finite")
-    return Pattern(thetas, normalize_density(thetas, values, normalization))
+    if normalization is Normalization.PEAK_ONE:
+        peak = float(np.max(values))
+        if peak <= 0.0:
+            raise DomainError("cannot peak-normalize an identically zero density")
+        values = values / peak
+    elif normalization is Normalization.UNIT_AREA:
+        area = grid_area(thetas, values)
+        if area <= 0.0 or not math.isfinite(area):
+            raise DomainError("cannot area-normalize: integral is zero or non-finite")
+        values = values / area
+    # Pattern rechecks the grid and density: skipping that needs a private constructor
+    return Pattern(thetas, values)

@@ -1,4 +1,4 @@
-"""Beam kinematics, momentum transfer, and unit handling.
+"""Beam kinematics and unit handling.
 
 Natural units (hbar = c = 1) are used internally, so momenta are inverse
 meters and the momentum-radius product p*R is dimensionless.  The wire, a
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .numerics import DomainError
 
@@ -62,14 +60,3 @@ class BeamParams:
         """Total energy E = sqrt((pc)^2 + (mc^2)^2) in eV."""
         return math.sqrt(self.pc_ev**2 + self.mass_ev**2)
 
-
-def momentum_transfer_single(p: float, theta):
-    """Elastic momentum transfer q = 2 p |sin(theta/2)| for one beam [1/m] (q*R given p*R).
-
-    ``theta`` is a scalar or an array of angles; the result has its shape.
-    """
-    if not (math.isfinite(p) and p > 0.0):
-        raise DomainError(f"momentum_transfer_single: p > 0 required, got {p!r}")
-    if not np.all(np.isfinite(theta)):
-        raise DomainError(f"momentum_transfer_single: theta must be finite, got {theta!r}")
-    return 2.0 * p * np.abs(np.sin(0.5 * theta))

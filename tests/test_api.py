@@ -13,17 +13,15 @@ import wirediff
 from wirediff import (BeamParams, Channel, DomainError, Normalization, Pattern, TwoBeamConfig,
                       amplitudes, compare_curves, disk_amplitude, dsigma_dtheta,
                       dsigma_dtheta_two_beam, first_dark_points, fraunhofer_amplitudes,
-                      match_areas, momentum_transfer_single, sample_pattern, sinc,
-                      spinor_element, validate_grid)
-from wirediff.patterns import normalize_density
+                      match_areas, sample_pattern, sinc, spinor_element, validate_grid)
 
-# public names deleted in 0.2.0 to 0.13.0, each a second path to a quantity
+# public names deleted in 0.2.0 to 0.14.0, each a second path to a quantity
 # that keeps one, a test oracle now in tests/oracles.py, an input-error type
 # that DomainError replaces, a spelling of the spin channel that Channel
 # replaces, a dark-point search that closed forms replace, a layer that
 # only echoed its caller's arguments, wrapped a call or held one product or
 # one factor of it, or a classical density that the two densities give over
-# fraunhofer_amplitudes
+# fraunhofer_amplitudes, or a step with one caller that checked its inputs again
 REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_full_spin_summed", "hyp0f1_reg2", "hyp0f1_reg2_series",
            "bessel_j1", "disk_ft_oracle", "AccuracyError", "BracketError", "RangeError",
@@ -33,7 +31,7 @@ REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "sample_beam_pattern", "unit_spinor", "spinor_factors", "phi_theta_scan",
            "ScanResult", "find_zero", "ClassicalConfig", "pattern_single",
            "pattern_two_beam", "pattern_classical", "WirePotential", "fraunhofer_single",
-           "fraunhofer_two_beam")
+           "fraunhofer_two_beam", "momentum_transfer_single", "normalize_density")
 
 
 class TestPublicSurface:
@@ -42,7 +40,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 25
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 24
 
     def test_disk_amplitude_is_the_exported_amplitude(self):
         from wirediff import numerics
@@ -51,12 +49,13 @@ class TestPublicSurface:
         assert wirediff.disk_amplitude is numerics.disk_amplitude
 
     def test_removed_names_are_gone(self):
-        from wirediff import analysis, classical, cli, electron, numerics, potential, twobeam
+        from wirediff import (analysis, classical, cli, electron, numerics, patterns, potential,
+                              twobeam)
 
         for name in REMOVED:
             assert name not in wirediff.__all__
-            for module in (wirediff, analysis, classical, cli, electron, numerics, potential,
-                           twobeam):
+            for module in (wirediff, analysis, classical, cli, electron, numerics, patterns,
+                           potential, twobeam):
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
 
     def test_removed_attributes_are_gone(self):
@@ -103,14 +102,15 @@ _BAD_INPUTS = {
     "beam momentum": lambda: BeamParams(momentum=-1.0),
     "beam mass": lambda: BeamParams(momentum=1e7, mass_ev=math.nan),
     "wavelength": lambda: BeamParams.from_wavelength_m(0.0),
-    "transfer momentum": lambda: momentum_transfer_single(0.0, 0.1),
-    "transfer theta": lambda: momentum_transfer_single(1.0, math.nan),
+    # np.sin warns on an infinite theta, which the suite makes an error
+    "transfer theta": lambda: amplitudes(BeamParams(1e7), 1.0, math.inf),
     "disk_amplitude": lambda: disk_amplitude(math.inf),
     "sinc": lambda: sinc(np.array([0.0, math.nan])),
     "spinor theta": lambda: spinor_element(BeamParams(1e7), math.inf),
     "spinor sum": lambda: spinor_element(BeamParams(1e7), 0.1, Channel.SUM),
     "spinor energy": lambda: spinor_element(BeamParams(1e7, mass_ev=1e200), 0.1),
     "fraunhofer theta": lambda: fraunhofer_amplitudes(1.0, math.nan),
+    "fraunhofer infinite theta": lambda: fraunhofer_amplitudes(1.0, math.inf),
     "alpha": lambda: TwoBeamConfig(alpha=-0.1),
     # theta -/+ alpha/2 at alpha ~ 1e17 rounds every grid angle to one double
     "alpha above pi": lambda: TwoBeamConfig(alpha=4.0),
@@ -130,14 +130,14 @@ _BAD_INPUTS = {
     "unknown mode": lambda: amplitudes(BeamParams(1e7), 100.0, 0.1, "medium"),
     "low-energy flip": lambda: amplitudes(BeamParams(1e7), 100.0, 0.1,
                                           "low-energy", Channel.FLIP),
-    "area_matched": lambda: normalize_density(_GRID, np.ones(5), "area-matched"),
+    "area_matched": lambda: sample_pattern(np.ones_like, _GRID, "area-matched"),
     "unknown normalization": lambda: sample_pattern(
         partial(dsigma_dtheta, partial(amplitudes, BeamParams(1e7), 100.0)), _GRID, "peak_one"),
     "unknown channel": lambda: sample_pattern(
         partial(dsigma_dtheta, partial(amplitudes, BeamParams(1e7), 100.0, channel="both")),
         _GRID),
-    "zero peak": lambda: normalize_density(_GRID, np.zeros(5), Normalization.PEAK_ONE),
-    "zero area": lambda: normalize_density(_GRID, np.zeros(5), Normalization.UNIT_AREA),
+    "zero peak": lambda: sample_pattern(np.zeros_like, _GRID, Normalization.PEAK_ONE),
+    "zero area": lambda: sample_pattern(np.zeros_like, _GRID, Normalization.UNIT_AREA),
     "dark-point p_radius": lambda: first_dark_points(math.inf, "quantum"),
     "dark-point n": lambda: first_dark_points(100.0, "quantum", 0),
     "dark-point method": lambda: first_dark_points(100.0, "semiclassical"),
@@ -149,7 +149,8 @@ _BAD_INPUTS = {
 
 # rows whose message must name the function the caller called, or its argument
 _NAMED = {"p_radius": "fraunhofer_amplitudes", "radius_scale": "fraunhofer_amplitudes",
-          "wire pR": "^p_radius > 0 required"}
+          "wire pR": "^p_radius > 0 required", "transfer theta": "^amplitudes: theta",
+          "fraunhofer infinite theta": "^fraunhofer_amplitudes: theta"}
 
 
 class TestInputErrors:

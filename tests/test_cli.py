@@ -143,6 +143,10 @@ class TestConfigErrors:
             # an intersection angle above pi; near 1e17 it would flatten the pattern
             ("two-beam", "--alpha", "4"),
             ("scan", "--alpha", "1e17"),
+            # a 1-ulp window passes the CLI's own grid checks; its 3 points are not
+            # strictly increasing, which only sample_pattern's validate_grid finds
+            ("single", "--theta-min", "0.1", "--theta-max", "0.10000000000000002",
+             "--theta-points", "3"),
         ],
     )
     def test_semantic_errors_exit_2(self, capsys, argv):
@@ -759,33 +763,33 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "2babc7726fb9d7bb9c17ad3ce262e2c696cbd686142174d0bec038ad4e6f948a"),
+             "8c3d65795aace9385202f775e7cf2394b41da7ca861259fa8c1dbd839c114880"),
             (("two-beam",),
-             "6cc9708189c3ba5ad0ec4046c8448f65d35fe455670927672e1849f0f858f190"),
+             "f6c875031c4c9ea2f2209d8a5bb602741a0e924a20a10196a3f3a9ad8b755c7e"),
             (("scan",),
-             "8600811700049ec640c3a4ce70e091f0291a8ccad0a6b2eec19870c4d968a6a6"),
+             "5d6721346d9d44e97178da59a3f31e7e9c50ea90b2901f5a34cdde7c0e7bb4ab"),
             (("compare",),
-             "677be215084ae9cf0f25c0ca0d84057f561b6c1a3e244d18a942f4138f8c3ff9"),
+             "5416254bb4c2ac934ab8606887ce0d84411c6e65741f9187826bc95ea1342771"),
             (("zeros",),
-             "63f525543cb6aeb60c812017c5bef83c647a6860c330d781d7874896cc8b0a38"),
+             "ba9b8bf702c585d79d38be6b52c1398609736d51bfe690495523ea71d0af2373"),
             (("zeros", "--n", "3"),
-             "97071c385b2248bb7f7f54ef23c510f1c6fcdc79cbedbffa70154389c3680667"),
+             "44dd8fcf178ffd4c5194f9871f589fbe59395988c623ff8a349d834fd9184781"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "daf268a83e88d53c6f658d43d726696748f9e3d1514ab35f51fe3af7ad46e781"),
+             "0b93b3395befe7a2fa70f2073758170a954c0e74c632edb8cec25458ba33131b"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "f39c8f24a65641ec3c8752e45f47c6f56976179ae3b2e410b0f600dbdb2d828a"),
+             "a2126a8a08183ea67b0993441f1025d1be8fddc65f703b1c4b20c990ac787e64"),
             (("single", "--mode", "full", "--spin", "sum"),
-             "385e98b793462769fc52929350d208b5062c3838c81de784022287b42b263767"),
+             "12974fa2e3905f3ec819fd046770764286465e87cc4aaf04779f1e2d32926e96"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
-             "2fc40f97912af76b80ea77b39132e486597203fe7826807e9e0c8a0e4ab6ac38"),
+             "59925bb6944aec19dd6b4afe1be8f7f54499386cb29b709a7b04ac926f1aaf05"),
             (("compare", "--radius-scale", "0.82"),
-             "cb88e49ff7dc99790c027c51a515a2427732c1954053f36263db0f0b1fa8c354"),
+             "158f78223f3554897076c528e79c28580812519f5f84e1e6fbb0d4baae751629"),
             (("single", "--format", "json"),
-             "0d6aaafb93392ae77afb8e7b2a301be8bf6360e56faf2080f3e928f26fa3675d"),
+             "05c7dfa7f0873b69955eddcc95ad3553a653255cbb761d34da8111e982bfcb7f"),
             (("two-beam", "--mode", "full", "--spin", "sum", "--format", "json"),
-             "a6ec5009ae622c6f8bae9e32b0761a0afa1c2401cd71428349e5efd1b0845f94"),
+             "a1d85b572a911cbe2b6aa4209d6fd1bf35823ece85b46570b442e5f5c07ccc36"),
             (("scan", "--format", "json", "--phi-points", "3", "--theta-points", "101"),
-             "a9f4e594a00c05a71578dbf3ef0ae73a0d66bec3337ae74d31b07fb3fbde29fe"),
+             "bcd8817040c724a140c6d40bafc8f08cbfdb43e90759a9605c177f0a4c711084"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82",

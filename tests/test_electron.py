@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from wirediff.electron import Channel, amplitudes, dsigma_dtheta, spinor_element
 from wirediff.numerics import DomainError
 from wirediff.patterns import Normalization, Pattern, default_grid, sample_pattern
-from wirediff.potential import ELECTRON_MASS_EV, HBARC_EV_M, BeamParams, momentum_transfer_single
+from wirediff.potential import ELECTRON_MASS_EV, HBARC_EV_M, BeamParams
 from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
 
 from conftest import two_j1_over_x
@@ -99,7 +99,7 @@ class TestDensities:
 
     @pytest.mark.parametrize("bad", [0.0, -1e-6, math.nan, math.inf])
     def test_bad_p_radius_rejected(self, beam, bad):
-        # named as passed, not as the argument p of momentum_transfer_single
+        # checked once, by amplitudes, and named as passed
         amplitude = partial(amplitudes, beam, bad)
         for density in (partial(dsigma_dtheta, amplitude),
                         partial(dsigma_dtheta_two_beam, amplitude, TwoBeamConfig(0.1))):
@@ -132,10 +132,9 @@ class TestDensities:
         from wirediff.numerics import disk_amplitude
 
         theta = 0.11
-        q1_r = momentum_transfer_single(p_radius, theta)
-        q2_r = momentum_transfer_single(p_radius, -theta)
-        assert q1_r == q2_r
-        assert disk_amplitude(q1_r) == disk_amplitude(q2_r)
+        q_r = 2.0 * p_radius * abs(math.sin(0.5 * theta))
+        assert amplitudes(BeamParams(p_radius), p_radius, theta) \
+            == amplitudes(BeamParams(p_radius), p_radius, -theta) == [disk_amplitude(q_r)]
 
 
 class TestPatternSingle:

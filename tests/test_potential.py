@@ -3,13 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from wirediff.numerics import DomainError, disk_amplitude
-from wirediff.potential import (
-    ELECTRON_MASS_EV,
-    HBARC_EV_M,
-    BeamParams,
-    momentum_transfer_single,
-)
+from wirediff.electron import amplitudes
+from wirediff.numerics import disk_amplitude
+from wirediff.potential import ELECTRON_MASS_EV, HBARC_EV_M, BeamParams
 
 from conftest import two_j1_over_x
 from oracles import disk_ft_oracle
@@ -47,28 +43,25 @@ class TestBeamParams:
 
 
 class TestMomentumTransfer:
-    def test_forward_scattering(self, beam):
-        assert momentum_transfer_single(beam.momentum, 0.0) == 0.0
+    # amplitudes forms the transfer qR = 2 pR |sin(theta/2)| and takes disk_amplitude of it
+    def test_forward_scattering(self, beam, p_radius):
+        assert amplitudes(beam, p_radius, 0.0) == [1.0]
 
-    def test_backscattering_maximum(self, beam):
-        q = momentum_transfer_single(beam.momentum, math.pi)
-        assert q == pytest.approx(2.0 * beam.momentum, rel=1e-15)
+    def test_backscattering_maximum(self, beam, p_radius):
+        assert amplitudes(beam, p_radius, math.pi) == [disk_amplitude(2.0 * p_radius)]
 
-    def test_first_dark_point_condition(self, p_radius, j1_zeros_oracle):
+    def test_first_dark_point_condition(self, beam, p_radius, j1_zeros_oracle):
         # at the angle solving 2 pR sin(theta/2) = j11, the transfer obeys qR = j11
         j11 = j1_zeros_oracle[0]
         theta = 2.0 * math.asin(j11 / (2.0 * p_radius))
         assert theta == pytest.approx(0.045420, abs=1e-5)
-        q_r = momentum_transfer_single(p_radius, theta)
-        assert q_r == pytest.approx(j11, rel=1e-12)
+        f, = amplitudes(beam, p_radius, theta)
+        assert abs(f) < 1e-15
 
     @given(st.floats(min_value=-math.pi, max_value=math.pi))
     def test_even_in_theta(self, theta):
-        assert momentum_transfer_single(1e7, theta) == momentum_transfer_single(1e7, -theta)
-
-    def test_bad_momentum_rejected(self):
-        with pytest.raises(DomainError):
-            momentum_transfer_single(-1.0, 0.1)
+        beam = BeamParams(1e7)
+        assert amplitudes(beam, 1e7, theta) == amplitudes(beam, 1e7, -theta)
 
 
 class TestFormFactor:
