@@ -102,6 +102,8 @@ _BAD_INPUTS = {
     "beam momentum": lambda: BeamParams(momentum=-1.0),
     "beam mass": lambda: BeamParams(momentum=1e7, mass_ev=math.nan),
     "wavelength": lambda: BeamParams.from_wavelength_m(0.0),
+    # the pR that qR = 2 pR |sin(theta/2)| is formed from, here NaN rather than 0
+    "transfer momentum": lambda: amplitudes(BeamParams(1e7), math.nan, 0.1),
     # np.sin warns on an infinite theta, which the suite makes an error
     "transfer theta": lambda: amplitudes(BeamParams(1e7), 1.0, math.inf),
     "disk_amplitude": lambda: disk_amplitude(math.inf),
@@ -149,7 +151,8 @@ _BAD_INPUTS = {
 
 # rows whose message must name the function the caller called, or its argument
 _NAMED = {"p_radius": "fraunhofer_amplitudes", "radius_scale": "fraunhofer_amplitudes",
-          "wire pR": "^p_radius > 0 required", "transfer theta": "^amplitudes: theta",
+          "wire pR": "^p_radius > 0 required",
+          "transfer momentum": "^p_radius > 0 required", "transfer theta": "^amplitudes: theta",
           "fraunhofer infinite theta": "^fraunhofer_amplitudes: theta"}
 
 
