@@ -7,7 +7,7 @@ quantum one or the classical Fraunhofer comparator, plus the derived
 radius-overestimation analysis.
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .analysis import (
     CurveComparison,
@@ -17,7 +17,7 @@ from .analysis import (
     overestimation_factor,
 )
 from .classical import fraunhofer_amplitudes
-from .electron import Channel, amplitudes, dsigma_dtheta, spinor_element
+from .electron import Channel, amplitudes, dsigma_dtheta, spinor_elements
 from .numerics import DomainError, disk_amplitude, sinc
 from .patterns import Normalization, Pattern, default_grid, sample_pattern, validate_grid
 from .potential import ELECTRON_MASS_EV, HBARC_EV_M, BeamParams
@@ -46,6 +46,6 @@ __all__ = [
     "overestimation_factor",
     "sample_pattern",
     "sinc",
-    "spinor_element",
+    "spinor_elements",
     "validate_grid",
 ]

@@ -106,6 +106,6 @@ def compare_curves(a: Pattern, b: Pattern) -> CurveComparison:
     if not np.array_equal(a.thetas, b.thetas):
         raise DomainError("compare_curves: patterns must share the same theta grid")
     diff = a.density - b.density
-    max_abs = float(np.max(np.abs(diff))) if diff.size else 0.0
-    l2 = math.sqrt(max(grid_area(a.thetas, diff * diff), 0.0))
+    max_abs = float(np.max(np.abs(diff)))
+    l2 = math.sqrt(grid_area(a.thetas, diff * diff))
     return CurveComparison(max_abs_diff=max_abs, l2_diff=l2)

@@ -190,14 +190,15 @@ def _resolve_grids(args, *names: str) -> list[np.ndarray]:
     return [np.linspace(*axis) for axis in axes]
 
 
-def _samples_per_fringe(thetas: np.ndarray, fringe: float) -> float:
-    return fringe / ((thetas[-1] - thetas[0]) / (thetas.size - 1))
+def _samples_per_fringe(thetas: np.ndarray, p_radius: float) -> tuple[float, float]:
+    # grid samples per fringe, and the fringe pi / pR [rad] of the curve with this pR
+    fringe = math.pi / p_radius
+    return fringe / ((thetas[-1] - thetas[0]) / (thetas.size - 1)), fringe
 
 
 def _warn_if_aliased(thetas: np.ndarray, p_radius: float) -> None:
     # each printed value is exact at its theta; between samples the pattern is unresolved
-    fringe = math.pi / p_radius
-    per_fringe = _samples_per_fringe(thetas, fringe)
+    per_fringe, fringe = _samples_per_fringe(thetas, p_radius)
     if per_fringe < 2.0:
         import logging  # only here: importing it adds ~2 ms to every start-up
 
@@ -288,7 +289,7 @@ def _json_doc(config: dict, data: dict) -> str:
 def _pattern(args, beam, p_radius, density, *beams) -> dict:
     # the single- and two-beam commands
     thetas, = _resolve_grids(args, "theta")
-    amplitude = partial(amplitudes, beam, p_radius, mode=args.mode, channel=Channel(args.spin))
+    amplitude = partial(amplitudes, beam, p_radius, mode=args.mode, channel=args.spin)
     pattern = sample_pattern(partial(density, amplitude, *beams), thetas, args.normalization)
     return {"theta_rad": pattern.thetas, "density": pattern.density}
 
@@ -317,8 +318,7 @@ def _cmd_compare(args, beam, p_radius) -> dict:
     if not (args.radius_scale > 0.0 and math.isfinite(args.radius_scale)):
         raise DomainError(f"--radius-scale must be positive, got {args.radius_scale}")
     classical_pr = args.radius_scale * p_radius
-    fringe = math.pi / max(p_radius, classical_pr)
-    per_fringe = _samples_per_fringe(thetas, fringe)
+    per_fringe, fringe = _samples_per_fringe(thetas, max(p_radius, classical_pr))
     if per_fringe < _MIN_SAMPLES_PER_FRINGE:
         raise DomainError(
             f"the theta grid has {per_fringe:.3g} samples per fringe of {fringe:.3g} rad "

@@ -41,30 +41,32 @@ class Channel(Spelling):
     SUM = "sum"
 
 
-def spinor_element(beam: BeamParams, theta, channel: Channel = Channel.NO_FLIP):
-    """Electron-current factor between spin states, in eV.
+def spinor_elements(beam: BeamParams, theta, channel: Channel = Channel.NO_FLIP) -> list:
+    """Electron-current factors u'^dagger u in eV, one per final spin of ``channel``.
 
-    Flip channel:    (pc)^2 sin(theta) / (E + mc^2)
-    No-flip channel: ((E + mc^2)^2 + (pc)^2 cos(theta)) / (E + mc^2)
+    No-flip: ((E + mc^2)^2 + (pc)^2 cos(theta)) / (E + mc^2)
+    Flip:    (pc)^2 sin(theta) / (E + mc^2)
 
-    Valid at all energies.  In the low-energy limit the flip element
-    vanishes and the no-flip element tends to the constant 2 mc^2.  ``theta``
-    is a scalar or an array of angles.  An element has one final spin, so
-    Channel.SUM raises DomainError, as do pc or mc^2 above 1e150 eV.
+    Returns [no-flip], [flip], or [no-flip, flip] under Channel.SUM.  Valid
+    at all energies.  In the low-energy limit the flip element vanishes and
+    the no-flip element tends to the constant 2 mc^2.  ``theta`` is a scalar
+    or an array of angles, and so is each element.  pc or mc^2 above
+    1e150 eV raises DomainError.
     """
     channel = Channel(channel)
-    if channel is Channel.SUM:
-        raise DomainError("a spinor element has one final spin: use Channel.NO_FLIP or FLIP")
     if not np.all(np.isfinite(theta)):
-        raise DomainError(f"spinor_element: theta must be finite, got {theta!r}")
+        raise DomainError(f"spinor_elements: theta must be finite, got {theta!r}")
     pc = beam.pc_ev
     if not (pc <= _MAX_SPINOR_EV and beam.mass_ev <= _MAX_SPINOR_EV):
         raise DomainError(f"full mode needs pc and mc^2 <= {_MAX_SPINOR_EV:g} eV, got "
                           f"pc = {pc:g} eV, mc^2 = {beam.mass_ev:g} eV")
     e_plus_m = beam.energy_ev + beam.mass_ev
-    if channel is Channel.FLIP:
-        return pc * pc * np.sin(theta) / e_plus_m
-    return (e_plus_m * e_plus_m + pc * pc * np.cos(theta)) / e_plus_m
+    elements = []
+    if channel is not Channel.FLIP:
+        elements.append((e_plus_m * e_plus_m + pc * pc * np.cos(theta)) / e_plus_m)
+    if channel is not Channel.NO_FLIP:
+        elements.append(pc * pc * np.sin(theta) / e_plus_m)
+    return elements
 
 
 def amplitudes(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy",
@@ -75,8 +77,7 @@ def amplitudes(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy
     Low-energy mode is [F]: the no-flip element there is a constant, absorbed
     into C = 1, and the flip element vanishes, so the no-flip channel and the
     spin sum are both [F] and the flip channel raises DomainError.  Full mode
-    is [spinor_element * F] for ``channel``, or for the no-flip and flip
-    channels under Channel.SUM.
+    is [element * F] for each of ``spinor_elements(beam, theta, channel)``.
     ``p_radius`` is the wire's pR; ``theta`` is a scalar or an array of
     angles, and so is each amplitude.
     """
@@ -88,15 +89,14 @@ def amplitudes(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy
     if mode == "low-energy" and channel is Channel.FLIP:
         raise DomainError("low-energy mode has no flip channel (its element vanishes "
                           "there); use mode 'full' for the flip density")
-    # theta first, as np.sin warns on inf; disk_amplitude rechecks qR, which overflows near pR 1e308
+    # theta first, as np.sin warns on inf; disk_amplitude rechecks qR, which overflows near pR 1e308,
+    # and in full mode the public spinor_elements rechecks theta once
     if not np.all(np.isfinite(theta)):
         raise DomainError(f"amplitudes: theta must be finite, got {theta!r}")
     f = disk_amplitude(2.0 * p_radius * np.abs(np.sin(0.5 * theta)))
     if mode == "low-energy":
         return [f]
-    channels = (Channel.NO_FLIP, Channel.FLIP) if channel is Channel.SUM else (channel,)
-    # spinor_element checks theta and the beam per channel: one copy of its arithmetic and bound
-    return [spinor_element(beam, theta, c) * f for c in channels]
+    return [element * f for element in spinor_elements(beam, theta, channel)]
 
 
 def dsigma_dtheta(amplitude, theta):

@@ -58,5 +58,5 @@ class BeamParams:
     @property
     def energy_ev(self) -> float:
         """Total energy E = sqrt((pc)^2 + (mc^2)^2) in eV."""
-        return math.sqrt(self.pc_ev**2 + self.mass_ev**2)
+        return math.hypot(self.pc_ev, self.mass_ev)
 

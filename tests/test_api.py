@@ -13,15 +13,16 @@ import wirediff
 from wirediff import (BeamParams, Channel, DomainError, Normalization, Pattern, TwoBeamConfig,
                       amplitudes, compare_curves, disk_amplitude, dsigma_dtheta,
                       dsigma_dtheta_two_beam, first_dark_points, fraunhofer_amplitudes,
-                      match_areas, sample_pattern, sinc, spinor_element, validate_grid)
+                      match_areas, sample_pattern, sinc, spinor_elements, validate_grid)
 
-# public names deleted in 0.2.0 to 0.14.0, each a second path to a quantity
+# public names deleted in 0.2.0 to 0.15.0, each a second path to a quantity
 # that keeps one, a test oracle now in tests/oracles.py, an input-error type
 # that DomainError replaces, a spelling of the spin channel that Channel
 # replaces, a dark-point search that closed forms replace, a layer that
 # only echoed its caller's arguments, wrapped a call or held one product or
 # one factor of it, or a classical density that the two densities give over
-# fraunhofer_amplitudes, or a step with one caller that checked its inputs again
+# fraunhofer_amplitudes, a step with one caller that checked its inputs again,
+# or a one-channel spinor element that the list of one per final spin replaces
 REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_full_spin_summed", "hyp0f1_reg2", "hyp0f1_reg2_series",
            "bessel_j1", "disk_ft_oracle", "AccuracyError", "BracketError", "RangeError",
@@ -31,7 +32,8 @@ REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "sample_beam_pattern", "unit_spinor", "spinor_factors", "phi_theta_scan",
            "ScanResult", "find_zero", "ClassicalConfig", "pattern_single",
            "pattern_two_beam", "pattern_classical", "WirePotential", "fraunhofer_single",
-           "fraunhofer_two_beam", "momentum_transfer_single", "normalize_density")
+           "fraunhofer_two_beam", "momentum_transfer_single", "normalize_density",
+           "spinor_element")
 
 
 class TestPublicSurface:
@@ -108,9 +110,8 @@ _BAD_INPUTS = {
     "transfer theta": lambda: amplitudes(BeamParams(1e7), 1.0, math.inf),
     "disk_amplitude": lambda: disk_amplitude(math.inf),
     "sinc": lambda: sinc(np.array([0.0, math.nan])),
-    "spinor theta": lambda: spinor_element(BeamParams(1e7), math.inf),
-    "spinor sum": lambda: spinor_element(BeamParams(1e7), 0.1, Channel.SUM),
-    "spinor energy": lambda: spinor_element(BeamParams(1e7, mass_ev=1e200), 0.1),
+    "spinor theta": lambda: spinor_elements(BeamParams(1e7), math.inf),
+    "spinor energy": lambda: spinor_elements(BeamParams(1e7, mass_ev=1e200), 0.1),
     "fraunhofer theta": lambda: fraunhofer_amplitudes(1.0, math.nan),
     "fraunhofer infinite theta": lambda: fraunhofer_amplitudes(1.0, math.inf),
     "alpha": lambda: TwoBeamConfig(alpha=-0.1),

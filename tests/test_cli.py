@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import stat
+import sys
 from functools import partial
 
 import numpy as np
@@ -107,6 +108,38 @@ class TestSingleCommand:
                                "--theta-points", "21")
         assert code == 1
         assert "cannot write output" in err
+
+    def test_output_onto_a_directory_removes_its_temp_file(self, capsys, tmp_path):
+        # the temp file is written, then cannot replace a directory
+        target = tmp_path / "out"
+        target.mkdir()
+        code, out, err = run_cli(capsys, "single", "--output", str(target),
+                                 "--theta-points", "21")
+        assert (code, out) == (1, "")
+        assert "cannot write output" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("close_raises", [False, True], ids=["close-ok", "close-raises"])
+    def test_closed_pipe_exits_1_silently(self, capsys, monkeypatch, close_raises):
+        # a reader that stopped early (e.g. head) is not an error to report;
+        # closing the stdout flushes its buffer, which can raise again
+        class ClosedPipe:
+            closed = False
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def close(self):
+                self.closed = True
+                if close_raises:
+                    raise BrokenPipeError(32, "Broken pipe")
+
+        pipe = ClosedPipe()
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["single", "--theta-points", "21"]) == 1
+        assert pipe.closed
+        assert capsys.readouterr().err == ""
 
 
 class TestConfigErrors:
@@ -753,9 +786,10 @@ class TestSharedOptionHelp:
 class TestPinnedDigests:
     # sha256 of the default stdout of each command, a multi-phase scan at
     # pR ~ 534, a 20,001-point Hankel-branch pattern, the full-mode spin
-    # sum of both pattern commands, the one path through spinor_element,
-    # a compare whose classical radius is rescaled, and the JSON arrays of
-    # both pattern commands and of a scan (density nested per phi).
+    # sum of both pattern commands (one spinor_elements call gives both
+    # final spins), a compare whose classical radius is rescaled, and the
+    # JSON arrays of both pattern commands and of a scan (density nested
+    # per phi).
     # Refactors of the amplitude model or the writer must leave these bytes
     # unchanged.
     # ids name the argv, so a deliberate re-pin keeps every test id
@@ -763,33 +797,33 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "8c3d65795aace9385202f775e7cf2394b41da7ca861259fa8c1dbd839c114880"),
+             "2d1e7e9a23e713aa907b0dcd3cfb16f7a2fe22033e726ccb82f069298ff663cb"),
             (("two-beam",),
-             "f6c875031c4c9ea2f2209d8a5bb602741a0e924a20a10196a3f3a9ad8b755c7e"),
+             "7f9ed4d4ebd855f0af52b0fd24677ee6f3ea4d37e756f831d8b58622885898f3"),
             (("scan",),
-             "5d6721346d9d44e97178da59a3f31e7e9c50ea90b2901f5a34cdde7c0e7bb4ab"),
+             "0e61d8938724567667fcb99b42d6f7587f912a616f0e540919e0636a25de11e5"),
             (("compare",),
-             "5416254bb4c2ac934ab8606887ce0d84411c6e65741f9187826bc95ea1342771"),
+             "7d332ee7ef7014b92734521862db3e89c38134163700f9729949c3fc90466efc"),
             (("zeros",),
-             "ba9b8bf702c585d79d38be6b52c1398609736d51bfe690495523ea71d0af2373"),
+             "b33b31679fe8dcd7e8dc7f72ab448b598d46896432fab6df4ed3e02082afbc91"),
             (("zeros", "--n", "3"),
-             "44dd8fcf178ffd4c5194f9871f589fbe59395988c623ff8a349d834fd9184781"),
+             "0606e61818f3d5bc778de5ec6237a621d5bb6e0ad7f2eb94ada75ed5f2a9a3f9"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "0b93b3395befe7a2fa70f2073758170a954c0e74c632edb8cec25458ba33131b"),
+             "b5faa73a5594f8369d6c7e03eaaf053d2cb76f9d1e0e01c20cb8c5c9452be55f"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "a2126a8a08183ea67b0993441f1025d1be8fddc65f703b1c4b20c990ac787e64"),
+             "5c8359359fd9157a014d7f7ae5f0aeab3e030f39ed155b57380c7cef150d1572"),
             (("single", "--mode", "full", "--spin", "sum"),
-             "12974fa2e3905f3ec819fd046770764286465e87cc4aaf04779f1e2d32926e96"),
+             "6dfe1908ad50c9ebfd991651a8c963e6f9e644756ed3e5da9cbef272c875af45"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
-             "59925bb6944aec19dd6b4afe1be8f7f54499386cb29b709a7b04ac926f1aaf05"),
+             "cc8c86ee2b16e20abb6b9aa596485b4c64fba89668f26dbd578a383a3dc6ac43"),
             (("compare", "--radius-scale", "0.82"),
-             "158f78223f3554897076c528e79c28580812519f5f84e1e6fbb0d4baae751629"),
+             "bc6a02111fbb0d3b681faaa71f9556ddd56b08c96d6d5c98ff46b2fa7eaf7090"),
             (("single", "--format", "json"),
-             "05c7dfa7f0873b69955eddcc95ad3553a653255cbb761d34da8111e982bfcb7f"),
+             "f11ceda3f8425e782f63b803718e1d9ed4910d709b02a50fef38be165e35dc34"),
             (("two-beam", "--mode", "full", "--spin", "sum", "--format", "json"),
-             "a1d85b572a911cbe2b6aa4209d6fd1bf35823ece85b46570b442e5f5c07ccc36"),
+             "b10a50d3845f26c1b4bd6d2635d5d7929e2f807029c475d183d86448efdb7f43"),
             (("scan", "--format", "json", "--phi-points", "3", "--theta-points", "101"),
-             "bcd8817040c724a140c6d40bafc8f08cbfdb43e90759a9605c177f0a4c711084"),
+             "a6a00a5ee59cc10d7d657ef50945c37e2917655c6b16a8863b2448513c255ee0"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wirediff.electron import Channel, amplitudes, dsigma_dtheta, spinor_element
+from wirediff.electron import Channel, amplitudes, dsigma_dtheta, spinor_elements
 from wirediff.numerics import DomainError
 from wirediff.patterns import Normalization, Pattern, default_grid, sample_pattern
 from wirediff.potential import ELECTRON_MASS_EV, HBARC_EV_M, BeamParams
@@ -17,30 +17,29 @@ from oracles import dirac_spinor_element
 
 class TestSpinorElement:
     def test_flip_vanishes_forward(self, beam):
-        assert spinor_element(beam, 0.0, Channel.FLIP) == 0.0
+        assert spinor_elements(beam, 0.0, Channel.FLIP)[0] == 0.0
 
     def test_no_flip_static_limit(self):
         # p -> 0: element tends to E + mc^2 = 2 mc^2
         beam = BeamParams(momentum=1e-3, mass_ev=510998.95)
-        assert spinor_element(beam, 0.3, Channel.NO_FLIP) == pytest.approx(
+        assert spinor_elements(beam, 0.3, Channel.NO_FLIP)[0] == pytest.approx(
             2.0 * beam.mass_ev, rel=1e-9
         )
 
     def test_flip_to_no_flip_ratio_negligible_at_optical_momentum(self, beam):
         # ratio ~ (pc)^2 sin(theta) / (E + mc^2)^2 ~ 3.7e-12 at theta = pi/2
-        ratio = spinor_element(beam, math.pi / 2, Channel.FLIP) / spinor_element(
-            beam, math.pi / 2, Channel.NO_FLIP
-        )
+        ratio = (spinor_elements(beam, math.pi / 2, Channel.FLIP)[0]
+                 / spinor_elements(beam, math.pi / 2, Channel.NO_FLIP)[0])
         assert ratio == pytest.approx(3.7e-12, rel=0.05)
 
     def test_formulas_verbatim(self, beam):
         theta = 0.7
         pc = beam.pc_ev
         e_plus_m = beam.energy_ev + beam.mass_ev
-        assert spinor_element(beam, theta, Channel.FLIP) == pytest.approx(
+        assert spinor_elements(beam, theta, Channel.FLIP)[0] == pytest.approx(
             pc * pc * math.sin(theta) / e_plus_m, rel=1e-15
         )
-        assert spinor_element(beam, theta, Channel.NO_FLIP) == pytest.approx(
+        assert spinor_elements(beam, theta, Channel.NO_FLIP)[0] == pytest.approx(
             (e_plus_m**2 + pc * pc * math.cos(theta)) / e_plus_m, rel=1e-15
         )
 
@@ -52,17 +51,40 @@ class TestSpinorElement:
         for channel, flip in ((Channel.NO_FLIP, False), (Channel.FLIP, True)):
             oracle = dirac_spinor_element(beam.pc_ev, beam.mass_ev, theta, flip)
             assert abs(oracle.imag) <= bound
-            assert abs(spinor_element(beam, theta, channel) - oracle.real) <= bound
+            assert abs(spinor_elements(beam, theta, channel)[0] - oracle.real) <= bound
 
     @given(theta=st.floats(-1.4, 1.4), pc_over_mc2=st.floats(0.05, 2.0))
     def test_channels_sum_to_mott_trace(self, theta, pc_over_mc2):
         # no-flip^2 + flip^2 = 2 (E^2 + m^2 + p^2 cos(theta)), to 1e-14 (E + m)^2
         beam = BeamParams(momentum=pc_over_mc2 * ELECTRON_MASS_EV / HBARC_EV_M)
         energy, mass, pc = beam.energy_ev, beam.mass_ev, beam.pc_ev
-        no_flip = spinor_element(beam, theta, Channel.NO_FLIP)
-        flip = spinor_element(beam, theta, Channel.FLIP)
+        no_flip = spinor_elements(beam, theta, Channel.NO_FLIP)[0]
+        flip = spinor_elements(beam, theta, Channel.FLIP)[0]
         trace = 2.0 * (energy * energy + mass * mass + pc * pc * math.cos(theta))
         assert abs(no_flip**2 + flip**2 - trace) <= 1e-14 * (energy + mass) ** 2
+
+    @pytest.mark.parametrize("theta", [0.7, default_grid()], ids=["scalar", "default-grid"])
+    def test_sum_is_no_flip_then_flip(self, theta):
+        # one factor per final spin, the same bits as each channel's own call
+        beam = BeamParams(momentum=0.7 * ELECTRON_MASS_EV / HBARC_EV_M)
+        both = spinor_elements(beam, theta, Channel.SUM)
+        singles = (spinor_elements(beam, theta, Channel.NO_FLIP)
+                   + spinor_elements(beam, theta, Channel.FLIP))
+        assert len(both) == len(singles) == 2
+        for element, single in zip(both, singles):
+            assert np.array_equal(element, single)
+            assert type(element) is type(single)
+
+    @pytest.mark.parametrize("channel", list(Channel))
+    @pytest.mark.parametrize("beam, theta", [
+        (BeamParams(1e7), math.inf),
+        (BeamParams(1e7), np.array([0.0, math.nan])),
+        (BeamParams(1e7, mass_ev=1e200), 0.1),
+        (BeamParams(1e300), 0.1),  # pc 1.97e293 eV
+    ], ids=["infinite-theta", "nan-in-grid", "mass-above-bound", "pc-above-bound"])
+    def test_bad_input_raises_in_every_channel(self, channel, beam, theta):
+        with pytest.raises(DomainError):
+            spinor_elements(beam, theta, channel)
 
 
 class TestDensities:

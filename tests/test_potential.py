@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,22 @@ class TestBeamParams:
     def test_mass_shell_relation(self, beam):
         lhs = beam.energy_ev**2 - beam.pc_ev**2 - beam.mass_ev**2
         assert abs(lhs) <= 8 * math.ulp(beam.energy_ev**2)
+
+    def test_energy_of_extreme_momentum_is_finite(self):
+        # (pc)^2 overflows a float at pc 1.97e293 eV; hypot does not square it
+        beam = BeamParams(momentum=1e300)
+        assert beam.energy_ev == beam.pc_ev
+
+    def test_energy_is_correctly_rounded(self):
+        # hypot rounds once; sqrt((pc)^2 + (mc^2)^2) rounds three times and misses
+        # the correctly rounded energy on ~15% of these draws
+        rng = np.random.default_rng(0)
+        pcs, masses = 10.0 ** rng.uniform(-3.0, 12.0, (2, 2000))
+        with mpmath.workdps(50):
+            for pc, mass in zip(pcs.tolist(), masses.tolist()):
+                beam = BeamParams(momentum=pc / HBARC_EV_M, mass_ev=mass)
+                exact = mpmath.sqrt(mpmath.mpf(beam.pc_ev) ** 2 + mpmath.mpf(mass) ** 2)
+                assert beam.energy_ev == float(exact)
 
     def test_optical_electron_is_nonrelativistic(self, beam):
         assert beam.pc_ev == pytest.approx(1.9586761199990428, rel=1e-12)
