@@ -7,7 +7,7 @@ quantum one or the classical Fraunhofer comparator, plus the derived
 radius-overestimation analysis.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .analysis import (
     CurveComparison,
@@ -21,7 +21,7 @@ from .electron import Channel, amplitudes, dsigma_dtheta, spinor_elements
 from .numerics import DomainError, disk_amplitude, sinc
 from .patterns import Normalization, Pattern, default_grid, sample_pattern, validate_grid
 from .potential import ELECTRON_MASS_EV, HBARC_EV_M, BeamParams
-from .twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
+from .twobeam import dsigma_dtheta_two_beam
 
 __all__ = [
     "__version__",
@@ -33,7 +33,6 @@ __all__ = [
     "HBARC_EV_M",
     "Normalization",
     "Pattern",
-    "TwoBeamConfig",
     "amplitudes",
     "compare_curves",
     "default_grid",

@@ -33,13 +33,13 @@ from functools import cache, partial
 import numpy as np
 
 from . import __version__
-from .analysis import compare_curves, first_dark_points, match_areas
+from .analysis import compare_curves, first_dark_points, match_areas, overestimation_factor
 from .classical import fraunhofer_amplitudes
 from .electron import _MODES, Channel, amplitudes, dsigma_dtheta
 from .numerics import DomainError
 from .patterns import _DEFAULT_GRID, Normalization, sample_pattern
 from .potential import BeamParams, ELECTRON_MASS_EV
-from .twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
+from .twobeam import dsigma_dtheta_two_beam
 
 # Fewest grid samples per fringe pi / max(pR, scale * pR) for compare, whose
 # only grid-dependent numbers are trapezoid integrals (match_areas, l2_diff):
@@ -286,11 +286,11 @@ def _json_doc(config: dict, data: dict) -> str:
             + _json_value(config, "  ") + "\n}\n")
 
 
-def _pattern(args, beam, p_radius, density, *beams) -> dict:
+def _pattern(args, beam, p_radius, density, *geometry) -> dict:
     # the single- and two-beam commands
     thetas, = _resolve_grids(args, "theta")
     amplitude = partial(amplitudes, beam, p_radius, mode=args.mode, channel=args.spin)
-    pattern = sample_pattern(partial(density, amplitude, *beams), thetas, args.normalization)
+    pattern = sample_pattern(partial(density, amplitude, *geometry), thetas, args.normalization)
     return {"theta_rad": pattern.thetas, "density": pattern.density}
 
 
@@ -299,14 +299,13 @@ def _cmd_single(args, beam, p_radius) -> dict:
 
 
 def _cmd_two_beam(args, beam, p_radius) -> dict:
-    return _pattern(args, beam, p_radius, dsigma_dtheta_two_beam,
-                    TwoBeamConfig(alpha=args.alpha, phi=args.phi))
+    return _pattern(args, beam, p_radius, dsigma_dtheta_two_beam, args.alpha, args.phi)
 
 
 def _cmd_scan(args, beam, p_radius) -> dict:
     phis, thetas = _resolve_grids(args, "phi", "theta")
     amplitude = partial(amplitudes, beam, p_radius)
-    density = dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(alpha=args.alpha, phi=phis), thetas)
+    density = dsigma_dtheta_two_beam(amplitude, args.alpha, phis, thetas)
     # the density's fault, not the caller's, as for the pattern commands
     if not np.all(np.isfinite(density)):
         raise ValueError("density must be finite")
@@ -353,8 +352,7 @@ def _cmd_zeros(args, beam, p_radius) -> dict:
         "p_radius": p_radius,
         "quantum_zeros_rad": quantum,
         "classical_zeros_rad": classical,
-        # overestimation_factor's ratio, from the dark points above ([0] is the n = 1 one)
-        "overestimation_factor": quantum[0] / classical[0],
+        "overestimation_factor": overestimation_factor(p_radius),
     }
 
 

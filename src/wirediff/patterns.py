@@ -98,9 +98,9 @@ def sample_pattern(density, thetas: np.ndarray | None = None,
     array to one value per theta, as the package's two densities do when
     their other arguments are bound, for example
     ``partial(dsigma_dtheta, partial(amplitudes, beam, pR, mode="full", channel="sum"))``,
-    ``partial(dsigma_dtheta_two_beam, partial(amplitudes, beam, pR), cfg)``,
+    ``partial(dsigma_dtheta_two_beam, partial(amplitudes, beam, pR), alpha, phi)``,
     ``partial(dsigma_dtheta, partial(fraunhofer_amplitudes, pR))`` or
-    ``partial(dsigma_dtheta_two_beam, partial(fraunhofer_amplitudes, pR), cfg)``.
+    ``partial(dsigma_dtheta_two_beam, partial(fraunhofer_amplitudes, pR), alpha, phi)``.
     A result of another shape, such as one row per phase of a phase
     sequence, raises DomainError.
     """

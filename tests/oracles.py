@@ -4,7 +4,7 @@
 quadrature over the unit disk, independently of the package's Chebyshev /
 Hankel kernel.  It is a test oracle only; mpmath is the stronger one.
 ``dirac_spinor_element`` builds explicit Dirac spinors with numpy and takes
-their product, independently of the closed forms of ``spinor_element``.
+their product, independently of the closed forms of ``spinor_elements``.
 ``mp_single_density`` and ``mp_two_beam_density`` evaluate the densities at
 40 digits with mpmath, over a per-beam amplitude at 40 digits:
 ``mp_quantum_amplitude`` or ``mp_classical_amplitude``.

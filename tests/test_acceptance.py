@@ -17,7 +17,7 @@ from wirediff.electron import Channel, amplitudes, dsigma_dtheta
 from wirediff.numerics import disk_amplitude
 from wirediff.patterns import Normalization, default_grid, sample_pattern
 from wirediff.potential import BeamParams
-from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
+from wirediff.twobeam import dsigma_dtheta_two_beam
 
 from conftest import two_j1_over_x
 from oracles import disk_ft_oracle
@@ -162,17 +162,17 @@ def test_criterion_5_two_beam_properties(default_setup):
     phis = rng.uniform(-TAU, 2.0 * TAU, n_samples)
     thetas = rng.uniform(-0.7, 0.7, n_samples)
     non_negative = all(
-        dsigma_dtheta_two_beam(partial(amplitudes, BeamParams(pr), pr), TwoBeamConfig(a, ph), th)
+        dsigma_dtheta_two_beam(partial(amplitudes, BeamParams(pr), pr), a, ph, th)
         >= 0.0
         for pr, a, ph, th in zip(p_rs, alphas, phis, thetas)
     )
 
     even_ok = True
     for pr, a, ph, th in zip(p_rs[:200], alphas[:200], phis[:200], thetas[:200]):
-        cfg = TwoBeamConfig(a, ph)
+        cfg = (a, ph)
         amplitude = partial(amplitudes, BeamParams(pr), pr)
-        lhs = dsigma_dtheta_two_beam(amplitude, cfg, th)
-        rhs = dsigma_dtheta_two_beam(amplitude, cfg, -th)
+        lhs = dsigma_dtheta_two_beam(amplitude, *cfg, th)
+        rhs = dsigma_dtheta_two_beam(amplitude, *cfg, -th)
         if abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs), 1e-300):
             even_ok = False
             break
@@ -180,21 +180,21 @@ def test_criterion_5_two_beam_properties(default_setup):
     amplitude = partial(amplitudes, beam, p_radius)
     # exact periodicity at phases whose phi + 2*pi is exactly representable
     periodic_ok = all(
-        dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.1, ph), 0.0123)
-        == dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.1, ph + TAU), 0.0123)
+        dsigma_dtheta_two_beam(amplitude, 0.1, ph, 0.0123)
+        == dsigma_dtheta_two_beam(amplitude, 0.1, ph + TAU, 0.0123)
         for ph in (0.0, 0.25, 0.5, 1.0, 1.5, -0.5)
     )
 
-    dark_center = dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.1, math.pi), 0.0)
+    dark_center = dsigma_dtheta_two_beam(amplitude, 0.1, math.pi, 0.0)
 
     degenerate_ok = all(
-        dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.0, 0.0), th)
+        dsigma_dtheta_two_beam(amplitude, 0.0, 0.0, th)
         == pytest.approx(4.0 * dsigma_dtheta(amplitude, th), rel=1e-12)
         for th in (0.0, 0.01, 0.045, 0.1)
     )
 
     grid = default_grid()
-    scan = dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.1, np.linspace(0.0, TAU, 41)), grid)
+    scan = dsigma_dtheta_two_beam(amplitude, 0.1, np.linspace(0.0, TAU, 41), grid)
     masses = np.trapezoid(scan, grid, axis=1)
     elapsed = time.perf_counter() - start
 

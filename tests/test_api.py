@@ -10,19 +10,20 @@ import numpy as np
 import pytest
 
 import wirediff
-from wirediff import (BeamParams, Channel, DomainError, Normalization, Pattern, TwoBeamConfig,
-                      amplitudes, compare_curves, disk_amplitude, dsigma_dtheta,
-                      dsigma_dtheta_two_beam, first_dark_points, fraunhofer_amplitudes,
-                      match_areas, sample_pattern, sinc, spinor_elements, validate_grid)
+from wirediff import (BeamParams, Channel, DomainError, Normalization, Pattern, amplitudes,
+                      compare_curves, disk_amplitude, dsigma_dtheta, dsigma_dtheta_two_beam,
+                      first_dark_points, fraunhofer_amplitudes, match_areas, sample_pattern,
+                      sinc, spinor_elements, validate_grid)
 
-# public names deleted in 0.2.0 to 0.15.0, each a second path to a quantity
+# public names deleted in 0.2.0 to 0.16.0, each a second path to a quantity
 # that keeps one, a test oracle now in tests/oracles.py, an input-error type
 # that DomainError replaces, a spelling of the spin channel that Channel
 # replaces, a dark-point search that closed forms replace, a layer that
 # only echoed its caller's arguments, wrapped a call or held one product or
 # one factor of it, or a classical density that the two densities give over
 # fraunhofer_amplitudes, a step with one caller that checked its inputs again,
-# or a one-channel spinor element that the list of one per final spin replaces
+# a one-channel spinor element that the list of one per final spin replaces,
+# or a holder of the two-beam geometry whose one reader takes alpha and phi itself
 REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_full_spin_summed", "hyp0f1_reg2", "hyp0f1_reg2_series",
            "bessel_j1", "disk_ft_oracle", "AccuracyError", "BracketError", "RangeError",
@@ -33,7 +34,7 @@ REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "ScanResult", "find_zero", "ClassicalConfig", "pattern_single",
            "pattern_two_beam", "pattern_classical", "WirePotential", "fraunhofer_single",
            "fraunhofer_two_beam", "momentum_transfer_single", "normalize_density",
-           "spinor_element")
+           "spinor_element", "TwoBeamConfig")
 
 
 class TestPublicSurface:
@@ -42,7 +43,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 24
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 23
 
     def test_disk_amplitude_is_the_exported_amplitude(self):
         from wirediff import numerics
@@ -114,19 +115,28 @@ _BAD_INPUTS = {
     "spinor energy": lambda: spinor_elements(BeamParams(1e7, mass_ev=1e200), 0.1),
     "fraunhofer theta": lambda: fraunhofer_amplitudes(1.0, math.nan),
     "fraunhofer infinite theta": lambda: fraunhofer_amplitudes(1.0, math.inf),
-    "alpha": lambda: TwoBeamConfig(alpha=-0.1),
+    "alpha": lambda: dsigma_dtheta_two_beam(
+        partial(amplitudes, BeamParams(1e7), 100.0), -0.1, 0.0, 0.1),
     # theta -/+ alpha/2 at alpha ~ 1e17 rounds every grid angle to one double
-    "alpha above pi": lambda: TwoBeamConfig(alpha=4.0),
-    "phi": lambda: TwoBeamConfig(alpha=0.1, phi=math.inf),
+    "alpha above pi": lambda: dsigma_dtheta_two_beam(
+        partial(amplitudes, BeamParams(1e7), 100.0), 4.0, 0.0, 0.1),
+    "classical alpha": lambda: dsigma_dtheta_two_beam(
+        partial(fraunhofer_amplitudes, 100.0), math.nan, 0.0, 0.1),
+    "phi": lambda: dsigma_dtheta_two_beam(
+        partial(amplitudes, BeamParams(1e7), 100.0), 0.1, math.inf, 0.1),
+    "phi 2-D": lambda: dsigma_dtheta_two_beam(
+        partial(amplitudes, BeamParams(1e7), 100.0), 0.1, [[0.0, 1.0]], 0.1),
+    "phi empty": lambda: dsigma_dtheta_two_beam(
+        partial(amplitudes, BeamParams(1e7), 100.0), 0.1, [], 0.1),
     # a phase sequence gives one row per phase, not one value per theta
     "pattern phases": lambda: sample_pattern(partial(
         dsigma_dtheta_two_beam, partial(amplitudes, BeamParams(1e7), 100.0),
-        TwoBeamConfig(0.1, [0.0, 1.0])), _GRID),
+        0.1, [0.0, 1.0]), _GRID),
     "p_radius": lambda: sample_pattern(
         partial(dsigma_dtheta, partial(fraunhofer_amplitudes, 0.0)), _GRID),
     # a NaN radius scale gives the classical curve a NaN pR
     "radius_scale": lambda: dsigma_dtheta_two_beam(
-        partial(fraunhofer_amplitudes, math.nan), TwoBeamConfig(0.1), 0.1),
+        partial(fraunhofer_amplitudes, math.nan), 0.1, 0.0, 0.1),
     "empty grid": lambda: validate_grid([]),
     "non-finite grid": lambda: validate_grid([0.0, math.nan]),
     "decreasing grid": lambda: validate_grid([0.1, 0.0]),
@@ -154,7 +164,9 @@ _BAD_INPUTS = {
 _NAMED = {"p_radius": "fraunhofer_amplitudes", "radius_scale": "fraunhofer_amplitudes",
           "wire pR": "^p_radius > 0 required",
           "transfer momentum": "^p_radius > 0 required", "transfer theta": "^amplitudes: theta",
-          "fraunhofer infinite theta": "^fraunhofer_amplitudes: theta"}
+          "fraunhofer infinite theta": "^fraunhofer_amplitudes: theta",
+          "alpha": "^alpha in", "alpha above pi": "^alpha in", "classical alpha": "^alpha in",
+          "phi": "^phi must be", "phi 2-D": "^phi must be", "phi empty": "^phi must be"}
 
 
 class TestInputErrors:

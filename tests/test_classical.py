@@ -9,7 +9,7 @@ from wirediff.classical import fraunhofer_amplitudes
 from wirediff.electron import dsigma_dtheta
 from wirediff.numerics import DomainError
 from wirediff.patterns import Normalization, default_grid, sample_pattern
-from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
+from wirediff.twobeam import dsigma_dtheta_two_beam
 
 PR = 84.37136668408607  # 2*pi * 8.5e-6 / 633e-9
 
@@ -19,9 +19,9 @@ def single(p_radius, theta):
     return dsigma_dtheta(partial(fraunhofer_amplitudes, p_radius), theta)
 
 
-def two_beam(p_radius, beams, theta):
+def two_beam(p_radius, alpha, phi, theta):
     # the classical two-beam density, sinc(pR sin(theta')) at each beam's own theta'
-    return dsigma_dtheta_two_beam(partial(fraunhofer_amplitudes, p_radius), beams, theta)
+    return dsigma_dtheta_two_beam(partial(fraunhofer_amplitudes, p_radius), alpha, phi, theta)
 
 
 class TestFraunhoferSingle:
@@ -60,48 +60,48 @@ class TestFraunhoferSingle:
         with pytest.raises(ValueError):
             fraunhofer_amplitudes(-1.0, 0.1)
         with pytest.raises(ValueError):
-            two_beam(0.0 * PR, TwoBeamConfig(0.1), 0.1)
+            two_beam(0.0 * PR, 0.1, 0.0, 0.1)
 
 
 class TestFraunhoferTwoBeam:
     def test_degenerate_intersection_is_quadrupled_single(self):
         # alpha = 0, phi = 0: both amplitudes are the single-beam one, bit for bit
         for thetas in (default_grid(), np.linspace(-0.6, 0.6, 801)):
-            assert np.array_equal(two_beam(PR, TwoBeamConfig(0.0), thetas),
+            assert np.array_equal(two_beam(PR, 0.0, 0.0, thetas),
                                   4.0 * single(PR, thetas))
 
     def test_destructive_center(self):
-        assert two_beam(PR, TwoBeamConfig(0.1, math.pi), 0.0) \
+        assert two_beam(PR, 0.1, math.pi, 0.0) \
             == pytest.approx(0.0, abs=1e-25)
 
     @given(st.floats(min_value=-0.6, max_value=0.6),
            st.floats(min_value=-10.0, max_value=10.0))
     def test_even_in_theta_any_phase(self, theta, phi):
-        beams = TwoBeamConfig(0.1, phi)
-        assert two_beam(PR, beams, theta) == pytest.approx(
-            two_beam(PR, beams, -theta), rel=1e-12, abs=1e-300
+        beams = (0.1, phi)
+        assert two_beam(PR, *beams, theta) == pytest.approx(
+            two_beam(PR, *beams, -theta), rel=1e-12, abs=1e-300
         )
 
     @given(st.floats(min_value=-6.0, max_value=6.0))
     def test_phase_periodicity(self, phi):
-        a = two_beam(PR, TwoBeamConfig(0.1, phi), 0.02)
-        b = two_beam(PR, TwoBeamConfig(0.1, phi + 2.0 * math.pi), 0.02)
+        a = two_beam(PR, 0.1, phi, 0.02)
+        b = two_beam(PR, 0.1, phi + 2.0 * math.pi, 0.02)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
     @pytest.mark.parametrize("scale, alpha, phi", [(1.0, 0.1, 0.0), (0.82, 0.07, 1.3),
                                                    (1.21, 0.0, math.pi)])
     def test_array_theta_matches_scalars(self, scale, alpha, phi):
         p_radius = scale * PR
-        beams = TwoBeamConfig(alpha, phi)
+        beams = (alpha, phi)
         thetas = np.linspace(-0.6, 0.6, 801)
-        values = two_beam(p_radius, beams, thetas)
-        scalars = np.array([two_beam(p_radius, beams, t) for t in thetas.tolist()])
+        values = two_beam(p_radius, *beams, thetas)
+        scalars = np.array([two_beam(p_radius, *beams, t) for t in thetas.tolist()])
         assert values.shape == thetas.shape
         assert np.max(np.abs(values - scalars)) <= 1e-15 * np.max(scalars)
 
     def test_non_finite_theta_rejected(self):
         with pytest.raises(DomainError):
-            two_beam(PR, TwoBeamConfig(0.1), math.nan)
+            two_beam(PR, 0.1, 0.0, math.nan)
 
 
 class TestPatternClassical:

@@ -163,7 +163,7 @@ class TestConfigErrors:
             ("single", "--spin", "flip"),
             ("two-beam", "--spin", "flip"),
             # found inside the library: too few dark points, an infinite momentum,
-            # and TwoBeamConfig's checks
+            # and dsigma_dtheta_two_beam's checks of alpha and phi
             ("zeros", "--wavelength-nm", "1e5"),
             ("zeros", "--wavelength-nm", "1e-300"),
             ("scan", "--alpha", "nan"),
@@ -797,33 +797,33 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "2d1e7e9a23e713aa907b0dcd3cfb16f7a2fe22033e726ccb82f069298ff663cb"),
+             "4e90a1e67f445e6e43baba1c1074b92cab0ab6f3696b4718aa3ddc85e01433e9"),
             (("two-beam",),
-             "7f9ed4d4ebd855f0af52b0fd24677ee6f3ea4d37e756f831d8b58622885898f3"),
+             "cb62e3cdc910e377e17aad32525c1874708bcb2fd5bb415deba80d1a990abd35"),
             (("scan",),
-             "0e61d8938724567667fcb99b42d6f7587f912a616f0e540919e0636a25de11e5"),
+             "22f4ebd536ac2bf9c2b9862f740a287bb89f4ae82f4fcad92d62d53dc5520417"),
             (("compare",),
-             "7d332ee7ef7014b92734521862db3e89c38134163700f9729949c3fc90466efc"),
+             "61b6dcd1662b6fba7c0698e0f4163100dd65f1e5c3225fdceabd1d33c283582c"),
             (("zeros",),
-             "b33b31679fe8dcd7e8dc7f72ab448b598d46896432fab6df4ed3e02082afbc91"),
+             "caa4b9a3d81ae05ec79316a9fd5028c6bd1201e36c8d76a78c4aa687b3c7d375"),
             (("zeros", "--n", "3"),
-             "0606e61818f3d5bc778de5ec6237a621d5bb6e0ad7f2eb94ada75ed5f2a9a3f9"),
+             "aafc688988957336694c4d0424179714105264631157b921b3b0b417d92b2b0a"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "b5faa73a5594f8369d6c7e03eaaf053d2cb76f9d1e0e01c20cb8c5c9452be55f"),
+             "b364986119b110189f4880d475b78a5c4d6a1d8da98638ca0d1f095348744851"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "5c8359359fd9157a014d7f7ae5f0aeab3e030f39ed155b57380c7cef150d1572"),
+             "e2d04bdc2ec07377342660169c829d4ce6142c062b00dcc680f89c593d8d8653"),
             (("single", "--mode", "full", "--spin", "sum"),
-             "6dfe1908ad50c9ebfd991651a8c963e6f9e644756ed3e5da9cbef272c875af45"),
+             "9f7762e74292888b5fd972bd2cdb93c09f85e65e0783ee44e588b532c33ebb48"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
-             "cc8c86ee2b16e20abb6b9aa596485b4c64fba89668f26dbd578a383a3dc6ac43"),
+             "e0cd16e1ce18c86237b7d65d292b218a6636fda33a76090dc35f43bf2ec97530"),
             (("compare", "--radius-scale", "0.82"),
-             "bc6a02111fbb0d3b681faaa71f9556ddd56b08c96d6d5c98ff46b2fa7eaf7090"),
+             "b444f2f5bdfb1a5a128f063351a2de016c1478c150f08d98a769aaae95de9d5e"),
             (("single", "--format", "json"),
-             "f11ceda3f8425e782f63b803718e1d9ed4910d709b02a50fef38be165e35dc34"),
+             "73dfaec8e54314f0a8edf7217e0dfe5a68eec78410f8ba1246fadc2ebb575b3c"),
             (("two-beam", "--mode", "full", "--spin", "sum", "--format", "json"),
-             "b10a50d3845f26c1b4bd6d2635d5d7929e2f807029c475d183d86448efdb7f43"),
+             "a6271b834142706243feb3ca7631044c26995930ae8d454f929e5bae53540227"),
             (("scan", "--format", "json", "--phi-points", "3", "--theta-points", "101"),
-             "a6a00a5ee59cc10d7d657ef50945c37e2917655c6b16a8863b2448513c255ee0"),
+             "db682ead1f90717a5f9a49773ee6774ebf7b304e15b490371c817b7c5658385e"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82",

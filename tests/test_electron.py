@@ -9,7 +9,7 @@ from wirediff.electron import Channel, amplitudes, dsigma_dtheta, spinor_element
 from wirediff.numerics import DomainError
 from wirediff.patterns import Normalization, Pattern, default_grid, sample_pattern
 from wirediff.potential import ELECTRON_MASS_EV, HBARC_EV_M, BeamParams
-from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
+from wirediff.twobeam import dsigma_dtheta_two_beam
 
 from conftest import two_j1_over_x
 from oracles import dirac_spinor_element
@@ -124,7 +124,7 @@ class TestDensities:
         # checked once, by amplitudes, and named as passed
         amplitude = partial(amplitudes, beam, bad)
         for density in (partial(dsigma_dtheta, amplitude),
-                        partial(dsigma_dtheta_two_beam, amplitude, TwoBeamConfig(0.1))):
+                        partial(dsigma_dtheta_two_beam, amplitude, 0.1, 0.0)):
             with pytest.raises(DomainError, match="^p_radius > 0 required"):
                 density(0.1)
 

@@ -14,7 +14,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wirediff import (ELECTRON_MASS_EV, HBARC_EV_M, BeamParams, TwoBeamConfig, amplitudes,
+from wirediff import (ELECTRON_MASS_EV, HBARC_EV_M, BeamParams, amplitudes,
                       dsigma_dtheta, dsigma_dtheta_two_beam, fraunhofer_amplitudes)
 
 from oracles import (mp_classical_amplitude, mp_quantum_amplitude, mp_single_density,
@@ -67,7 +67,7 @@ class TestTwoBeam:
         want = mp_two_beam_density(mp_quantum_amplitude(_BEAM.pc_ev, _BEAM.mass_ev, p_radius),
                                    alpha, phi, theta)
         got = dsigma_dtheta_two_beam(partial(amplitudes, _BEAM, p_radius),
-                                     TwoBeamConfig(alpha, phi), theta)
+                                     alpha, phi, theta)
         assert abs(got - want) <= _TOL_QUANTUM * 4.0
 
     @settings(deadline=None)
@@ -75,5 +75,5 @@ class TestTwoBeam:
     def test_classical(self, p_radius, theta, alpha, phi):
         want = mp_two_beam_density(mp_classical_amplitude(p_radius), alpha, phi, theta)
         got = dsigma_dtheta_two_beam(partial(fraunhofer_amplitudes, p_radius),
-                                     TwoBeamConfig(alpha, phi), theta)
+                                     alpha, phi, theta)
         assert abs(got - want) <= _TOL_CLASSICAL * 4.0

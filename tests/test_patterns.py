@@ -11,14 +11,14 @@ from wirediff.electron import Channel, amplitudes, dsigma_dtheta
 from wirediff.numerics import DomainError
 from wirediff.patterns import Normalization, sample_pattern
 from wirediff.potential import BeamParams
-from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
+from wirediff.twobeam import dsigma_dtheta_two_beam
 
 # pR 84.4 on +-0.6 rad reaches qR ~ 50: both J1 branches are sampled
 THETAS = np.linspace(-0.6, 0.6, 801)
 # pc / mc^2 ~ 2, so the flip channel carries weight
 BEAM = BeamParams.from_wavelength_nm(633.0, mass_ev=1.0)
 PR = BEAM.momentum * 8.5e-6
-CFG = TwoBeamConfig(alpha=0.07, phi=1.3)
+CFG = (0.07, 1.3)
 
 
 def per_point(density):
@@ -43,17 +43,17 @@ class TestBuildersMatchScalarDensities:
         assert pattern.density.tobytes() == per_point(scalar).tobytes()
 
     @pytest.mark.parametrize("mode, channel, scalar", [
-        ("low-energy", Channel.NO_FLIP, lambda t: dsigma_dtheta_two_beam(quantum(), CFG, t)),
+        ("low-energy", Channel.NO_FLIP, lambda t: dsigma_dtheta_two_beam(quantum(), *CFG, t)),
         ("full", Channel.NO_FLIP,
-         lambda t: dsigma_dtheta_two_beam(quantum("full", Channel.NO_FLIP), CFG, t)),
+         lambda t: dsigma_dtheta_two_beam(quantum("full", Channel.NO_FLIP), *CFG, t)),
         ("full", Channel.FLIP,
-         lambda t: dsigma_dtheta_two_beam(quantum("full", Channel.FLIP), CFG, t)),
+         lambda t: dsigma_dtheta_two_beam(quantum("full", Channel.FLIP), *CFG, t)),
         ("full", Channel.SUM,
-         lambda t: (dsigma_dtheta_two_beam(quantum("full", Channel.NO_FLIP), CFG, t)
-                    + dsigma_dtheta_two_beam(quantum("full", Channel.FLIP), CFG, t))),
+         lambda t: (dsigma_dtheta_two_beam(quantum("full", Channel.NO_FLIP), *CFG, t)
+                    + dsigma_dtheta_two_beam(quantum("full", Channel.FLIP), *CFG, t))),
     ], ids=["low-energy", "no-flip", "flip", "sum"])
     def test_two_beam(self, mode, channel, scalar):
-        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, quantum(mode, channel), CFG),
+        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, quantum(mode, channel), *CFG),
                                  THETAS)
         assert pattern.density.tobytes() == per_point(scalar).tobytes()
 
@@ -65,7 +65,7 @@ class TestBuildersMatchScalarDensities:
 
     @pytest.mark.parametrize("scale", [1.0, 0.82])
     def test_classical_two_beam(self, scale):
-        density = partial(dsigma_dtheta_two_beam, partial(fraunhofer_amplitudes, scale * PR), CFG)
+        density = partial(dsigma_dtheta_two_beam, partial(fraunhofer_amplitudes, scale * PR), *CFG)
         pattern = sample_pattern(density, THETAS)
         assert pattern.density.tobytes() == per_point(density).tobytes()
         area = sample_pattern(density, THETAS, normalization="unit-area")

@@ -10,7 +10,7 @@ from wirediff.electron import Channel, amplitudes, dsigma_dtheta
 from wirediff.numerics import DomainError, disk_amplitude
 from wirediff.patterns import Normalization, Pattern, sample_pattern
 from wirediff.potential import BeamParams
-from wirediff.twobeam import TwoBeamConfig, dsigma_dtheta_two_beam
+from wirediff.twobeam import dsigma_dtheta_two_beam
 
 from conftest import two_j1_over_x
 
@@ -21,14 +21,13 @@ TAU = 2.0 * math.pi
 
 class TestLowEnergyDensity:
     def test_degenerate_intersection_quadruples_single_beam(self):
-        cfg = TwoBeamConfig(alpha=0.0, phi=0.0)
         for theta in (0.0, 0.01, 0.045, 0.1):
-            assert dsigma_dtheta_two_beam(AMPLITUDE, cfg, theta) == pytest.approx(
+            assert dsigma_dtheta_two_beam(AMPLITUDE, 0.0, 0.0, theta) == pytest.approx(
                 4.0 * dsigma_dtheta(AMPLITUDE, theta), rel=1e-12
             )
 
     def test_destructive_center(self):
-        assert dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(0.1, math.pi), 0.0) \
+        assert dsigma_dtheta_two_beam(AMPLITUDE, 0.1, math.pi, 0.0) \
             == pytest.approx(0.0, abs=1e-25)
 
     def test_forward_value_default_two_beam_configuration(self):
@@ -36,7 +35,7 @@ class TestLowEnergyDensity:
         # q0 R = 2 pR sin(alpha/4); checked against the Bessel oracle
         q0_r = 2.0 * PR * math.sin(0.025)
         expected = 4.0 * two_j1_over_x(q0_r) ** 2
-        got = dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(0.1, 0.0), 0.0)
+        got = dsigma_dtheta_two_beam(AMPLITUDE, 0.1, 0.0, 0.0)
         assert got == pytest.approx(expected, rel=1e-10)
 
     @given(
@@ -47,38 +46,37 @@ class TestLowEnergyDensity:
     )
     def test_non_negative(self, p_radius, alpha, phi, theta):
         value = dsigma_dtheta_two_beam(partial(amplitudes, BeamParams(p_radius), p_radius),
-                                       TwoBeamConfig(alpha, phi), theta)
+                                       alpha, phi, theta)
         assert value >= 0.0
 
     @given(st.floats(min_value=-0.5, max_value=0.5),
            st.floats(min_value=-8.0, max_value=8.0))
     def test_even_in_theta(self, theta, phi):
-        cfg = TwoBeamConfig(0.1, phi)
-        a = dsigma_dtheta_two_beam(AMPLITUDE, cfg, theta)
-        b = dsigma_dtheta_two_beam(AMPLITUDE, cfg, -theta)
+        cfg = (0.1, phi)
+        a = dsigma_dtheta_two_beam(AMPLITUDE, *cfg, theta)
+        b = dsigma_dtheta_two_beam(AMPLITUDE, *cfg, -theta)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
     def test_phase_periodicity_exact(self):
         # 2*pi periodicity is exact when phi + 2*pi is itself exact
         for phi in (0.0, 0.5, 1.0, -0.5, 1.5):
-            a = dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(0.1, phi), 0.013)
-            b = dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(0.1, phi + TAU), 0.013)
+            a = dsigma_dtheta_two_beam(AMPLITUDE, 0.1, phi, 0.013)
+            b = dsigma_dtheta_two_beam(AMPLITUDE, 0.1, phi + TAU, 0.013)
             assert a == b
 
     def test_zero_vs_two_pi_identical(self):
-        a = dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(0.1, 0.0), 0.02)
-        b = dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(0.1, TAU), 0.02)
+        a = dsigma_dtheta_two_beam(AMPLITUDE, 0.1, 0.0, 0.02)
+        b = dsigma_dtheta_two_beam(AMPLITUDE, 0.1, TAU, 0.02)
         assert a == b
 
     @given(st.floats(min_value=-7.0, max_value=7.0),
            st.floats(min_value=-0.6, max_value=0.6))
     def test_interference_bound(self, phi, theta):
-        cfg = TwoBeamConfig(0.1, phi)
         s_minus = PR * math.sin(0.5 * theta - 0.025)
         s_plus = PR * math.sin(0.5 * theta + 0.025)
         f_minus = disk_amplitude(2.0 * s_minus)
         f_plus = disk_amplitude(2.0 * s_plus)
-        density = dsigma_dtheta_two_beam(AMPLITUDE, cfg, theta)
+        density = dsigma_dtheta_two_beam(AMPLITUDE, 0.1, phi, theta)
         bound = 2.0 * abs(f_minus * f_plus) + 1e-12
         assert abs(density - (f_minus**2 + f_plus**2)) <= bound
 
@@ -88,10 +86,10 @@ class TestFullEnergyDensity:
         thetas = np.linspace(-0.15, 0.15, 401)
         full_amplitude = partial(amplitudes, beam, p_radius, mode="full")
         for phi in (0.0, 1.0, math.pi):
-            cfg = TwoBeamConfig(0.1, phi)
-            full = np.array([dsigma_dtheta_two_beam(full_amplitude, cfg, float(t))
+            cfg = (0.1, phi)
+            full = np.array([dsigma_dtheta_two_beam(full_amplitude, *cfg, float(t))
                              for t in thetas])
-            low = np.array([dsigma_dtheta_two_beam(amplitude, cfg, float(t)) for t in thetas])
+            low = np.array([dsigma_dtheta_two_beam(amplitude, *cfg, float(t)) for t in thetas])
             full /= np.max(full)
             low /= np.max(low)
             assert float(np.max(np.abs(full - low))) <= 1e-8
@@ -100,29 +98,68 @@ class TestFullEnergyDensity:
         # alpha = 0: density = single-beam full * (2 + 2 cos(phi))
         amplitude = partial(amplitudes, beam, p_radius, mode="full", channel=Channel.NO_FLIP)
         for phi in (0.0, 0.7, 2.0):
-            cfg = TwoBeamConfig(0.0, phi)
             theta = 0.03
             expected = dsigma_dtheta(amplitude, theta) * (2.0 + 2.0 * math.cos(phi))
-            got = dsigma_dtheta_two_beam(amplitude, cfg, theta)
+            got = dsigma_dtheta_two_beam(amplitude, 0.0, phi, theta)
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_phase_periodicity(self, beam, p_radius):
         amplitude = partial(amplitudes, beam, p_radius, mode="full")
-        assert dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.1, 0.0), 0.02) \
-            == dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.1, TAU), 0.02)
+        assert dsigma_dtheta_two_beam(amplitude, 0.1, 0.0, 0.02) \
+            == dsigma_dtheta_two_beam(amplitude, 0.1, TAU, 0.02)
 
     def test_flip_channel_supported(self, beam, p_radius):
         value = dsigma_dtheta_two_beam(partial(amplitudes, beam, p_radius, mode="full",
-                                               channel=Channel.FLIP), TwoBeamConfig(0.1, 0.0), 0.05)
+                                               channel=Channel.FLIP), 0.1, 0.0, 0.05)
         assert value >= 0.0
 
 
+class TestGeometryChecks:
+    # alpha and phi are checked by the density itself, before any amplitude
+    # is evaluated, over either amplitude and for one phase or a sequence
+    BAD = {
+        "negative alpha": (-0.1, 0.0, "^alpha in"),
+        "alpha above pi": (4.0, 0.0, "^alpha in"),
+        "nan alpha": (math.nan, 0.0, "^alpha in"),
+        "negative alpha, phases": (-0.1, [0.0, 1.0], "^alpha in"),
+        "nan alpha, phases": (math.nan, [0.0, 1.0], "^alpha in"),
+        "infinite phi": (0.1, math.inf, "^phi must be"),
+        "infinite phase": (0.1, [0.0, math.inf], "^phi must be"),
+        "2-D phi": (0.1, [[0.0, 1.0]], "^phi must be"),
+        "empty phi": (0.1, [], "^phi must be"),
+    }
+
+    @pytest.mark.parametrize("model", ["quantum", "classical"])
+    @pytest.mark.parametrize("name", BAD, ids=BAD.keys())
+    def test_bad_geometry_raises_before_any_amplitude(self, name, model):
+        alpha, phi, message = self.BAD[name]
+        inner = AMPLITUDE if model == "quantum" else partial(fraunhofer_amplitudes, PR)
+        calls = []
+
+        def amplitude(theta):
+            calls.append(theta)
+            return inner(theta)
+
+        with pytest.raises(DomainError, match=message):
+            dsigma_dtheta_two_beam(amplitude, alpha, phi, np.linspace(-0.1, 0.1, 11))
+        assert calls == []
+
+    @pytest.mark.parametrize("mode, channel", [("low-energy", Channel.NO_FLIP),
+                                               ("full", Channel.SUM)])
+    def test_degenerate_geometry_is_four_single_beams_bit_for_bit(self, beam, p_radius,
+                                                                   mode, channel):
+        thetas = np.linspace(-0.15, 0.15, 301)
+        amplitude = partial(amplitudes, beam, p_radius, mode=mode, channel=channel)
+        assert np.array_equal(dsigma_dtheta_two_beam(amplitude, 0.0, 0.0, thetas),
+                              4.0 * dsigma_dtheta(amplitude, thetas))
+
+
 class TestPhiThetaScan:
-    # the density on a (phi, theta) grid: a sequence of phases in
-    # TwoBeamConfig.phi is a leading axis of dsigma_dtheta_two_beam
+    # the density on a (phi, theta) grid: a sequence of phases as phi is a
+    # leading axis of dsigma_dtheta_two_beam
     @staticmethod
     def scan(phis, thetas, alpha=0.1):
-        return dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(alpha, phis), thetas)
+        return dsigma_dtheta_two_beam(AMPLITUDE, alpha, phis, thetas)
 
     def test_shape_and_non_negativity(self):
         density = self.scan(np.linspace(0.0, TAU, 9), np.linspace(-0.1, 0.1, 11))
@@ -150,10 +187,10 @@ class TestPhiThetaScan:
 
     def test_grid_violations_rejected(self):
         # any non-empty 1-D set of finite phases is a phase axis, in any order
+        thetas = np.array([0.0, 0.1])
         for phis in ([], [[0.0, 1.0]], [0.0, math.nan]):
             with pytest.raises(DomainError):
-                TwoBeamConfig(0.1, np.array(phis))
-        thetas = np.array([0.0, 0.1])
+                self.scan(np.array(phis), thetas)
         decreasing = self.scan([1.0, 0.0], thetas)
         assert np.array_equal(decreasing, self.scan([0.0, 1.0], thetas)[::-1])
 
@@ -161,11 +198,12 @@ class TestPhiThetaScan:
         with pytest.raises(DomainError):
             self.scan([0.0, 1.0], np.array([0.0, 0.1]), alpha=-0.1)
 
-    def test_config_hashable_and_equal_to_tuple(self):
-        cfg = TwoBeamConfig(0.1, np.array([0.0, 1.0]))
-        assert cfg == TwoBeamConfig(0.1, (0.0, 1.0))
-        assert hash(cfg) == hash(TwoBeamConfig(0.1, [0.0, 1.0]))
-        assert cfg.phi == (0.0, 1.0)
+    def test_list_tuple_and_array_phases_give_identical_rows(self):
+        phis = [-1.0, 0.0, 1.0, math.pi]
+        thetas = np.linspace(-0.1, 0.1, 101)
+        want = self.scan(np.array(phis), thetas)
+        for given in (phis, tuple(phis)):
+            assert np.array_equal(self.scan(given, thetas), want)
 
     def test_rows_equal_two_beam_patterns(self, beam, p_radius):
         # every phi row is, bit for bit, the density at that one phase
@@ -174,53 +212,53 @@ class TestPhiThetaScan:
         for mode, channel in [("low-energy", Channel.NO_FLIP), ("full", Channel.NO_FLIP),
                               ("full", Channel.FLIP), ("full", Channel.SUM)]:
             amplitude = partial(amplitudes, beam, p_radius, mode=mode, channel=channel)
-            density = dsigma_dtheta_two_beam(amplitude, TwoBeamConfig(0.1, phis), thetas)
+            density = dsigma_dtheta_two_beam(amplitude, 0.1, phis, thetas)
             assert density.shape == (13, 301)
             for phi, row in zip(phis.tolist(), density):
                 pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude,
-                                                 TwoBeamConfig(0.1, phi)), thetas)
+                                                 0.1, phi), thetas)
                 assert np.array_equal(row, pattern.density)
 
     def test_classical_rows_equal_single_phase(self, p_radius):
         phis = np.linspace(-1.0, TAU + 1.0, 13)
         thetas = np.linspace(-0.15, 0.15, 301)
         classical = partial(fraunhofer_amplitudes, 1.1 * p_radius)
-        density = dsigma_dtheta_two_beam(classical, TwoBeamConfig(0.1, phis), thetas)
+        density = dsigma_dtheta_two_beam(classical, 0.1, phis, thetas)
         assert density.shape == (13, 301)
         for phi, row in zip(phis.tolist(), density):
-            assert np.array_equal(row, dsigma_dtheta_two_beam(classical, TwoBeamConfig(0.1, phi),
+            assert np.array_equal(row, dsigma_dtheta_two_beam(classical, 0.1, phi,
                                                               thetas))
 
     def test_scalar_theta_gives_one_value_per_phase(self):
         density = self.scan([0.0, math.pi], 0.0)
         assert density.shape == (2,)
-        assert density[0] == dsigma_dtheta_two_beam(AMPLITUDE, TwoBeamConfig(0.1), 0.0)
+        assert density[0] == dsigma_dtheta_two_beam(AMPLITUDE, 0.1, 0.0, 0.0)
 
 
 class TestPatternTwoBeam:
     THETAS = np.linspace(-0.15, 0.15, 201)
 
     def test_low_energy_matches_density(self, amplitude):
-        cfg = TwoBeamConfig(0.1, 0.8)
-        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, cfg), self.THETAS)
+        cfg = (0.1, 0.8)
+        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, *cfg), self.THETAS)
         assert isinstance(pattern, Pattern)
-        expected = [dsigma_dtheta_two_beam(amplitude, cfg, float(t)) for t in self.THETAS]
+        expected = [dsigma_dtheta_two_beam(amplitude, *cfg, float(t)) for t in self.THETAS]
         assert np.array_equal(pattern.density, expected)
 
     @pytest.mark.parametrize("channel", [Channel.NO_FLIP, Channel.FLIP])
     def test_full_mode_matches_density(self, beam, p_radius, channel):
-        cfg = TwoBeamConfig(0.1, 2.0)
+        cfg = (0.1, 2.0)
         amplitude = partial(amplitudes, beam, p_radius, mode="full", channel=channel)
-        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, cfg), self.THETAS)
-        expected = [dsigma_dtheta_two_beam(amplitude, cfg, float(t)) for t in self.THETAS]
+        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, *cfg), self.THETAS)
+        expected = [dsigma_dtheta_two_beam(amplitude, *cfg, float(t)) for t in self.THETAS]
         assert np.array_equal(pattern.density, expected)
 
     def test_spin_sum_is_flip_plus_no_flip(self, beam, p_radius):
-        cfg = TwoBeamConfig(0.1, 0.4)
+        cfg = (0.1, 0.4)
         summed, flip, no_flip = (
             sample_pattern(partial(dsigma_dtheta_two_beam, partial(amplitudes, beam, p_radius,
                                                                    mode="full", channel=c),
-                                   cfg), self.THETAS).density
+                                   *cfg), self.THETAS).density
             for c in (Channel.SUM, Channel.FLIP, Channel.NO_FLIP)
         )
         assert np.array_equal(summed, no_flip + flip)
@@ -228,19 +266,19 @@ class TestPatternTwoBeam:
     def test_low_energy_has_no_flip_channel(self, beam, p_radius):
         # the flip element vanishes in this limit: no-flip and the spin sum
         # are the same density, and a flip pattern is refused, not relabelled
-        cfg = TwoBeamConfig(0.1, 0.4)
+        cfg = (0.1, 0.4)
         a, b = (sample_pattern(partial(dsigma_dtheta_two_beam,
-                                       partial(amplitudes, beam, p_radius, channel=c), cfg),
+                                       partial(amplitudes, beam, p_radius, channel=c), *cfg),
                                self.THETAS) for c in (Channel.NO_FLIP, Channel.SUM))
         assert np.array_equal(a.density, b.density)
         with pytest.raises(ValueError, match="no flip channel"):
             sample_pattern(partial(dsigma_dtheta_two_beam,
-                                   partial(amplitudes, beam, p_radius, channel=Channel.FLIP), cfg),
+                                   partial(amplitudes, beam, p_radius, channel=Channel.FLIP), *cfg),
                            self.THETAS)
 
     def test_normalizations(self, amplitude):
-        cfg = TwoBeamConfig(0.1, 0.0)
-        raw, peak, area = (sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, cfg),
+        cfg = (0.1, 0.0)
+        raw, peak, area = (sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, *cfg),
                                           self.THETAS, n)
                            for n in (Normalization.RAW, Normalization.PEAK_ONE,
                                      Normalization.UNIT_AREA))
@@ -251,27 +289,27 @@ class TestPatternTwoBeam:
     def test_area_matched_rejected(self, amplitude):
         # only analysis.match_areas scales a curve to another's area
         with pytest.raises(ValueError, match="unknown Normalization 'area-matched'"):
-            sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, TwoBeamConfig(0.1)),
+            sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, 0.1, 0.0),
                            self.THETAS, "area-matched")
 
     def test_default_grid(self, amplitude):
-        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, TwoBeamConfig(0.1)))
+        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, 0.1, 0.0))
         assert pattern.thetas.size == 2001
 
     def test_bad_inputs_rejected(self, beam, p_radius, amplitude):
         with pytest.raises(ValueError):
             sample_pattern(partial(dsigma_dtheta_two_beam,
                                    partial(amplitudes, beam, p_radius, mode="fast"),
-                                   TwoBeamConfig(0.1)), self.THETAS)
+                                   0.1, 0.0), self.THETAS)
         with pytest.raises(ValueError):
-            sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, TwoBeamConfig(0.1)),
+            sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, 0.1, 0.0),
                            self.THETAS[::-1])
 
     def test_phase_sequence_rejected(self, amplitude):
         # one row per phase is not one value per theta
         with pytest.raises(DomainError, match=r"got shape \(2, 201\) on a grid of shape"):
             sample_pattern(partial(dsigma_dtheta_two_beam, amplitude,
-                                   TwoBeamConfig(0.1, [0.0, 1.0])), self.THETAS)
+                                   0.1, [0.0, 1.0]), self.THETAS)
 
     def test_exported(self):
         import wirediff
