@@ -227,7 +227,12 @@ def _csv(config: dict, data: dict) -> str:
     Each value is formatted once, by one ``%`` per block: a pattern is one
     ``"%.17g,%.17g\\n"`` template over its interleaved theta and density
     values; a scan formats each phi and theta once, into the template of
-    its phi block, and those strings never contain ``%``.
+    its phi block, and those strings never contain ``%``.  A full-period
+    scan repeats density rows bit for bit (phi = 2 pi reduces to 0, and
+    phases reduced to exact negatives share cos and |sin|), so each
+    distinct row is formatted once: a repeat takes the first block's text
+    with its own phi lead.  Rows are keyed by their bytes, so -0.0 and 0.0
+    stay apart.
     """
     lines = ["# config: " + json.dumps(config, sort_keys=True) + "\n"] if config else []
     lines.append(",".join(data) + "\n")
@@ -238,8 +243,17 @@ def _csv(config: dict, data: dict) -> str:
         return "".join(lines)
     rows = [format(t, ".17g") + ",%.17g\n" for t in thetas.tolist()]
     leads = [format(p, ".17g") + "," for p in phis.tolist()]
-    for lead, block in zip(leads, density.reshape(len(leads), len(rows)).tolist()):
-        lines.append((lead + lead.join(rows)) % tuple(block))
+    blocks = {}  # a row's bytes -> the first lead it had, and its block after that lead
+    for lead, row in zip(leads, density.reshape(len(leads), len(rows))):
+        key = row.tobytes()
+        if key in blocks:
+            # every line of a block starts with its lead, and "\n" only ends lines
+            first, block = blocks[key]
+            block = block.replace("\n" + first, "\n" + lead)
+        else:
+            block = lead.join(rows) % tuple(row.tolist())
+            blocks[key] = lead, block
+        lines += (lead, block)
     return "".join(lines)
 
 
@@ -254,11 +268,14 @@ def _json_encode(indent: str):
 def _json_value(value, indent: str) -> str:
     # value as json.dumps(sort_keys=True, indent=2) lays it out after a line's
     # indent: one encoder call for a scalar, a 1-D array or tuple, or a dict
-    # of scalars; a 2-D array or a dict holding containers item by item
+    # of scalars; a 2-D array or a dict holding containers item by item, each
+    # distinct row of a 2-D array once (keyed by its bytes, as _csv's scan rows)
     inner = indent + "  "
     if isinstance(value, np.ndarray):
         if value.ndim > 1:
-            text = "[" + (",\n" + inner).join(_json_value(row, inner) for row in value) + "]"
+            keys = [row.tobytes() for row in value]
+            rows = {key: _json_value(row, inner) for key, row in dict(zip(keys, value)).items()}
+            text = "[" + (",\n" + inner).join([rows[key] for key in keys]) + "]"
         else:
             text = _json_encode(inner)(value.tolist())
     elif isinstance(value, dict) and any(isinstance(v, (dict, list, tuple, np.ndarray))

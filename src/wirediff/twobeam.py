@@ -18,6 +18,7 @@ phase.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -45,15 +46,20 @@ def dsigma_dtheta_two_beam(amplitude, alpha, phi, theta):
     each beam's own scattering angle theta -/+ alpha/2: for the quantum
     amplitude, at q_pm R = 2 pR |sin(theta/2 -/+ alpha/4)|.  Both beams carry
     the same spin labels (polarized source).  ``alpha``, the beam
-    intersection angle, lies in [0, pi] [rad]; ``phi`` [rad] is one phase or
-    a non-empty 1-D sequence of phases, which adds a leading axis, one row
-    per phase.  Both are checked before any amplitude is evaluated.
-    ``theta`` is a scalar or an array of angles.
+    intersection angle, is a real number in [0, pi] [rad]; ``phi`` [rad] is
+    one real phase or a non-empty 1-D sequence of them, which adds a leading
+    axis, one row per phase.  Both are checked before any amplitude is
+    evaluated, and a bad one (an array alpha, a complex or text phi) raises
+    DomainError.  ``theta`` is a scalar or an array of angles.
     """
-    if not 0.0 <= alpha <= math.pi:
+    if not (isinstance(alpha, Real) and 0.0 <= alpha <= math.pi):
         raise DomainError(f"alpha in [0, pi] required, got {alpha!r}")
-    phis = np.asarray(phi, dtype=float)
-    if phis.ndim > 1 or phis.size == 0 or not np.all(np.isfinite(phis)):
+    try:
+        phis = np.asarray(phi)
+    except ValueError:  # numpy refuses a ragged nesting; as an object array it fails below
+        phis = np.asarray(None)
+    if (phis.dtype.kind not in "biuf" or phis.ndim > 1 or phis.size == 0
+            or not np.all(np.isfinite(phis))):
         raise DomainError(f"phi must be a finite phase or a non-empty 1-D sequence of "
                           f"them, got {phi!r}")
     # the IEEE-remainder-reduced phase makes the 2*pi periodicity exact; cos

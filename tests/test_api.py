@@ -128,6 +128,14 @@ _BAD_INPUTS = {
         partial(amplitudes, BeamParams(1e7), 100.0), 0.1, [[0.0, 1.0]], 0.1),
     "phi empty": lambda: dsigma_dtheta_two_beam(
         partial(amplitudes, BeamParams(1e7), 100.0), 0.1, [], 0.1),
+    "array alpha": lambda: dsigma_dtheta_two_beam(
+        partial(amplitudes, BeamParams(1e7), 100.0), np.array([0.1, 0.2]), 0.0, 0.1),
+    "phi text": lambda: dsigma_dtheta_two_beam(
+        partial(amplitudes, BeamParams(1e7), 100.0), 0.1, "x", 0.1),
+    "complex phi": lambda: dsigma_dtheta_two_beam(
+        partial(amplitudes, BeamParams(1e7), 100.0), 0.1, 1j, 0.1),
+    "complex phases": lambda: dsigma_dtheta_two_beam(
+        partial(amplitudes, BeamParams(1e7), 100.0), 0.1, [1j], 0.1),
     # a phase sequence gives one row per phase, not one value per theta
     "pattern phases": lambda: sample_pattern(partial(
         dsigma_dtheta_two_beam, partial(amplitudes, BeamParams(1e7), 100.0),
@@ -166,7 +174,9 @@ _NAMED = {"p_radius": "fraunhofer_amplitudes", "radius_scale": "fraunhofer_ampli
           "transfer momentum": "^p_radius > 0 required", "transfer theta": "^amplitudes: theta",
           "fraunhofer infinite theta": "^fraunhofer_amplitudes: theta",
           "alpha": "^alpha in", "alpha above pi": "^alpha in", "classical alpha": "^alpha in",
-          "phi": "^phi must be", "phi 2-D": "^phi must be", "phi empty": "^phi must be"}
+          "phi": "^phi must be", "phi 2-D": "^phi must be", "phi empty": "^phi must be",
+          "array alpha": "^alpha in", "phi text": "^phi must be", "complex phi": "^phi must be",
+          "complex phases": "^phi must be"}
 
 
 class TestInputErrors:

@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import reference_csv
 from wirediff import cli
@@ -586,6 +586,29 @@ _JSON_SCALARS = st.one_of(
 )
 
 
+@st.composite
+def _repeating_scans(draw):
+    # (phis, thetas, density) whose density rows come from a pool of 1 to 3
+    # rows, so repeats are the norm: with both signed zeros among the cells,
+    # two rows may differ by a signed zero alone, and the phis repeat values
+    # and have texts that are prefixes of each other ("1", "10", "100")
+    columns = draw(st.integers(1, 4))
+    cells = st.lists(st.sampled_from([0.0, -0.0, 1.0, 10.0, 1.0 / 3.0]),
+                     min_size=columns, max_size=columns)
+    pool = draw(st.lists(cells, min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    phis = draw(st.lists(st.sampled_from([1.0, 10.0, 100.0, 0.0, -0.0, 1.5]),
+                         min_size=len(picks), max_size=len(picks)))
+    thetas = draw(st.lists(_CSV_VALUES, min_size=columns, max_size=columns))
+    return np.array(phis), np.array(thetas), np.array(picks)
+
+
+# rows equal but for a signed zero, one row repeated under phis "1" and "10"
+# and under the same phi twice
+_SIGNED_ZERO_SCAN = (np.array([1.0, 10.0, 1.0, 1.0, 0.0]), np.array([0.0, 0.1]),
+                     np.array([[0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]]))
+
+
 class TestEmitters:
     # the data of every command: arrays (1-D, 2-D as scan's density, tuples
     # as zeros') beside scalars, or scalars alone as compare's
@@ -618,6 +641,32 @@ class TestEmitters:
             density = floats(columns)
             expected = reference_csv(config, "theta_rad,density", thetas, density)
             assert _csv(config, {"theta_rad": thetas, "density": density}) == expected
+
+    @given(scan=_repeating_scans())
+    @example(scan=_SIGNED_ZERO_SCAN)
+    def test_csv_of_repeated_scan_rows_matches_per_cell_writer(self, scan):
+        # a repeated row reuses the first one's text under its own phi
+        phis, thetas, density = scan
+        expected = reference_csv({}, "phi_rad,theta_rad,density", np.repeat(phis, thetas.size),
+                                 np.tile(thetas, phis.size), density.ravel())
+        assert _csv({}, {"phi_rad": phis, "theta_rad": thetas, "density": density}) == expected
+
+    @given(scan=_repeating_scans())
+    @example(scan=_SIGNED_ZERO_SCAN)
+    def test_json_of_repeated_scan_rows_matches_json_dumps(self, scan):
+        data = dict(zip(("phi_rad", "theta_rad", "density"), scan))
+        plain = {key: value.tolist() for key, value in data.items()}
+        expected = json.dumps({"metadata": {}, "data": plain}, sort_keys=True, indent=2)
+        assert _json_doc({}, data) == expected + "\n"
+
+    def test_default_scan_repeats_rows(self):
+        # the writers' reuse runs on real data: phi = 2 pi reduces to exactly
+        # 0, and mirrored phases share cos and |sin|
+        args = build_parser().parse_args(["scan"])
+        data = cli._cmd_scan(args, *cli._resolve_physics(args))
+        rows = [row.tobytes() for row in data["density"]]
+        assert rows[-1] == rows[0]
+        assert len(set(rows)) < len(rows) == data["phi_rad"].size
 
     def test_empty_metadata_csv_still_valid(self):
         from wirediff.patterns import Pattern

@@ -127,6 +127,17 @@ class TestGeometryChecks:
         "infinite phase": (0.1, [0.0, math.inf], "^phi must be"),
         "2-D phi": (0.1, [[0.0, 1.0]], "^phi must be"),
         "empty phi": (0.1, [], "^phi must be"),
+        # a real scalar alpha and real phases only: no array, complex or text
+        "array alpha": (np.array([0.1, 0.2]), 0.0, "^alpha in"),
+        "complex alpha": (0.1j, 0.0, "^alpha in"),
+        "text alpha": ("0.1", 0.0, "^alpha in"),
+        "text phi": (0.1, "x", "^phi must be"),
+        "numeric text phi": (0.1, "1.0", "^phi must be"),
+        "complex phi": (0.1, 1j, "^phi must be"),
+        "complex phases": (0.1, [1j], "^phi must be"),
+        "numpy complex phi": (0.1, np.complex128(1.0), "^phi must be"),
+        "ragged phases": (0.1, [[0.0], [0.0, 1.0]], "^phi must be"),
+        "no phi": (0.1, None, "^phi must be"),
     }
 
     @pytest.mark.parametrize("model", ["quantum", "classical"])
