@@ -9,42 +9,46 @@ radius-overestimation analysis.
 
 __version__ = "0.16.0"
 
-from .analysis import (
-    CurveComparison,
-    compare_curves,
-    first_dark_points,
-    match_areas,
-    overestimation_factor,
-)
-from .classical import fraunhofer_amplitudes
-from .electron import Channel, amplitudes, dsigma_dtheta, spinor_elements
-from .numerics import DomainError, disk_amplitude, sinc
-from .patterns import Normalization, Pattern, default_grid, sample_pattern, validate_grid
-from .potential import ELECTRON_MASS_EV, HBARC_EV_M, BeamParams
-from .twobeam import dsigma_dtheta_two_beam
+# each public name and the module it lives in, imported on first access
+# (PEP 562), so ``import wirediff`` and the commands that build no array
+# load no numpy
+_HOMES = {
+    "BeamParams": "potential",
+    "Channel": "potential",
+    "CurveComparison": "patterns",
+    "DomainError": "numerics",
+    "ELECTRON_MASS_EV": "potential",
+    "HBARC_EV_M": "potential",
+    "Normalization": "potential",
+    "Pattern": "patterns",
+    "amplitudes": "electron",
+    "compare_curves": "patterns",
+    "default_grid": "patterns",
+    "disk_amplitude": "numerics",
+    "dsigma_dtheta": "electron",
+    "dsigma_dtheta_two_beam": "twobeam",
+    "first_dark_points": "analysis",
+    "fraunhofer_amplitudes": "classical",
+    "match_areas": "patterns",
+    "overestimation_factor": "analysis",
+    "sample_pattern": "patterns",
+    "sinc": "numerics",
+    "spinor_elements": "electron",
+    "validate_grid": "patterns",
+}
 
-__all__ = [
-    "__version__",
-    "BeamParams",
-    "Channel",
-    "CurveComparison",
-    "DomainError",
-    "ELECTRON_MASS_EV",
-    "HBARC_EV_M",
-    "Normalization",
-    "Pattern",
-    "amplitudes",
-    "compare_curves",
-    "default_grid",
-    "disk_amplitude",
-    "dsigma_dtheta",
-    "dsigma_dtheta_two_beam",
-    "first_dark_points",
-    "fraunhofer_amplitudes",
-    "match_areas",
-    "overestimation_factor",
-    "sample_pattern",
-    "sinc",
-    "spinor_elements",
-    "validate_grid",
-]
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -1,21 +1,19 @@
-"""Derived quantities: dark-fringe locations, the classical
-radius-overestimation factor, area matching, and curve comparison metrics.
+"""Dark-fringe locations and the classical radius-overestimation factor.
 
 Dark points come in closed form from their defining equations,
 2 pR sin(theta/2) = j_{1,k} (quantum, j_{1,k} the k-th positive zero of the
 disk amplitude) and pR sin(theta) = k pi (classical); j_{1,k} does not
 depend on pR and comes from a table or McMahon's expansion, with no search.
+The module uses ``math`` only, so ``wirediff zeros`` runs without numpy; area
+matching and curve comparison live beside ``Pattern`` in
+:mod:`~wirediff.patterns`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .numerics import DomainError, _j1_zero
-from .patterns import Pattern, grid_area
 
 # pi to 1e-34 in three parts; k times the first two, of <= 30 bits, is exact for k < 2**23
 _PI_A, _PI_B, _PI_C = 3.141592651605606, 1.9841871583270443e-09, 1.034036596358821e-18
@@ -78,34 +76,3 @@ def overestimation_factor(p_radius: float) -> float:
     classical, = first_dark_points(p_radius, "classical")
     return quantum / classical
 
-
-def match_areas(reference: Pattern, target: Pattern) -> Pattern:
-    """Rescale ``target`` so its trapezoidal area equals ``reference``'s."""
-    if not np.array_equal(reference.thetas, target.thetas):
-        raise DomainError("match_areas: patterns must share the same theta grid")
-    ref_area = reference.area()
-    tgt_area = target.area()
-    if tgt_area == 0.0:
-        raise DomainError("match_areas: target pattern has zero integral")
-    return Pattern(target.thetas, target.density * (ref_area / tgt_area))
-
-
-@dataclass(frozen=True)
-class CurveComparison:
-    """Deterministic difference metrics between two patterns on one grid."""
-
-    max_abs_diff: float
-    l2_diff: float
-
-
-def compare_curves(a: Pattern, b: Pattern) -> CurveComparison:
-    """Pointwise comparison of two same-grid patterns.
-
-    ``l2_diff`` is the grid-native norm sqrt(trapz((a - b)^2 dtheta)).
-    """
-    if not np.array_equal(a.thetas, b.thetas):
-        raise DomainError("compare_curves: patterns must share the same theta grid")
-    diff = a.density - b.density
-    max_abs = float(np.max(np.abs(diff)))
-    l2 = math.sqrt(grid_area(a.thetas, diff * diff))
-    return CurveComparison(max_abs_diff=max_abs, l2_diff=l2)

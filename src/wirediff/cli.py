@@ -12,6 +12,11 @@ out here from the C encoder, which json itself uses only without indent.
 Outputs are deterministic: the same configuration produces byte-identical
 bytes.  Angles are accepted in radians only.
 
+Only the commands that build arrays (single, two-beam, scan, compare)
+import numpy and the modules that compute them, inside the command;
+zeros, the help and version texts and every error found before a grid is
+allocated run without numpy.
+
 Exit codes: 0 success; 2 for a usage error in the parse, or for a
 DomainError, input the caller can fix, raised while resolving or computing,
 whether the CLI or the library finds it; 1 for any other exception before
@@ -30,16 +35,10 @@ import sys
 import tempfile
 from functools import cache, partial
 
-import numpy as np
-
 from . import __version__
-from .analysis import compare_curves, first_dark_points, match_areas, overestimation_factor
-from .classical import fraunhofer_amplitudes
-from .electron import _MODES, Channel, amplitudes, dsigma_dtheta
+from .analysis import first_dark_points, overestimation_factor
 from .numerics import DomainError
-from .patterns import _DEFAULT_GRID, Normalization, sample_pattern
-from .potential import BeamParams, ELECTRON_MASS_EV
-from .twobeam import dsigma_dtheta_two_beam
+from .potential import _DEFAULT_GRID, _MODES, BeamParams, Channel, ELECTRON_MASS_EV, Normalization
 
 # Fewest grid samples per fringe pi / max(pR, scale * pR) for compare, whose
 # only grid-dependent numbers are trapezoid integrals (match_areas, l2_diff):
@@ -170,7 +169,7 @@ def _resolve_physics(args) -> tuple[BeamParams, float]:
     return beam, p_radius
 
 
-def _resolve_grids(args, *names: str) -> list[np.ndarray]:
+def _resolve_grids(args, *names: str) -> list:
     # every axis, and the size of their product, is checked before any is allocated
     axes = [tuple(getattr(args, f"{name}_{part}") for part in ("min", "max", "points"))
             for name in names]
@@ -187,16 +186,18 @@ def _resolve_grids(args, *names: str) -> list[np.ndarray]:
         flags = " * ".join(f"--{name}-points" for name in names)
         raise DomainError(f"the grid has {values:,} values ({flags}), above the cap of "
                           f"{_MAX_GRID_VALUES:,}")
+    import numpy as np
+
     return [np.linspace(*axis) for axis in axes]
 
 
-def _samples_per_fringe(thetas: np.ndarray, p_radius: float) -> tuple[float, float]:
+def _samples_per_fringe(thetas, p_radius: float) -> tuple[float, float]:
     # grid samples per fringe, and the fringe pi / pR [rad] of the curve with this pR
     fringe = math.pi / p_radius
     return fringe / ((thetas[-1] - thetas[0]) / (thetas.size - 1)), fringe
 
 
-def _warn_if_aliased(thetas: np.ndarray, p_radius: float) -> None:
+def _warn_if_aliased(thetas, p_radius: float) -> None:
     # each printed value is exact at its theta; between samples the pattern is unresolved
     per_fringe, fringe = _samples_per_fringe(thetas, p_radius)
     if per_fringe < 2.0:
@@ -234,6 +235,8 @@ def _csv(config: dict, data: dict) -> str:
     with its own phi lead.  Rows are keyed by their bytes, so -0.0 and 0.0
     stay apart.
     """
+    import numpy as np
+
     lines = ["# config: " + json.dumps(config, sort_keys=True) + "\n"] if config else []
     lines.append(",".join(data) + "\n")
     thetas, density, phis = data["theta_rad"], data["density"], data.get("phi_rad")
@@ -269,16 +272,16 @@ def _json_value(value, indent: str) -> str:
     # value as json.dumps(sort_keys=True, indent=2) lays it out after a line's
     # indent: one encoder call for a scalar, a 1-D array or tuple, or a dict
     # of scalars; a 2-D array or a dict holding containers item by item, each
-    # distinct row of a 2-D array once (keyed by its bytes, as _csv's scan rows)
+    # distinct row of a 2-D array once (keyed by its bytes, as _csv's scan rows);
+    # an array is told apart by its ndim, so the writer needs no numpy
     inner = indent + "  "
-    if isinstance(value, np.ndarray):
-        if value.ndim > 1:
-            keys = [row.tobytes() for row in value]
-            rows = {key: _json_value(row, inner) for key, row in dict(zip(keys, value)).items()}
-            text = "[" + (",\n" + inner).join([rows[key] for key in keys]) + "]"
-        else:
-            text = _json_encode(inner)(value.tolist())
-    elif isinstance(value, dict) and any(isinstance(v, (dict, list, tuple, np.ndarray))
+    if getattr(value, "ndim", 0) > 1:
+        keys = [row.tobytes() for row in value]
+        rows = {key: _json_value(row, inner) for key, row in dict(zip(keys, value)).items()}
+        text = "[" + (",\n" + inner).join([rows[key] for key in keys]) + "]"
+    elif hasattr(value, "ndim"):
+        text = _json_encode(inner)(value.tolist())
+    elif isinstance(value, dict) and any(isinstance(v, (dict, list, tuple)) or hasattr(v, "ndim")
                                          for v in value.values()):
         text = "{" + (",\n" + inner).join(
             _json_encode(inner)(key) + ": " + _json_value(value[key], inner)
@@ -303,24 +306,36 @@ def _json_doc(config: dict, data: dict) -> str:
             + _json_value(config, "  ") + "\n}\n")
 
 
-def _pattern(args, beam, p_radius, density, *geometry) -> dict:
-    # the single- and two-beam commands
+def _pattern(args, beam, p_radius, *geometry) -> dict:
+    # the single-beam command, or with the geometry (alpha, phi) the two-beam one;
+    # each array command imports numpy and the compute modules after its grid checks
     thetas, = _resolve_grids(args, "theta")
+    from .electron import amplitudes, dsigma_dtheta
+    from .patterns import sample_pattern
+    from .twobeam import dsigma_dtheta_two_beam
+
     amplitude = partial(amplitudes, beam, p_radius, mode=args.mode, channel=args.spin)
-    pattern = sample_pattern(partial(density, amplitude, *geometry), thetas, args.normalization)
+    density = (partial(dsigma_dtheta_two_beam, amplitude, *geometry) if geometry
+               else partial(dsigma_dtheta, amplitude))
+    pattern = sample_pattern(density, thetas, args.normalization)
     return {"theta_rad": pattern.thetas, "density": pattern.density}
 
 
 def _cmd_single(args, beam, p_radius) -> dict:
-    return _pattern(args, beam, p_radius, dsigma_dtheta)
+    return _pattern(args, beam, p_radius)
 
 
 def _cmd_two_beam(args, beam, p_radius) -> dict:
-    return _pattern(args, beam, p_radius, dsigma_dtheta_two_beam, args.alpha, args.phi)
+    return _pattern(args, beam, p_radius, args.alpha, args.phi)
 
 
 def _cmd_scan(args, beam, p_radius) -> dict:
     phis, thetas = _resolve_grids(args, "phi", "theta")
+    import numpy as np
+
+    from .electron import amplitudes
+    from .twobeam import dsigma_dtheta_two_beam
+
     amplitude = partial(amplitudes, beam, p_radius)
     density = dsigma_dtheta_two_beam(amplitude, args.alpha, phis, thetas)
     # the density's fault, not the caller's, as for the pattern commands
@@ -347,6 +362,10 @@ def _cmd_compare(args, beam, p_radius) -> dict:
     except DomainError:
         raise DomainError(f"--radius-scale {args.radius_scale} makes the classical pR "
                           f"{classical_pr:g}, with no dark point in (0, pi/2)") from None
+    from .classical import fraunhofer_amplitudes
+    from .electron import amplitudes, dsigma_dtheta
+    from .patterns import compare_curves, match_areas, sample_pattern
+
     quantum = sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius)), thetas)
     classical = sample_pattern(
         partial(dsigma_dtheta, partial(fraunhofer_amplitudes, classical_pr)), thetas)

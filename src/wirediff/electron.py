@@ -23,22 +23,10 @@ import math
 import numpy as np
 
 from .numerics import DomainError, disk_amplitude
-from .patterns import Spelling
-from .potential import BeamParams
+from .potential import _MODES, BeamParams, Channel
 
 # largest pc and mc^2 [eV]: (E + mc^2)^2 <= 5.8e300, so no density overflows
 _MAX_SPINOR_EV = 1e150
-
-# the spellings of ``amplitudes``' mode, which the CLI's --mode offers
-_MODES = ("low-energy", "full")
-
-
-class Channel(Spelling):
-    """Final-spin channel of a density; SUM adds the no-flip and flip densities."""
-
-    NO_FLIP = "no-flip"
-    FLIP = "flip"
-    SUM = "sum"
 
 
 def spinor_elements(beam: BeamParams, theta, channel: Channel = Channel.NO_FLIP) -> list:

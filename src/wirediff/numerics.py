@@ -24,7 +24,10 @@ recurrence, which uses only + and *; with IEEE sqrt, and sin and cos from
 the same libm, a Python float and each element of an array get the same
 bits.  :func:`disk_amplitude` and :func:`sinc` take either and split them
 only to check finiteness and to pick ``math`` or ``numpy``: a scalar call
-stays cheap, and an array is done in a few whole-array passes.
+stays cheap, and an array is done in a few whole-array passes.  numpy is
+imported only in those array branches, so the scalar ones, :func:`_j1_zero`
+and every module that imports only them (the dark points, the CLI's
+``zeros``) run without it.
 
 :func:`_j1_zero` gives j_{1,k}, the k-th positive zero of J1 and of F, in
 closed form: a table of j_{1,1} ... j_{1,23} rounded to doubles (written by
@@ -38,8 +41,6 @@ mutable state, so they are safe to call concurrently.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 # F = 2 J1(x)/x takes the Chebyshev branch up to here, the Hankel one above
 _J1_CUTOFF = 13.0
@@ -182,6 +183,8 @@ def disk_amplitude(q_r):
         if x > _J1_CUTOFF:
             return _j1_large(x, math.sqrt, math.cos, math.sin)
         return _j1_small(x) if x > 0.0 else 1.0
+    import numpy as np
+
     x = np.abs(np.asarray(q_r, dtype=float))
     if not np.isfinite(x).all():
         raise DomainError("disk_amplitude: q_r must be finite")
@@ -214,6 +217,8 @@ def sinc(x):
         if x == 0.0:
             return 1.0
         return math.sin(x) / x
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("sinc: arguments must be finite")

@@ -1,36 +1,15 @@
-"""Sampled angular probability patterns and normalization plumbing."""
+"""Sampled angular probability patterns, normalization plumbing, and the
+area matching and difference metrics that compare two patterns."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .numerics import DomainError
-
-
-class Spelling(str, Enum):
-    """A str enum whose lookup of an unknown spelling raises DomainError."""
-
-    @classmethod
-    def _missing_(cls, value):
-        expected = ", ".join(repr(member.value) for member in cls)
-        raise DomainError(f"unknown {cls.__name__} {value!r}; expected one of {expected}")
-
-
-class Normalization(Spelling):
-    """How a pattern's density is scaled; the values are the CLI's spellings."""
-
-    RAW = "raw"
-    PEAK_ONE = "peak-one"
-    UNIT_AREA = "unit-area"
-
-
-# (theta min [rad], theta max [rad], points) of default_grid and of the CLI's
-# --theta-min, --theta-max and --theta-points defaults
-_DEFAULT_GRID = (-0.15, 0.15, 2001)
+from .potential import _DEFAULT_GRID, Normalization
 
 
 def default_grid() -> np.ndarray:
@@ -125,3 +104,35 @@ def sample_pattern(density, thetas: np.ndarray | None = None,
         values = values / area
     # Pattern rechecks the grid and density: skipping that needs a private constructor
     return Pattern(thetas, values)
+
+
+def match_areas(reference: Pattern, target: Pattern) -> Pattern:
+    """Rescale ``target`` so its trapezoidal area equals ``reference``'s."""
+    if not np.array_equal(reference.thetas, target.thetas):
+        raise DomainError("match_areas: patterns must share the same theta grid")
+    ref_area = reference.area()
+    tgt_area = target.area()
+    if tgt_area == 0.0:
+        raise DomainError("match_areas: target pattern has zero integral")
+    return Pattern(target.thetas, target.density * (ref_area / tgt_area))
+
+
+@dataclass(frozen=True)
+class CurveComparison:
+    """Deterministic difference metrics between two patterns on one grid."""
+
+    max_abs_diff: float
+    l2_diff: float
+
+
+def compare_curves(a: Pattern, b: Pattern) -> CurveComparison:
+    """Pointwise comparison of two same-grid patterns.
+
+    ``l2_diff`` is the grid-native norm sqrt(trapz((a - b)^2 dtheta)).
+    """
+    if not np.array_equal(a.thetas, b.thetas):
+        raise DomainError("compare_curves: patterns must share the same theta grid")
+    diff = a.density - b.density
+    max_abs = float(np.max(np.abs(diff)))
+    l2 = math.sqrt(grid_area(a.thetas, diff * diff))
+    return CurveComparison(max_abs_diff=max_abs, l2_diff=l2)

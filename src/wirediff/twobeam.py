@@ -58,17 +58,23 @@ def dsigma_dtheta_two_beam(amplitude, alpha, phi, theta):
         phis = np.asarray(phi)
     except ValueError:  # numpy refuses a ragged nesting; as an object array it fails below
         phis = np.asarray(None)
-    if (phis.dtype.kind not in "biuf" or phis.ndim > 1 or phis.size == 0
-            or not np.all(np.isfinite(phis))):
+    values = phis.ravel().tolist()
+    if (phis.dtype.kind not in "biuf" or phis.ndim > 1 or not values
+            or not all(map(math.isfinite, values))):
         raise DomainError(f"phi must be a finite phase or a non-empty 1-D sequence of "
                           f"them, got {phi!r}")
     # the IEEE-remainder-reduced phase makes the 2*pi periodicity exact; cos
     # and sin come from math, for one phase or a sequence, since numpy's need
-    # not match libm bit for bit, and a sequence is a leading axis over theta's
-    phases = [math.remainder(p, math.tau) for p in phis.ravel().tolist()]
-    shape = (-1,) + (1,) * np.ndim(theta) if phis.ndim else ()
-    cos = np.reshape([math.cos(p) for p in phases], shape)
-    sin = np.reshape([math.sin(p) for p in phases], shape)
+    # not match libm bit for bit: one phase keeps them as floats, and a
+    # sequence is a leading axis over theta's
+    phases = [math.remainder(p, math.tau) for p in values]
+    cos = [math.cos(p) for p in phases]
+    sin = [math.sin(p) for p in phases]
+    if phis.ndim:
+        shape = (-1,) + (1,) * np.ndim(theta)
+        cos, sin = np.reshape(cos, shape), np.reshape(sin, shape)
+    else:
+        (cos,), (sin,) = cos, sin
     minus = amplitude(theta - 0.5 * alpha)
     plus = amplitude(theta + 0.5 * alpha)
     return sum(_interference_density(a, b, cos, sin) for a, b in zip(minus, plus))

@@ -10,12 +10,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from wirediff.analysis import compare_curves, first_dark_points, match_areas, overestimation_factor
+from wirediff.analysis import first_dark_points, overestimation_factor
 from wirediff.classical import fraunhofer_amplitudes
 from wirediff.cli import main
 from wirediff.electron import Channel, amplitudes, dsigma_dtheta
 from wirediff.numerics import disk_amplitude
-from wirediff.patterns import Normalization, default_grid, sample_pattern
+from wirediff.patterns import (Normalization, compare_curves, default_grid, match_areas,
+                               sample_pattern)
 from wirediff.potential import BeamParams
 from wirediff.twobeam import dsigma_dtheta_two_beam
 

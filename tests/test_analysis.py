@@ -6,17 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wirediff.analysis import (
-    CurveComparison,
-    compare_curves,
-    first_dark_points,
-    match_areas,
-    overestimation_factor,
-)
+from wirediff.analysis import first_dark_points, overestimation_factor
 from wirediff.classical import fraunhofer_amplitudes
 from wirediff.electron import amplitudes, dsigma_dtheta
 from wirediff.numerics import DomainError
-from wirediff.patterns import Pattern, sample_pattern
+from wirediff.patterns import CurveComparison, Pattern, compare_curves, match_areas, sample_pattern
 from wirediff.potential import BeamParams
 
 PR = 84.37136668408607

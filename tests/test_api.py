@@ -45,6 +45,19 @@ class TestPublicSurface:
     def test_no_duplicates(self):
         assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 23
 
+    def test_lazy_names_resolve_list_and_star_import(self):
+        # in a fresh interpreter, where no name has been loaded yet: each one
+        # resolves, dir() lists it, and a star import binds it
+        code = ("import wirediff; names = wirediff.__all__; listed = dir(wirediff); "
+                "star = {}; exec('from wirediff import *', star); "
+                "print([n for n in names if n not in listed or n not in star "
+                "or getattr(wirediff, n) is not star[n]])")
+        src = str(Path(wirediff.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True, timeout=60)
+        assert done.stdout == "[]\n"
+
     def test_disk_amplitude_is_the_exported_amplitude(self):
         from wirediff import numerics
 

@@ -5,6 +5,7 @@ import logging
 import math
 import os
 import stat
+import subprocess
 import sys
 from functools import partial
 
@@ -882,3 +883,66 @@ class TestPinnedDigests:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Runs each argv of the JSON list in argv[2] through main() in one fresh
+# interpreter, with numpy's import blocked when argv[1] is "block", and prints
+# [exit code, stdout, stderr] per argv as JSON; "check" prints instead whether
+# numpy is loaded after importing the CLI and after running the argvs.
+_FRESH_MAIN = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from wirediff.cli import main
+loaded = ["numpy" in sys.modules]
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded if sys.argv[1] == "check" else results))
+"""
+
+
+def run_fresh(mode, *argvs):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _FRESH_MAIN, mode, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True, timeout=60)
+    return json.loads(done.stdout)
+
+
+class TestNumpyFreePaths:
+    # zeros, the help and version texts and the errors found before any grid
+    # is built run without numpy, byte for byte as with it
+    HELP = [["--version"], ["--help"],
+            *([command, "--help"] for command in ("single", "two-beam", "scan", "compare",
+                                                  "zeros"))]
+    ERRORS = [["zeros", "--n", "0"], ["single", "--wavelength-nm", "-1"]]
+
+    def test_cli_import_and_zeros_load_no_numpy(self):
+        assert run_fresh("check", ["zeros"]) == [False, False]
+
+    def test_zeros_digests_without_numpy(self):
+        # the two zeros pins of TestPinnedDigests
+        pins = ["caa4b9a3d81ae05ec79316a9fd5028c6bd1201e36c8d76a78c4aa687b3c7d375",
+                "aafc688988957336694c4d0424179714105264631157b921b3b0b417d92b2b0a"]
+        results = run_fresh("block", ["zeros"], ["zeros", "--n", "3"])
+        assert [code for code, _, _ in results] == [0, 0]
+        assert [hashlib.sha256(out.encode("utf-8")).hexdigest()
+                for _, out, _ in results] == pins
+
+    def test_help_version_and_errors_match_an_unblocked_run(self):
+        blocked = run_fresh("block", *self.HELP, *self.ERRORS)
+        assert blocked == run_fresh("free", *self.HELP, *self.ERRORS)
+        assert [code for code, _, _ in blocked] == [0] * len(self.HELP) + [2, 2]
+        for code, out, err in blocked[:len(self.HELP)]:
+            assert out and err == ""
+        for code, out, err in blocked[len(self.HELP):]:
+            assert out == "" and err.startswith("wirediff: configuration error: ")

@@ -220,7 +220,7 @@ class TestPatternSingle:
                                                           mode="low-energy", channel=Channel.FLIP)))
 
     def test_area_matched_rejected(self, density):
-        # only analysis.match_areas scales a curve to another's area
+        # only patterns.match_areas scales a curve to another's area
         with pytest.raises(ValueError, match="unknown Normalization 'area-matched'"):
             sample_pattern(density, normalization="area-matched")
 

@@ -298,7 +298,7 @@ class TestPatternTwoBeam:
         assert area.area() == pytest.approx(1.0, abs=1e-12)
 
     def test_area_matched_rejected(self, amplitude):
-        # only analysis.match_areas scales a curve to another's area
+        # only patterns.match_areas scales a curve to another's area
         with pytest.raises(ValueError, match="unknown Normalization 'area-matched'"):
             sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, 0.1, 0.0),
                            self.THETAS, "area-matched")
