@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("single", "single-beam angular distribution", beam + grid + output + pattern),
         ("two-beam", "two-beam interference-plus-diffraction distribution",
          beam + grid + output + ("--alpha", "--phi") + pattern),
-        ("scan", "low-energy two-beam density over a (phi, theta) grid",
-         beam + grid + output + ("--alpha", "--phi-min", "--phi-max", "--phi-points", "--format")),
+        ("scan", "two-beam density over a (phi, theta) grid",
+         beam + grid + output + ("--alpha", "--phi-min", "--phi-max", "--phi-points") + pattern),
         ("compare", "area-matched quantum vs classical comparison metrics (JSON)",
          beam + grid + output + ("--radius-scale",)),
         ("zeros", "dark-point angles and the radius overestimation factor (JSON)",
@@ -306,10 +306,10 @@ def _json_doc(config: dict, data: dict) -> str:
             + _json_value(config, "  ") + "\n}\n")
 
 
-def _pattern(args, beam, p_radius, *geometry) -> dict:
-    # the single-beam command, or with the geometry (alpha, phi) the two-beam one;
-    # each array command imports numpy and the compute modules after its grid checks
-    thetas, = _resolve_grids(args, "theta")
+def _pattern(args, beam, p_radius, thetas, *geometry) -> dict:
+    # the single-beam command, or with the geometry (alpha, phi) the two-beam one,
+    # or with (alpha, phis) the scan, one row per phase; each array command
+    # imports numpy and the compute modules after its grid checks
     from .electron import amplitudes, dsigma_dtheta
     from .patterns import sample_pattern
     from .twobeam import dsigma_dtheta_two_beam
@@ -322,26 +322,16 @@ def _pattern(args, beam, p_radius, *geometry) -> dict:
 
 
 def _cmd_single(args, beam, p_radius) -> dict:
-    return _pattern(args, beam, p_radius)
+    return _pattern(args, beam, p_radius, *_resolve_grids(args, "theta"))
 
 
 def _cmd_two_beam(args, beam, p_radius) -> dict:
-    return _pattern(args, beam, p_radius, args.alpha, args.phi)
+    return _pattern(args, beam, p_radius, *_resolve_grids(args, "theta"), args.alpha, args.phi)
 
 
 def _cmd_scan(args, beam, p_radius) -> dict:
     phis, thetas = _resolve_grids(args, "phi", "theta")
-    import numpy as np
-
-    from .electron import amplitudes
-    from .twobeam import dsigma_dtheta_two_beam
-
-    amplitude = partial(amplitudes, beam, p_radius)
-    density = dsigma_dtheta_two_beam(amplitude, args.alpha, phis, thetas)
-    # the density's fault, not the caller's, as for the pattern commands
-    if not np.all(np.isfinite(density)):
-        raise ValueError("density must be finite")
-    return {"phi_rad": phis, "theta_rad": thetas, "density": density}
+    return {"phi_rad": phis, **_pattern(args, beam, p_radius, thetas, args.alpha, phis)}
 
 
 def _cmd_compare(args, beam, p_radius) -> dict:

@@ -33,15 +33,22 @@ def validate_grid(thetas) -> np.ndarray:
     return arr
 
 
-def grid_area(thetas: np.ndarray, density: np.ndarray) -> float:
-    """Trapezoidal integral of a sampled density over its grid."""
-    return float(np.trapezoid(density, thetas))
+def grid_area(thetas: np.ndarray, density: np.ndarray):
+    """Trapezoidal integral of a sampled density over its grid, a float, or one per row."""
+    area = np.trapezoid(density, thetas)
+    return area if area.ndim else float(area)
+
+
+def _is_pattern_shape(shape: tuple, thetas: np.ndarray) -> bool:
+    # one density value per theta, or a non-empty leading axis of such rows, one per phase
+    return shape[-1:] == thetas.shape and len(shape) <= 2 and 0 not in shape
 
 
 @dataclass(frozen=True, eq=False)
 class Pattern:
     """A sampled angular probability density d(sigma)/d(theta).
 
+    ``density`` has one value per theta, or one row of them per phase (a phase scan).
     A pattern carries no provenance: the builder's own arguments are the
     record, and the CLI writes them into every file as its ``# config:`` line.
     """
@@ -52,10 +59,9 @@ class Pattern:
     def __post_init__(self):
         thetas = validate_grid(self.thetas)
         density = np.asarray(self.density, dtype=float)
-        if density.shape != thetas.shape:
-            raise ValueError(
-                f"density shape {density.shape} does not match grid shape {thetas.shape}"
-            )
+        if not _is_pattern_shape(density.shape, thetas):
+            raise ValueError(f"density shape {density.shape} is neither the grid shape "
+                             f"{thetas.shape} nor one row of it per phase")
         if not np.all(np.isfinite(density)):
             raise ValueError("density must be finite")
         if np.any(density < 0.0):
@@ -63,8 +69,8 @@ class Pattern:
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "density", density)
 
-    def area(self) -> float:
-        """Trapezoidal integral of the density over the grid."""
+    def area(self):
+        """Trapezoidal integral of the density over the grid: a float, or one per row."""
         return grid_area(self.thetas, self.density)
 
 
@@ -79,27 +85,27 @@ def sample_pattern(density, thetas: np.ndarray | None = None,
     ``partial(dsigma_dtheta, partial(amplitudes, beam, pR, mode="full", channel="sum"))``,
     ``partial(dsigma_dtheta_two_beam, partial(amplitudes, beam, pR), alpha, phi)``,
     ``partial(dsigma_dtheta, partial(fraunhofer_amplitudes, pR))`` or
-    ``partial(dsigma_dtheta_two_beam, partial(fraunhofer_amplitudes, pR), alpha, phi)``.
-    A result of another shape, such as one row per phase of a phase
-    sequence, raises DomainError.
+    ``partial(dsigma_dtheta_two_beam, partial(fraunhofer_amplitudes, pR), alpha, phi)``;
+    or to one row of them per phase, as the two-beam density does over a phase
+    sequence, each row normalized as its own pattern.  Another shape raises DomainError.
     """
     thetas = default_grid() if thetas is None else validate_grid(thetas)
     normalization = Normalization(normalization)
     values = density(thetas)
-    if np.shape(values) != thetas.shape:
-        raise DomainError(f"a pattern has one density value per theta: got shape "
-                          f"{np.shape(values)} on a grid of shape {thetas.shape}")
+    if not _is_pattern_shape(np.shape(values), thetas):
+        raise DomainError(f"a pattern has one density value per theta, or a row of them per "
+                          f"phase: got shape {np.shape(values)} on a grid of shape {thetas.shape}")
     # the density's fault, not the caller's: before the normalization's DomainError
     if not np.all(np.isfinite(values)):
         raise ValueError("density must be finite")
     if normalization is Normalization.PEAK_ONE:
-        peak = float(np.max(values))
-        if peak <= 0.0:
+        peak = np.max(values, axis=-1, keepdims=True)
+        if np.any(peak <= 0.0):
             raise DomainError("cannot peak-normalize an identically zero density")
         values = values / peak
     elif normalization is Normalization.UNIT_AREA:
-        area = grid_area(thetas, values)
-        if area <= 0.0 or not math.isfinite(area):
+        area = np.asarray(grid_area(thetas, values))[..., None]
+        if not np.all((area > 0.0) & np.isfinite(area)):
             raise DomainError("cannot area-normalize: integral is zero or non-finite")
         values = values / area
     # Pattern rechecks the grid and density: skipping that needs a private constructor
@@ -108,8 +114,9 @@ def sample_pattern(density, thetas: np.ndarray | None = None,
 
 def match_areas(reference: Pattern, target: Pattern) -> Pattern:
     """Rescale ``target`` so its trapezoidal area equals ``reference``'s."""
-    if not np.array_equal(reference.thetas, target.thetas):
-        raise DomainError("match_areas: patterns must share the same theta grid")
+    if (reference.density.ndim > 1 or target.density.ndim > 1
+            or not np.array_equal(reference.thetas, target.thetas)):
+        raise DomainError("match_areas: patterns must be single curves on the same theta grid")
     ref_area = reference.area()
     tgt_area = target.area()
     if tgt_area == 0.0:
@@ -126,12 +133,12 @@ class CurveComparison:
 
 
 def compare_curves(a: Pattern, b: Pattern) -> CurveComparison:
-    """Pointwise comparison of two same-grid patterns.
+    """Pointwise comparison of two same-grid single-curve patterns.
 
     ``l2_diff`` is the grid-native norm sqrt(trapz((a - b)^2 dtheta)).
     """
-    if not np.array_equal(a.thetas, b.thetas):
-        raise DomainError("compare_curves: patterns must share the same theta grid")
+    if a.density.ndim > 1 or b.density.ndim > 1 or not np.array_equal(a.thetas, b.thetas):
+        raise DomainError("compare_curves: patterns must be single curves on the same theta grid")
     diff = a.density - b.density
     max_abs = float(np.max(np.abs(diff)))
     l2 = math.sqrt(grid_area(a.thetas, diff * diff))

@@ -11,8 +11,8 @@ not modeled here).
 per-beam amplitude as a callable and the geometry, alpha and phi, as plain
 numbers, so one function serves the quantum model, in either mode and spin
 channel, and the classical one, at one phase or along an axis of phases (a
-phase scan); :func:`~wirediff.patterns.sample_pattern` samples it at one
-phase.
+phase scan); :func:`~wirediff.patterns.sample_pattern` samples it, one
+pattern per row.
 """
 
 from __future__ import annotations

@@ -149,10 +149,9 @@ _BAD_INPUTS = {
         partial(amplitudes, BeamParams(1e7), 100.0), 0.1, 1j, 0.1),
     "complex phases": lambda: dsigma_dtheta_two_beam(
         partial(amplitudes, BeamParams(1e7), 100.0), 0.1, [1j], 0.1),
-    # a phase sequence gives one row per phase, not one value per theta
-    "pattern phases": lambda: sample_pattern(partial(
-        dsigma_dtheta_two_beam, partial(amplitudes, BeamParams(1e7), 100.0),
-        0.1, [0.0, 1.0]), _GRID),
+    # a density gives one value per theta, or one row of them per phase
+    "pattern 3-D": lambda: sample_pattern(lambda theta: np.ones((2, 1, theta.size)), _GRID),
+    "pattern length": lambda: sample_pattern(lambda theta: np.ones((2, theta.size + 1)), _GRID),
     "p_radius": lambda: sample_pattern(
         partial(dsigma_dtheta, partial(fraunhofer_amplitudes, 0.0)), _GRID),
     # a NaN radius scale gives the classical curve a NaN pR
@@ -179,6 +178,9 @@ _BAD_INPUTS = {
     "match_areas grid": lambda: match_areas(_FLAT, Pattern(_GRID + 1.0, np.ones(5))),
     "zero target": lambda: match_areas(_FLAT, Pattern(_GRID, np.zeros(5))),
     "compare_curves grid": lambda: compare_curves(_FLAT, Pattern(_GRID + 1.0, np.ones(5))),
+    # as many phase rows as thetas: one area per row would broadcast along theta
+    "match_areas phase rows": lambda: match_areas(_FLAT, Pattern(_GRID, np.ones((5, 5)))),
+    "compare_curves phase rows": lambda: compare_curves(Pattern(_GRID, np.ones((5, 5))), _FLAT),
 }
 
 # rows whose message must name the function the caller called, or its argument
@@ -189,7 +191,9 @@ _NAMED = {"p_radius": "fraunhofer_amplitudes", "radius_scale": "fraunhofer_ampli
           "alpha": "^alpha in", "alpha above pi": "^alpha in", "classical alpha": "^alpha in",
           "phi": "^phi must be", "phi 2-D": "^phi must be", "phi empty": "^phi must be",
           "array alpha": "^alpha in", "phi text": "^phi must be", "complex phi": "^phi must be",
-          "complex phases": "^phi must be"}
+          "complex phases": "^phi must be", "pattern 3-D": "^a pattern has",
+          "pattern length": "^a pattern has", "match_areas phase rows": "single curves",
+          "compare_curves phase rows": "single curves"}
 
 
 class TestInputErrors:
@@ -198,7 +202,9 @@ class TestInputErrors:
         with pytest.raises(DomainError, match=_NAMED.get(name)):
             _BAD_INPUTS[name]()
 
-    @pytest.mark.parametrize("density", [[1.0, -1.0], [1.0, math.nan], [1.0]])
+    # on a grid of two: a negative or NaN value, or a shape neither (2,) nor (k, 2), k >= 1
+    @pytest.mark.parametrize("density", [[1.0, -1.0], [1.0, math.nan], [1.0], [[[1.0, 1.0]]],
+                                         np.empty((0, 2)), [[1.0], [1.0]]])
     def test_pattern_density_invariants_stay_value_errors(self, density):
         # a builder's own density breaking them is the package's fault, not input
         with pytest.raises(ValueError) as exc:

@@ -181,6 +181,8 @@ class TestConfigErrors:
             # strictly increasing, which only sample_pattern's validate_grid finds
             ("single", "--theta-min", "0.1", "--theta-max", "0.10000000000000002",
              "--theta-points", "3"),
+            # scan takes the pattern commands' flags, and their flip rule with them
+            ("scan", "--spin", "flip"),
         ],
     )
     def test_semantic_errors_exit_2(self, capsys, argv):
@@ -272,7 +274,7 @@ class TestConfigErrors:
             assert "wirediff: internal error: ValueError: density must be finite" in err
             assert "configuration error" not in err
 
-    @pytest.mark.parametrize("command", ["single", "two-beam"])
+    @pytest.mark.parametrize("command", ["single", "two-beam", "scan"])
     def test_spin_choices_are_the_channels(self, command):
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
@@ -397,6 +399,63 @@ class TestScanCommand:
         assert len(doc["data"]["phi_rad"]) == 3
         assert len(doc["data"]["density"]) == 3
         assert len(doc["data"]["density"][0]) == 5
+
+    # every (mode, spin) pair the package computes, under each normalization
+    @pytest.mark.parametrize("normalization", ["raw", "peak-one", "unit-area"])
+    @pytest.mark.parametrize("mode, spin", [
+        ("low-energy", "no-flip"), ("low-energy", "sum"),
+        ("full", "no-flip"), ("full", "flip"), ("full", "sum"),
+    ])
+    def test_rows_are_two_beam_patterns(self, capsys, mode, spin, normalization):
+        # row k of a scan is the two-beam output at phi_k with the same flags, byte for
+        # byte; each value prints as .17g, so its bits are equal too
+        rng = np.random.default_rng([20261020, len(mode), len(spin), len(normalization)])
+        for mass_ev in ("0.3", "1", "510998.95"):
+            phi_min, phi_points = rng.uniform(-10.0, 10.0), int(rng.integers(2, 6))
+            flags = ["--mode", mode, "--spin", spin, "--normalization", normalization,
+                     "--mass-ev", mass_ev, f"--alpha={rng.uniform(0.0, math.pi)!r}",
+                     f"--theta-min={-rng.uniform(0.05, 0.5)!r}",
+                     f"--theta-max={rng.uniform(0.05, 0.5)!r}",
+                     "--theta-points", str(rng.integers(2, 120)),
+                     f"--wavelength-nm={rng.uniform(100.0, 2000.0)!r}"]
+            code, out, _ = run_cli(capsys, "scan", *flags, f"--phi-min={phi_min!r}",
+                                   f"--phi-max={phi_min + rng.uniform(0.1, 15.0)!r}",
+                                   "--phi-points", str(phi_points))
+            assert code == 0
+            blocks = {}  # phi as printed -> its rows, without the phi lead
+            for line in out.split("\n")[2:-1]:
+                phi, row = line.split(",", 1)
+                blocks.setdefault(phi, []).append(row + "\n")
+            assert len(blocks) == phi_points
+            for phi, rows in blocks.items():
+                code, two_beam, _ = run_cli(capsys, "two-beam", *flags, f"--phi={phi}")
+                assert code == 0
+                assert two_beam.split("\n", 2)[2] == "".join(rows)
+
+    def test_data_bytes_are_unchanged_by_the_shared_pattern_path(self, capsys):
+        # sha256 of the bytes after the config line (CSV) and before the
+        # metadata (JSON) of the three pinned scans, as scan wrote them before
+        # it took --mode, --spin and --normalization: their config gained
+        # exactly those three keys
+        pins = [
+            (("scan",), "fa492796f77b042278f9c360c1e444e6667b91055991394f90d18b13ec79f76e"),
+            (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
+             "eede9924ace389c457ab0a41531390e768be82987e70b3663e5c66b581d879b8"),
+            (("scan", "--format", "json", "--phi-points", "3", "--theta-points", "101"),
+             "e7c56da38b75f5df7c1daf18f0a4e3d98de42efd2c6598d55a3a9f3826386c97"),
+        ]
+        for argv, digest in pins:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            if "json" in argv:
+                data = out[:out.index('  "metadata"')]
+                config = json.loads(out)["metadata"]
+            else:
+                config_line, data = out.split("\n", 1)
+                config = json.loads(config_line[len("# config: "):])
+            assert hashlib.sha256(data.encode("utf-8")).hexdigest() == digest
+            assert {key: config[key] for key in ("mode", "normalization", "spin")} == {
+                "mode": "low-energy", "normalization": "raw", "spin": "no-flip"}
 
 
 class TestZerosCommand:
@@ -662,12 +721,14 @@ class TestEmitters:
 
     def test_default_scan_repeats_rows(self):
         # the writers' reuse runs on real data: phi = 2 pi reduces to exactly
-        # 0, and mirrored phases share cos and |sin|
-        args = build_parser().parse_args(["scan"])
-        data = cli._cmd_scan(args, *cli._resolve_physics(args))
-        rows = [row.tobytes() for row in data["density"]]
-        assert rows[-1] == rows[0]
-        assert len(set(rows)) < len(rows) == data["phi_rad"].size
+        # 0, and mirrored phases share cos and |sin|; so do rows each
+        # normalized as their own pattern
+        for argv in (["scan"], ["scan", "--normalization", "peak-one"]):
+            args = build_parser().parse_args(argv)
+            data = cli._cmd_scan(args, *cli._resolve_physics(args))
+            rows = [row.tobytes() for row in data["density"]]
+            assert rows[-1] == rows[0]
+            assert len(set(rows)) < len(rows) == data["phi_rad"].size
 
     def test_empty_metadata_csv_still_valid(self):
         from wirediff.patterns import Pattern
@@ -820,9 +881,9 @@ class TestSharedOptionHelp:
         return "\n".join(entry)
 
     @pytest.mark.parametrize("flag, commands", [
-        ("--mode", ("single", "two-beam")),
-        ("--spin", ("single", "two-beam")),
-        ("--normalization", ("single", "two-beam")),
+        ("--mode", ("single", "two-beam", "scan")),
+        ("--spin", ("single", "two-beam", "scan")),
+        ("--normalization", ("single", "two-beam", "scan")),
         ("--format", ("single", "two-beam", "scan")),
         ("--alpha", ("two-beam", "scan")),
     ], ids=lambda value: value.lstrip("-") if isinstance(value, str) else "-".join(value))
@@ -847,33 +908,33 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "4e90a1e67f445e6e43baba1c1074b92cab0ab6f3696b4718aa3ddc85e01433e9"),
+             "994df991a8e492b7f789ff75c1353b48d7154593b02a94c83ac78e8bf939f85d"),
             (("two-beam",),
-             "cb62e3cdc910e377e17aad32525c1874708bcb2fd5bb415deba80d1a990abd35"),
+             "d3a1fa6f939fa21a0808b77523cee5a87a895edbdacb282f3465cd052757c57b"),
             (("scan",),
-             "22f4ebd536ac2bf9c2b9862f740a287bb89f4ae82f4fcad92d62d53dc5520417"),
+             "46a5994edc658587cd772caa3a756154c4f95100486b091f8e414c1ae69922c9"),
             (("compare",),
-             "61b6dcd1662b6fba7c0698e0f4163100dd65f1e5c3225fdceabd1d33c283582c"),
+             "f2f4ad037e848e594f8c9a28995aa7d1a70fccfd2019d25a308d21509192a36a"),
             (("zeros",),
-             "caa4b9a3d81ae05ec79316a9fd5028c6bd1201e36c8d76a78c4aa687b3c7d375"),
+             "074610e74a83d77055d78de8dc76be71eae380af08fb99ce291266823296df81"),
             (("zeros", "--n", "3"),
-             "aafc688988957336694c4d0424179714105264631157b921b3b0b417d92b2b0a"),
+             "773dad5d28fc16f4b7a708557ca15aa8e2e261b5d890d9284372905386d04f09"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "b364986119b110189f4880d475b78a5c4d6a1d8da98638ca0d1f095348744851"),
+             "8818ca9a9a4634f4f8a96ff0a5fb2567e75a8efbb3f4421e935e89ea56c3a144"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "e2d04bdc2ec07377342660169c829d4ce6142c062b00dcc680f89c593d8d8653"),
+             "90b8ebe2ea82cbef5b6890e446f3a52fce47a21b6f223645d634b12dbdaf72d3"),
             (("single", "--mode", "full", "--spin", "sum"),
-             "9f7762e74292888b5fd972bd2cdb93c09f85e65e0783ee44e588b532c33ebb48"),
+             "fc9cec0213df38196efe2111318e3e93f42679be5ae4b5bb1be519082fa84bc8"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
-             "e0cd16e1ce18c86237b7d65d292b218a6636fda33a76090dc35f43bf2ec97530"),
+             "5ee100184376f9a986a5405fda126dbec1ef9790c54fc11f3a5bd2323879eda1"),
             (("compare", "--radius-scale", "0.82"),
-             "b444f2f5bdfb1a5a128f063351a2de016c1478c150f08d98a769aaae95de9d5e"),
+             "2d9df6fc786f48adaf5abff5495bfee32b49ba6739bf780f40aadaaf4f56d405"),
             (("single", "--format", "json"),
-             "73dfaec8e54314f0a8edf7217e0dfe5a68eec78410f8ba1246fadc2ebb575b3c"),
+             "1d55fa00ebc9f15c8099eeb372a8167584c2d6820ad69feadb42b4620de84a9d"),
             (("two-beam", "--mode", "full", "--spin", "sum", "--format", "json"),
-             "a6271b834142706243feb3ca7631044c26995930ae8d454f929e5bae53540227"),
+             "08fcb034b72a026c5658bccd19a0d132c8247c8cd5dcd4373359538fcfda24b8"),
             (("scan", "--format", "json", "--phi-points", "3", "--theta-points", "101"),
-             "db682ead1f90717a5f9a49773ee6774ebf7b304e15b490371c817b7c5658385e"),
+             "fdb0cb715328e9c045721d8a67910acc178d02a230da2e28b7cbdab01b68afe5"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82",
@@ -931,8 +992,8 @@ class TestNumpyFreePaths:
 
     def test_zeros_digests_without_numpy(self):
         # the two zeros pins of TestPinnedDigests
-        pins = ["caa4b9a3d81ae05ec79316a9fd5028c6bd1201e36c8d76a78c4aa687b3c7d375",
-                "aafc688988957336694c4d0424179714105264631157b921b3b0b417d92b2b0a"]
+        pins = ["074610e74a83d77055d78de8dc76be71eae380af08fb99ce291266823296df81",
+                "773dad5d28fc16f4b7a708557ca15aa8e2e261b5d890d9284372905386d04f09"]
         results = run_fresh("block", ["zeros"], ["zeros", "--n", "3"])
         assert [code for code, _, _ in results] == [0, 0]
         assert [hashlib.sha256(out.encode("utf-8")).hexdigest()

@@ -117,3 +117,48 @@ class TestCompareFloor:
             density = partial(dsigma_dtheta, amplitude)
             assert sample_pattern(density, thetas).area() == pytest.approx(
                 sample_pattern(density, fine).area(), rel=2e-4)
+
+
+# every amplitude a two-beam pattern takes: both quantum modes in each of
+# their channels, and the classical one
+AMPLITUDES = {
+    "low-energy-no-flip": quantum(),
+    "low-energy-sum": quantum(channel=Channel.SUM),
+    "full-no-flip": quantum("full"),
+    "full-flip": quantum("full", Channel.FLIP),
+    "full-sum": quantum("full", Channel.SUM),
+    "classical": partial(fraunhofer_amplitudes, PR),
+}
+
+
+class TestPhaseRows:
+    # a density over a phase sequence is one row per phase, each sampled and
+    # normalized as the pattern at that one phase
+    @pytest.mark.parametrize("normalization", list(Normalization), ids=lambda n: n.value)
+    @pytest.mark.parametrize("name", AMPLITUDES)
+    def test_rows_equal_single_phase_patterns(self, name, normalization):
+        rng = np.random.default_rng([20261020, list(AMPLITUDES).index(name)])
+        for _ in range(3):
+            alpha = float(rng.uniform(0.0, math.pi))
+            phis = rng.uniform(-20.0, 20.0, rng.integers(1, 8))
+            phis[rng.integers(phis.size)] = math.tau  # reduces to exactly 0
+            thetas = np.linspace(-rng.uniform(0.05, 0.6), rng.uniform(0.05, 0.6),
+                                 int(rng.integers(2, 300)))
+            rows = sample_pattern(partial(dsigma_dtheta_two_beam, AMPLITUDES[name], alpha, phis),
+                                  thetas, normalization)
+            assert rows.density.shape == (phis.size, thetas.size)
+            for phi, row in zip(phis.tolist(), rows.density):
+                one = sample_pattern(partial(dsigma_dtheta_two_beam, AMPLITUDES[name], alpha, phi),
+                                     thetas, normalization)
+                assert row.tobytes() == one.density.tobytes()
+
+    def test_area_is_one_float_or_one_per_row(self):
+        density = partial(dsigma_dtheta_two_beam, quantum(), CFG[0])
+        rows = sample_pattern(partial(density, [0.0, 1.3, 2.0]), THETAS)
+        one = sample_pattern(partial(density, 1.3), THETAS)
+        assert type(one.area()) is float
+        assert rows.area().shape == (3,)
+        assert rows.area()[1] == one.area()
+        # unit-area divides each row by that same area
+        unit = sample_pattern(partial(density, [0.0, 1.3, 2.0]), THETAS, "unit-area")
+        assert unit.density.tobytes() == (rows.density / rows.area()[:, None]).tobytes()

@@ -316,12 +316,6 @@ class TestPatternTwoBeam:
             sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, 0.1, 0.0),
                            self.THETAS[::-1])
 
-    def test_phase_sequence_rejected(self, amplitude):
-        # one row per phase is not one value per theta
-        with pytest.raises(DomainError, match=r"got shape \(2, 201\) on a grid of shape"):
-            sample_pattern(partial(dsigma_dtheta_two_beam, amplitude,
-                                   0.1, [0.0, 1.0]), self.THETAS)
-
     def test_exported(self):
         import wirediff
 
