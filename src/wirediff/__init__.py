@@ -7,19 +7,17 @@ quantum one or the classical Fraunhofer comparator, plus the derived
 radius-overestimation analysis.
 """
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 # each public name and the module it lives in, imported on first access
 # (PEP 562), so ``import wirediff`` and the commands that build no array
 # load no numpy
 _HOMES = {
     "BeamParams": "potential",
-    "Channel": "potential",
     "CurveComparison": "patterns",
     "DomainError": "numerics",
     "ELECTRON_MASS_EV": "potential",
     "HBARC_EV_M": "potential",
-    "Normalization": "potential",
     "Pattern": "patterns",
     "amplitudes": "electron",
     "compare_curves": "patterns",

@@ -12,8 +12,9 @@ matching and curve comparison live beside ``Pattern`` in
 from __future__ import annotations
 
 import math
+import operator
 
-from .numerics import DomainError, _j1_zero
+from .numerics import DomainError, _choice, _j1_zero
 
 # pi to 1e-34 in three parts; k times the first two, of <= 30 bits, is exact for k < 2**23
 _PI_A, _PI_B, _PI_C = 3.141592651605606, 1.9841871583270443e-09, 1.034036596358821e-18
@@ -34,11 +35,13 @@ def first_dark_points(p_radius: float, method: str, n: int = 1) -> tuple[float, 
     """
     if not (math.isfinite(p_radius) and p_radius > 0.0):
         raise DomainError(f"first_dark_points: p_radius > 0 required, got {p_radius!r}")
+    try:
+        n = operator.index(n)  # an int or a numpy integer; a float, even 2.0, is refused
+    except TypeError:
+        raise DomainError(f"first_dark_points: n must be an integer, got {n!r}") from None
     if n < 1:
         raise DomainError(f"first_dark_points: n >= 1 required, got {n!r}")
-    if method not in ("quantum", "classical"):
-        raise DomainError(f"unknown method {method!r}; expected 'quantum' or 'classical'")
-    quantum = method == "quantum"
+    quantum = _choice("method", method, ("quantum", "classical")) == "quantum"
     # each left-hand side at theta = pi/2; a dark point below it lies in (0, pi/2)
     limit = 2.0 * p_radius * math.sin(0.25 * math.pi) if quantum else p_radius
     zeros: list[float] = []

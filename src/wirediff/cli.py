@@ -38,7 +38,7 @@ from functools import cache, partial
 from . import __version__
 from .analysis import first_dark_points, overestimation_factor
 from .numerics import DomainError
-from .potential import _DEFAULT_GRID, _MODES, BeamParams, Channel, ELECTRON_MASS_EV, Normalization
+from .potential import _CHANNELS, _DEFAULT_GRID, _MODES, _NORMALIZATIONS, BeamParams, ELECTRON_MASS_EV
 
 # Fewest grid samples per fringe pi / max(pR, scale * pR) for compare, whose
 # only grid-dependent numbers are trapezoid integrals (match_areas, l2_diff):
@@ -107,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="beam intersection angle in rad (default 0.1)"),
         "--phi": dict(type=float, default=0.0, help="interference phase in rad (default 0)"),
         "--mode": dict(choices=_MODES, default="low-energy", help="low-energy (default) or full"),
-        "--spin": dict(choices=sorted(c.value for c in Channel), default="no-flip",
+        "--spin": dict(choices=_CHANNELS, default="no-flip",
                        help="spin channel (default no-flip); flip needs --mode full"),
-        "--normalization": dict(choices=sorted(n.value for n in Normalization), default="raw",
+        "--normalization": dict(choices=_NORMALIZATIONS, default="raw",
                                 help="density scaling (default raw)"),
         "--format": dict(choices=["csv", "json"], default="csv",
                          help="output format (default csv)"),

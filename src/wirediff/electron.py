@@ -1,8 +1,8 @@
 """Electron scattering amplitudes and the single-beam density over an amplitude.
 
-A :class:`Channel` picks the no-flip or flip channel or their sum.  Mode
-"full" keeps the full-energy spinor matrix elements u'^dagger u, with both
-spins quantized along the incident beam: in that basis sin(theta) is the
+A channel, "no-flip", "flip" or "sum", picks one final spin or their sum.
+Mode "full" keeps the full-energy spinor matrix elements u'^dagger u, with
+both spins quantized along the incident beam: in that basis sin(theta) is the
 flip element's angular factor, and the sin(theta/2) of textbook flip
 elements belongs to the helicity basis, whose final spin follows the
 scattered momentum.  Each channel's density depends on that basis; their
@@ -22,26 +22,26 @@ import math
 
 import numpy as np
 
-from .numerics import DomainError, disk_amplitude
-from .potential import _MODES, BeamParams, Channel
+from .numerics import DomainError, _choice, disk_amplitude
+from .potential import _CHANNELS, _MODES, BeamParams
 
 # largest pc and mc^2 [eV]: (E + mc^2)^2 <= 5.8e300, so no density overflows
 _MAX_SPINOR_EV = 1e150
 
 
-def spinor_elements(beam: BeamParams, theta, channel: Channel = Channel.NO_FLIP) -> list:
+def spinor_elements(beam: BeamParams, theta, channel: str = "no-flip") -> list:
     """Electron-current factors u'^dagger u in eV, one per final spin of ``channel``.
 
     No-flip: ((E + mc^2)^2 + (pc)^2 cos(theta)) / (E + mc^2)
     Flip:    (pc)^2 sin(theta) / (E + mc^2)
 
-    Returns [no-flip], [flip], or [no-flip, flip] under Channel.SUM.  Valid
+    Returns [no-flip], [flip], or [no-flip, flip] under "sum".  Valid
     at all energies.  In the low-energy limit the flip element vanishes and
     the no-flip element tends to the constant 2 mc^2.  ``theta`` is a scalar
     or an array of angles, and so is each element.  pc or mc^2 above
-    1e150 eV raises DomainError.
+    1e150 eV raises DomainError, as does a channel outside those three.
     """
-    channel = Channel(channel)
+    channel = _choice("channel", channel, _CHANNELS)
     if not np.all(np.isfinite(theta)):
         raise DomainError(f"spinor_elements: theta must be finite, got {theta!r}")
     pc = beam.pc_ev
@@ -50,15 +50,15 @@ def spinor_elements(beam: BeamParams, theta, channel: Channel = Channel.NO_FLIP)
                           f"pc = {pc:g} eV, mc^2 = {beam.mass_ev:g} eV")
     e_plus_m = beam.energy_ev + beam.mass_ev
     elements = []
-    if channel is not Channel.FLIP:
+    if channel != "flip":
         elements.append((e_plus_m * e_plus_m + pc * pc * np.cos(theta)) / e_plus_m)
-    if channel is not Channel.NO_FLIP:
+    if channel != "no-flip":
         elements.append(pc * pc * np.sin(theta) / e_plus_m)
     return elements
 
 
 def amplitudes(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy",
-               channel: Channel = Channel.NO_FLIP) -> list:
+               channel: str = "no-flip") -> list:
     """Amplitudes whose squares ``mode`` sums over ``channel``, one per final spin.
 
     F = disk_amplitude(qR), qR = 2 pR |sin(theta/2)|, is computed once.
@@ -67,14 +67,14 @@ def amplitudes(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy
     spin sum are both [F] and the flip channel raises DomainError.  Full mode
     is [element * F] for each of ``spinor_elements(beam, theta, channel)``.
     ``p_radius`` is the wire's pR; ``theta`` is a scalar or an array of
-    angles, and so is each amplitude.
+    angles, and so is each amplitude.  ``mode`` is "low-energy" or "full";
+    another spelling of it or of ``channel`` raises DomainError.
     """
     if not (math.isfinite(p_radius) and p_radius > 0.0):
         raise DomainError(f"p_radius > 0 required, got {p_radius!r}")
-    channel = Channel(channel)
-    if mode not in _MODES:
-        raise DomainError(f"unknown mode {mode!r}; expected 'low-energy' or 'full'")
-    if mode == "low-energy" and channel is Channel.FLIP:
+    channel = _choice("channel", channel, _CHANNELS)
+    mode = _choice("mode", mode, _MODES)
+    if mode == "low-energy" and channel == "flip":
         raise DomainError("low-energy mode has no flip channel (its element vanishes "
                           "there); use mode 'full' for the flip density")
     # theta first, as np.sin warns on inf; disk_amplitude rechecks qR, which overflows near pR 1e308,

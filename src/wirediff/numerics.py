@@ -139,6 +139,14 @@ def _require_finite(name: str, x: float) -> float:
     return x
 
 
+def _choice(name: str, value, spellings: tuple) -> str:
+    # isinstance first, so an array is refused, not compared element by element
+    if isinstance(value, str) and value in spellings:
+        return value
+    expected = ", ".join(repr(spelling) for spelling in spellings)
+    raise DomainError(f"unknown {name} {value!r}; expected one of {expected}")
+
+
 def _clenshaw(coeffs, s):
     # sum_k c_k T_k(s), coefficients from the highest degree down
     s2 = s + s

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError
-from .potential import _DEFAULT_GRID, Normalization
+from .numerics import DomainError, _choice
+from .potential import _DEFAULT_GRID, _NORMALIZATIONS
 
 
 def default_grid() -> np.ndarray:
@@ -22,8 +22,11 @@ def default_grid() -> np.ndarray:
 
 
 def validate_grid(thetas) -> np.ndarray:
-    """Check an angular grid: 1-D, finite, strictly increasing, non-empty."""
-    arr = np.asarray(thetas, dtype=float)
+    """Check an angular grid: 1-D, real, finite, strictly increasing, non-empty."""
+    arr = np.asarray(thetas)
+    if arr.dtype.kind not in "biuf":  # text or complex; float() would parse or raise
+        raise DomainError(f"angular grid must be real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("angular grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(arr)):
@@ -75,7 +78,7 @@ class Pattern:
 
 
 def sample_pattern(density, thetas: np.ndarray | None = None,
-                   normalization: Normalization = Normalization.RAW) -> Pattern:
+                   normalization: str = "raw") -> Pattern:
     """Sample ``density`` over an angular grid (None: :func:`default_grid`).
 
     The one pattern builder: it validates the grid, evaluates the density
@@ -88,9 +91,12 @@ def sample_pattern(density, thetas: np.ndarray | None = None,
     ``partial(dsigma_dtheta_two_beam, partial(fraunhofer_amplitudes, pR), alpha, phi)``;
     or to one row of them per phase, as the two-beam density does over a phase
     sequence, each row normalized as its own pattern.  Another shape raises DomainError.
+    ``normalization`` is "raw" (the density as computed), "peak-one" (each row's
+    maximum is 1) or "unit-area" (each row's trapezoidal area is 1); another
+    spelling raises DomainError.
     """
     thetas = default_grid() if thetas is None else validate_grid(thetas)
-    normalization = Normalization(normalization)
+    normalization = _choice("normalization", normalization, _NORMALIZATIONS)
     values = density(thetas)
     if not _is_pattern_shape(np.shape(values), thetas):
         raise DomainError(f"a pattern has one density value per theta, or a row of them per "
@@ -98,12 +104,12 @@ def sample_pattern(density, thetas: np.ndarray | None = None,
     # the density's fault, not the caller's: before the normalization's DomainError
     if not np.all(np.isfinite(values)):
         raise ValueError("density must be finite")
-    if normalization is Normalization.PEAK_ONE:
+    if normalization == "peak-one":
         peak = np.max(values, axis=-1, keepdims=True)
         if np.any(peak <= 0.0):
             raise DomainError("cannot peak-normalize an identically zero density")
         values = values / peak
-    elif normalization is Normalization.UNIT_AREA:
+    elif normalization == "unit-area":
         area = np.asarray(grid_area(thetas, values))[..., None]
         if not np.all((area > 0.0) & np.isfinite(area)):
             raise DomainError("cannot area-normalize: integral is zero or non-finite")

@@ -8,17 +8,16 @@ only rescales the overall constant of the transition probability, never a
 normalized angular shape, so it is not modeled.  Public constructors accept
 SI quantities (nm, eV) and convert at the boundary.
 
-It also holds the spellings the command line parses (the spin channel,
-the normalization, the mode and the default grid), so that the parser,
-like this module, needs no numpy; :mod:`~wirediff.electron` and
-:mod:`~wirediff.patterns` import them back.
+It also holds what the command line parses beside the beam: the string
+spellings of the mode, the spin channel and the normalization, and the
+default grid, so that the parser, like this module, needs no numpy;
+:mod:`~wirediff.electron` and :mod:`~wirediff.patterns` import them back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .numerics import DomainError
 
@@ -28,37 +27,16 @@ HBARC_EV_M = 1.973269804e-7
 ELECTRON_MASS_EV = 510_998.95
 """Electron rest energy in eV."""
 
-# the spellings of ``electron.amplitudes``' mode, which the CLI's --mode offers
+# the spellings of ``electron.amplitudes``' mode and channel (a final spin, or
+# "sum" over both) and of ``patterns.sample_pattern``' normalization, which the
+# CLI's --mode, --spin and --normalization offer
 _MODES = ("low-energy", "full")
+_CHANNELS = ("flip", "no-flip", "sum")
+_NORMALIZATIONS = ("peak-one", "raw", "unit-area")
 
 # (theta min [rad], theta max [rad], points) of patterns.default_grid and of
 # the CLI's --theta-min, --theta-max and --theta-points defaults
 _DEFAULT_GRID = (-0.15, 0.15, 2001)
-
-
-class Spelling(str, Enum):
-    """A str enum whose lookup of an unknown spelling raises DomainError."""
-
-    @classmethod
-    def _missing_(cls, value):
-        expected = ", ".join(repr(member.value) for member in cls)
-        raise DomainError(f"unknown {cls.__name__} {value!r}; expected one of {expected}")
-
-
-class Channel(Spelling):
-    """Final-spin channel of a density; SUM adds the no-flip and flip densities."""
-
-    NO_FLIP = "no-flip"
-    FLIP = "flip"
-    SUM = "sum"
-
-
-class Normalization(Spelling):
-    """How a pattern's density is scaled; the values are the CLI's spellings."""
-
-    RAW = "raw"
-    PEAK_ONE = "peak-one"
-    UNIT_AREA = "unit-area"
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ import pytest
 from wirediff.analysis import first_dark_points, overestimation_factor
 from wirediff.classical import fraunhofer_amplitudes
 from wirediff.cli import main
-from wirediff.electron import Channel, amplitudes, dsigma_dtheta
+from wirediff.electron import amplitudes, dsigma_dtheta
 from wirediff.numerics import disk_amplitude
-from wirediff.patterns import (Normalization, compare_curves, default_grid, match_areas,
+from wirediff.patterns import (compare_curves, default_grid, match_areas,
                                sample_pattern)
 from wirediff.potential import BeamParams
 from wirediff.twobeam import dsigma_dtheta_two_beam
@@ -128,13 +128,13 @@ def test_criterion_4_low_energy_reduction(default_setup):
     thetas = default_grid()
     full, low = (sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius,
                                                                mode=mode)),
-                                thetas, Normalization.PEAK_ONE)
+                                thetas, "peak-one")
                  for mode in ("full", "low-energy"))
     pointwise = float(np.max(np.abs(full.density - low.density)))
 
     flip, noflip = (np.array([dsigma_dtheta(amplitude, float(t)) for t in thetas])
                     for amplitude in (partial(amplitudes, beam, p_radius, mode="full", channel=c)
-                                      for c in (Channel.FLIP, Channel.NO_FLIP)))
+                                      for c in ("flip", "no-flip")))
     flip_weight = float(np.trapezoid(flip, thetas) / np.trapezoid(noflip, thetas))
     momentum_ratio = beam.pc_ev / beam.mass_ev
 

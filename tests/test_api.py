@@ -1,5 +1,6 @@
 import os
 from functools import partial
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,15 +11,15 @@ import numpy as np
 import pytest
 
 import wirediff
-from wirediff import (BeamParams, Channel, DomainError, Normalization, Pattern, amplitudes,
+from wirediff import (BeamParams, DomainError, Pattern, amplitudes,
                       compare_curves, disk_amplitude, dsigma_dtheta, dsigma_dtheta_two_beam,
                       first_dark_points, fraunhofer_amplitudes, match_areas, sample_pattern,
                       sinc, spinor_elements, validate_grid)
 
-# public names deleted in 0.2.0 to 0.16.0, each a second path to a quantity
+# public names deleted in 0.2.0 to 0.18.0, each a second path to a quantity
 # that keeps one, a test oracle now in tests/oracles.py, an input-error type
 # that DomainError replaces, a spelling of the spin channel that Channel
-# replaces, a dark-point search that closed forms replace, a layer that
+# replaced, a spelling type that plain strings replace, a dark-point search that closed forms replace, a layer that
 # only echoed its caller's arguments, wrapped a call or held one product or
 # one factor of it, or a classical density that the two densities give over
 # fraunhofer_amplitudes, a step with one caller that checked its inputs again,
@@ -34,7 +35,7 @@ REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "ScanResult", "find_zero", "ClassicalConfig", "pattern_single",
            "pattern_two_beam", "pattern_classical", "WirePotential", "fraunhofer_single",
            "fraunhofer_two_beam", "momentum_transfer_single", "normalize_density",
-           "spinor_element", "TwoBeamConfig")
+           "spinor_element", "TwoBeamConfig", "Channel", "Normalization", "Spelling")
 
 
 class TestPublicSurface:
@@ -43,7 +44,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 23
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 21
 
     def test_lazy_names_resolve_list_and_star_import(self):
         # in a fresh interpreter, where no name has been loaded yet: each one
@@ -78,7 +79,6 @@ class TestPublicSurface:
         # provenance echoes of the caller's own arguments, and a label no code read
         assert not hasattr(Pattern(_GRID, np.ones(5)), "metadata")
         assert not hasattr(Pattern(_GRID, np.ones(5)), "normalization")
-        assert not hasattr(Normalization, "AREA_MATCHED")
         assert not hasattr(BeamParams(1e7), "wavelength_m")
 
     def test_readme_library_example_runs(self):
@@ -160,19 +160,23 @@ _BAD_INPUTS = {
     "empty grid": lambda: validate_grid([]),
     "non-finite grid": lambda: validate_grid([0.0, math.nan]),
     "decreasing grid": lambda: validate_grid([0.1, 0.0]),
+    # float() would parse the text and refuse the complex numbers
+    "text grid": lambda: validate_grid(["0.1", "0.2"]),
+    "complex grid": lambda: validate_grid([1j, 2j]),
     "unknown mode": lambda: amplitudes(BeamParams(1e7), 100.0, 0.1, "medium"),
     "low-energy flip": lambda: amplitudes(BeamParams(1e7), 100.0, 0.1,
-                                          "low-energy", Channel.FLIP),
+                                          "low-energy", "flip"),
     "area_matched": lambda: sample_pattern(np.ones_like, _GRID, "area-matched"),
     "unknown normalization": lambda: sample_pattern(
         partial(dsigma_dtheta, partial(amplitudes, BeamParams(1e7), 100.0)), _GRID, "peak_one"),
     "unknown channel": lambda: sample_pattern(
         partial(dsigma_dtheta, partial(amplitudes, BeamParams(1e7), 100.0, channel="both")),
         _GRID),
-    "zero peak": lambda: sample_pattern(np.zeros_like, _GRID, Normalization.PEAK_ONE),
-    "zero area": lambda: sample_pattern(np.zeros_like, _GRID, Normalization.UNIT_AREA),
+    "zero peak": lambda: sample_pattern(np.zeros_like, _GRID, "peak-one"),
+    "zero area": lambda: sample_pattern(np.zeros_like, _GRID, "unit-area"),
     "dark-point p_radius": lambda: first_dark_points(math.inf, "quantum"),
     "dark-point n": lambda: first_dark_points(100.0, "quantum", 0),
+    "dark-point float n": lambda: first_dark_points(100.0, "quantum", 2.0),
     "dark-point method": lambda: first_dark_points(100.0, "semiclassical"),
     "too few dark points": lambda: first_dark_points(2.5, "quantum", 2),
     "match_areas grid": lambda: match_areas(_FLAT, Pattern(_GRID + 1.0, np.ones(5))),
@@ -193,7 +197,8 @@ _NAMED = {"p_radius": "fraunhofer_amplitudes", "radius_scale": "fraunhofer_ampli
           "array alpha": "^alpha in", "phi text": "^phi must be", "complex phi": "^phi must be",
           "complex phases": "^phi must be", "pattern 3-D": "^a pattern has",
           "pattern length": "^a pattern has", "match_areas phase rows": "single curves",
-          "compare_curves phase rows": "single curves"}
+          "compare_curves phase rows": "single curves", "text grid": "real numbers",
+          "complex grid": "real numbers", "dark-point float n": "n must be an integer"}
 
 
 class TestInputErrors:
@@ -210,3 +215,40 @@ class TestInputErrors:
         with pytest.raises(ValueError) as exc:
             Pattern(_GRID[:2], np.array(density))
         assert not isinstance(exc.value, DomainError)
+
+
+# each closed choice, its spellings in the order its message lists them, and a
+# public function that takes it
+_CHOICES = [
+    ("mode", ("low-energy", "full"), lambda v: amplitudes(BeamParams(1e7), 100.0, 0.1, v)),
+    ("channel", ("flip", "no-flip", "sum"),
+     lambda v: amplitudes(BeamParams(1e7), 100.0, 0.1, "full", v)),
+    ("channel", ("flip", "no-flip", "sum"), lambda v: spinor_elements(BeamParams(1e7), 0.1, v)),
+    ("normalization", ("peak-one", "raw", "unit-area"),
+     lambda v: sample_pattern(np.ones_like, _GRID, v)),
+    ("method", ("quantum", "classical"), lambda v: first_dark_points(100.0, v)),
+]
+_CHOICE_IDS = ["mode", "channel-amplitudes", "channel-spinor_elements", "normalization", "method"]
+
+
+def _near_misses(rng, s):
+    # a spelling in the wrong case, padded, of the wrong type, or held in a container
+    pad = rng.choice(" \t\n")
+    return [s.upper(), s.capitalize(), pad + s, s + pad, None, [s], (s,), np.array([s, s]),
+            s.encode(), rng.randint(-3, 3), rng.random()]
+
+
+class TestChoices:
+    @pytest.mark.parametrize("name, spellings, call", _CHOICES, ids=_CHOICE_IDS)
+    def test_every_spelling_is_accepted(self, name, spellings, call):
+        for spelling in spellings:
+            call(spelling)
+
+    @pytest.mark.parametrize("name, spellings, call", _CHOICES, ids=_CHOICE_IDS)
+    def test_non_members_name_the_choice_and_its_spellings(self, name, spellings, call):
+        rng = random.Random(f"choices-{name}")
+        expected = ", ".join(repr(s) for s in spellings)
+        for value in (v for _ in range(3) for s in spellings for v in _near_misses(rng, s)):
+            with pytest.raises(DomainError) as exc:
+                call(value)
+            assert str(exc.value) == f"unknown {name} {value!r}; expected one of {expected}"

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from wirediff.classical import fraunhofer_amplitudes
 from wirediff.electron import dsigma_dtheta
 from wirediff.numerics import DomainError
-from wirediff.patterns import Normalization, default_grid, sample_pattern
+from wirediff.patterns import default_grid, sample_pattern
 from wirediff.twobeam import dsigma_dtheta_two_beam
 
 PR = 84.37136668408607  # 2*pi * 8.5e-6 / 633e-9
@@ -106,10 +106,10 @@ class TestFraunhoferTwoBeam:
 
 class TestPatternClassical:
     def test_peak_one(self):
-        pattern = sample_pattern(partial(single, PR), normalization=Normalization.PEAK_ONE)
+        pattern = sample_pattern(partial(single, PR), normalization="peak-one")
         assert float(np.max(pattern.density)) == 1.0
 
     def test_unit_area(self):
         pattern = sample_pattern(partial(single, PR),
-                                 normalization=Normalization.UNIT_AREA)
+                                 normalization="unit-area")
         assert pattern.area() == pytest.approx(1.0, abs=1e-9)

@@ -17,8 +17,7 @@ from conftest import reference_csv
 from wirediff import cli
 from wirediff.analysis import first_dark_points
 from wirediff.cli import _MAX_GRID_VALUES, _MAX_ZEROS, _csv, _json_doc, build_parser, main
-from wirediff.electron import Channel
-from wirediff.potential import BeamParams
+from wirediff.potential import _CHANNELS, _MODES, _NORMALIZATIONS, BeamParams
 
 
 def run_cli(capsys, *argv):
@@ -278,8 +277,10 @@ class TestConfigErrors:
     def test_spin_choices_are_the_channels(self, command):
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
-        spin = next(a for a in sub.choices[command]._actions if a.dest == "spin")
-        assert spin.choices == sorted(c.value for c in Channel) == ["flip", "no-flip", "sum"]
+        choices = {a.dest: a.choices for a in sub.choices[command]._actions}
+        assert choices["spin"] == _CHANNELS == ("flip", "no-flip", "sum")
+        assert choices["mode"] == _MODES
+        assert choices["normalization"] == _NORMALIZATIONS
 
     @pytest.mark.parametrize("command", ["compare", "zeros"])
     def test_json_only_commands_take_no_format(self, capsys, command):
@@ -908,33 +909,33 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "994df991a8e492b7f789ff75c1353b48d7154593b02a94c83ac78e8bf939f85d"),
+             "90fd231fd241dd392e41f0415db5ccd18a6e6736c4c7d422df21790ebbf46525"),
             (("two-beam",),
-             "d3a1fa6f939fa21a0808b77523cee5a87a895edbdacb282f3465cd052757c57b"),
+             "02d75002b18faaa8f6877798a4fa09099942860cb50e3988c090a674601260d0"),
             (("scan",),
-             "46a5994edc658587cd772caa3a756154c4f95100486b091f8e414c1ae69922c9"),
+             "088c34a0809c6ab9aac1a1f167fff81b8d1b8b67bfeb8f586f3bf1a2a1ac6c05"),
             (("compare",),
-             "f2f4ad037e848e594f8c9a28995aa7d1a70fccfd2019d25a308d21509192a36a"),
+             "c0b9c4a33c3a12dc37b21960aaa1a9becd57d08b979de14adbe801f73dafadc1"),
             (("zeros",),
-             "074610e74a83d77055d78de8dc76be71eae380af08fb99ce291266823296df81"),
+             "d5cdaefb2afc3942cacd3ba04eead1ce08721d71d8017f322ef9e18a3ff7ca1f"),
             (("zeros", "--n", "3"),
-             "773dad5d28fc16f4b7a708557ca15aa8e2e261b5d890d9284372905386d04f09"),
+             "62e42887ad6d906551fb5bc58acaf308f3c238b2ee6dfea0a4e13021ff608743"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "8818ca9a9a4634f4f8a96ff0a5fb2567e75a8efbb3f4421e935e89ea56c3a144"),
+             "a3cb0c533d58bc4627c5c848298cfd9ce3af9185d9dc6eaf8eb886010ee56313"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "90b8ebe2ea82cbef5b6890e446f3a52fce47a21b6f223645d634b12dbdaf72d3"),
+             "7a00e4ba53283564a26c0d46fdf88833fd3e68e1667532bbbc48c0d88d5af550"),
             (("single", "--mode", "full", "--spin", "sum"),
-             "fc9cec0213df38196efe2111318e3e93f42679be5ae4b5bb1be519082fa84bc8"),
+             "9754caac30f2fbb7182d10364038bffacaa89acab4804a1ef296662472b1caa0"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
-             "5ee100184376f9a986a5405fda126dbec1ef9790c54fc11f3a5bd2323879eda1"),
+             "b375716a59ce9a442225f72fabd5a3048735065937bd00bb77a056e0374f2705"),
             (("compare", "--radius-scale", "0.82"),
-             "2d9df6fc786f48adaf5abff5495bfee32b49ba6739bf780f40aadaaf4f56d405"),
+             "38aa19c5f04277e4b4ba1a2c9b760d11b34871fa14332fdb450e359049dc4f50"),
             (("single", "--format", "json"),
-             "1d55fa00ebc9f15c8099eeb372a8167584c2d6820ad69feadb42b4620de84a9d"),
+             "e90e20a55dc928f2a4759639103b30123b4127f3cf69efa6344d8ce29847a0d5"),
             (("two-beam", "--mode", "full", "--spin", "sum", "--format", "json"),
-             "08fcb034b72a026c5658bccd19a0d132c8247c8cd5dcd4373359538fcfda24b8"),
+             "24620ba1a974d80e462501fb8eb7dc931802a68a878bb0ec07f9f1f8a120462b"),
             (("scan", "--format", "json", "--phi-points", "3", "--theta-points", "101"),
-             "fdb0cb715328e9c045721d8a67910acc178d02a230da2e28b7cbdab01b68afe5"),
+             "a99fa2a96666b62169e4c81c8273599f6f67531770aefcf661592d85142ed054"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82",
@@ -992,8 +993,8 @@ class TestNumpyFreePaths:
 
     def test_zeros_digests_without_numpy(self):
         # the two zeros pins of TestPinnedDigests
-        pins = ["074610e74a83d77055d78de8dc76be71eae380af08fb99ce291266823296df81",
-                "773dad5d28fc16f4b7a708557ca15aa8e2e261b5d890d9284372905386d04f09"]
+        pins = ["d5cdaefb2afc3942cacd3ba04eead1ce08721d71d8017f322ef9e18a3ff7ca1f",
+                "62e42887ad6d906551fb5bc58acaf308f3c238b2ee6dfea0a4e13021ff608743"]
         results = run_fresh("block", ["zeros"], ["zeros", "--n", "3"])
         assert [code for code, _, _ in results] == [0, 0]
         assert [hashlib.sha256(out.encode("utf-8")).hexdigest()

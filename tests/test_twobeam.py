@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wirediff.classical import fraunhofer_amplitudes
-from wirediff.electron import Channel, amplitudes, dsigma_dtheta
+from wirediff.electron import amplitudes, dsigma_dtheta
 from wirediff.numerics import DomainError, disk_amplitude
-from wirediff.patterns import Normalization, Pattern, sample_pattern
+from wirediff.patterns import Pattern, sample_pattern
 from wirediff.potential import BeamParams
 from wirediff.twobeam import dsigma_dtheta_two_beam
 
@@ -96,7 +96,7 @@ class TestFullEnergyDensity:
 
     def test_degenerate_intersection_reduces_to_single(self, beam, p_radius):
         # alpha = 0: density = single-beam full * (2 + 2 cos(phi))
-        amplitude = partial(amplitudes, beam, p_radius, mode="full", channel=Channel.NO_FLIP)
+        amplitude = partial(amplitudes, beam, p_radius, mode="full", channel="no-flip")
         for phi in (0.0, 0.7, 2.0):
             theta = 0.03
             expected = dsigma_dtheta(amplitude, theta) * (2.0 + 2.0 * math.cos(phi))
@@ -110,7 +110,7 @@ class TestFullEnergyDensity:
 
     def test_flip_channel_supported(self, beam, p_radius):
         value = dsigma_dtheta_two_beam(partial(amplitudes, beam, p_radius, mode="full",
-                                               channel=Channel.FLIP), 0.1, 0.0, 0.05)
+                                               channel="flip"), 0.1, 0.0, 0.05)
         assert value >= 0.0
 
 
@@ -155,8 +155,8 @@ class TestGeometryChecks:
             dsigma_dtheta_two_beam(amplitude, alpha, phi, np.linspace(-0.1, 0.1, 11))
         assert calls == []
 
-    @pytest.mark.parametrize("mode, channel", [("low-energy", Channel.NO_FLIP),
-                                               ("full", Channel.SUM)])
+    @pytest.mark.parametrize("mode, channel", [("low-energy", "no-flip"),
+                                               ("full", "sum")])
     def test_degenerate_geometry_is_four_single_beams_bit_for_bit(self, beam, p_radius,
                                                                    mode, channel):
         thetas = np.linspace(-0.15, 0.15, 301)
@@ -220,8 +220,8 @@ class TestPhiThetaScan:
         # every phi row is, bit for bit, the density at that one phase
         phis = np.linspace(-1.0, TAU + 1.0, 13)
         thetas = np.linspace(-0.15, 0.15, 301)
-        for mode, channel in [("low-energy", Channel.NO_FLIP), ("full", Channel.NO_FLIP),
-                              ("full", Channel.FLIP), ("full", Channel.SUM)]:
+        for mode, channel in [("low-energy", "no-flip"), ("full", "no-flip"),
+                              ("full", "flip"), ("full", "sum")]:
             amplitude = partial(amplitudes, beam, p_radius, mode=mode, channel=channel)
             density = dsigma_dtheta_two_beam(amplitude, 0.1, phis, thetas)
             assert density.shape == (13, 301)
@@ -256,7 +256,7 @@ class TestPatternTwoBeam:
         expected = [dsigma_dtheta_two_beam(amplitude, *cfg, float(t)) for t in self.THETAS]
         assert np.array_equal(pattern.density, expected)
 
-    @pytest.mark.parametrize("channel", [Channel.NO_FLIP, Channel.FLIP])
+    @pytest.mark.parametrize("channel", ["no-flip", "flip"])
     def test_full_mode_matches_density(self, beam, p_radius, channel):
         cfg = (0.1, 2.0)
         amplitude = partial(amplitudes, beam, p_radius, mode="full", channel=channel)
@@ -270,7 +270,7 @@ class TestPatternTwoBeam:
             sample_pattern(partial(dsigma_dtheta_two_beam, partial(amplitudes, beam, p_radius,
                                                                    mode="full", channel=c),
                                    *cfg), self.THETAS).density
-            for c in (Channel.SUM, Channel.FLIP, Channel.NO_FLIP)
+            for c in ("sum", "flip", "no-flip")
         )
         assert np.array_equal(summed, no_flip + flip)
 
@@ -280,26 +280,27 @@ class TestPatternTwoBeam:
         cfg = (0.1, 0.4)
         a, b = (sample_pattern(partial(dsigma_dtheta_two_beam,
                                        partial(amplitudes, beam, p_radius, channel=c), *cfg),
-                               self.THETAS) for c in (Channel.NO_FLIP, Channel.SUM))
+                               self.THETAS) for c in ("no-flip", "sum"))
         assert np.array_equal(a.density, b.density)
         with pytest.raises(ValueError, match="no flip channel"):
             sample_pattern(partial(dsigma_dtheta_two_beam,
-                                   partial(amplitudes, beam, p_radius, channel=Channel.FLIP), *cfg),
+                                   partial(amplitudes, beam, p_radius, channel="flip"), *cfg),
                            self.THETAS)
 
     def test_normalizations(self, amplitude):
         cfg = (0.1, 0.0)
         raw, peak, area = (sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, *cfg),
                                           self.THETAS, n)
-                           for n in (Normalization.RAW, Normalization.PEAK_ONE,
-                                     Normalization.UNIT_AREA))
+                           for n in ("raw", "peak-one",
+                                     "unit-area"))
         assert np.max(peak.density) == 1.0
         assert np.array_equal(peak.density, raw.density / np.max(raw.density))
         assert area.area() == pytest.approx(1.0, abs=1e-12)
 
     def test_area_matched_rejected(self, amplitude):
         # only patterns.match_areas scales a curve to another's area
-        with pytest.raises(ValueError, match="unknown Normalization 'area-matched'"):
+        with pytest.raises(ValueError, match="^unknown normalization 'area-matched'; "
+                                             "expected one of 'peak-one', 'raw', 'unit-area'$"):
             sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, 0.1, 0.0),
                            self.THETAS, "area-matched")
 
