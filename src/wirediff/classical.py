@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .numerics import DomainError, sinc
+from .numerics import DomainError, _is_real, sinc
 
 
 def fraunhofer_amplitudes(p_radius: float, theta) -> list:
@@ -29,7 +29,7 @@ def fraunhofer_amplitudes(p_radius: float, theta) -> list:
     Its zeros sit exactly at sin(theta) = n*pi / pR.  ``theta`` is a scalar
     or an array of angles, and so is the amplitude.
     """
-    if not (math.isfinite(p_radius) and p_radius > 0.0):
+    if not (_is_real(p_radius) and math.isfinite(p_radius) and p_radius > 0.0):
         raise DomainError(f"fraunhofer_amplitudes: p_radius > 0 required, got {p_radius!r}")
     # theta before np.sin, which warns on inf; sinc checks its argument as any caller's
     if not np.all(np.isfinite(theta)):

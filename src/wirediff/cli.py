@@ -230,9 +230,9 @@ def _csv(config: dict, data: dict) -> str:
     values; a scan formats each phi and theta once, into the template of
     its phi block, and those strings never contain ``%``.  A full-period
     scan repeats density rows bit for bit (phi = 2 pi reduces to 0, and
-    phases reduced to exact negatives share cos and |sin|), so each
-    distinct row is formatted once: a repeat takes the first block's text
-    with its own phi lead.  Rows are keyed by their bytes, so -0.0 and 0.0
+    phases reduced to exact negatives share the half-angle weights cos^2
+    and sin^2), so each distinct row is formatted once: a repeat takes the
+    first block's text with its own phi lead.  Rows are keyed by their bytes, so -0.0 and 0.0
     stay apart.
     """
     import numpy as np

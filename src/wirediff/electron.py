@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .numerics import DomainError, _choice, disk_amplitude
+from .numerics import DomainError, _choice, _is_real, disk_amplitude
 from .potential import _CHANNELS, _MODES, BeamParams
 
 # largest pc and mc^2 [eV]: (E + mc^2)^2 <= 5.8e300, so no density overflows
@@ -70,7 +70,7 @@ def amplitudes(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy
     angles, and so is each amplitude.  ``mode`` is "low-energy" or "full";
     another spelling of it or of ``channel`` raises DomainError.
     """
-    if not (math.isfinite(p_radius) and p_radius > 0.0):
+    if not (_is_real(p_radius) and math.isfinite(p_radius) and p_radius > 0.0):
         raise DomainError(f"p_radius > 0 required, got {p_radius!r}")
     channel = _choice("channel", channel, _CHANNELS)
     mode = _choice("mode", mode, _MODES)

@@ -132,6 +132,17 @@ class DomainError(ValueError):
     """Input the caller can fix; the package's one input error (CLI exit 2)."""
 
 
+def _is_real(x) -> bool:
+    # numbers.Real: a Python or numpy real scalar, not text, an array or a
+    # complex number.  A float, all the CLI passes, skips the ABC check, which
+    # is over ten times slower, and the import of numbers
+    if type(x) is float:
+        return True
+    from numbers import Real
+
+    return isinstance(x, Real)
+
+
 def _require_finite(name: str, x: float) -> float:
     x = float(x)
     if not math.isfinite(x):

@@ -23,7 +23,10 @@ def default_grid() -> np.ndarray:
 
 def validate_grid(thetas) -> np.ndarray:
     """Check an angular grid: 1-D, real, finite, strictly increasing, non-empty."""
-    arr = np.asarray(thetas)
+    try:
+        arr = np.asarray(thetas)
+    except ValueError:  # numpy refuses a ragged nesting
+        raise DomainError("angular grid must be a non-empty 1-D array") from None
     if arr.dtype.kind not in "biuf":  # text or complex; float() would parse or raise
         raise DomainError(f"angular grid must be real numbers, got dtype {arr.dtype}")
     arr = arr.astype(float, copy=False)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import DomainError
+from .numerics import DomainError, _is_real
 
 HBARC_EV_M = 1.973269804e-7
 """hbar * c in eV * m (CODATA)."""
@@ -51,14 +51,14 @@ class BeamParams:
     mass_ev: float = ELECTRON_MASS_EV
 
     def __post_init__(self):
-        if not (math.isfinite(self.momentum) and self.momentum > 0.0):
+        if not (_is_real(self.momentum) and math.isfinite(self.momentum) and self.momentum > 0.0):
             raise DomainError(f"beam momentum must be positive and finite, got {self.momentum!r}")
-        if not (math.isfinite(self.mass_ev) and self.mass_ev >= 0.0):
+        if not (_is_real(self.mass_ev) and math.isfinite(self.mass_ev) and self.mass_ev >= 0.0):
             raise DomainError(f"beam mass must be non-negative and finite, got {self.mass_ev!r}")
 
     @classmethod
     def from_wavelength_m(cls, wavelength_m: float, mass_ev: float = ELECTRON_MASS_EV) -> "BeamParams":
-        if not (math.isfinite(wavelength_m) and wavelength_m > 0.0):
+        if not (_is_real(wavelength_m) and math.isfinite(wavelength_m) and wavelength_m > 0.0):
             raise DomainError(f"wavelength must be positive and finite, got {wavelength_m!r}")
         return cls(momentum=math.tau / wavelength_m, mass_ev=mass_ev)
 

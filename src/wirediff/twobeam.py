@@ -18,25 +18,10 @@ pattern per row.
 from __future__ import annotations
 
 import math
-from numbers import Real
 
 import numpy as np
 
-from .numerics import DomainError
-
-
-def _interference_density(a_minus, a_plus, cos, sin):
-    # |a_minus + e^{i phi} a_plus|^2 for real amplitudes or arrays of them,
-    # given cos(phi) and sin(phi), composed from squares so the result is
-    # non-negative in floating point even under exact cancellation; the
-    # in-place steps keep the temporaries to two arrays of the result's size.
-    re = a_plus * cos
-    re += a_minus
-    re *= re
-    im = a_plus * sin
-    im *= im
-    re += im
-    return re
+from .numerics import DomainError, _is_real
 
 
 def dsigma_dtheta_two_beam(amplitude, alpha, phi, theta):
@@ -52,7 +37,7 @@ def dsigma_dtheta_two_beam(amplitude, alpha, phi, theta):
     evaluated, and a bad one (an array alpha, a complex or text phi) raises
     DomainError.  ``theta`` is a scalar or an array of angles.
     """
-    if not (isinstance(alpha, Real) and 0.0 <= alpha <= math.pi):
+    if not (_is_real(alpha) and 0.0 <= alpha <= math.pi):
         raise DomainError(f"alpha in [0, pi] required, got {alpha!r}")
     try:
         phis = np.asarray(phi)
@@ -63,18 +48,24 @@ def dsigma_dtheta_two_beam(amplitude, alpha, phi, theta):
             or not all(map(math.isfinite, values))):
         raise DomainError(f"phi must be a finite phase or a non-empty 1-D sequence of "
                           f"them, got {phi!r}")
-    # the IEEE-remainder-reduced phase makes the 2*pi periodicity exact; cos
-    # and sin come from math, for one phase or a sequence, since numpy's need
-    # not match libm bit for bit: one phase keeps them as floats, and a
-    # sequence is a leading axis over theta's
-    phases = [math.remainder(p, math.tau) for p in values]
-    cos = [math.cos(p) for p in phases]
-    sin = [math.sin(p) for p in phases]
+    # |A_- + e^{i phi} A_+|^2 = (A_- + A_+)^2 cos^2 h + (A_- - A_+)^2 sin^2 h,
+    # h half the IEEE-remainder-reduced phase (so 2*pi periodicity is exact):
+    # swapping the beams, as theta -> -theta does, leaves both squares' bits
+    # alone, so the density is exactly even in theta, and it is >= 0.  cos
+    # and sin come from math, as numpy's need not match libm bit for bit;
+    # one phase keeps the weights as floats, and a sequence is a leading axis
+    # over theta's.  Squares are x * x: ** on a float calls libm pow, which
+    # is not correctly rounded, so scalar and array theta would part.
+    halves = [0.5 * math.remainder(p, math.tau) for p in values]
+    bright = [math.cos(h) * math.cos(h) for h in halves]
+    dark = [math.sin(h) * math.sin(h) for h in halves]
     if phis.ndim:
         shape = (-1,) + (1,) * np.ndim(theta)
-        cos, sin = np.reshape(cos, shape), np.reshape(sin, shape)
+        bright, dark = np.reshape(bright, shape), np.reshape(dark, shape)
     else:
-        (cos,), (sin,) = cos, sin
+        (bright,), (dark,) = bright, dark
     minus = amplitude(theta - 0.5 * alpha)
     plus = amplitude(theta + 0.5 * alpha)
-    return sum(_interference_density(a, b, cos, sin) for a, b in zip(minus, plus))
+    # one bright-plus-dark term per spin, summed in spin order
+    return sum((a + b) * (a + b) * bright + (a - b) * (a - b) * dark
+               for a, b in zip(minus, plus))

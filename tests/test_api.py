@@ -117,6 +117,9 @@ _BAD_INPUTS = {
     "wire pR": lambda: amplitudes(BeamParams(1e7), 0.0, 0.1),
     "beam momentum": lambda: BeamParams(momentum=-1.0),
     "beam mass": lambda: BeamParams(momentum=1e7, mass_ev=math.nan),
+    # numeric text: math.isfinite would raise TypeError, and float() would parse it
+    "text beam momentum": lambda: BeamParams("1"),
+    "text pR": lambda: amplitudes(BeamParams(1e7), "100", 0.1),
     "wavelength": lambda: BeamParams.from_wavelength_m(0.0),
     # the pR that qR = 2 pR |sin(theta/2)| is formed from, here NaN rather than 0
     "transfer momentum": lambda: amplitudes(BeamParams(1e7), math.nan, 0.1),
@@ -128,6 +131,7 @@ _BAD_INPUTS = {
     "spinor energy": lambda: spinor_elements(BeamParams(1e7, mass_ev=1e200), 0.1),
     "fraunhofer theta": lambda: fraunhofer_amplitudes(1.0, math.nan),
     "fraunhofer infinite theta": lambda: fraunhofer_amplitudes(1.0, math.inf),
+    "fraunhofer text pR": lambda: fraunhofer_amplitudes("1", 0.1),
     "alpha": lambda: dsigma_dtheta_two_beam(
         partial(amplitudes, BeamParams(1e7), 100.0), -0.1, 0.0, 0.1),
     # theta -/+ alpha/2 at alpha ~ 1e17 rounds every grid angle to one double
@@ -163,6 +167,8 @@ _BAD_INPUTS = {
     # float() would parse the text and refuse the complex numbers
     "text grid": lambda: validate_grid(["0.1", "0.2"]),
     "complex grid": lambda: validate_grid([1j, 2j]),
+    # numpy refuses the ragged nesting with a plain ValueError
+    "ragged grid": lambda: validate_grid([[1.0], [1.0, 2.0]]),
     "unknown mode": lambda: amplitudes(BeamParams(1e7), 100.0, 0.1, "medium"),
     "low-energy flip": lambda: amplitudes(BeamParams(1e7), 100.0, 0.1,
                                           "low-energy", "flip"),
@@ -175,6 +181,7 @@ _BAD_INPUTS = {
     "zero peak": lambda: sample_pattern(np.zeros_like, _GRID, "peak-one"),
     "zero area": lambda: sample_pattern(np.zeros_like, _GRID, "unit-area"),
     "dark-point p_radius": lambda: first_dark_points(math.inf, "quantum"),
+    "dark-point text p_radius": lambda: first_dark_points("100", "quantum"),
     "dark-point n": lambda: first_dark_points(100.0, "quantum", 0),
     "dark-point float n": lambda: first_dark_points(100.0, "quantum", 2.0),
     "dark-point method": lambda: first_dark_points(100.0, "semiclassical"),
@@ -198,7 +205,10 @@ _NAMED = {"p_radius": "fraunhofer_amplitudes", "radius_scale": "fraunhofer_ampli
           "complex phases": "^phi must be", "pattern 3-D": "^a pattern has",
           "pattern length": "^a pattern has", "match_areas phase rows": "single curves",
           "compare_curves phase rows": "single curves", "text grid": "real numbers",
-          "complex grid": "real numbers", "dark-point float n": "n must be an integer"}
+          "complex grid": "real numbers", "dark-point float n": "n must be an integer",
+          "text beam momentum": "^beam momentum", "text pR": "^p_radius > 0 required",
+          "fraunhofer text pR": "^fraunhofer_amplitudes: p_radius",
+          "ragged grid": "1-D array", "dark-point text p_radius": "^first_dark_points: p_radius"}
 
 
 class TestInputErrors:

@@ -78,9 +78,7 @@ class TestFraunhoferTwoBeam:
            st.floats(min_value=-10.0, max_value=10.0))
     def test_even_in_theta_any_phase(self, theta, phi):
         beams = (0.1, phi)
-        assert two_beam(PR, *beams, theta) == pytest.approx(
-            two_beam(PR, *beams, -theta), rel=1e-12, abs=1e-300
-        )
+        assert two_beam(PR, *beams, theta) == two_beam(PR, *beams, -theta)
 
     @given(st.floats(min_value=-6.0, max_value=6.0))
     def test_phase_periodicity(self, phi):

@@ -435,15 +435,14 @@ class TestScanCommand:
 
     def test_data_bytes_are_unchanged_by_the_shared_pattern_path(self, capsys):
         # sha256 of the bytes after the config line (CSV) and before the
-        # metadata (JSON) of the three pinned scans, as scan wrote them before
-        # it took --mode, --spin and --normalization: their config gained
-        # exactly those three keys
+        # metadata (JSON) of the three pinned scans, with the default --mode,
+        # --spin and --normalization, which their config records
         pins = [
-            (("scan",), "fa492796f77b042278f9c360c1e444e6667b91055991394f90d18b13ec79f76e"),
+            (("scan",), "b26e1a8809ee3b7013c9fdcf3232d1a46568a9bf76f7fb367cdddc914e7b0d85"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "eede9924ace389c457ab0a41531390e768be82987e70b3663e5c66b581d879b8"),
+             "90721f8237660eaf6bd8f437884cf71346507a43a0e9fce6d57c21c9bc9cac1c"),
             (("scan", "--format", "json", "--phi-points", "3", "--theta-points", "101"),
-             "e7c56da38b75f5df7c1daf18f0a4e3d98de42efd2c6598d55a3a9f3826386c97"),
+             "1c12c737a52f6a2c2b02cc8f6a76b794e8f682d605e276605363f2d066fa119f"),
         ]
         for argv, digest in pins:
             code, out, _ = run_cli(capsys, *argv)
@@ -722,8 +721,8 @@ class TestEmitters:
 
     def test_default_scan_repeats_rows(self):
         # the writers' reuse runs on real data: phi = 2 pi reduces to exactly
-        # 0, and mirrored phases share cos and |sin|; so do rows each
-        # normalized as their own pattern
+        # 0, and mirrored reduced phases share the half-angle weights cos^2
+        # and sin^2; so do rows each normalized as their own pattern
         for argv in (["scan"], ["scan", "--normalization", "peak-one"]):
             args = build_parser().parse_args(argv)
             data = cli._cmd_scan(args, *cli._resolve_physics(args))
@@ -913,7 +912,7 @@ class TestPinnedDigests:
             (("two-beam",),
              "02d75002b18faaa8f6877798a4fa09099942860cb50e3988c090a674601260d0"),
             (("scan",),
-             "088c34a0809c6ab9aac1a1f167fff81b8d1b8b67bfeb8f586f3bf1a2a1ac6c05"),
+             "69e5a84da3a4fed47a836cba458ea0b8aa6bc6efe8fb797d054f0cf60114e567"),
             (("compare",),
              "c0b9c4a33c3a12dc37b21960aaa1a9becd57d08b979de14adbe801f73dafadc1"),
             (("zeros",),
@@ -921,7 +920,7 @@ class TestPinnedDigests:
             (("zeros", "--n", "3"),
              "62e42887ad6d906551fb5bc58acaf308f3c238b2ee6dfea0a4e13021ff608743"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "a3cb0c533d58bc4627c5c848298cfd9ce3af9185d9dc6eaf8eb886010ee56313"),
+             "d60b280e1f19f8a594a4f590b9fdcea6e696a5f725f5431b392863c8f961ef81"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
              "7a00e4ba53283564a26c0d46fdf88833fd3e68e1667532bbbc48c0d88d5af550"),
             (("single", "--mode", "full", "--spin", "sum"),
@@ -935,7 +934,7 @@ class TestPinnedDigests:
             (("two-beam", "--mode", "full", "--spin", "sum", "--format", "json"),
              "24620ba1a974d80e462501fb8eb7dc931802a68a878bb0ec07f9f1f8a120462b"),
             (("scan", "--format", "json", "--phi-points", "3", "--theta-points", "101"),
-             "a99fa2a96666b62169e4c81c8273599f6f67531770aefcf661592d85142ed054"),
+             "8d5e8822481e990c1f1aa44c996e0a321ce347243b2e9f8c5b172bc8b7957c8f"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82",
