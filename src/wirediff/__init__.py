@@ -7,14 +7,13 @@ quantum one or the classical Fraunhofer comparator, plus the derived
 radius-overestimation analysis.
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 # each public name and the module it lives in, imported on first access
 # (PEP 562), so ``import wirediff`` and the commands that build no array
 # load no numpy
 _HOMES = {
     "BeamParams": "potential",
-    "CurveComparison": "patterns",
     "DomainError": "numerics",
     "ELECTRON_MASS_EV": "potential",
     "HBARC_EV_M": "potential",
@@ -27,7 +26,6 @@ _HOMES = {
     "dsigma_dtheta_two_beam": "twobeam",
     "first_dark_points": "analysis",
     "fraunhofer_amplitudes": "classical",
-    "match_areas": "patterns",
     "overestimation_factor": "analysis",
     "sample_pattern": "patterns",
     "sinc": "numerics",

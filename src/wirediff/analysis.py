@@ -4,8 +4,8 @@ Dark points come in closed form from their defining equations,
 2 pR sin(theta/2) = j_{1,k} (quantum, j_{1,k} the k-th positive zero of the
 disk amplitude) and pR sin(theta) = k pi (classical); j_{1,k} does not
 depend on pR and comes from a table or McMahon's expansion, with no search.
-The module uses ``math`` only, so ``wirediff zeros`` runs without numpy; area
-matching and curve comparison live beside ``Pattern`` in
+The module uses ``math`` only, so ``wirediff zeros`` runs without numpy; the
+area-matched curve comparison, ``compare_curves``, lives beside ``Pattern`` in
 :mod:`~wirediff.patterns`.
 """
 

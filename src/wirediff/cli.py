@@ -41,11 +41,11 @@ from .numerics import DomainError
 from .potential import _CHANNELS, _DEFAULT_GRID, _MODES, _NORMALIZATIONS, BeamParams, ELECTRON_MASS_EV
 
 # Fewest grid samples per fringe pi / max(pR, scale * pR) for compare, whose
-# only grid-dependent numbers are trapezoid integrals (match_areas, l2_diff):
-# from this floor up, the trapezoid area of the quantum and the classical
-# curve stays within 2e-4 relative of a 64x finer grid on windows of 0.5 to
-# 10 fringes a side (property-tested; worst case ~1.4e-4, at a window edge
-# half a fringe out).
+# only grid-dependent numbers are compare_curves' trapezoid integrals, the two
+# areas it matches and l2_diff: from this floor up, the trapezoid area of the
+# quantum and the classical curve stays within 2e-4 relative of a 64x finer
+# grid on windows of 0.5 to 10 fringes a side (property-tested; worst case
+# ~1.4e-4, at a window edge half a fringe out).
 _MIN_SAMPLES_PER_FRINGE = 50
 
 # Most grid values one command may compute and print (phi_points *
@@ -354,15 +354,13 @@ def _cmd_compare(args, beam, p_radius) -> dict:
                           f"{classical_pr:g}, with no dark point in (0, pi/2)") from None
     from .classical import fraunhofer_amplitudes
     from .electron import amplitudes, dsigma_dtheta
-    from .patterns import compare_curves, match_areas, sample_pattern
+    from .patterns import compare_curves, sample_pattern
 
     quantum = sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius)), thetas)
     classical = sample_pattern(
         partial(dsigma_dtheta, partial(fraunhofer_amplitudes, classical_pr)), thetas)
-    comparison = compare_curves(quantum, match_areas(quantum, classical))
     return {
-        "max_abs_diff": comparison.max_abs_diff,
-        "l2_diff": comparison.l2_diff,
+        **compare_curves(quantum, classical),
         "first_zero_offset_rad": zero_quantum - zero_classical,
         "first_zero_quantum_rad": zero_quantum,
         "first_zero_classical_rad": zero_classical,

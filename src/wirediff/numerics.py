@@ -143,7 +143,10 @@ def _is_real(x) -> bool:
     return isinstance(x, Real)
 
 
-def _require_finite(name: str, x: float) -> float:
+def _require_finite(name: str, x) -> float:
+    # a real number or a real 0-d array; float() would parse text and refuse complex
+    if not (_is_real(x) or getattr(x, "dtype", None) is not None and x.dtype.kind in "biuf"):
+        raise DomainError(f"{name}: argument must be a real number, got {x!r}")
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"{name}: argument must be finite, got {x!r}")

@@ -1,5 +1,5 @@
 """Sampled angular probability patterns, normalization plumbing, and the
-area matching and difference metrics that compare two patterns."""
+area-matched comparison of two patterns."""
 
 from __future__ import annotations
 
@@ -121,34 +121,23 @@ def sample_pattern(density, thetas: np.ndarray | None = None,
     return Pattern(thetas, values)
 
 
-def match_areas(reference: Pattern, target: Pattern) -> Pattern:
-    """Rescale ``target`` so its trapezoidal area equals ``reference``'s."""
+def compare_curves(reference: Pattern, target: Pattern) -> dict:
+    """Compare the shapes of two single-curve patterns on one theta grid.
+
+    ``target`` is scaled to ``reference``'s trapezoidal area, then subtracted:
+    ``max_abs_diff`` is the largest |difference| and ``l2_diff`` the grid-native
+    norm sqrt(trapz(difference^2 dtheta)).  A target of zero area, or one too
+    small for the scale to be finite, raises DomainError.
+    """
     if (reference.density.ndim > 1 or target.density.ndim > 1
             or not np.array_equal(reference.thetas, target.thetas)):
-        raise DomainError("match_areas: patterns must be single curves on the same theta grid")
-    ref_area = reference.area()
-    tgt_area = target.area()
-    if tgt_area == 0.0:
-        raise DomainError("match_areas: target pattern has zero integral")
-    return Pattern(target.thetas, target.density * (ref_area / tgt_area))
-
-
-@dataclass(frozen=True)
-class CurveComparison:
-    """Deterministic difference metrics between two patterns on one grid."""
-
-    max_abs_diff: float
-    l2_diff: float
-
-
-def compare_curves(a: Pattern, b: Pattern) -> CurveComparison:
-    """Pointwise comparison of two same-grid single-curve patterns.
-
-    ``l2_diff`` is the grid-native norm sqrt(trapz((a - b)^2 dtheta)).
-    """
-    if a.density.ndim > 1 or b.density.ndim > 1 or not np.array_equal(a.thetas, b.thetas):
         raise DomainError("compare_curves: patterns must be single curves on the same theta grid")
-    diff = a.density - b.density
-    max_abs = float(np.max(np.abs(diff)))
-    l2 = math.sqrt(grid_area(a.thetas, diff * diff))
-    return CurveComparison(max_abs_diff=max_abs, l2_diff=l2)
+    target_area = target.area()
+    if target_area == 0.0:
+        raise DomainError("compare_curves: target pattern has zero integral")
+    scale = reference.area() / target_area
+    if not math.isfinite(scale):
+        raise DomainError(f"compare_curves: cannot scale a target of area {target_area!r}")
+    diff = reference.density - target.density * scale
+    return {"max_abs_diff": float(np.max(np.abs(diff))),
+            "l2_diff": math.sqrt(grid_area(reference.thetas, diff * diff))}

@@ -64,6 +64,8 @@ class BeamParams:
 
     @classmethod
     def from_wavelength_nm(cls, wavelength_nm: float, mass_ev: float = ELECTRON_MASS_EV) -> "BeamParams":
+        if not _is_real(wavelength_nm):  # before the product, which text would make a TypeError
+            raise DomainError(f"wavelength must be positive and finite, got {wavelength_nm!r}")
         return cls.from_wavelength_m(wavelength_nm * 1e-9, mass_ev=mass_ev)
 
     @property

@@ -1,4 +1,5 @@
 import math
+import random
 from functools import partial
 
 import mpmath
@@ -10,7 +11,7 @@ from wirediff.analysis import first_dark_points, overestimation_factor
 from wirediff.classical import fraunhofer_amplitudes
 from wirediff.electron import amplitudes, dsigma_dtheta
 from wirediff.numerics import DomainError
-from wirediff.patterns import CurveComparison, Pattern, compare_curves, match_areas, sample_pattern
+from wirediff.patterns import Pattern, compare_curves, sample_pattern
 from wirediff.potential import BeamParams
 
 PR = 84.37136668408607
@@ -170,46 +171,57 @@ class TestOverestimationFactor:
         assert abs(rescaled_quantum - classical_zero) < 1e-4
 
 
+_ZERO_METRICS = {"max_abs_diff": 0.0, "l2_diff": 0.0}
+
+
 class TestMatchAreas:
+    # compare_curves scales its target to the reference's trapezoid area
+    # before it differences them, so the target's overall constant drops out
     def _patterns(self):
         thetas = np.linspace(-0.15, 0.15, 501)
         quantum = sample_pattern(QUANTUM, thetas)
         classical = sample_pattern(classical_density(PR), thetas)
         return quantum, classical
 
-    def test_identity_is_unchanged(self):
-        quantum, _ = self._patterns()
-        matched = match_areas(quantum, quantum)
-        assert np.allclose(matched.density, quantum.density, rtol=1e-15)
-
     def test_doubled_density_is_halved(self):
         quantum, _ = self._patterns()
         doubled = Pattern(quantum.thetas, 2.0 * quantum.density)
-        matched = match_areas(quantum, doubled)
-        assert np.allclose(matched.density, quantum.density, rtol=1e-15)
-
-    def test_quantum_vs_classical_areas_equal(self):
-        quantum, classical = self._patterns()
-        matched = match_areas(quantum, classical)
-        assert matched.area() == pytest.approx(quantum.area(), rel=1e-9)
+        assert compare_curves(quantum, doubled) == _ZERO_METRICS
 
     def test_idempotent(self):
+        # a target already scaled to the reference's area compares as the unscaled one
         quantum, classical = self._patterns()
-        once = match_areas(quantum, classical)
-        twice = match_areas(quantum, once)
-        assert np.allclose(twice.density, once.density, rtol=1e-12)
-
-    def test_grid_mismatch_rejected(self):
-        quantum, _ = self._patterns()
-        other = Pattern(np.linspace(-0.1, 0.1, 501), quantum.density)
-        with pytest.raises(ValueError):
-            match_areas(quantum, other)
+        matched = Pattern(classical.thetas, classical.density * (quantum.area() / classical.area()))
+        assert compare_curves(quantum, matched) == pytest.approx(
+            compare_curves(quantum, classical), rel=1e-12)
 
     def test_zero_target_rejected(self):
         quantum, _ = self._patterns()
         flat = Pattern(quantum.thetas, np.zeros_like(quantum.density))
-        with pytest.raises(ValueError):
-            match_areas(quantum, flat)
+        with pytest.raises(DomainError, match="zero integral"):
+            compare_curves(quantum, flat)
+
+    @pytest.mark.parametrize("mode", ["low-energy", "full"])
+    def test_power_of_two_target_scale_is_exact(self, mode):
+        # scaling the target by 2^k scales its area by 2^k and the area ratio
+        # by 2^-k, all exactly, so the metrics are bit-identical: seeded pR,
+        # grids and k, either curve the reference
+        rng = random.Random(f"compare-scale-{mode}")
+        beam = BeamParams.from_wavelength_nm(633.0)
+        for _ in range(25):
+            p_radius = rng.uniform(1.0, 500.0)
+            half_width = rng.uniform(0.01, 0.6)
+            thetas = np.linspace(-half_width * rng.uniform(0.0, 1.0), half_width,
+                                 rng.randint(2, 2500))
+            quantum = sample_pattern(
+                partial(dsigma_dtheta, partial(amplitudes, beam, p_radius, mode=mode)), thetas)
+            classical = sample_pattern(classical_density(p_radius * rng.uniform(0.5, 1.5)),
+                                       thetas)
+            for reference, target in ((quantum, classical), (classical, quantum)):
+                want = compare_curves(reference, target)
+                for k in [-30, 30, *(rng.randint(-30, 30) for _ in range(4))]:
+                    scaled = Pattern(thetas, 2.0 ** k * target.density)
+                    assert compare_curves(reference, scaled) == want
 
 
 class TestCompareCurves:
@@ -217,23 +229,22 @@ class TestCompareCurves:
         thetas = np.linspace(-0.15, 0.15, points)
         quantum = sample_pattern(QUANTUM, thetas)
         classical = sample_pattern(classical_density(radius_scale * PR), thetas)
-        return quantum, match_areas(quantum, classical)
+        return quantum, classical
 
     def test_identical_curves_give_zero_metrics(self):
         quantum, _ = self._default_comparison_curves()
-        result = compare_curves(quantum, quantum)
-        assert result == CurveComparison(max_abs_diff=0.0, l2_diff=0.0)
+        assert compare_curves(quantum, quantum) == _ZERO_METRICS
 
     def test_rescaled_classical_aligns_first_zeros(self):
         # aligning direction of the multiplier convention: 1/factor moves the
         # classical dark point onto the quantum one, and the curves closer
         factor = overestimation_factor(PR)
-        quantum, matched = self._default_comparison_curves(radius_scale=1.0 / factor)
+        quantum, classical = self._default_comparison_curves(radius_scale=1.0 / factor)
         offset = (first_dark_points(PR, "quantum")[0]
                   - first_dark_points(PR / factor, "classical")[0])
         assert abs(offset) < 1e-4
-        assert compare_curves(quantum, matched).l2_diff < compare_curves(
-            *self._default_comparison_curves()).l2_diff
+        assert compare_curves(quantum, classical)["l2_diff"] < compare_curves(
+            *self._default_comparison_curves())["l2_diff"]
 
     def test_grid_mismatch_rejected(self):
         quantum, _ = self._default_comparison_curves()
@@ -250,8 +261,8 @@ class TestCompareCurves:
         thetas = np.linspace(-theta_max, theta_max, 2001)
         quantum = sample_pattern(QUANTUM, thetas)
         classical = sample_pattern(classical_density(PR), thetas)
-        result = compare_curves(quantum, match_areas(quantum, classical))
-        assert not hasattr(result, "first_zero_offset_rad")
-        assert result.l2_diff > 0.0
+        result = compare_curves(quantum, classical)
+        assert sorted(result) == ["l2_diff", "max_abs_diff"]
+        assert result["l2_diff"] > 0.0
         assert first_dark_points(PR, "quantum")[0] > theta_max
         assert (first_dark_points(PR, "classical")[0] < theta_max) == classical_zero

@@ -13,10 +13,10 @@ import pytest
 import wirediff
 from wirediff import (BeamParams, DomainError, Pattern, amplitudes,
                       compare_curves, disk_amplitude, dsigma_dtheta, dsigma_dtheta_two_beam,
-                      first_dark_points, fraunhofer_amplitudes, match_areas, sample_pattern,
+                      first_dark_points, fraunhofer_amplitudes, sample_pattern,
                       sinc, spinor_elements, validate_grid)
 
-# public names deleted in 0.2.0 to 0.18.0, each a second path to a quantity
+# public names deleted in 0.2.0 to 0.19.0, each a second path to a quantity
 # that keeps one, a test oracle now in tests/oracles.py, an input-error type
 # that DomainError replaces, a spelling of the spin channel that Channel
 # replaced, a spelling type that plain strings replace, a dark-point search that closed forms replace, a layer that
@@ -24,7 +24,8 @@ from wirediff import (BeamParams, DomainError, Pattern, amplitudes,
 # one factor of it, or a classical density that the two densities give over
 # fraunhofer_amplitudes, a step with one caller that checked its inputs again,
 # a one-channel spinor element that the list of one per final spin replaces,
-# or a holder of the two-beam geometry whose one reader takes alpha and phi itself
+# a holder of the two-beam geometry whose one reader takes alpha and phi itself,
+# or an area-matching step and a result holder that compare_curves replaces
 REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_full_spin_summed", "hyp0f1_reg2", "hyp0f1_reg2_series",
            "bessel_j1", "disk_ft_oracle", "AccuracyError", "BracketError", "RangeError",
@@ -35,7 +36,8 @@ REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "ScanResult", "find_zero", "ClassicalConfig", "pattern_single",
            "pattern_two_beam", "pattern_classical", "WirePotential", "fraunhofer_single",
            "fraunhofer_two_beam", "momentum_transfer_single", "normalize_density",
-           "spinor_element", "TwoBeamConfig", "Channel", "Normalization", "Spelling")
+           "spinor_element", "TwoBeamConfig", "Channel", "Normalization", "Spelling",
+           "match_areas", "CurveComparison")
 
 
 class TestPublicSurface:
@@ -44,7 +46,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 21
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 19
 
     def test_lazy_names_resolve_list_and_star_import(self):
         # in a fresh interpreter, where no name has been loaded yet: each one
@@ -121,12 +123,20 @@ _BAD_INPUTS = {
     "text beam momentum": lambda: BeamParams("1"),
     "text pR": lambda: amplitudes(BeamParams(1e7), "100", 0.1),
     "wavelength": lambda: BeamParams.from_wavelength_m(0.0),
+    # "1" * 1e-9 would raise TypeError
+    "text wavelength": lambda: BeamParams.from_wavelength_nm("1"),
     # the pR that qR = 2 pR |sin(theta/2)| is formed from, here NaN rather than 0
     "transfer momentum": lambda: amplitudes(BeamParams(1e7), math.nan, 0.1),
     # np.sin warns on an infinite theta, which the suite makes an error
     "transfer theta": lambda: amplitudes(BeamParams(1e7), 1.0, math.inf),
     "disk_amplitude": lambda: disk_amplitude(math.inf),
     "sinc": lambda: sinc(np.array([0.0, math.nan])),
+    # float() would parse the text and refuse the complex numbers
+    "disk_amplitude text": lambda: disk_amplitude("1"),
+    "disk_amplitude complex": lambda: disk_amplitude(1j),
+    "sinc text": lambda: sinc("1"),
+    "sinc 0-d text": lambda: sinc(np.array("1")),
+    "sinc 0-d complex": lambda: sinc(np.array(1j)),
     "spinor theta": lambda: spinor_elements(BeamParams(1e7), math.inf),
     "spinor energy": lambda: spinor_elements(BeamParams(1e7, mass_ev=1e200), 0.1),
     "fraunhofer theta": lambda: fraunhofer_amplitudes(1.0, math.nan),
@@ -186,11 +196,13 @@ _BAD_INPUTS = {
     "dark-point float n": lambda: first_dark_points(100.0, "quantum", 2.0),
     "dark-point method": lambda: first_dark_points(100.0, "semiclassical"),
     "too few dark points": lambda: first_dark_points(2.5, "quantum", 2),
-    "match_areas grid": lambda: match_areas(_FLAT, Pattern(_GRID + 1.0, np.ones(5))),
-    "zero target": lambda: match_areas(_FLAT, Pattern(_GRID, np.zeros(5))),
+    "zero target": lambda: compare_curves(_FLAT, Pattern(_GRID, np.zeros(5))),
+    # the area ratio overflows, so the scaled target would not be finite
+    "tiny target": lambda: compare_curves(_FLAT, Pattern(_GRID, np.full(5, 1e-320))),
     "compare_curves grid": lambda: compare_curves(_FLAT, Pattern(_GRID + 1.0, np.ones(5))),
     # as many phase rows as thetas: one area per row would broadcast along theta
-    "match_areas phase rows": lambda: match_areas(_FLAT, Pattern(_GRID, np.ones((5, 5)))),
+    "compare_curves target phase rows": lambda: compare_curves(
+        _FLAT, Pattern(_GRID, np.ones((5, 5)))),
     "compare_curves phase rows": lambda: compare_curves(Pattern(_GRID, np.ones((5, 5))), _FLAT),
 }
 
@@ -203,12 +215,15 @@ _NAMED = {"p_radius": "fraunhofer_amplitudes", "radius_scale": "fraunhofer_ampli
           "phi": "^phi must be", "phi 2-D": "^phi must be", "phi empty": "^phi must be",
           "array alpha": "^alpha in", "phi text": "^phi must be", "complex phi": "^phi must be",
           "complex phases": "^phi must be", "pattern 3-D": "^a pattern has",
-          "pattern length": "^a pattern has", "match_areas phase rows": "single curves",
+          "pattern length": "^a pattern has", "compare_curves target phase rows": "single curves",
           "compare_curves phase rows": "single curves", "text grid": "real numbers",
           "complex grid": "real numbers", "dark-point float n": "n must be an integer",
           "text beam momentum": "^beam momentum", "text pR": "^p_radius > 0 required",
           "fraunhofer text pR": "^fraunhofer_amplitudes: p_radius",
-          "ragged grid": "1-D array", "dark-point text p_radius": "^first_dark_points: p_radius"}
+          "ragged grid": "1-D array", "dark-point text p_radius": "^first_dark_points: p_radius",
+          "text wavelength": "^wavelength", "disk_amplitude text": "^disk_amplitude: .* real",
+          "disk_amplitude complex": "^disk_amplitude: .* real", "sinc text": "^sinc: .* real",
+          "sinc 0-d text": "^sinc: .* real", "sinc 0-d complex": "^sinc: .* real"}
 
 
 class TestInputErrors:

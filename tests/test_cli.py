@@ -908,33 +908,33 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "90fd231fd241dd392e41f0415db5ccd18a6e6736c4c7d422df21790ebbf46525"),
+             "9f3ab15f1a9f40928c8e47428772418c55763114a0e0df0863a9c595f27a3702"),
             (("two-beam",),
-             "02d75002b18faaa8f6877798a4fa09099942860cb50e3988c090a674601260d0"),
+             "81bb4743a1ab7c426828f2d53b53c01ef6525bb896463cc27026c1fe9deae8be"),
             (("scan",),
-             "69e5a84da3a4fed47a836cba458ea0b8aa6bc6efe8fb797d054f0cf60114e567"),
+             "b0fa9f88b3f23fbd10f575d32ade6f660a8a3200e5934feae366d29e4752e139"),
             (("compare",),
-             "c0b9c4a33c3a12dc37b21960aaa1a9becd57d08b979de14adbe801f73dafadc1"),
+             "b9ae0b0f289fda1e94e3189b781f7302d1fa4c33c48f6ae883e5b507f3aa1aa5"),
             (("zeros",),
-             "d5cdaefb2afc3942cacd3ba04eead1ce08721d71d8017f322ef9e18a3ff7ca1f"),
+             "822db2213c37e1bc8506e9c59e7543f061bb1783739e8b751e3e1fac5567fa53"),
             (("zeros", "--n", "3"),
-             "62e42887ad6d906551fb5bc58acaf308f3c238b2ee6dfea0a4e13021ff608743"),
+             "a71fb7f377f9fff2a582e8fafaf1969461b71fabb4d9936637e244cab2563b74"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "d60b280e1f19f8a594a4f590b9fdcea6e696a5f725f5431b392863c8f961ef81"),
+             "380db46177168058cbf5b935e29033c613f0b9e686f347c80f4303cef1441793"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "7a00e4ba53283564a26c0d46fdf88833fd3e68e1667532bbbc48c0d88d5af550"),
+             "4d411e96d3f1a047b90daa1a0140afa22c44e78fc5e7df95d75c4e8d591cbaea"),
             (("single", "--mode", "full", "--spin", "sum"),
-             "9754caac30f2fbb7182d10364038bffacaa89acab4804a1ef296662472b1caa0"),
+             "bbbc66665e82a99263adc5fa96111973caff25c977b652bbe04eb964fc5b9a5e"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
-             "b375716a59ce9a442225f72fabd5a3048735065937bd00bb77a056e0374f2705"),
+             "5dbbb30a4f7e22968a4c7929885788505e3f4998b052a9b13f795d7b05f01c89"),
             (("compare", "--radius-scale", "0.82"),
-             "38aa19c5f04277e4b4ba1a2c9b760d11b34871fa14332fdb450e359049dc4f50"),
+             "32a310567d0f8bef9adb4bf7ebc66aaab849794dc50311d72b33b5240a77b550"),
             (("single", "--format", "json"),
-             "e90e20a55dc928f2a4759639103b30123b4127f3cf69efa6344d8ce29847a0d5"),
+             "8b161d3fa49b7f7ffa635f8e824295de9dce2b1ca3ac1e8a753f70d69bb8afe3"),
             (("two-beam", "--mode", "full", "--spin", "sum", "--format", "json"),
-             "24620ba1a974d80e462501fb8eb7dc931802a68a878bb0ec07f9f1f8a120462b"),
+             "20b87daed4227a0701d5498694fe2eac08668842b942d8fcbf4fa35eb6639341"),
             (("scan", "--format", "json", "--phi-points", "3", "--theta-points", "101"),
-             "8d5e8822481e990c1f1aa44c996e0a321ce347243b2e9f8c5b172bc8b7957c8f"),
+             "cd8865b279921876198edb2db9a0c73706b51d66d56e2be9a55a01aefe15ce24"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82",
@@ -992,8 +992,8 @@ class TestNumpyFreePaths:
 
     def test_zeros_digests_without_numpy(self):
         # the two zeros pins of TestPinnedDigests
-        pins = ["d5cdaefb2afc3942cacd3ba04eead1ce08721d71d8017f322ef9e18a3ff7ca1f",
-                "62e42887ad6d906551fb5bc58acaf308f3c238b2ee6dfea0a4e13021ff608743"]
+        pins = ["822db2213c37e1bc8506e9c59e7543f061bb1783739e8b751e3e1fac5567fa53",
+                "a71fb7f377f9fff2a582e8fafaf1969461b71fabb4d9936637e244cab2563b74"]
         results = run_fresh("block", ["zeros"], ["zeros", "--n", "3"])
         assert [code for code, _, _ in results] == [0, 0]
         assert [hashlib.sha256(out.encode("utf-8")).hexdigest()

@@ -220,7 +220,7 @@ class TestPatternSingle:
                                                           mode="low-energy", channel="flip")))
 
     def test_area_matched_rejected(self, density):
-        # only patterns.match_areas scales a curve to another's area
+        # only patterns.compare_curves scales a curve to another's area
         with pytest.raises(ValueError, match="^unknown normalization 'area-matched'; "
                                              "expected one of 'peak-one', 'raw', 'unit-area'$"):
             sample_pattern(density, normalization="area-matched")

@@ -118,6 +118,9 @@ class TestArrayKernels:
     def test_scalar_argument_returns_float(self, kernel):
         assert type(kernel(2.5)) is float
         assert type(kernel(np.float64(2.5))) is float
+        # a real 0-d array is a scalar too; text and complex ones are refused (test_api)
+        assert type(kernel(np.array(2.5))) is float
+        assert kernel(np.array(2.5)) == kernel(2.5)
 
     @pytest.mark.parametrize("kernel", [disk_amplitude, sinc])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

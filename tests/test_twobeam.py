@@ -332,7 +332,7 @@ class TestPatternTwoBeam:
         assert area.area() == pytest.approx(1.0, abs=1e-12)
 
     def test_area_matched_rejected(self, amplitude):
-        # only patterns.match_areas scales a curve to another's area
+        # only patterns.compare_curves scales a curve to another's area
         with pytest.raises(ValueError, match="^unknown normalization 'area-matched'; "
                                              "expected one of 'peak-one', 'raw', 'unit-area'$"):
             sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, 0.1, 0.0),
