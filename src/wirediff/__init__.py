@@ -7,7 +7,7 @@ quantum one or the classical Fraunhofer comparator, plus the derived
 radius-overestimation analysis.
 """
 
-__version__ = "0.19.0"
+__version__ = "0.20.0"
 
 # each public name and the module it lives in, imported on first access
 # (PEP 562), so ``import wirediff`` and the commands that build no array
@@ -17,10 +17,8 @@ _HOMES = {
     "DomainError": "numerics",
     "ELECTRON_MASS_EV": "potential",
     "HBARC_EV_M": "potential",
-    "Pattern": "patterns",
     "amplitudes": "electron",
     "compare_curves": "patterns",
-    "default_grid": "patterns",
     "disk_amplitude": "numerics",
     "dsigma_dtheta": "electron",
     "dsigma_dtheta_two_beam": "twobeam",

@@ -5,8 +5,8 @@ Dark points come in closed form from their defining equations,
 disk amplitude) and pR sin(theta) = k pi (classical); j_{1,k} does not
 depend on pR and comes from a table or McMahon's expansion, with no search.
 The module uses ``math`` only, so ``wirediff zeros`` runs without numpy; the
-area-matched curve comparison, ``compare_curves``, lives beside ``Pattern`` in
-:mod:`~wirediff.patterns`.
+area-matched curve comparison, ``compare_curves``, lives beside the pattern
+builder ``sample_pattern`` in :mod:`~wirediff.patterns`, on numpy arrays.
 """
 
 from __future__ import annotations

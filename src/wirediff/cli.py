@@ -26,13 +26,11 @@ the write, an internal fault, or for a failed write.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import math
 import os
 import re
 import sys
-import tempfile
 from functools import cache, partial
 
 from . import __version__
@@ -169,8 +167,9 @@ def _resolve_physics(args) -> tuple[BeamParams, float]:
     return beam, p_radius
 
 
-def _resolve_grids(args, *names: str) -> list:
-    # every axis, and the size of their product, is checked before any is allocated
+def _resolve_grids(args, *names: str, max_theta: float = math.pi) -> list:
+    # every axis, and the size of their product, is checked before any is allocated;
+    # beyond +-pi an angle names no new direction (unit-area would count some twice)
     axes = [tuple(getattr(args, f"{name}_{part}") for part in ("min", "max", "points"))
             for name in names]
     for name, (lo, hi, points) in zip(names, axes):
@@ -181,6 +180,9 @@ def _resolve_grids(args, *names: str) -> list:
                               f"finite, got [{lo}, {hi}]")
         if not (lo < hi):
             raise DomainError(f"--{name}-min must be below --{name}-max, got [{lo}, {hi}]")
+        if name == "theta" and not (-max_theta <= lo and hi <= max_theta):
+            raise DomainError(f"--theta-min and --theta-max must lie in [{-max_theta!r}, "
+                              f"{max_theta!r}] rad for {args.command}, got [{lo}, {hi}]")
     values = math.prod(points for _, _, points in axes)
     if values > _MAX_GRID_VALUES:
         flags = " * ".join(f"--{name}-points" for name in names)
@@ -215,6 +217,8 @@ def _base_config(args) -> dict:
            if key not in ("output", "timestamp", "format")}
     cfg["version"] = __version__
     if args.timestamp:
+        import datetime  # only here, as logging in _warn_if_aliased
+
         cfg["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return cfg
 
@@ -317,8 +321,7 @@ def _pattern(args, beam, p_radius, thetas, *geometry) -> dict:
     amplitude = partial(amplitudes, beam, p_radius, mode=args.mode, channel=args.spin)
     density = (partial(dsigma_dtheta_two_beam, amplitude, *geometry) if geometry
                else partial(dsigma_dtheta, amplitude))
-    pattern = sample_pattern(density, thetas, args.normalization)
-    return {"theta_rad": pattern.thetas, "density": pattern.density}
+    return {"theta_rad": thetas, "density": sample_pattern(density, thetas, args.normalization)}
 
 
 def _cmd_single(args, beam, p_radius) -> dict:
@@ -335,7 +338,8 @@ def _cmd_scan(args, beam, p_radius) -> dict:
 
 
 def _cmd_compare(args, beam, p_radius) -> dict:
-    thetas, = _resolve_grids(args, "theta")
+    # beyond +-pi/2 the classical sinc(pR sin theta) folds backscatter onto forward
+    thetas, = _resolve_grids(args, "theta", max_theta=math.pi / 2)
     if not (args.radius_scale > 0.0 and math.isfinite(args.radius_scale)):
         raise DomainError(f"--radius-scale must be positive, got {args.radius_scale}")
     classical_pr = args.radius_scale * p_radius
@@ -360,7 +364,7 @@ def _cmd_compare(args, beam, p_radius) -> dict:
     classical = sample_pattern(
         partial(dsigma_dtheta, partial(fraunhofer_amplitudes, classical_pr)), thetas)
     return {
-        **compare_curves(quantum, classical),
+        **compare_curves(thetas, quantum, classical),
         "first_zero_offset_rad": zero_quantum - zero_classical,
         "first_zero_quantum_rad": zero_quantum,
         "first_zero_classical_rad": zero_classical,
@@ -393,6 +397,8 @@ def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    import tempfile  # only here, as logging in _warn_if_aliased
+
     directory = os.path.dirname(os.path.abspath(path))
     os.umask(umask := os.umask(0))  # reads the umask, which os has no getter for
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".wirediff-tmp-")

@@ -1,24 +1,17 @@
-"""Sampled angular probability patterns, normalization plumbing, and the
-area-matched comparison of two patterns."""
+"""Sampled angular probability patterns as arrays: the grid check, the one
+pattern builder and its normalization, and the area-matched comparison of
+two curves.  A pattern is its theta grid and its density array; it carries
+no provenance, since the builder's own arguments are the record, and the
+CLI writes them into every file as its ``# config:`` line."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import DomainError, _choice
-from .potential import _DEFAULT_GRID, _NORMALIZATIONS
-
-
-def default_grid() -> np.ndarray:
-    """Uniform grid theta in [-0.15, 0.15] rad, 2001 points.
-
-    Wide enough to cover at least three dark fringes at the default
-    633 nm / 17 um configuration (first dark point near 0.045 rad).
-    """
-    return np.linspace(*_DEFAULT_GRID)
+from .potential import _NORMALIZATIONS
 
 
 def validate_grid(thetas) -> np.ndarray:
@@ -45,68 +38,36 @@ def grid_area(thetas: np.ndarray, density: np.ndarray):
     return area if area.ndim else float(area)
 
 
-def _is_pattern_shape(shape: tuple, thetas: np.ndarray) -> bool:
-    # one density value per theta, or a non-empty leading axis of such rows, one per phase
-    return shape[-1:] == thetas.shape and len(shape) <= 2 and 0 not in shape
-
-
-@dataclass(frozen=True, eq=False)
-class Pattern:
-    """A sampled angular probability density d(sigma)/d(theta).
-
-    ``density`` has one value per theta, or one row of them per phase (a phase scan).
-    A pattern carries no provenance: the builder's own arguments are the
-    record, and the CLI writes them into every file as its ``# config:`` line.
-    """
-
-    thetas: np.ndarray
-    density: np.ndarray
-
-    def __post_init__(self):
-        thetas = validate_grid(self.thetas)
-        density = np.asarray(self.density, dtype=float)
-        if not _is_pattern_shape(density.shape, thetas):
-            raise ValueError(f"density shape {density.shape} is neither the grid shape "
-                             f"{thetas.shape} nor one row of it per phase")
-        if not np.all(np.isfinite(density)):
-            raise ValueError("density must be finite")
-        if np.any(density < 0.0):
-            raise ValueError("density must be non-negative")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "density", density)
-
-    def area(self):
-        """Trapezoidal integral of the density over the grid: a float, or one per row."""
-        return grid_area(self.thetas, self.density)
-
-
-def sample_pattern(density, thetas: np.ndarray | None = None,
-                   normalization: str = "raw") -> Pattern:
-    """Sample ``density`` over an angular grid (None: :func:`default_grid`).
+def sample_pattern(density, thetas, normalization: str = "raw") -> np.ndarray:
+    """Sample ``density`` over the angular grid ``thetas``, normalized.
 
     The one pattern builder: it validates the grid, evaluates the density
-    once on the whole grid and normalizes it.  ``density`` maps the theta
-    array to one value per theta, as the package's two densities do when
-    their other arguments are bound, for example
+    once on the whole grid and returns the normalized density array.
+    ``density`` maps the theta array to one value per theta, as the
+    package's two densities do when their other arguments are bound, for example
     ``partial(dsigma_dtheta, partial(amplitudes, beam, pR, mode="full", channel="sum"))``,
     ``partial(dsigma_dtheta_two_beam, partial(amplitudes, beam, pR), alpha, phi)``,
     ``partial(dsigma_dtheta, partial(fraunhofer_amplitudes, pR))`` or
     ``partial(dsigma_dtheta_two_beam, partial(fraunhofer_amplitudes, pR), alpha, phi)``;
     or to one row of them per phase, as the two-beam density does over a phase
     sequence, each row normalized as its own pattern.  Another shape raises DomainError.
+    A non-finite or negative value is the density's fault and raises ValueError.
     ``normalization`` is "raw" (the density as computed), "peak-one" (each row's
     maximum is 1) or "unit-area" (each row's trapezoidal area is 1); another
     spelling raises DomainError.
     """
-    thetas = default_grid() if thetas is None else validate_grid(thetas)
+    thetas = validate_grid(thetas)
     normalization = _choice("normalization", normalization, _NORMALIZATIONS)
-    values = density(thetas)
-    if not _is_pattern_shape(np.shape(values), thetas):
+    values = np.asarray(density(thetas), dtype=float)
+    shape = values.shape
+    if not (shape[-1:] == thetas.shape and len(shape) <= 2 and 0 not in shape):
         raise DomainError(f"a pattern has one density value per theta, or a row of them per "
-                          f"phase: got shape {np.shape(values)} on a grid of shape {thetas.shape}")
+                          f"phase: got shape {shape} on a grid of shape {thetas.shape}")
     # the density's fault, not the caller's: before the normalization's DomainError
     if not np.all(np.isfinite(values)):
         raise ValueError("density must be finite")
+    if np.any(values < 0.0):
+        raise ValueError("density must be non-negative")
     if normalization == "peak-one":
         peak = np.max(values, axis=-1, keepdims=True)
         if np.any(peak <= 0.0):
@@ -117,27 +78,40 @@ def sample_pattern(density, thetas: np.ndarray | None = None,
         if not np.all((area > 0.0) & np.isfinite(area)):
             raise DomainError("cannot area-normalize: integral is zero or non-finite")
         values = values / area
-    # Pattern rechecks the grid and density: skipping that needs a private constructor
-    return Pattern(thetas, values)
+    return values
 
 
-def compare_curves(reference: Pattern, target: Pattern) -> dict:
-    """Compare the shapes of two single-curve patterns on one theta grid.
+def _curve(thetas: np.ndarray, values, name: str) -> np.ndarray:
+    # one curve of compare_curves: one finite, non-negative real value per theta
+    try:
+        curve = np.asarray(values)
+    except ValueError:  # numpy refuses a ragged nesting
+        curve = None
+    if (curve is None or curve.dtype.kind not in "biuf" or curve.shape != thetas.shape
+            or not np.all(np.isfinite(curve)) or np.any(curve < 0.0)):
+        raise DomainError(f"compare_curves: reference and target must be single curves, "
+                          f"one finite, non-negative value per theta; the {name} is not")
+    return curve.astype(float, copy=False)
+
+
+def compare_curves(thetas, reference, target) -> dict:
+    """Compare the shapes of two single curves sampled on the grid ``thetas``.
 
     ``target`` is scaled to ``reference``'s trapezoidal area, then subtracted:
     ``max_abs_diff`` is the largest |difference| and ``l2_diff`` the grid-native
-    norm sqrt(trapz(difference^2 dtheta)).  A target of zero area, or one too
-    small for the scale to be finite, raises DomainError.
+    norm sqrt(trapz(difference^2 dtheta)).  A grid that :func:`validate_grid`
+    refuses, a curve that is not one finite, non-negative value per theta, a
+    target of zero area, or one too small for the scale to be finite, raises
+    DomainError.
     """
-    if (reference.density.ndim > 1 or target.density.ndim > 1
-            or not np.array_equal(reference.thetas, target.thetas)):
-        raise DomainError("compare_curves: patterns must be single curves on the same theta grid")
-    target_area = target.area()
+    thetas = validate_grid(thetas)
+    reference, target = _curve(thetas, reference, "reference"), _curve(thetas, target, "target")
+    target_area = grid_area(thetas, target)
     if target_area == 0.0:
         raise DomainError("compare_curves: target pattern has zero integral")
-    scale = reference.area() / target_area
+    scale = grid_area(thetas, reference) / target_area
     if not math.isfinite(scale):
         raise DomainError(f"compare_curves: cannot scale a target of area {target_area!r}")
-    diff = reference.density - target.density * scale
+    diff = reference - target * scale
     return {"max_abs_diff": float(np.max(np.abs(diff))),
-            "l2_diff": math.sqrt(grid_area(reference.thetas, diff * diff))}
+            "l2_diff": math.sqrt(grid_area(thetas, diff * diff))}

@@ -11,13 +11,15 @@ SI quantities (nm, eV) and convert at the boundary.
 It also holds what the command line parses beside the beam: the string
 spellings of the mode, the spin channel and the normalization, and the
 default grid, so that the parser, like this module, needs no numpy;
-:mod:`~wirediff.electron` and :mod:`~wirediff.patterns` import them back.
+:mod:`~wirediff.electron` and :mod:`~wirediff.patterns` import the
+spellings back.  ``BeamParams`` is a named tuple, which needs no import
+beyond ``collections``, one that ``functools`` has already made.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .numerics import DomainError, _is_real
 
@@ -34,27 +36,30 @@ _MODES = ("low-energy", "full")
 _CHANNELS = ("flip", "no-flip", "sum")
 _NORMALIZATIONS = ("peak-one", "raw", "unit-area")
 
-# (theta min [rad], theta max [rad], points) of patterns.default_grid and of
-# the CLI's --theta-min, --theta-max and --theta-points defaults
+# (theta min [rad], theta max [rad], points): the CLI's --theta-min,
+# --theta-max and --theta-points defaults
 _DEFAULT_GRID = (-0.15, 0.15, 2001)
 
 
-@dataclass(frozen=True)
-class BeamParams:
+class BeamParams(namedtuple("BeamParams", "momentum mass_ev")):
     """Incident beam kinematics: momentum [1/m] and rest mass [eV].
 
-    Energy is derived, E = sqrt((pc)^2 + (mc^2)^2), so the mass-shell
-    relation holds to machine precision by construction.
+    An immutable value, compared and hashed by its two fields.  Energy is
+    derived, E = sqrt((pc)^2 + (mc^2)^2), so the mass-shell relation holds
+    to machine precision by construction.
     """
 
-    momentum: float
-    mass_ev: float = ELECTRON_MASS_EV
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (_is_real(self.momentum) and math.isfinite(self.momentum) and self.momentum > 0.0):
-            raise DomainError(f"beam momentum must be positive and finite, got {self.momentum!r}")
-        if not (_is_real(self.mass_ev) and math.isfinite(self.mass_ev) and self.mass_ev >= 0.0):
-            raise DomainError(f"beam mass must be non-negative and finite, got {self.mass_ev!r}")
+    def __new__(cls, momentum: float, mass_ev: float = ELECTRON_MASS_EV):
+        if not (_is_real(momentum) and math.isfinite(momentum) and momentum > 0.0):
+            raise DomainError(f"beam momentum must be positive and finite, got {momentum!r}")
+        if not (_is_real(mass_ev) and math.isfinite(mass_ev) and mass_ev >= 0.0):
+            raise DomainError(f"beam mass must be non-negative and finite, got {mass_ev!r}")
+        return super().__new__(cls, momentum, mass_ev)
+
+    # namedtuple's _replace builds through _make, which would skip the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_wavelength_m(cls, wavelength_m: float, mass_ev: float = ELECTRON_MASS_EV) -> "BeamParams":

@@ -1,13 +1,17 @@
 import json
 from functools import partial
 
+import numpy as np
 import pytest
 
 from wirediff import BeamParams, amplitudes
+from wirediff.potential import _DEFAULT_GRID
 
 # Default configuration used throughout: 633 nm beam, 17 um wire diameter.
 WAVELENGTH_NM = 633.0
 DIAMETER_UM = 17.0
+# the CLI's default theta grid, [-0.15, 0.15] rad in 2001 points
+DEFAULT_THETAS = np.linspace(*_DEFAULT_GRID)
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,10 @@
 quadrature over the unit disk, independently of the package's Chebyshev /
 Hankel kernel.  It is a test oracle only; mpmath is the stronger one.
 ``dirac_spinor_element`` builds explicit Dirac spinors with numpy and takes
-their product, independently of the closed forms of ``spinor_elements``.
+their product, independently of the closed forms of ``spinor_elements``;
+``dirac_two_beam_density`` sums two beams' products coherently, with one
+initial spin in the lab frame, independently of the per-beam spin frames
+and the half-angle combiner of ``dsigma_dtheta_two_beam``.
 ``mp_single_density`` and ``mp_two_beam_density`` evaluate the densities at
 40 digits with mpmath, over a per-beam amplitude at 40 digits:
 ``mp_quantum_amplitude`` or ``mp_classical_amplitude``.
@@ -12,6 +15,7 @@ their product, independently of the closed forms of ``spinor_elements``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 
@@ -93,6 +97,28 @@ def dirac_spinor_element(pc: float, mass: float, theta: float, flip: bool) -> co
     scattered = _dirac_spinor(pc, mass, (math.sin(theta), 0.0, math.cos(theta)),
                               _SPIN_DOWN if flip else _SPIN_UP)
     return complex(np.vdot(scattered, incident))
+
+
+def dirac_two_beam_density(pc: float, mass: float, form_factor, alpha: float, phi: float,
+                           theta: float) -> float:
+    """|sum over beams of F u'^dagger u|^2, summed over the final spins (eV^2).
+
+    Both beams carry one initial spin, up along the lab z axis.  The beam
+    tilted by +alpha/2 from z scatters through theta - alpha/2, the one at
+    -alpha/2, with the phase e^{i phi}, through theta + alpha/2; each
+    element is times ``form_factor`` of that beam's own scattering angle.
+    The final spinor moves at ``theta`` in the x-z plane, with spin up or
+    down along z.
+    """
+    total = 0.0
+    for chi in (_SPIN_UP, _SPIN_DOWN):
+        scattered = _dirac_spinor(pc, mass, (math.sin(theta), 0.0, math.cos(theta)), chi)
+        amplitude = 0.0
+        for tilt, weight in ((0.5 * alpha, 1.0), (-0.5 * alpha, cmath.exp(1j * phi))):
+            incident = _dirac_spinor(pc, mass, (math.sin(tilt), 0.0, math.cos(tilt)), _SPIN_UP)
+            amplitude += weight * form_factor(theta - tilt) * np.vdot(scattered, incident)
+        total += abs(amplitude) ** 2
+    return total
 
 
 _DPS = 40

@@ -15,11 +15,11 @@ from wirediff.classical import fraunhofer_amplitudes
 from wirediff.cli import main
 from wirediff.electron import amplitudes, dsigma_dtheta
 from wirediff.numerics import disk_amplitude
-from wirediff.patterns import Pattern, default_grid, sample_pattern
+from wirediff.patterns import grid_area, sample_pattern
 from wirediff.potential import BeamParams
 from wirediff.twobeam import dsigma_dtheta_two_beam
 
-from conftest import two_j1_over_x
+from conftest import DEFAULT_THETAS, two_j1_over_x
 from oracles import disk_ft_oracle
 
 TAU = 2.0 * math.pi
@@ -62,18 +62,19 @@ def test_criterion_1_overestimation_factor(default_setup, j1_zeros_oracle):
 
 def test_criterion_2_fringe_structure(default_setup):
     beam, p_radius = default_setup
-    thetas = default_grid()
+    thetas = DEFAULT_THETAS
     quantum = sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius)), thetas)
     classical = sample_pattern(partial(dsigma_dtheta, partial(fraunhofer_amplitudes, p_radius)),
                                thetas)
 
-    q_peak_theta = float(quantum.thetas[np.argmax(quantum.density)])
-    c_peak_theta = float(classical.thetas[np.argmax(classical.density)])
+    q_peak_theta = float(thetas[np.argmax(quantum)])
+    c_peak_theta = float(thetas[np.argmax(classical)])
     quantum_zero = first_dark_points(p_radius, "quantum", 1)[0]
     classical_zero = first_dark_points(p_radius, "classical", 1)[0]
     # the classical curve scaled to the quantum area, as compare_curves scales it
-    matched = Pattern(thetas, classical.density * (quantum.area() / classical.area()))
-    area_ratio = matched.area() / quantum.area()
+    quantum_area = grid_area(thetas, quantum)
+    matched = classical * (quantum_area / grid_area(thetas, classical))
+    area_ratio = grid_area(thetas, matched) / quantum_area
 
     _report(
         "criterion 2: default-configuration fringe structure (peaks, dark points, areas)",
@@ -125,12 +126,12 @@ def test_criterion_3_special_function_identities(j1_zeros_oracle):
 
 def test_criterion_4_low_energy_reduction(default_setup):
     beam, p_radius = default_setup
-    thetas = default_grid()
+    thetas = DEFAULT_THETAS
     full, low = (sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius,
                                                                mode=mode)),
                                 thetas, "peak-one")
                  for mode in ("full", "low-energy"))
-    pointwise = float(np.max(np.abs(full.density - low.density)))
+    pointwise = float(np.max(np.abs(full - low)))
 
     flip, noflip = (np.array([dsigma_dtheta(amplitude, float(t)) for t in thetas])
                     for amplitude in (partial(amplitudes, beam, p_radius, mode="full", channel=c)
@@ -194,7 +195,7 @@ def test_criterion_5_two_beam_properties(default_setup):
         for th in (0.0, 0.01, 0.045, 0.1)
     )
 
-    grid = default_grid()
+    grid = DEFAULT_THETAS
     scan = dsigma_dtheta_two_beam(amplitude, 0.1, np.linspace(0.0, TAU, 41), grid)
     masses = np.trapezoid(scan, grid, axis=1)
     elapsed = time.perf_counter() - start

@@ -11,7 +11,7 @@ from wirediff.analysis import first_dark_points, overestimation_factor
 from wirediff.classical import fraunhofer_amplitudes
 from wirediff.electron import amplitudes, dsigma_dtheta
 from wirediff.numerics import DomainError
-from wirediff.patterns import Pattern, compare_curves, sample_pattern
+from wirediff.patterns import compare_curves, grid_area, sample_pattern
 from wirediff.potential import BeamParams
 
 PR = 84.37136668408607
@@ -177,29 +177,27 @@ _ZERO_METRICS = {"max_abs_diff": 0.0, "l2_diff": 0.0}
 class TestMatchAreas:
     # compare_curves scales its target to the reference's trapezoid area
     # before it differences them, so the target's overall constant drops out
+    THETAS = np.linspace(-0.15, 0.15, 501)
+
     def _patterns(self):
-        thetas = np.linspace(-0.15, 0.15, 501)
-        quantum = sample_pattern(QUANTUM, thetas)
-        classical = sample_pattern(classical_density(PR), thetas)
-        return quantum, classical
+        return sample_pattern(QUANTUM, self.THETAS), sample_pattern(classical_density(PR),
+                                                                    self.THETAS)
 
     def test_doubled_density_is_halved(self):
         quantum, _ = self._patterns()
-        doubled = Pattern(quantum.thetas, 2.0 * quantum.density)
-        assert compare_curves(quantum, doubled) == _ZERO_METRICS
+        assert compare_curves(self.THETAS, quantum, 2.0 * quantum) == _ZERO_METRICS
 
     def test_idempotent(self):
         # a target already scaled to the reference's area compares as the unscaled one
         quantum, classical = self._patterns()
-        matched = Pattern(classical.thetas, classical.density * (quantum.area() / classical.area()))
-        assert compare_curves(quantum, matched) == pytest.approx(
-            compare_curves(quantum, classical), rel=1e-12)
+        matched = classical * (grid_area(self.THETAS, quantum) / grid_area(self.THETAS, classical))
+        assert compare_curves(self.THETAS, quantum, matched) == pytest.approx(
+            compare_curves(self.THETAS, quantum, classical), rel=1e-12)
 
     def test_zero_target_rejected(self):
         quantum, _ = self._patterns()
-        flat = Pattern(quantum.thetas, np.zeros_like(quantum.density))
         with pytest.raises(DomainError, match="zero integral"):
-            compare_curves(quantum, flat)
+            compare_curves(self.THETAS, quantum, np.zeros_like(quantum))
 
     @pytest.mark.parametrize("mode", ["low-energy", "full"])
     def test_power_of_two_target_scale_is_exact(self, mode):
@@ -218,22 +216,22 @@ class TestMatchAreas:
             classical = sample_pattern(classical_density(p_radius * rng.uniform(0.5, 1.5)),
                                        thetas)
             for reference, target in ((quantum, classical), (classical, quantum)):
-                want = compare_curves(reference, target)
+                want = compare_curves(thetas, reference, target)
                 for k in [-30, 30, *(rng.randint(-30, 30) for _ in range(4))]:
-                    scaled = Pattern(thetas, 2.0 ** k * target.density)
-                    assert compare_curves(reference, scaled) == want
+                    assert compare_curves(thetas, reference, 2.0 ** k * target) == want
 
 
 class TestCompareCurves:
-    def _default_comparison_curves(self, radius_scale=1.0, points=2001):
-        thetas = np.linspace(-0.15, 0.15, points)
-        quantum = sample_pattern(QUANTUM, thetas)
-        classical = sample_pattern(classical_density(radius_scale * PR), thetas)
+    THETAS = np.linspace(-0.15, 0.15, 2001)
+
+    def _default_comparison_curves(self, radius_scale=1.0):
+        quantum = sample_pattern(QUANTUM, self.THETAS)
+        classical = sample_pattern(classical_density(radius_scale * PR), self.THETAS)
         return quantum, classical
 
     def test_identical_curves_give_zero_metrics(self):
         quantum, _ = self._default_comparison_curves()
-        assert compare_curves(quantum, quantum) == _ZERO_METRICS
+        assert compare_curves(self.THETAS, quantum, quantum) == _ZERO_METRICS
 
     def test_rescaled_classical_aligns_first_zeros(self):
         # aligning direction of the multiplier convention: 1/factor moves the
@@ -243,14 +241,15 @@ class TestCompareCurves:
         offset = (first_dark_points(PR, "quantum")[0]
                   - first_dark_points(PR / factor, "classical")[0])
         assert abs(offset) < 1e-4
-        assert compare_curves(quantum, classical)["l2_diff"] < compare_curves(
-            *self._default_comparison_curves())["l2_diff"]
+        assert compare_curves(self.THETAS, quantum, classical)["l2_diff"] < compare_curves(
+            self.THETAS, *self._default_comparison_curves())["l2_diff"]
 
     def test_grid_mismatch_rejected(self):
+        # a target sampled on another grid, of another size
         quantum, _ = self._default_comparison_curves()
-        other = Pattern(np.linspace(-0.1, 0.1, 2001), np.ones(2001))
+        other = sample_pattern(classical_density(PR), np.linspace(-0.1, 0.1, 1001))
         with pytest.raises(ValueError):
-            compare_curves(quantum, other)
+            compare_curves(self.THETAS, quantum, other)
 
     @pytest.mark.parametrize("theta_max, classical_zero", [(0.03, False), (0.04, True)])
     def test_offset_is_none_without_both_dark_points(self, theta_max, classical_zero):
@@ -261,7 +260,7 @@ class TestCompareCurves:
         thetas = np.linspace(-theta_max, theta_max, 2001)
         quantum = sample_pattern(QUANTUM, thetas)
         classical = sample_pattern(classical_density(PR), thetas)
-        result = compare_curves(quantum, classical)
+        result = compare_curves(thetas, quantum, classical)
         assert sorted(result) == ["l2_diff", "max_abs_diff"]
         assert result["l2_diff"] > 0.0
         assert first_dark_points(PR, "quantum")[0] > theta_max

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wirediff
-from wirediff import (BeamParams, DomainError, Pattern, amplitudes,
+from wirediff import (BeamParams, DomainError, amplitudes,
                       compare_curves, disk_amplitude, dsigma_dtheta, dsigma_dtheta_two_beam,
                       first_dark_points, fraunhofer_amplitudes, sample_pattern,
                       sinc, spinor_elements, validate_grid)
@@ -25,7 +25,9 @@ from wirediff import (BeamParams, DomainError, Pattern, amplitudes,
 # fraunhofer_amplitudes, a step with one caller that checked its inputs again,
 # a one-channel spinor element that the list of one per final spin replaces,
 # a holder of the two-beam geometry whose one reader takes alpha and phi itself,
-# or an area-matching step and a result holder that compare_curves replaces
+# an area-matching step and a result holder that compare_curves replaces,
+# or a holder of a grid and its density, and a default grid, that the arrays
+# sample_pattern returns and takes replace
 REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_full_spin_summed", "hyp0f1_reg2", "hyp0f1_reg2_series",
            "bessel_j1", "disk_ft_oracle", "AccuracyError", "BracketError", "RangeError",
@@ -37,7 +39,7 @@ REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "pattern_two_beam", "pattern_classical", "WirePotential", "fraunhofer_single",
            "fraunhofer_two_beam", "momentum_transfer_single", "normalize_density",
            "spinor_element", "TwoBeamConfig", "Channel", "Normalization", "Spelling",
-           "match_areas", "CurveComparison")
+           "match_areas", "CurveComparison", "Pattern", "default_grid")
 
 
 class TestPublicSurface:
@@ -46,7 +48,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 19
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 17
 
     def test_lazy_names_resolve_list_and_star_import(self):
         # in a fresh interpreter, where no name has been loaded yet: each one
@@ -78,9 +80,7 @@ class TestPublicSurface:
                 assert not hasattr(module, name), f"{module.__name__}.{name}"
 
     def test_removed_attributes_are_gone(self):
-        # provenance echoes of the caller's own arguments, and a label no code read
-        assert not hasattr(Pattern(_GRID, np.ones(5)), "metadata")
-        assert not hasattr(Pattern(_GRID, np.ones(5)), "normalization")
+        # a provenance echo of the caller's own arguments
         assert not hasattr(BeamParams(1e7), "wavelength_m")
 
     def test_readme_library_example_runs(self):
@@ -112,13 +112,15 @@ class TestPublicSurface:
 
 
 _GRID = np.linspace(-0.1, 0.1, 5)
-_FLAT = Pattern(_GRID, np.ones(5))
+_FLAT = np.ones(5)
 
 # every check of a caller's argument in the library, one bad input each
 _BAD_INPUTS = {
     "wire pR": lambda: amplitudes(BeamParams(1e7), 0.0, 0.1),
     "beam momentum": lambda: BeamParams(momentum=-1.0),
     "beam mass": lambda: BeamParams(momentum=1e7, mass_ev=math.nan),
+    # namedtuple's copy with a field replaced, which would skip the constructor
+    "beam replace": lambda: BeamParams(1e7)._replace(momentum=-1.0),
     # numeric text: math.isfinite would raise TypeError, and float() would parse it
     "text beam momentum": lambda: BeamParams("1"),
     "text pR": lambda: amplitudes(BeamParams(1e7), "100", 0.1),
@@ -166,6 +168,8 @@ _BAD_INPUTS = {
     # a density gives one value per theta, or one row of them per phase
     "pattern 3-D": lambda: sample_pattern(lambda theta: np.ones((2, 1, theta.size)), _GRID),
     "pattern length": lambda: sample_pattern(lambda theta: np.ones((2, theta.size + 1)), _GRID),
+    "pattern short": lambda: sample_pattern(lambda theta: np.ones(theta.size - 1), _GRID),
+    "pattern no rows": lambda: sample_pattern(lambda theta: np.empty((0, theta.size)), _GRID),
     "p_radius": lambda: sample_pattern(
         partial(dsigma_dtheta, partial(fraunhofer_amplitudes, 0.0)), _GRID),
     # a NaN radius scale gives the classical curve a NaN pR
@@ -196,14 +200,19 @@ _BAD_INPUTS = {
     "dark-point float n": lambda: first_dark_points(100.0, "quantum", 2.0),
     "dark-point method": lambda: first_dark_points(100.0, "semiclassical"),
     "too few dark points": lambda: first_dark_points(2.5, "quantum", 2),
-    "zero target": lambda: compare_curves(_FLAT, Pattern(_GRID, np.zeros(5))),
+    "zero target": lambda: compare_curves(_GRID, _FLAT, np.zeros(5)),
     # the area ratio overflows, so the scaled target would not be finite
-    "tiny target": lambda: compare_curves(_FLAT, Pattern(_GRID, np.full(5, 1e-320))),
-    "compare_curves grid": lambda: compare_curves(_FLAT, Pattern(_GRID + 1.0, np.ones(5))),
+    "tiny target": lambda: compare_curves(_GRID, _FLAT, np.full(5, 1e-320)),
+    "compare_curves grid": lambda: compare_curves(_GRID[::-1], _FLAT, _FLAT),
     # as many phase rows as thetas: one area per row would broadcast along theta
-    "compare_curves target phase rows": lambda: compare_curves(
-        _FLAT, Pattern(_GRID, np.ones((5, 5)))),
-    "compare_curves phase rows": lambda: compare_curves(Pattern(_GRID, np.ones((5, 5))), _FLAT),
+    "compare_curves target phase rows": lambda: compare_curves(_GRID, _FLAT, np.ones((5, 5))),
+    "compare_curves phase rows": lambda: compare_curves(_GRID, np.ones((5, 5)), _FLAT),
+    # one value per theta, finite, non-negative and real, in each curve
+    "compare_curves length": lambda: compare_curves(_GRID, _FLAT, np.ones(4)),
+    "compare_curves negative": lambda: compare_curves(_GRID, _FLAT, -_FLAT),
+    "compare_curves nan": lambda: compare_curves(_GRID, np.full(5, math.nan), _FLAT),
+    "compare_curves text": lambda: compare_curves(_GRID, _FLAT, ["1"] * 5),
+    "compare_curves ragged": lambda: compare_curves(_GRID, _FLAT, [[1.0], [1.0, 2.0]]),
 }
 
 # rows whose message must name the function the caller called, or its argument
@@ -216,9 +225,14 @@ _NAMED = {"p_radius": "fraunhofer_amplitudes", "radius_scale": "fraunhofer_ampli
           "array alpha": "^alpha in", "phi text": "^phi must be", "complex phi": "^phi must be",
           "complex phases": "^phi must be", "pattern 3-D": "^a pattern has",
           "pattern length": "^a pattern has", "compare_curves target phase rows": "single curves",
-          "compare_curves phase rows": "single curves", "text grid": "real numbers",
+          "compare_curves phase rows": "single curves", "compare_curves length": "the target is",
+          "compare_curves negative": "single curves", "compare_curves nan": "the reference is",
+          "compare_curves text": "single curves", "compare_curves ragged": "single curves",
+          "compare_curves grid": "strictly increasing", "pattern short": "^a pattern has",
+          "pattern no rows": "^a pattern has", "text grid": "real numbers",
           "complex grid": "real numbers", "dark-point float n": "n must be an integer",
-          "text beam momentum": "^beam momentum", "text pR": "^p_radius > 0 required",
+          "text beam momentum": "^beam momentum", "beam replace": "^beam momentum",
+          "text pR": "^p_radius > 0 required",
           "fraunhofer text pR": "^fraunhofer_amplitudes: p_radius",
           "ragged grid": "1-D array", "dark-point text p_radius": "^first_dark_points: p_radius",
           "text wavelength": "^wavelength", "disk_amplitude text": "^disk_amplitude: .* real",
@@ -232,13 +246,12 @@ class TestInputErrors:
         with pytest.raises(DomainError, match=_NAMED.get(name)):
             _BAD_INPUTS[name]()
 
-    # on a grid of two: a negative or NaN value, or a shape neither (2,) nor (k, 2), k >= 1
-    @pytest.mark.parametrize("density", [[1.0, -1.0], [1.0, math.nan], [1.0], [[[1.0, 1.0]]],
-                                         np.empty((0, 2)), [[1.0], [1.0]]])
+    # on a grid of two: a negative or a NaN value
+    @pytest.mark.parametrize("density", [[1.0, -1.0], [1.0, math.nan]])
     def test_pattern_density_invariants_stay_value_errors(self, density):
         # a builder's own density breaking them is the package's fault, not input
         with pytest.raises(ValueError) as exc:
-            Pattern(_GRID[:2], np.array(density))
+            sample_pattern(lambda theta: np.array(density), _GRID[:2])
         assert not isinstance(exc.value, DomainError)
 
 

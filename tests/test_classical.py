@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 from wirediff.classical import fraunhofer_amplitudes
 from wirediff.electron import dsigma_dtheta
 from wirediff.numerics import DomainError
-from wirediff.patterns import default_grid, sample_pattern
+from wirediff.patterns import grid_area, sample_pattern
 from wirediff.twobeam import dsigma_dtheta_two_beam
+
+from conftest import DEFAULT_THETAS
 
 PR = 84.37136668408607  # 2*pi * 8.5e-6 / 633e-9
 
@@ -66,7 +68,7 @@ class TestFraunhoferSingle:
 class TestFraunhoferTwoBeam:
     def test_degenerate_intersection_is_quadrupled_single(self):
         # alpha = 0, phi = 0: both amplitudes are the single-beam one, bit for bit
-        for thetas in (default_grid(), np.linspace(-0.6, 0.6, 801)):
+        for thetas in (DEFAULT_THETAS, np.linspace(-0.6, 0.6, 801)):
             assert np.array_equal(two_beam(PR, 0.0, 0.0, thetas),
                                   4.0 * single(PR, thetas))
 
@@ -104,10 +106,9 @@ class TestFraunhoferTwoBeam:
 
 class TestPatternClassical:
     def test_peak_one(self):
-        pattern = sample_pattern(partial(single, PR), normalization="peak-one")
-        assert float(np.max(pattern.density)) == 1.0
+        pattern = sample_pattern(partial(single, PR), DEFAULT_THETAS, normalization="peak-one")
+        assert float(np.max(pattern)) == 1.0
 
     def test_unit_area(self):
-        pattern = sample_pattern(partial(single, PR),
-                                 normalization="unit-area")
-        assert pattern.area() == pytest.approx(1.0, abs=1e-9)
+        pattern = sample_pattern(partial(single, PR), DEFAULT_THETAS, normalization="unit-area")
+        assert grid_area(DEFAULT_THETAS, pattern) == pytest.approx(1.0, abs=1e-9)

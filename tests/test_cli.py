@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import logging
 import math
@@ -8,13 +10,14 @@ import stat
 import subprocess
 import sys
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import reference_csv
-from wirediff import cli
+from wirediff import __version__, cli
 from wirediff.analysis import first_dark_points
 from wirediff.cli import _MAX_GRID_VALUES, _MAX_ZEROS, _csv, _json_doc, build_parser, main
 from wirediff.potential import _CHANNELS, _MODES, _NORMALIZATIONS, BeamParams
@@ -24,6 +27,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def version_tokenized(out: str) -> str:
+    # an output with its one version field, in the CSV config line or the
+    # JSON metadata, replaced by a fixed token: a pinned digest of it covers
+    # every other byte and does not move with a version bump
+    field = f'"version": "{__version__}"'
+    assert out.count('"version"') == out.count(field) == 1
+    return out.replace(field, '"version": "<version>"')
+
+
+def pin_digest(out: str) -> str:
+    return hashlib.sha256(version_tokenized(out).encode("utf-8")).hexdigest()
 
 
 class TestSingleCommand:
@@ -68,7 +84,7 @@ class TestSingleCommand:
         pattern = sample_pattern(partial(dsigma_dtheta,
                                          partial(amplitudes, beam, beam.momentum * 8.5e-6)),
                                  np.linspace(-0.15, 0.15, 101))
-        assert doc["data"]["density"] == [float(d) for d in pattern.density]
+        assert doc["data"]["density"] == pattern.tolist()
 
     def test_full_mode_spin_channels(self, capsys):
         for spin in ("no-flip", "flip", "sum"):
@@ -305,6 +321,39 @@ class TestConfigErrors:
         assert exc.value.code == 2
 
 
+class TestAngleRange:
+    # beyond +-pi an angle names no new direction, so unit-area would count some
+    # twice; beyond +-pi/2 compare's classical sinc(pR sin theta) folds backscatter
+    # onto forward. A window reaching past its command's bound exits 2 before any
+    # grid is allocated, and one within it passes every grid check
+    class Reached(BaseException):  # main turns an Exception into exit 1
+        pass
+
+    def refused(self, argv) -> bool:
+        err = io.StringIO()
+        with mock.patch.object(np, "linspace", side_effect=self.Reached), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except self.Reached:
+                return False
+        assert code == 2 and "--theta-min and --theta-max must lie in" in err.getvalue()
+        return True
+
+    @pytest.mark.parametrize("command, bound", [("single", math.pi), ("two-beam", math.pi),
+                                                ("scan", math.pi), ("compare", math.pi / 2)])
+    @settings(deadline=None, max_examples=25)
+    @given(edge=st.floats(-8.0, 8.0))
+    def test_each_bound_is_exact(self, command, bound, edge):
+        # each bound, the doubles on either side of it, and a drawn edge, as
+        # either edge of a window whose other edge is at the bound
+        near = [math.nextafter(x, x + side) for x in (-bound, bound) for side in (-1, 0, 1)]
+        for lo, hi in [pair for e in (edge, *near) for pair in ((-bound, e), (e, bound))]:
+            if lo < hi:
+                argv = [command, f"--theta-min={lo!r}", f"--theta-max={hi!r}"]
+                assert self.refused(argv) == (lo < -bound or hi > bound), argv
+
+
 class TestNegativeValues:
     # a negative value in exponent form is read as the option's value, the
     # same as its --flag=value spelling
@@ -447,6 +496,7 @@ class TestScanCommand:
         for argv, digest in pins:
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
+            out = version_tokenized(out)
             if "json" in argv:
                 data = out[:out.index('  "metadata"')]
                 config = json.loads(out)["metadata"]
@@ -731,10 +781,7 @@ class TestEmitters:
             assert len(set(rows)) < len(rows) == data["phi_rad"].size
 
     def test_empty_metadata_csv_still_valid(self):
-        from wirediff.patterns import Pattern
-
-        pattern = Pattern(np.array([0.0, 0.1]), np.array([1.0, 0.5]))
-        text = _csv({}, {"theta_rad": pattern.thetas, "density": pattern.density})
+        text = _csv({}, {"theta_rad": np.array([0.0, 0.1]), "density": np.array([1.0, 0.5])})
         lines = text.split("\n")
         assert lines[0] == "theta_rad,density"
         assert lines[1] == "0,1"
@@ -900,7 +947,7 @@ class TestPinnedDigests:
     # sum of both pattern commands (one spinor_elements call gives both
     # final spins), a compare whose classical radius is rescaled, and the
     # JSON arrays of both pattern commands and of a scan (density nested
-    # per phi).
+    # per phi), each with its version field tokenized (pin_digest).
     # Refactors of the amplitude model or the writer must leave these bytes
     # unchanged.
     # ids name the argv, so a deliberate re-pin keeps every test id
@@ -908,33 +955,33 @@ class TestPinnedDigests:
         "argv, digest",
         [
             (("single",),
-             "9f3ab15f1a9f40928c8e47428772418c55763114a0e0df0863a9c595f27a3702"),
+             "2eb58e7b91c28ee8094498843b1b7c1d80da2a00d2721b51aade25f16375944f"),
             (("two-beam",),
-             "81bb4743a1ab7c426828f2d53b53c01ef6525bb896463cc27026c1fe9deae8be"),
+             "a55505abf09faaf5780f23f7a600eaab90c77df2bfe9e044fa771a68db1b6339"),
             (("scan",),
-             "b0fa9f88b3f23fbd10f575d32ade6f660a8a3200e5934feae366d29e4752e139"),
+             "11cc2fb31a01b55c0cc2ee05e7893701c8ad70e7395058d7a70b5e445c706a8e"),
             (("compare",),
-             "b9ae0b0f289fda1e94e3189b781f7302d1fa4c33c48f6ae883e5b507f3aa1aa5"),
+             "282cc47cc613b7541158c92edd1406ad91839043dbb1783961467f7eca044b77"),
             (("zeros",),
-             "822db2213c37e1bc8506e9c59e7543f061bb1783739e8b751e3e1fac5567fa53"),
+             "2b077d63c64757dbb7f72662446d376a65254a9c59c99eeb186141248e02d8e5"),
             (("zeros", "--n", "3"),
-             "a71fb7f377f9fff2a582e8fafaf1969461b71fabb4d9936637e244cab2563b74"),
+             "6571b57327b7b4bd53749f5651c0af47cfca097a9db255d4cab46a955485fbd9"),
             (("scan", "--wavelength-nm", "100", "--theta-points", "3001", "--phi-points", "11"),
-             "380db46177168058cbf5b935e29033c613f0b9e686f347c80f4303cef1441793"),
+             "b7bd257488233c1d5be9c12ebc1087d3355e4acff65c3bfb6efd0a4f826b28d9"),
             (("single", "--wavelength-nm", "20", "--theta-points", "20001"),
-             "4d411e96d3f1a047b90daa1a0140afa22c44e78fc5e7df95d75c4e8d591cbaea"),
+             "b1848d2432d0538d4b9f1cc1226d9274170250a6778bf1f6aea9aabd2f22b9fd"),
             (("single", "--mode", "full", "--spin", "sum"),
-             "bbbc66665e82a99263adc5fa96111973caff25c977b652bbe04eb964fc5b9a5e"),
+             "895718d79c37b5ada881cedd394f62b88ac2cd6d04f5bb93fbcb6ef55ad6e3e4"),
             (("two-beam", "--mode", "full", "--spin", "sum"),
-             "5dbbb30a4f7e22968a4c7929885788505e3f4998b052a9b13f795d7b05f01c89"),
+             "c88c7cebf9032c37647f92a8adda3e9a9cf09c726a2d825ba4fa17e12d49fb85"),
             (("compare", "--radius-scale", "0.82"),
-             "32a310567d0f8bef9adb4bf7ebc66aaab849794dc50311d72b33b5240a77b550"),
+             "56568f4c757907cf4c4dac978bfab2229f7999d3d316cebbb6f0059138383a4f"),
             (("single", "--format", "json"),
-             "8b161d3fa49b7f7ffa635f8e824295de9dce2b1ca3ac1e8a753f70d69bb8afe3"),
+             "449310e390702f42f3c5529e2ac94bd8eef90b65c28e7e3f82f4902de684a9bd"),
             (("two-beam", "--mode", "full", "--spin", "sum", "--format", "json"),
-             "20b87daed4227a0701d5498694fe2eac08668842b942d8fcbf4fa35eb6639341"),
+             "1df8ecc703fca3dc9acfbf2eabe6c71d4f4971e14537f12b7007712e063bfce5"),
             (("scan", "--format", "json", "--phi-points", "3", "--theta-points", "101"),
-             "cd8865b279921876198edb2db9a0c73706b51d66d56e2be9a55a01aefe15ce24"),
+             "660752f46622594e55e2d9eb3cbc9e22a2064bcf188e7c2f8db2d3df9c99f500"),
         ],
         ids=["single", "two-beam", "scan", "compare", "zeros", "zeros-n3", "scan-100nm",
              "single-20nm", "single-full-sum", "two-beam-full-sum", "compare-scale-0.82",
@@ -943,17 +990,19 @@ class TestPinnedDigests:
     def test_default_output_digest(self, capsys, argv, digest):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        assert pin_digest(out) == digest
 
 
 # Runs each argv of the JSON list in argv[2] through main() in one fresh
-# interpreter, with numpy's import blocked when argv[1] is "block", and prints
-# [exit code, stdout, stderr] per argv as JSON; "check" prints instead whether
-# numpy is loaded after importing the CLI and after running the argvs.
+# interpreter, with the import of numpy, and of the standard modules that only
+# --output, --timestamp or nothing needs, blocked when argv[1] is "block", and
+# prints [exit code, stdout, stderr] per argv as JSON; "check" prints instead
+# whether numpy is loaded after importing the CLI and after running the argvs.
 _FRESH_MAIN = """
 import contextlib, io, json, sys
 if sys.argv[1] == "block":
-    sys.modules["numpy"] = None
+    for name in ("numpy", "dataclasses", "tempfile", "datetime"):
+        sys.modules[name] = None
 from wirediff.cli import main
 loaded = ["numpy" in sys.modules]
 results = []
@@ -992,12 +1041,11 @@ class TestNumpyFreePaths:
 
     def test_zeros_digests_without_numpy(self):
         # the two zeros pins of TestPinnedDigests
-        pins = ["822db2213c37e1bc8506e9c59e7543f061bb1783739e8b751e3e1fac5567fa53",
-                "a71fb7f377f9fff2a582e8fafaf1969461b71fabb4d9936637e244cab2563b74"]
+        pins = ["2b077d63c64757dbb7f72662446d376a65254a9c59c99eeb186141248e02d8e5",
+                "6571b57327b7b4bd53749f5651c0af47cfca097a9db255d4cab46a955485fbd9"]
         results = run_fresh("block", ["zeros"], ["zeros", "--n", "3"])
         assert [code for code, _, _ in results] == [0, 0]
-        assert [hashlib.sha256(out.encode("utf-8")).hexdigest()
-                for _, out, _ in results] == pins
+        assert [pin_digest(out) for _, out, _ in results] == pins
 
     def test_help_version_and_errors_match_an_unblocked_run(self):
         blocked = run_fresh("block", *self.HELP, *self.ERRORS)

@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 from wirediff.electron import amplitudes, dsigma_dtheta, spinor_elements
 from wirediff.numerics import DomainError
-from wirediff.patterns import Pattern, default_grid, sample_pattern
+from wirediff.patterns import compare_curves, grid_area, sample_pattern
 from wirediff.potential import ELECTRON_MASS_EV, HBARC_EV_M, BeamParams
 from wirediff.twobeam import dsigma_dtheta_two_beam
 
-from conftest import two_j1_over_x
+from conftest import DEFAULT_THETAS, two_j1_over_x
 from oracles import dirac_spinor_element
 
 
@@ -63,7 +63,7 @@ class TestSpinorElement:
         trace = 2.0 * (energy * energy + mass * mass + pc * pc * math.cos(theta))
         assert abs(no_flip**2 + flip**2 - trace) <= 1e-14 * (energy + mass) ** 2
 
-    @pytest.mark.parametrize("theta", [0.7, default_grid()], ids=["scalar", "default-grid"])
+    @pytest.mark.parametrize("theta", [0.7, DEFAULT_THETAS], ids=["scalar", "default-grid"])
     def test_sum_is_no_flip_then_flip(self, theta):
         # one factor per final spin, the same bits as each channel's own call
         beam = BeamParams(momentum=0.7 * ELECTRON_MASS_EV / HBARC_EV_M)
@@ -105,7 +105,7 @@ class TestDensities:
             assert dsigma_dtheta(amplitude, theta) < 1e-20
 
     def test_flip_weight_negligible(self, beam, p_radius):
-        thetas = default_grid()
+        thetas = DEFAULT_THETAS
         flip, noflip = (np.array([dsigma_dtheta(partial(amplitudes, beam, p_radius, mode="full",
                                                         channel=c), float(t)) for t in thetas])
                         for c in ("flip", "no-flip"))
@@ -166,23 +166,23 @@ class TestPatternSingle:
         return partial(dsigma_dtheta, partial(amplitudes, beam, p_radius))
 
     def test_peak_one_at_center(self, density):
-        pattern = sample_pattern(density, normalization="peak-one")
-        center = np.argmin(np.abs(pattern.thetas))
-        assert pattern.thetas[center] == pytest.approx(0.0, abs=1e-12)
-        assert pattern.density[center] == 1.0
+        pattern = sample_pattern(density, DEFAULT_THETAS, normalization="peak-one")
+        center = np.argmin(np.abs(DEFAULT_THETAS))
+        assert DEFAULT_THETAS[center] == pytest.approx(0.0, abs=1e-12)
+        assert pattern[center] == 1.0
 
     def test_unit_area_integrates_to_one(self, density):
-        pattern = sample_pattern(density, normalization="unit-area")
-        assert pattern.area() == pytest.approx(1.0, abs=1e-9)
+        pattern = sample_pattern(density, DEFAULT_THETAS, normalization="unit-area")
+        assert grid_area(DEFAULT_THETAS, pattern) == pytest.approx(1.0, abs=1e-9)
 
     def test_evenness(self, density):
         # exactly mirrored grid: density must be symmetric to 1e-12 relative
         positive = np.linspace(7.5e-5, 0.15, 1000)
         thetas = np.concatenate([-positive[::-1], [0.0], positive])
         pattern = sample_pattern(density, thetas)
-        flipped = pattern.density[::-1]
+        flipped = pattern[::-1]
         assert np.all(
-            np.abs(pattern.density - flipped)
+            np.abs(pattern - flipped)
             <= 1e-12 * np.maximum(np.abs(flipped), 1e-300)
         )
 
@@ -190,9 +190,9 @@ class TestPatternSingle:
         # peak-normalized full (no-flip) and low-energy patterns coincide
         full, low = (sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius,
                                                                    mode=mode)),
-                                    normalization="peak-one")
+                                    DEFAULT_THETAS, normalization="peak-one")
                      for mode in ("full", "low-energy"))
-        deviation = np.abs(full.density - low.density) / np.maximum(low.density, 1e-300)
+        deviation = np.abs(full - low) / np.maximum(low, 1e-300)
         assert float(np.max(deviation)) <= 1e-10
 
     def test_dark_points_follow_bessel_zeros(self, beam, p_radius, j1_zeros_oracle):
@@ -211,30 +211,39 @@ class TestPatternSingle:
 
     def test_unknown_mode_rejected(self, beam, p_radius):
         with pytest.raises(ValueError):
-            sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius, mode="fast")))
+            sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius, mode="fast")),
+                           DEFAULT_THETAS)
 
     def test_low_energy_flip_rejected(self, beam, p_radius):
         # its flip element vanishes; the no-flip density must not go out as "flip"
         with pytest.raises(ValueError, match="no flip channel"):
             sample_pattern(partial(dsigma_dtheta, partial(amplitudes, beam, p_radius,
-                                                          mode="low-energy", channel="flip")))
+                                                          mode="low-energy", channel="flip")),
+                           DEFAULT_THETAS)
 
     def test_area_matched_rejected(self, density):
         # only patterns.compare_curves scales a curve to another's area
         with pytest.raises(ValueError, match="^unknown normalization 'area-matched'; "
                                              "expected one of 'peak-one', 'raw', 'unit-area'$"):
-            sample_pattern(density, normalization="area-matched")
+            sample_pattern(density, DEFAULT_THETAS, normalization="area-matched")
 
 
 class TestPatternValidation:
+    # a curve and its grid, as sample_pattern builds and compare_curves takes them
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            Pattern(np.array([0.0, 0.1]), np.array([1.0]))
+            sample_pattern(lambda theta: np.array([1.0]), np.array([0.0, 0.1]))
+        with pytest.raises(ValueError):
+            compare_curves(np.array([0.0, 0.1]), np.array([1.0, 1.0]), np.array([1.0]))
 
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError):
-            Pattern(np.array([0.0, 0.1]), np.array([1.0, -0.5]))
+            sample_pattern(lambda theta: np.array([1.0, -0.5]), np.array([0.0, 0.1]))
+        with pytest.raises(ValueError):
+            compare_curves(np.array([0.0, 0.1]), np.array([1.0, 1.0]), np.array([1.0, -0.5]))
 
     def test_non_monotonic_grid_rejected(self):
         with pytest.raises(ValueError):
-            Pattern(np.array([0.1, 0.0]), np.array([1.0, 1.0]))
+            sample_pattern(np.ones_like, np.array([0.1, 0.0]))
+        with pytest.raises(ValueError):
+            compare_curves(np.array([0.1, 0.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0]))

@@ -9,7 +9,7 @@ from wirediff.classical import fraunhofer_amplitudes
 from wirediff.cli import _MIN_SAMPLES_PER_FRINGE
 from wirediff.electron import amplitudes, dsigma_dtheta
 from wirediff.numerics import DomainError
-from wirediff.patterns import sample_pattern
+from wirediff.patterns import grid_area, sample_pattern
 from wirediff.potential import BeamParams
 from wirediff.twobeam import dsigma_dtheta_two_beam
 
@@ -40,7 +40,7 @@ class TestBuildersMatchScalarDensities:
     ], ids=["low-energy", "no-flip", "flip", "sum"])
     def test_single_beam(self, mode, channel, scalar):
         pattern = sample_pattern(partial(dsigma_dtheta, quantum(mode, channel)), THETAS)
-        assert pattern.density.tobytes() == per_point(scalar).tobytes()
+        assert pattern.tobytes() == per_point(scalar).tobytes()
 
     @pytest.mark.parametrize("mode, channel, scalar", [
         ("low-energy", "no-flip", lambda t: dsigma_dtheta_two_beam(quantum(), *CFG, t)),
@@ -55,21 +55,21 @@ class TestBuildersMatchScalarDensities:
     def test_two_beam(self, mode, channel, scalar):
         pattern = sample_pattern(partial(dsigma_dtheta_two_beam, quantum(mode, channel), *CFG),
                                  THETAS)
-        assert pattern.density.tobytes() == per_point(scalar).tobytes()
+        assert pattern.tobytes() == per_point(scalar).tobytes()
 
     @pytest.mark.parametrize("scale", [1.0, 0.82])
     def test_classical(self, scale):
         density = partial(dsigma_dtheta, partial(fraunhofer_amplitudes, scale * PR))
         pattern = sample_pattern(density, THETAS)
-        assert pattern.density.tobytes() == per_point(density).tobytes()
+        assert pattern.tobytes() == per_point(density).tobytes()
 
     @pytest.mark.parametrize("scale", [1.0, 0.82])
     def test_classical_two_beam(self, scale):
         density = partial(dsigma_dtheta_two_beam, partial(fraunhofer_amplitudes, scale * PR), *CFG)
         pattern = sample_pattern(density, THETAS)
-        assert pattern.density.tobytes() == per_point(density).tobytes()
+        assert pattern.tobytes() == per_point(density).tobytes()
         area = sample_pattern(density, THETAS, normalization="unit-area")
-        assert area.area() == pytest.approx(1.0, abs=1e-12)
+        assert grid_area(THETAS, area) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSamplePattern:
@@ -88,10 +88,12 @@ class TestSamplePattern:
 
     @pytest.mark.parametrize("normalization", ["raw", "peak-one", "unit-area"])
     def test_non_finite_density_is_not_input(self, normalization):
-        # the package's own density at fault: ValueError, before normalizing
-        with pytest.raises(ValueError, match="density must be finite") as exc:
-            sample_pattern(lambda theta: np.full(theta.shape, math.nan), THETAS, normalization)
-        assert not isinstance(exc.value, DomainError)
+        # the package's own density at fault: ValueError, before normalizing,
+        # for a NaN, and for a negative value even where the peak or area is negative
+        for value, message in ((math.nan, "finite"), (-1.0, "non-negative")):
+            with pytest.raises(ValueError, match=f"density must be {message}") as exc:
+                sample_pattern(lambda theta: np.full(theta.shape, value), THETAS, normalization)
+            assert not isinstance(exc.value, DomainError)
 
 
 class TestCompareFloor:
@@ -115,8 +117,8 @@ class TestCompareFloor:
         for amplitude in (partial(amplitudes, BEAM, p_radius),
                           partial(fraunhofer_amplitudes, scale * p_radius)):
             density = partial(dsigma_dtheta, amplitude)
-            assert sample_pattern(density, thetas).area() == pytest.approx(
-                sample_pattern(density, fine).area(), rel=2e-4)
+            assert grid_area(thetas, sample_pattern(density, thetas)) == pytest.approx(
+                grid_area(fine, sample_pattern(density, fine)), rel=2e-4)
 
 
 # every amplitude a two-beam pattern takes: both quantum modes in each of
@@ -146,19 +148,19 @@ class TestPhaseRows:
                                  int(rng.integers(2, 300)))
             rows = sample_pattern(partial(dsigma_dtheta_two_beam, AMPLITUDES[name], alpha, phis),
                                   thetas, normalization)
-            assert rows.density.shape == (phis.size, thetas.size)
-            for phi, row in zip(phis.tolist(), rows.density):
+            assert rows.shape == (phis.size, thetas.size)
+            for phi, row in zip(phis.tolist(), rows):
                 one = sample_pattern(partial(dsigma_dtheta_two_beam, AMPLITUDES[name], alpha, phi),
                                      thetas, normalization)
-                assert row.tobytes() == one.density.tobytes()
+                assert row.tobytes() == one.tobytes()
 
     def test_area_is_one_float_or_one_per_row(self):
         density = partial(dsigma_dtheta_two_beam, quantum(), CFG[0])
         rows = sample_pattern(partial(density, [0.0, 1.3, 2.0]), THETAS)
         one = sample_pattern(partial(density, 1.3), THETAS)
-        assert type(one.area()) is float
-        assert rows.area().shape == (3,)
-        assert rows.area()[1] == one.area()
+        assert type(grid_area(THETAS, one)) is float
+        assert grid_area(THETAS, rows).shape == (3,)
+        assert grid_area(THETAS, rows)[1] == grid_area(THETAS, one)
         # unit-area divides each row by that same area
         unit = sample_pattern(partial(density, [0.0, 1.3, 2.0]), THETAS, "unit-area")
-        assert unit.density.tobytes() == (rows.density / rows.area()[:, None]).tobytes()
+        assert unit.tobytes() == (rows / grid_area(THETAS, rows)[:, None]).tobytes()

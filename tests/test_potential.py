@@ -46,6 +46,18 @@ class TestBeamParams:
     def test_default_mass_is_electron(self):
         assert BeamParams(momentum=1e7).mass_ev == ELECTRON_MASS_EV
 
+    def test_immutable_value(self):
+        # positional or keyword construction, the repr text, equality and
+        # hashing by value, and fields that cannot be rebound or added to
+        beam = BeamParams(1e7, 2.0)
+        assert beam == BeamParams(momentum=1e7, mass_ev=2.0) != BeamParams(1e7)
+        assert hash(beam) == hash(BeamParams(1e7, 2.0))
+        assert repr(beam) == "BeamParams(momentum=10000000.0, mass_ev=2.0)"
+        for field in ("momentum", "mass_ev", "wavelength_m"):
+            with pytest.raises(AttributeError):
+                setattr(beam, field, 1.0)
+        assert (beam.momentum, beam.mass_ev) == (1e7, 2.0)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_bad_momentum_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from wirediff.classical import fraunhofer_amplitudes
 from wirediff.electron import amplitudes, dsigma_dtheta
 from wirediff.numerics import DomainError, disk_amplitude
-from wirediff.patterns import Pattern, sample_pattern
-from wirediff.potential import HBARC_EV_M, BeamParams
+from wirediff.patterns import grid_area, sample_pattern
+from wirediff.potential import ELECTRON_MASS_EV, HBARC_EV_M, BeamParams
 from wirediff.twobeam import dsigma_dtheta_two_beam
 
 from conftest import two_j1_over_x
+from oracles import dirac_two_beam_density
 
 PR = 84.37136668408607
 AMPLITUDE = partial(amplitudes, BeamParams(PR), PR)
@@ -262,7 +263,7 @@ class TestPhiThetaScan:
             for phi, row in zip(phis.tolist(), density):
                 pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude,
                                                  0.1, phi), thetas)
-                assert np.array_equal(row, pattern.density)
+                assert np.array_equal(row, pattern)
 
     def test_classical_rows_equal_single_phase(self, p_radius):
         phis = np.linspace(-1.0, TAU + 1.0, 13)
@@ -280,15 +281,34 @@ class TestPhiThetaScan:
         assert density[0] == dsigma_dtheta_two_beam(AMPLITUDE, 0.1, 0.0, 0.0)
 
 
+class TestSpinSumAgainstDiracSpinors:
+    # full mode quantizes each beam's spins along that beam's own axis; summed
+    # over the final spins, the density is the same as with one initial spin
+    # along the lab z axis for both beams and the final spins in the lab frame
+    def test_full_mode_sum_is_a_lab_frame_coherent_sum(self):
+        rng = np.random.default_rng(20261022)
+        thetas = np.linspace(-0.3, 0.3, 61)
+        form_factor = lambda theta: disk_amplitude(2.0 * PR * abs(math.sin(0.5 * theta)))
+        for _ in range(25):
+            alpha, phi = rng.uniform(0.0, 0.6), rng.uniform(-7.0, 7.0)
+            beam = BeamParams(momentum=rng.uniform(0.05, 2.0) * ELECTRON_MASS_EV / HBARC_EV_M)
+            amplitude = partial(amplitudes, beam, PR, mode="full", channel="sum")
+            got = dsigma_dtheta_two_beam(amplitude, alpha, phi, thetas)
+            want = np.array([dirac_two_beam_density(beam.pc_ev, beam.mass_ev, form_factor,
+                                                    alpha, phi, theta)
+                             for theta in thetas.tolist()])
+            assert np.max(np.abs(got - want)) <= 2e-15 * np.max(got)
+
+
 class TestPatternTwoBeam:
     THETAS = np.linspace(-0.15, 0.15, 201)
 
     def test_low_energy_matches_density(self, amplitude):
         cfg = (0.1, 0.8)
         pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, *cfg), self.THETAS)
-        assert isinstance(pattern, Pattern)
+        assert isinstance(pattern, np.ndarray) and pattern.dtype == float
         expected = [dsigma_dtheta_two_beam(amplitude, *cfg, float(t)) for t in self.THETAS]
-        assert np.array_equal(pattern.density, expected)
+        assert np.array_equal(pattern, expected)
 
     @pytest.mark.parametrize("channel", ["no-flip", "flip"])
     def test_full_mode_matches_density(self, beam, p_radius, channel):
@@ -296,14 +316,14 @@ class TestPatternTwoBeam:
         amplitude = partial(amplitudes, beam, p_radius, mode="full", channel=channel)
         pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, *cfg), self.THETAS)
         expected = [dsigma_dtheta_two_beam(amplitude, *cfg, float(t)) for t in self.THETAS]
-        assert np.array_equal(pattern.density, expected)
+        assert np.array_equal(pattern, expected)
 
     def test_spin_sum_is_flip_plus_no_flip(self, beam, p_radius):
         cfg = (0.1, 0.4)
         summed, flip, no_flip = (
             sample_pattern(partial(dsigma_dtheta_two_beam, partial(amplitudes, beam, p_radius,
                                                                    mode="full", channel=c),
-                                   *cfg), self.THETAS).density
+                                   *cfg), self.THETAS)
             for c in ("sum", "flip", "no-flip")
         )
         assert np.array_equal(summed, no_flip + flip)
@@ -315,7 +335,7 @@ class TestPatternTwoBeam:
         a, b = (sample_pattern(partial(dsigma_dtheta_two_beam,
                                        partial(amplitudes, beam, p_radius, channel=c), *cfg),
                                self.THETAS) for c in ("no-flip", "sum"))
-        assert np.array_equal(a.density, b.density)
+        assert np.array_equal(a, b)
         with pytest.raises(ValueError, match="no flip channel"):
             sample_pattern(partial(dsigma_dtheta_two_beam,
                                    partial(amplitudes, beam, p_radius, channel="flip"), *cfg),
@@ -327,9 +347,9 @@ class TestPatternTwoBeam:
                                           self.THETAS, n)
                            for n in ("raw", "peak-one",
                                      "unit-area"))
-        assert np.max(peak.density) == 1.0
-        assert np.array_equal(peak.density, raw.density / np.max(raw.density))
-        assert area.area() == pytest.approx(1.0, abs=1e-12)
+        assert np.max(peak) == 1.0
+        assert np.array_equal(peak, raw / np.max(raw))
+        assert grid_area(self.THETAS, area) == pytest.approx(1.0, abs=1e-12)
 
     def test_area_matched_rejected(self, amplitude):
         # only patterns.compare_curves scales a curve to another's area
@@ -339,8 +359,9 @@ class TestPatternTwoBeam:
                            self.THETAS, "area-matched")
 
     def test_default_grid(self, amplitude):
-        pattern = sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, 0.1, 0.0))
-        assert pattern.thetas.size == 2001
+        # there is none: the grid is the caller's, and the CLI's default its own
+        with pytest.raises(TypeError, match="thetas"):
+            sample_pattern(partial(dsigma_dtheta_two_beam, amplitude, 0.1, 0.0))
 
     def test_bad_inputs_rejected(self, beam, p_radius, amplitude):
         with pytest.raises(ValueError):
