@@ -7,7 +7,7 @@ quantum one or the classical Fraunhofer comparator, plus the derived
 radius-overestimation analysis.
 """
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 # each public name and the module it lives in, imported on first access
 # (PEP 562), so ``import wirediff`` and the commands that build no array
@@ -27,7 +27,6 @@ _HOMES = {
     "overestimation_factor": "analysis",
     "sample_pattern": "patterns",
     "sinc": "numerics",
-    "spinor_elements": "electron",
     "validate_grid": "patterns",
 }
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .numerics import DomainError, _choice, _is_real, _j1_zero
+from .numerics import DomainError, _choice, _j1_zero, _require_positive
 
 # pi to 1e-34 in three parts; k times the first two, of <= 30 bits, is exact for k < 2**23
 _PI_A, _PI_B, _PI_C = 3.141592651605606, 1.9841871583270443e-09, 1.034036596358821e-18
@@ -33,8 +33,7 @@ def first_dark_points(p_radius: float, method: str, n: int = 1) -> tuple[float, 
     ``p_radius``.  Bad arguments, or fewer than ``n`` dark points in
     (0, pi/2), raise DomainError.
     """
-    if not (_is_real(p_radius) and math.isfinite(p_radius) and p_radius > 0.0):
-        raise DomainError(f"first_dark_points: p_radius > 0 required, got {p_radius!r}")
+    _require_positive("first_dark_points: p_radius", p_radius)
     try:
         n = operator.index(n)  # an int or a numpy integer; a float, even 2.0, is refused
     except TypeError:

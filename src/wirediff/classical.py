@@ -16,11 +16,9 @@ the quantum one, takes scale * pR, as ``analysis.first_dark_points`` does.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .numerics import DomainError, _is_real, sinc
+from .numerics import DomainError, _require_positive, sinc
 
 
 def fraunhofer_amplitudes(p_radius: float, theta) -> list:
@@ -29,8 +27,7 @@ def fraunhofer_amplitudes(p_radius: float, theta) -> list:
     Its zeros sit exactly at sin(theta) = n*pi / pR.  ``theta`` is a scalar
     or an array of angles, and so is the amplitude.
     """
-    if not (_is_real(p_radius) and math.isfinite(p_radius) and p_radius > 0.0):
-        raise DomainError(f"fraunhofer_amplitudes: p_radius > 0 required, got {p_radius!r}")
+    _require_positive("fraunhofer_amplitudes: p_radius", p_radius)
     # theta before np.sin, which warns on inf; sinc checks its argument as any caller's
     if not np.all(np.isfinite(theta)):
         raise DomainError(f"fraunhofer_amplitudes: theta must be finite, got {theta!r}")

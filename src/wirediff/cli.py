@@ -35,8 +35,12 @@ from functools import cache, partial
 
 from . import __version__
 from .analysis import first_dark_points, overestimation_factor
-from .numerics import DomainError
-from .potential import _CHANNELS, _DEFAULT_GRID, _MODES, _NORMALIZATIONS, BeamParams, ELECTRON_MASS_EV
+from .numerics import DomainError, _require_positive
+from .potential import _CHANNELS, _MODES, _NORMALIZATIONS, BeamParams, ELECTRON_MASS_EV
+
+# (theta min [rad], theta max [rad], points): the --theta-min, --theta-max
+# and --theta-points defaults
+_DEFAULT_GRID = (-0.15, 0.15, 2001)
 
 # Fewest grid samples per fringe pi / max(pR, scale * pR) for compare, whose
 # only grid-dependent numbers are compare_curves' trapezoid integrals, the two
@@ -146,12 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_physics(args) -> tuple[BeamParams, float]:
     # the one place pR is formed from a beam; every command takes it from here
-    if not (args.wavelength_nm > 0.0 and math.isfinite(args.wavelength_nm)):
-        raise DomainError(f"--wavelength-nm must be positive, got {args.wavelength_nm}")
-    if not (args.diameter_um > 0.0 and math.isfinite(args.diameter_um)):
-        raise DomainError(f"--diameter-um must be positive, got {args.diameter_um}")
-    if not (args.mass_ev > 0.0 and math.isfinite(args.mass_ev)):
-        raise DomainError(f"--mass-ev must be positive, got {args.mass_ev}")
+    _require_positive("--wavelength-nm", args.wavelength_nm)
+    _require_positive("--diameter-um", args.diameter_um)
+    _require_positive("--mass-ev", args.mass_ev)
     try:
         beam = BeamParams.from_wavelength_nm(args.wavelength_nm, mass_ev=args.mass_ev)
     except DomainError:
@@ -340,8 +341,7 @@ def _cmd_scan(args, beam, p_radius) -> dict:
 def _cmd_compare(args, beam, p_radius) -> dict:
     # beyond +-pi/2 the classical sinc(pR sin theta) folds backscatter onto forward
     thetas, = _resolve_grids(args, "theta", max_theta=math.pi / 2)
-    if not (args.radius_scale > 0.0 and math.isfinite(args.radius_scale)):
-        raise DomainError(f"--radius-scale must be positive, got {args.radius_scale}")
+    _require_positive("--radius-scale", args.radius_scale)
     classical_pr = args.radius_scale * p_radius
     per_fringe, fringe = _samples_per_fringe(thetas, max(p_radius, classical_pr))
     if per_fringe < _MIN_SAMPLES_PER_FRINGE:

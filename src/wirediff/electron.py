@@ -18,32 +18,21 @@ normalization volume: only normalized shapes are compared.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .numerics import DomainError, _choice, _is_real, disk_amplitude
+from .numerics import DomainError, _choice, _require_positive, disk_amplitude
 from .potential import _CHANNELS, _MODES, BeamParams
 
 # largest pc and mc^2 [eV]: (E + mc^2)^2 <= 5.8e300, so no density overflows
 _MAX_SPINOR_EV = 1e150
 
 
-def spinor_elements(beam: BeamParams, theta, channel: str = "no-flip") -> list:
-    """Electron-current factors u'^dagger u in eV, one per final spin of ``channel``.
-
-    No-flip: ((E + mc^2)^2 + (pc)^2 cos(theta)) / (E + mc^2)
-    Flip:    (pc)^2 sin(theta) / (E + mc^2)
-
-    Returns [no-flip], [flip], or [no-flip, flip] under "sum".  Valid
-    at all energies.  In the low-energy limit the flip element vanishes and
-    the no-flip element tends to the constant 2 mc^2.  ``theta`` is a scalar
-    or an array of angles, and so is each element.  pc or mc^2 above
-    1e150 eV raises DomainError, as does a channel outside those three.
-    """
-    channel = _choice("channel", channel, _CHANNELS)
-    if not np.all(np.isfinite(theta)):
-        raise DomainError(f"spinor_elements: theta must be finite, got {theta!r}")
+def _spinor_elements(beam: BeamParams, theta, channel: str) -> list:
+    # the electron-current factors u'^dagger u [eV] of a channel and theta that
+    # amplitudes has checked, one per final spin: [no-flip], [flip], or both
+    # under "sum", each a scalar or an array as theta is; valid at all energies
+    #   no-flip: ((E + mc^2)^2 + (pc)^2 cos(theta)) / (E + mc^2), -> 2 mc^2 as p -> 0
+    #   flip:    (pc)^2 sin(theta) / (E + mc^2), -> 0 as p -> 0
     pc = beam.pc_ev
     if not (pc <= _MAX_SPINOR_EV and beam.mass_ev <= _MAX_SPINOR_EV):
         raise DomainError(f"full mode needs pc and mc^2 <= {_MAX_SPINOR_EV:g} eV, got "
@@ -65,26 +54,25 @@ def amplitudes(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy
     Low-energy mode is [F]: the no-flip element there is a constant, absorbed
     into C = 1, and the flip element vanishes, so the no-flip channel and the
     spin sum are both [F] and the flip channel raises DomainError.  Full mode
-    is [element * F] for each of ``spinor_elements(beam, theta, channel)``.
-    ``p_radius`` is the wire's pR; ``theta`` is a scalar or an array of
-    angles, and so is each amplitude.  ``mode`` is "low-energy" or "full";
-    another spelling of it or of ``channel`` raises DomainError.
+    is [element * F] for each spinor factor u'^dagger u of ``channel``, and
+    raises DomainError for pc or mc^2 above 1e150 eV.  ``p_radius`` is the
+    wire's pR; ``theta`` is a scalar or an array of angles, and so is each
+    amplitude.  ``mode`` is "low-energy" or "full"; another spelling of it or
+    of ``channel`` raises DomainError.
     """
-    if not (_is_real(p_radius) and math.isfinite(p_radius) and p_radius > 0.0):
-        raise DomainError(f"p_radius > 0 required, got {p_radius!r}")
+    _require_positive("amplitudes: p_radius", p_radius)
     channel = _choice("channel", channel, _CHANNELS)
     mode = _choice("mode", mode, _MODES)
     if mode == "low-energy" and channel == "flip":
         raise DomainError("low-energy mode has no flip channel (its element vanishes "
                           "there); use mode 'full' for the flip density")
-    # theta first, as np.sin warns on inf; disk_amplitude rechecks qR, which overflows near pR 1e308,
-    # and in full mode the public spinor_elements rechecks theta once
+    # theta first, as np.sin warns on inf; disk_amplitude rechecks qR, which overflows near pR 1e308
     if not np.all(np.isfinite(theta)):
         raise DomainError(f"amplitudes: theta must be finite, got {theta!r}")
     f = disk_amplitude(2.0 * p_radius * np.abs(np.sin(0.5 * theta)))
     if mode == "low-energy":
         return [f]
-    return [element * f for element in spinor_elements(beam, theta, channel)]
+    return [element * f for element in _spinor_elements(beam, theta, channel)]
 
 
 def dsigma_dtheta(amplitude, theta):

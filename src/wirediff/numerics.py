@@ -153,6 +153,13 @@ def _require_finite(name: str, x) -> float:
     return x
 
 
+def _require_positive(label: str, x):
+    # the one check of a positive input: a real number, finite and > 0, returned unchanged
+    if not (_is_real(x) and math.isfinite(x) and x > 0.0):
+        raise DomainError(f"{label} must be positive and finite, got {x!r}")
+    return x
+
+
 def _choice(name: str, value, spellings: tuple) -> str:
     # isinstance first, so an array is refused, not compared element by element
     if isinstance(value, str) and value in spellings:

@@ -15,7 +15,7 @@ from .potential import _NORMALIZATIONS
 
 
 def validate_grid(thetas) -> np.ndarray:
-    """Check an angular grid: 1-D, real, finite, strictly increasing, non-empty."""
+    """Check an angular grid: 1-D, real, finite, strictly increasing, in [-pi, pi], non-empty."""
     try:
         arr = np.asarray(thetas)
     except ValueError:  # numpy refuses a ragged nesting
@@ -29,6 +29,8 @@ def validate_grid(thetas) -> np.ndarray:
         raise DomainError("angular grid must be finite")
     if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
         raise DomainError("angular grid must be strictly increasing")
+    if not (-math.pi <= arr[0] and arr[-1] <= math.pi):
+        raise DomainError(f"angular grid must lie in [-pi, pi], got ends {arr[[0, -1]].tolist()}")
     return arr
 
 

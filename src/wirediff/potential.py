@@ -9,10 +9,9 @@ normalized angular shape, so it is not modeled.  Public constructors accept
 SI quantities (nm, eV) and convert at the boundary.
 
 It also holds what the command line parses beside the beam: the string
-spellings of the mode, the spin channel and the normalization, and the
-default grid, so that the parser, like this module, needs no numpy;
-:mod:`~wirediff.electron` and :mod:`~wirediff.patterns` import the
-spellings back.  ``BeamParams`` is a named tuple, which needs no import
+spellings of the mode, the spin channel and the normalization, so that the
+parser, like this module, needs no numpy; :mod:`~wirediff.electron` and
+:mod:`~wirediff.patterns` import them back.  ``BeamParams`` is a named tuple, which needs no import
 beyond ``collections``, one that ``functools`` has already made.
 """
 
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .numerics import DomainError, _is_real
+from .numerics import DomainError, _is_real, _require_positive
 
 HBARC_EV_M = 1.973269804e-7
 """hbar * c in eV * m (CODATA)."""
@@ -36,10 +35,6 @@ _MODES = ("low-energy", "full")
 _CHANNELS = ("flip", "no-flip", "sum")
 _NORMALIZATIONS = ("peak-one", "raw", "unit-area")
 
-# (theta min [rad], theta max [rad], points): the CLI's --theta-min,
-# --theta-max and --theta-points defaults
-_DEFAULT_GRID = (-0.15, 0.15, 2001)
-
 
 class BeamParams(namedtuple("BeamParams", "momentum mass_ev")):
     """Incident beam kinematics: momentum [1/m] and rest mass [eV].
@@ -52,8 +47,7 @@ class BeamParams(namedtuple("BeamParams", "momentum mass_ev")):
     __slots__ = ()
 
     def __new__(cls, momentum: float, mass_ev: float = ELECTRON_MASS_EV):
-        if not (_is_real(momentum) and math.isfinite(momentum) and momentum > 0.0):
-            raise DomainError(f"beam momentum must be positive and finite, got {momentum!r}")
+        _require_positive("beam momentum", momentum)
         if not (_is_real(mass_ev) and math.isfinite(mass_ev) and mass_ev >= 0.0):
             raise DomainError(f"beam mass must be non-negative and finite, got {mass_ev!r}")
         return super().__new__(cls, momentum, mass_ev)
@@ -63,14 +57,13 @@ class BeamParams(namedtuple("BeamParams", "momentum mass_ev")):
 
     @classmethod
     def from_wavelength_m(cls, wavelength_m: float, mass_ev: float = ELECTRON_MASS_EV) -> "BeamParams":
-        if not (_is_real(wavelength_m) and math.isfinite(wavelength_m) and wavelength_m > 0.0):
-            raise DomainError(f"wavelength must be positive and finite, got {wavelength_m!r}")
+        _require_positive("wavelength", wavelength_m)
         return cls(momentum=math.tau / wavelength_m, mass_ev=mass_ev)
 
     @classmethod
     def from_wavelength_nm(cls, wavelength_nm: float, mass_ev: float = ELECTRON_MASS_EV) -> "BeamParams":
-        if not _is_real(wavelength_nm):  # before the product, which text would make a TypeError
-            raise DomainError(f"wavelength must be positive and finite, got {wavelength_nm!r}")
+        # before the product, which text would make a TypeError
+        _require_positive("wavelength", wavelength_nm)
         return cls.from_wavelength_m(wavelength_nm * 1e-9, mass_ev=mass_ev)
 
     @property

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wirediff import BeamParams, amplitudes
-from wirediff.potential import _DEFAULT_GRID
+from wirediff.cli import _DEFAULT_GRID
 
 # Default configuration used throughout: 633 nm beam, 17 um wire diameter.
 WAVELENGTH_NM = 633.0

@@ -4,7 +4,7 @@
 quadrature over the unit disk, independently of the package's Chebyshev /
 Hankel kernel.  It is a test oracle only; mpmath is the stronger one.
 ``dirac_spinor_element`` builds explicit Dirac spinors with numpy and takes
-their product, independently of the closed forms of ``spinor_elements``;
+their product, independently of the closed forms of ``_spinor_elements``;
 ``dirac_two_beam_density`` sums two beams' products coherently, with one
 initial spin in the lab frame, independently of the per-beam spin frames
 and the half-angle combiner of ``dsigma_dtheta_two_beam``.

@@ -14,7 +14,7 @@ import wirediff
 from wirediff import (BeamParams, DomainError, amplitudes,
                       compare_curves, disk_amplitude, dsigma_dtheta, dsigma_dtheta_two_beam,
                       first_dark_points, fraunhofer_amplitudes, sample_pattern,
-                      sinc, spinor_elements, validate_grid)
+                      sinc, validate_grid)
 
 # public names deleted in 0.2.0 to 0.19.0, each a second path to a quantity
 # that keeps one, a test oracle now in tests/oracles.py, an input-error type
@@ -26,8 +26,9 @@ from wirediff import (BeamParams, DomainError, amplitudes,
 # a one-channel spinor element that the list of one per final spin replaces,
 # a holder of the two-beam geometry whose one reader takes alpha and phi itself,
 # an area-matching step and a result holder that compare_curves replaces,
-# or a holder of a grid and its density, and a default grid, that the arrays
-# sample_pattern returns and takes replace
+# a holder of a grid and its density, and a default grid, that the arrays
+# sample_pattern returns and takes replace, or a spinor factor that only
+# amplitudes calls, with the channel and theta it has checked
 REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "dsigma_dtheta_full_spin_summed", "hyp0f1_reg2", "hyp0f1_reg2_series",
            "bessel_j1", "disk_ft_oracle", "AccuracyError", "BracketError", "RangeError",
@@ -39,7 +40,7 @@ REMOVED = ("superpose_amplitudes", "momentum_transfer_pair", "form_factor",
            "pattern_two_beam", "pattern_classical", "WirePotential", "fraunhofer_single",
            "fraunhofer_two_beam", "momentum_transfer_single", "normalize_density",
            "spinor_element", "TwoBeamConfig", "Channel", "Normalization", "Spelling",
-           "match_areas", "CurveComparison", "Pattern", "default_grid")
+           "match_areas", "CurveComparison", "Pattern", "default_grid", "spinor_elements")
 
 
 class TestPublicSurface:
@@ -48,7 +49,7 @@ class TestPublicSurface:
         assert missing == []
 
     def test_no_duplicates(self):
-        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 17
+        assert len(wirediff.__all__) == len(set(wirediff.__all__)) == 16
 
     def test_lazy_names_resolve_list_and_star_import(self):
         # in a fresh interpreter, where no name has been loaded yet: each one
@@ -139,8 +140,9 @@ _BAD_INPUTS = {
     "sinc text": lambda: sinc("1"),
     "sinc 0-d text": lambda: sinc(np.array("1")),
     "sinc 0-d complex": lambda: sinc(np.array(1j)),
-    "spinor theta": lambda: spinor_elements(BeamParams(1e7), math.inf),
-    "spinor energy": lambda: spinor_elements(BeamParams(1e7, mass_ev=1e200), 0.1),
+    # full mode's spinor factors: theta, and the 1e150 eV bound on pc and mc^2
+    "spinor theta": lambda: amplitudes(BeamParams(1e7), 100.0, math.inf, "full", "sum"),
+    "spinor energy": lambda: amplitudes(BeamParams(1e7, mass_ev=1e200), 100.0, 0.1, "full"),
     "fraunhofer theta": lambda: fraunhofer_amplitudes(1.0, math.nan),
     "fraunhofer infinite theta": lambda: fraunhofer_amplitudes(1.0, math.inf),
     "fraunhofer text pR": lambda: fraunhofer_amplitudes("1", 0.1),
@@ -217,8 +219,8 @@ _BAD_INPUTS = {
 
 # rows whose message must name the function the caller called, or its argument
 _NAMED = {"p_radius": "fraunhofer_amplitudes", "radius_scale": "fraunhofer_amplitudes",
-          "wire pR": "^p_radius > 0 required",
-          "transfer momentum": "^p_radius > 0 required", "transfer theta": "^amplitudes: theta",
+          "wire pR": "^amplitudes: p_radius",
+          "transfer momentum": "^amplitudes: p_radius", "transfer theta": "^amplitudes: theta",
           "fraunhofer infinite theta": "^fraunhofer_amplitudes: theta",
           "alpha": "^alpha in", "alpha above pi": "^alpha in", "classical alpha": "^alpha in",
           "phi": "^phi must be", "phi 2-D": "^phi must be", "phi empty": "^phi must be",
@@ -232,7 +234,8 @@ _NAMED = {"p_radius": "fraunhofer_amplitudes", "radius_scale": "fraunhofer_ampli
           "pattern no rows": "^a pattern has", "text grid": "real numbers",
           "complex grid": "real numbers", "dark-point float n": "n must be an integer",
           "text beam momentum": "^beam momentum", "beam replace": "^beam momentum",
-          "text pR": "^p_radius > 0 required",
+          "text pR": "^amplitudes: p_radius", "spinor theta": "^amplitudes: theta",
+          "spinor energy": "^full mode needs",
           "fraunhofer text pR": "^fraunhofer_amplitudes: p_radius",
           "ragged grid": "1-D array", "dark-point text p_radius": "^first_dark_points: p_radius",
           "text wavelength": "^wavelength", "disk_amplitude text": "^disk_amplitude: .* real",
@@ -255,18 +258,48 @@ class TestInputErrors:
         assert not isinstance(exc.value, DomainError)
 
 
+# every library caller of numerics._require_positive: its label and a call on the one value
+_POSITIVE = {
+    "amplitudes": ("amplitudes: p_radius", lambda x: amplitudes(BeamParams(1e7), x, 0.1)),
+    "fraunhofer_amplitudes": ("fraunhofer_amplitudes: p_radius",
+                              lambda x: fraunhofer_amplitudes(x, 0.1)),
+    "first_dark_points": ("first_dark_points: p_radius", lambda x: first_dark_points(x, "quantum")),
+    "BeamParams": ("beam momentum", BeamParams),
+    "from_wavelength_m": ("wavelength", BeamParams.from_wavelength_m),
+    "from_wavelength_nm": ("wavelength", BeamParams.from_wavelength_nm),
+}
+# not positive, not finite, not real, or a 0-d array in place of a number
+_NOT_POSITIVE = [0.0, -1.0, math.nan, math.inf, -math.inf, "1", 1j, None, np.array(1.0)]
+
+
+class TestPositiveNumbers:
+    @pytest.mark.parametrize("value", _NOT_POSITIVE, ids=repr)
+    @pytest.mark.parametrize("caller", _POSITIVE)
+    def test_every_caller_refuses_with_one_message(self, caller, value):
+        label, call = _POSITIVE[caller]
+        with pytest.raises(DomainError) as exc:
+            call(value)
+        assert str(exc.value) == f"{label} must be positive and finite, got {value!r}"
+
+    @pytest.mark.parametrize("value", [1.0, 5e-324, 1.7e308, 3, np.float64(0.5), np.int64(2)],
+                             ids=repr)
+    def test_accepted_value_is_returned_unchanged(self, value):
+        from wirediff.numerics import _require_positive
+
+        assert _require_positive("x", value) is value
+
+
 # each closed choice, its spellings in the order its message lists them, and a
 # public function that takes it
 _CHOICES = [
     ("mode", ("low-energy", "full"), lambda v: amplitudes(BeamParams(1e7), 100.0, 0.1, v)),
     ("channel", ("flip", "no-flip", "sum"),
      lambda v: amplitudes(BeamParams(1e7), 100.0, 0.1, "full", v)),
-    ("channel", ("flip", "no-flip", "sum"), lambda v: spinor_elements(BeamParams(1e7), 0.1, v)),
     ("normalization", ("peak-one", "raw", "unit-area"),
      lambda v: sample_pattern(np.ones_like, _GRID, v)),
     ("method", ("quantum", "classical"), lambda v: first_dark_points(100.0, v)),
 ]
-_CHOICE_IDS = ["mode", "channel-amplitudes", "channel-spinor_elements", "normalization", "method"]
+_CHOICE_IDS = ["mode", "channel-amplitudes", "normalization", "method"]
 
 
 def _near_misses(rng, s):

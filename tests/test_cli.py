@@ -208,6 +208,18 @@ class TestConfigErrors:
         assert out == ""
         assert "configuration error" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag", [
+        ("zeros", "--wavelength-nm"), ("zeros", "--diameter-um"), ("zeros", "--mass-ev"),
+        ("compare", "--radius-scale"),
+    ], ids=lambda value: value.lstrip("-"))
+    def test_positive_flag_has_one_message(self, capsys, command, flag, value):
+        code, out, err = run_cli(capsys, command, f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert err == (f"wirediff: configuration error: {flag} must be positive and finite, "
+                       f"got {float(value)!r}\n")
+
     @pytest.mark.parametrize("command", ["single", "two-beam", "scan", "compare", "zeros"])
     @pytest.mark.parametrize("wavelength_nm, diameter_um", [("1e-5", "1e300"), ("633", "1e-320")],
                              ids=["pR-inf", "pR-zero"])
@@ -944,7 +956,7 @@ class TestSharedOptionHelp:
 class TestPinnedDigests:
     # sha256 of the default stdout of each command, a multi-phase scan at
     # pR ~ 534, a 20,001-point Hankel-branch pattern, the full-mode spin
-    # sum of both pattern commands (one spinor_elements call gives both
+    # sum of both pattern commands (one spinor kernel call gives both
     # final spins), a compare whose classical radius is rescaled, and the
     # JSON arrays of both pattern commands and of a scan (density nested
     # per phi), each with its version field tokenized (pin_digest).

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wirediff.electron import amplitudes, dsigma_dtheta, spinor_elements
+from wirediff.electron import _spinor_elements, amplitudes, dsigma_dtheta
 from wirediff.numerics import DomainError
 from wirediff.patterns import compare_curves, grid_area, sample_pattern
 from wirediff.potential import ELECTRON_MASS_EV, HBARC_EV_M, BeamParams
@@ -17,29 +17,29 @@ from oracles import dirac_spinor_element
 
 class TestSpinorElement:
     def test_flip_vanishes_forward(self, beam):
-        assert spinor_elements(beam, 0.0, "flip")[0] == 0.0
+        assert _spinor_elements(beam, 0.0, "flip")[0] == 0.0
 
     def test_no_flip_static_limit(self):
         # p -> 0: element tends to E + mc^2 = 2 mc^2
         beam = BeamParams(momentum=1e-3, mass_ev=510998.95)
-        assert spinor_elements(beam, 0.3, "no-flip")[0] == pytest.approx(
+        assert _spinor_elements(beam, 0.3, "no-flip")[0] == pytest.approx(
             2.0 * beam.mass_ev, rel=1e-9
         )
 
     def test_flip_to_no_flip_ratio_negligible_at_optical_momentum(self, beam):
         # ratio ~ (pc)^2 sin(theta) / (E + mc^2)^2 ~ 3.7e-12 at theta = pi/2
-        ratio = (spinor_elements(beam, math.pi / 2, "flip")[0]
-                 / spinor_elements(beam, math.pi / 2, "no-flip")[0])
+        ratio = (_spinor_elements(beam, math.pi / 2, "flip")[0]
+                 / _spinor_elements(beam, math.pi / 2, "no-flip")[0])
         assert ratio == pytest.approx(3.7e-12, rel=0.05)
 
     def test_formulas_verbatim(self, beam):
         theta = 0.7
         pc = beam.pc_ev
         e_plus_m = beam.energy_ev + beam.mass_ev
-        assert spinor_elements(beam, theta, "flip")[0] == pytest.approx(
+        assert _spinor_elements(beam, theta, "flip")[0] == pytest.approx(
             pc * pc * math.sin(theta) / e_plus_m, rel=1e-15
         )
-        assert spinor_elements(beam, theta, "no-flip")[0] == pytest.approx(
+        assert _spinor_elements(beam, theta, "no-flip")[0] == pytest.approx(
             (e_plus_m**2 + pc * pc * math.cos(theta)) / e_plus_m, rel=1e-15
         )
 
@@ -51,15 +51,15 @@ class TestSpinorElement:
         for channel, flip in (("no-flip", False), ("flip", True)):
             oracle = dirac_spinor_element(beam.pc_ev, beam.mass_ev, theta, flip)
             assert abs(oracle.imag) <= bound
-            assert abs(spinor_elements(beam, theta, channel)[0] - oracle.real) <= bound
+            assert abs(_spinor_elements(beam, theta, channel)[0] - oracle.real) <= bound
 
     @given(theta=st.floats(-1.4, 1.4), pc_over_mc2=st.floats(0.05, 2.0))
     def test_channels_sum_to_mott_trace(self, theta, pc_over_mc2):
         # no-flip^2 + flip^2 = 2 (E^2 + m^2 + p^2 cos(theta)), to 1e-14 (E + m)^2
         beam = BeamParams(momentum=pc_over_mc2 * ELECTRON_MASS_EV / HBARC_EV_M)
         energy, mass, pc = beam.energy_ev, beam.mass_ev, beam.pc_ev
-        no_flip = spinor_elements(beam, theta, "no-flip")[0]
-        flip = spinor_elements(beam, theta, "flip")[0]
+        no_flip = _spinor_elements(beam, theta, "no-flip")[0]
+        flip = _spinor_elements(beam, theta, "flip")[0]
         trace = 2.0 * (energy * energy + mass * mass + pc * pc * math.cos(theta))
         assert abs(no_flip**2 + flip**2 - trace) <= 1e-14 * (energy + mass) ** 2
 
@@ -67,9 +67,9 @@ class TestSpinorElement:
     def test_sum_is_no_flip_then_flip(self, theta):
         # one factor per final spin, the same bits as each channel's own call
         beam = BeamParams(momentum=0.7 * ELECTRON_MASS_EV / HBARC_EV_M)
-        both = spinor_elements(beam, theta, "sum")
-        singles = (spinor_elements(beam, theta, "no-flip")
-                   + spinor_elements(beam, theta, "flip"))
+        both = _spinor_elements(beam, theta, "sum")
+        singles = (_spinor_elements(beam, theta, "no-flip")
+                   + _spinor_elements(beam, theta, "flip"))
         assert len(both) == len(singles) == 2
         for element, single in zip(both, singles):
             assert np.array_equal(element, single)
@@ -84,7 +84,18 @@ class TestSpinorElement:
     ], ids=["infinite-theta", "nan-in-grid", "mass-above-bound", "pc-above-bound"])
     def test_bad_input_raises_in_every_channel(self, channel, beam, theta):
         with pytest.raises(DomainError):
-            spinor_elements(beam, theta, channel)
+            amplitudes(beam, 100.0, theta, "full", channel)
+
+
+    def test_full_mode_checks_the_channel_once(self, beam, monkeypatch):
+        # amplitudes checks it, and the spinor kernel takes it as checked
+        from wirediff import electron
+
+        choice, names = electron._choice, []
+        monkeypatch.setattr(electron, "_choice",
+                            lambda name, *args: names.append(name) or choice(name, *args))
+        amplitudes(beam, 100.0, DEFAULT_THETAS, "full", "sum")
+        assert names == ["channel", "mode"]
 
 
 class TestDensities:
@@ -125,7 +136,7 @@ class TestDensities:
         amplitude = partial(amplitudes, beam, bad)
         for density in (partial(dsigma_dtheta, amplitude),
                         partial(dsigma_dtheta_two_beam, amplitude, 0.1, 0.0)):
-            with pytest.raises(DomainError, match="^p_radius > 0 required"):
+            with pytest.raises(DomainError, match="^amplitudes: p_radius"):
                 density(0.1)
 
     def test_low_energy_forward_value(self, p_radius):

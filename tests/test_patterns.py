@@ -9,7 +9,7 @@ from wirediff.classical import fraunhofer_amplitudes
 from wirediff.cli import _MIN_SAMPLES_PER_FRINGE
 from wirediff.electron import amplitudes, dsigma_dtheta
 from wirediff.numerics import DomainError
-from wirediff.patterns import grid_area, sample_pattern
+from wirediff.patterns import grid_area, sample_pattern, validate_grid
 from wirediff.potential import BeamParams
 from wirediff.twobeam import dsigma_dtheta_two_beam
 
@@ -85,6 +85,19 @@ class TestSamplePattern:
             sample_pattern(density, THETAS, "area-matched")
         with pytest.raises(DomainError, match=r"got shape \(3,\) on a grid of shape \(801,\)"):
             sample_pattern(lambda theta: np.full(3, math.nan), THETAS)
+
+    @pytest.mark.parametrize("lo, hi, accepted", [
+        (-math.pi, 0.0, True), (np.nextafter(-math.pi, -4.0), 0.0, False),
+        (0.0, math.pi, True), (0.0, np.nextafter(math.pi, 4.0), False),
+    ], ids=["-pi", "below -pi", "pi", "above pi"])
+    def test_grid_lies_in_one_turn(self, lo, hi, accepted):
+        # beyond +-pi an angle names a direction again, which unit-area would count twice
+        grid = np.array([lo, hi])
+        if accepted:
+            assert np.array_equal(validate_grid(grid), grid)
+        else:
+            with pytest.raises(DomainError, match=r"^angular grid must lie in \[-pi, pi\]"):
+                sample_pattern(np.ones_like, grid, "unit-area")
 
     @pytest.mark.parametrize("normalization", ["raw", "peak-one", "unit-area"])
     def test_non_finite_density_is_not_input(self, normalization):
