@@ -7,7 +7,7 @@ quantum one or the classical Fraunhofer comparator, plus the derived
 radius-overestimation analysis.
 """
 
-__version__ = "0.21.0"
+__version__ = "0.22.0"
 
 # each public name and the module it lives in, imported on first access
 # (PEP 562), so ``import wirediff`` and the commands that build no array

@@ -18,17 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import DomainError, _require_positive, sinc
+from .numerics import _require_finite, _require_positive, sinc
 
 
 def fraunhofer_amplitudes(p_radius: float, theta) -> list:
     """The Fraunhofer amplitude [sinc(pR sin(theta))], one entry as there is no spin.
 
-    Its zeros sit exactly at sin(theta) = n*pi / pR.  ``theta`` is a scalar
-    or an array of angles, and so is the amplitude.
+    Its zeros sit exactly at sin(theta) = n*pi / pR.  ``theta`` is a real
+    scalar or array-like of angles, and the amplitude a float or an array as it is.
     """
     _require_positive("fraunhofer_amplitudes: p_radius", p_radius)
     # theta before np.sin, which warns on inf; sinc checks its argument as any caller's
-    if not np.all(np.isfinite(theta)):
-        raise DomainError(f"fraunhofer_amplitudes: theta must be finite, got {theta!r}")
-    return [sinc(p_radius * np.sin(theta))]
+    return [sinc(p_radius * np.sin(_require_finite("fraunhofer_amplitudes: theta", theta)))]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import DomainError, _choice, _require_positive, disk_amplitude
+from .numerics import DomainError, _choice, _require_finite, _require_positive, disk_amplitude
 from .potential import _CHANNELS, _MODES, BeamParams
 
 # largest pc and mc^2 [eV]: (E + mc^2)^2 <= 5.8e300, so no density overflows
@@ -56,9 +56,10 @@ def amplitudes(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy
     spin sum are both [F] and the flip channel raises DomainError.  Full mode
     is [element * F] for each spinor factor u'^dagger u of ``channel``, and
     raises DomainError for pc or mc^2 above 1e150 eV.  ``p_radius`` is the
-    wire's pR; ``theta`` is a scalar or an array of angles, and so is each
-    amplitude.  ``mode`` is "low-energy" or "full"; another spelling of it or
-    of ``channel`` raises DomainError.
+    wire's pR; ``theta`` is a real scalar or array-like of angles, taken as
+    float64, and each amplitude is a float or an array as it is.  ``mode``
+    is "low-energy" or "full"; another spelling of it or of ``channel``, or
+    a text, complex or non-finite angle, raises DomainError.
     """
     _require_positive("amplitudes: p_radius", p_radius)
     channel = _choice("channel", channel, _CHANNELS)
@@ -67,8 +68,7 @@ def amplitudes(beam: BeamParams, p_radius: float, theta, mode: str = "low-energy
         raise DomainError("low-energy mode has no flip channel (its element vanishes "
                           "there); use mode 'full' for the flip density")
     # theta first, as np.sin warns on inf; disk_amplitude rechecks qR, which overflows near pR 1e308
-    if not np.all(np.isfinite(theta)):
-        raise DomainError(f"amplitudes: theta must be finite, got {theta!r}")
+    theta = _require_finite("amplitudes: theta", theta)
     f = disk_amplitude(2.0 * p_radius * np.abs(np.sin(0.5 * theta)))
     if mode == "low-energy":
         return [f]

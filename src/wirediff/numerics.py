@@ -22,12 +22,14 @@ digits.  30,000 random draws on [0, 1e4], which almost never fall below 2,
 give at most 4.4e-16.  Both branches sum their series by Clenshaw's
 recurrence, which uses only + and *; with IEEE sqrt, and sin and cos from
 the same libm, a Python float and each element of an array get the same
-bits.  :func:`disk_amplitude` and :func:`sinc` take either and split them
-only to check finiteness and to pick ``math`` or ``numpy``: a scalar call
-stays cheap, and an array is done in a few whole-array passes.  numpy is
-imported only in those array branches, so the scalar ones, :func:`_j1_zero`
-and every module that imports only them (the dark points, the CLI's
-``zeros``) run without it.
+bits.  :func:`disk_amplitude` and :func:`sinc` take either.
+:func:`_require_finite`, the package's one check that caller input is real
+and finite, returns a float for a real scalar and a float64 array for any
+other real array-like, and that type picks ``math`` or ``numpy``: a scalar
+call stays cheap, and an array is done in a few whole-array passes.  numpy
+is imported only on the array paths, so a float or int argument,
+:func:`_j1_zero` and every module that imports only them (the dark points,
+the CLI's ``zeros``) run without it.
 
 :func:`_j1_zero` gives j_{1,k}, the k-th positive zero of J1 and of F, in
 closed form: a table of j_{1,1} ... j_{1,23} rounded to doubles (written by
@@ -143,14 +145,28 @@ def _is_real(x) -> bool:
     return isinstance(x, Real)
 
 
-def _require_finite(name: str, x) -> float:
-    # a real number or a real 0-d array; float() would parse text and refuse complex
-    if not (_is_real(x) or getattr(x, "dtype", None) is not None and x.dtype.kind in "biuf"):
-        raise DomainError(f"{name}: argument must be a real number, got {x!r}")
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name}: argument must be finite, got {x!r}")
-    return x
+def _require_finite(label: str, x):
+    # the one check that caller input is real and finite: a real scalar or 0-d
+    # array comes back a float, any other array-like a float array of its shape;
+    # hasattr first, as _is_real's ABC check of an array costs about 1 us
+    if isinstance(x, float) or not hasattr(x, "ndim") and _is_real(x):
+        if math.isfinite(float(x)):
+            return float(x)
+    else:
+        import numpy as np
+
+        try:
+            arr = np.asarray(x)
+        except ValueError:  # numpy refuses a ragged nesting
+            raise DomainError(f"{label} must be finite real numbers, "
+                              "got a ragged nesting") from None
+        # the kind first: a cast would parse text, or drop an imaginary part with a warning
+        if arr.dtype.kind in "biuf" and np.isfinite(arr).all():
+            return float(arr) if arr.ndim == 0 else arr.astype(float, copy=False)
+        if arr.ndim:  # shown by its dtype and shape, not its values, however many
+            raise DomainError(f"{label} must be finite real numbers, got an array of dtype "
+                              f"{arr.dtype} and shape {arr.shape}")
+    raise DomainError(f"{label} must be a finite real number, got {x!r}")
 
 
 def _require_positive(label: str, x):
@@ -202,21 +218,20 @@ def disk_amplitude(q_r):
     The one amplitude of the model, a function of q_r = q R alone; every
     quantum density evaluates it, and its zeros j_{1,k} (:func:`_j1_zero`)
     place the quantum dark points.  Any finite q_r is accepted; F(0) = 1
-    exactly.  A scalar q_r returns a float; an array of one or more
-    dimensions runs the same branch code on numpy arrays and returns an
+    exactly.  A real scalar or 0-d array returns a float; any other real
+    array-like runs the same branch code on numpy arrays and returns a float
     array of its shape, bit-identical to the scalar value of every element.
-    A non-finite element raises DomainError.
+    Text, complex or non-finite input raises DomainError.
     """
-    if getattr(q_r, "ndim", 0) == 0:
-        x = abs(_require_finite("disk_amplitude", q_r))
+    x = _require_finite("disk_amplitude: q_r", q_r)
+    if type(x) is float:
+        x = abs(x)
         if x > _J1_CUTOFF:
             return _j1_large(x, math.sqrt, math.cos, math.sin)
         return _j1_small(x) if x > 0.0 else 1.0
     import numpy as np
 
-    x = np.abs(np.asarray(q_r, dtype=float))
-    if not np.isfinite(x).all():
-        raise DomainError("disk_amplitude: q_r must be finite")
+    x = np.abs(x)
     out = np.ones_like(x)
     large = x > _J1_CUTOFF
     small = (x > 0.0) & ~large
@@ -239,16 +254,13 @@ def _j1_zero(k: int) -> float:
 def sinc(x):
     """sin(x)/x with the removable singularity filled in: sinc(0) = 1.
 
-    Scalar or array, split by shape as in :func:`disk_amplitude`.
+    Scalar or array-like, split and checked as in :func:`disk_amplitude`.
     """
-    if getattr(x, "ndim", 0) == 0:
-        x = _require_finite("sinc", x)
+    x = _require_finite("sinc: x", x)
+    if type(x) is float:
         if x == 0.0:
             return 1.0
         return math.sin(x) / x
     import numpy as np
 
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("sinc: arguments must be finite")
     return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)

@@ -10,23 +10,15 @@ import math
 
 import numpy as np
 
-from .numerics import DomainError, _choice
+from .numerics import DomainError, _choice, _require_finite
 from .potential import _NORMALIZATIONS
 
 
 def validate_grid(thetas) -> np.ndarray:
     """Check an angular grid: 1-D, real, finite, strictly increasing, in [-pi, pi], non-empty."""
-    try:
-        arr = np.asarray(thetas)
-    except ValueError:  # numpy refuses a ragged nesting
-        raise DomainError("angular grid must be a non-empty 1-D array") from None
-    if arr.dtype.kind not in "biuf":  # text or complex; float() would parse or raise
-        raise DomainError(f"angular grid must be real numbers, got dtype {arr.dtype}")
-    arr = arr.astype(float, copy=False)
-    if arr.ndim != 1 or arr.size == 0:
+    arr = _require_finite("angular grid", thetas)
+    if np.ndim(arr) != 1 or arr.size == 0:
         raise DomainError("angular grid must be a non-empty 1-D array")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("angular grid must be finite")
     if arr.size > 1 and not np.all(np.diff(arr) > 0.0):
         raise DomainError("angular grid must be strictly increasing")
     if not (-math.pi <= arr[0] and arr[-1] <= math.pi):
@@ -60,14 +52,16 @@ def sample_pattern(density, thetas, normalization: str = "raw") -> np.ndarray:
     """
     thetas = validate_grid(thetas)
     normalization = _choice("normalization", normalization, _NORMALIZATIONS)
-    values = np.asarray(density(thetas), dtype=float)
+    values = np.asarray(density(thetas))
     shape = values.shape
     if not (shape[-1:] == thetas.shape and len(shape) <= 2 and 0 not in shape):
         raise DomainError(f"a pattern has one density value per theta, or a row of them per "
                           f"phase: got shape {shape} on a grid of shape {thetas.shape}")
-    # the density's fault, not the caller's: before the normalization's DomainError
-    if not np.all(np.isfinite(values)):
-        raise ValueError("density must be finite")
+    # the density's fault, not the caller's: before the normalization's DomainError;
+    # the kind first, as a cast would parse text and drop an imaginary part
+    if values.dtype.kind not in "biuf" or not np.all(np.isfinite(values)):
+        raise ValueError(f"density must be finite real numbers, got dtype {values.dtype}")
+    values = values.astype(float, copy=False)
     if np.any(values < 0.0):
         raise ValueError("density must be non-negative")
     if normalization == "peak-one":
@@ -84,16 +78,12 @@ def sample_pattern(density, thetas, normalization: str = "raw") -> np.ndarray:
 
 
 def _curve(thetas: np.ndarray, values, name: str) -> np.ndarray:
-    # one curve of compare_curves: one finite, non-negative real value per theta
-    try:
-        curve = np.asarray(values)
-    except ValueError:  # numpy refuses a ragged nesting
-        curve = None
-    if (curve is None or curve.dtype.kind not in "biuf" or curve.shape != thetas.shape
-            or not np.all(np.isfinite(curve)) or np.any(curve < 0.0)):
+    # one curve of compare_curves: one non-negative value per theta
+    curve = _require_finite(f"compare_curves: {name}", values)
+    if np.shape(curve) != thetas.shape or np.any(curve < 0.0):
         raise DomainError(f"compare_curves: reference and target must be single curves, "
-                          f"one finite, non-negative value per theta; the {name} is not")
-    return curve.astype(float, copy=False)
+                          f"one non-negative value per theta; the {name} is not")
+    return curve
 
 
 def compare_curves(thetas, reference, target) -> dict:

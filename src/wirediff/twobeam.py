@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .numerics import DomainError, _is_real
+from .numerics import DomainError, _is_real, _require_finite
 
 
 def dsigma_dtheta_two_beam(amplitude, alpha, phi, theta):
@@ -35,19 +35,17 @@ def dsigma_dtheta_two_beam(amplitude, alpha, phi, theta):
     one real phase or a non-empty 1-D sequence of them, which adds a leading
     axis, one row per phase.  Both are checked before any amplitude is
     evaluated, and a bad one (an array alpha, a complex or text phi) raises
-    DomainError.  ``theta`` is a scalar or an array of angles.
+    DomainError.  ``theta`` is a real scalar or array-like of angles, checked
+    as :func:`~wirediff.electron.amplitudes` checks it.
     """
     if not (_is_real(alpha) and 0.0 <= alpha <= math.pi):
         raise DomainError(f"alpha in [0, pi] required, got {alpha!r}")
-    try:
-        phis = np.asarray(phi)
-    except ValueError:  # numpy refuses a ragged nesting; as an object array it fails below
-        phis = np.asarray(None)
-    values = phis.ravel().tolist()
-    if (phis.dtype.kind not in "biuf" or phis.ndim > 1 or not values
-            or not all(map(math.isfinite, values))):
-        raise DomainError(f"phi must be a finite phase or a non-empty 1-D sequence of "
-                          f"them, got {phi!r}")
+    phis = _require_finite("phi", phi)
+    scan = type(phis) is not float
+    if scan and (phis.ndim != 1 or not phis.size):
+        raise DomainError(f"phi must be one phase or a non-empty 1-D sequence of them, got "
+                          f"shape {phis.shape}")
+    theta = _require_finite("dsigma_dtheta_two_beam: theta", theta)
     # |A_- + e^{i phi} A_+|^2 = (A_- + A_+)^2 cos^2 h + (A_- - A_+)^2 sin^2 h,
     # h half the IEEE-remainder-reduced phase (so 2*pi periodicity is exact):
     # swapping the beams, as theta -> -theta does, leaves both squares' bits
@@ -56,10 +54,10 @@ def dsigma_dtheta_two_beam(amplitude, alpha, phi, theta):
     # one phase keeps the weights as floats, and a sequence is a leading axis
     # over theta's.  Squares are x * x: ** on a float calls libm pow, which
     # is not correctly rounded, so scalar and array theta would part.
-    halves = [0.5 * math.remainder(p, math.tau) for p in values]
+    halves = [0.5 * math.remainder(p, math.tau) for p in (phis.tolist() if scan else [phis])]
     bright = [math.cos(h) * math.cos(h) for h in halves]
     dark = [math.sin(h) * math.sin(h) for h in halves]
-    if phis.ndim:
+    if scan:
         shape = (-1,) + (1,) * np.ndim(theta)
         bright, dark = np.reshape(bright, shape), np.reshape(dark, shape)
     else:

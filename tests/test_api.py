@@ -228,8 +228,10 @@ _NAMED = {"p_radius": "fraunhofer_amplitudes", "radius_scale": "fraunhofer_ampli
           "complex phases": "^phi must be", "pattern 3-D": "^a pattern has",
           "pattern length": "^a pattern has", "compare_curves target phase rows": "single curves",
           "compare_curves phase rows": "single curves", "compare_curves length": "the target is",
-          "compare_curves negative": "single curves", "compare_curves nan": "the reference is",
-          "compare_curves text": "single curves", "compare_curves ragged": "single curves",
+          "compare_curves negative": "single curves",
+          "compare_curves nan": "^compare_curves: reference must be finite real numbers",
+          "compare_curves text": "^compare_curves: target must be finite real numbers",
+          "compare_curves ragged": "^compare_curves: target .* ragged nesting$",
           "compare_curves grid": "strictly increasing", "pattern short": "^a pattern has",
           "pattern no rows": "^a pattern has", "text grid": "real numbers",
           "complex grid": "real numbers", "dark-point float n": "n must be an integer",
@@ -237,7 +239,8 @@ _NAMED = {"p_radius": "fraunhofer_amplitudes", "radius_scale": "fraunhofer_ampli
           "text pR": "^amplitudes: p_radius", "spinor theta": "^amplitudes: theta",
           "spinor energy": "^full mode needs",
           "fraunhofer text pR": "^fraunhofer_amplitudes: p_radius",
-          "ragged grid": "1-D array", "dark-point text p_radius": "^first_dark_points: p_radius",
+          "ragged grid": "^angular grid must be finite real numbers, got a ragged",
+          "dark-point text p_radius": "^first_dark_points: p_radius",
           "text wavelength": "^wavelength", "disk_amplitude text": "^disk_amplitude: .* real",
           "disk_amplitude complex": "^disk_amplitude: .* real", "sinc text": "^sinc: .* real",
           "sinc 0-d text": "^sinc: .* real", "sinc 0-d complex": "^sinc: .* real"}
@@ -249,13 +252,93 @@ class TestInputErrors:
         with pytest.raises(DomainError, match=_NAMED.get(name)):
             _BAD_INPUTS[name]()
 
-    # on a grid of two: a negative or a NaN value
-    @pytest.mark.parametrize("density", [[1.0, -1.0], [1.0, math.nan]])
+    # on a grid of two: a negative or a NaN value, or values that are not real
+    # numbers, which a cast to float would parse or strip of their imaginary part
+    @pytest.mark.parametrize("density", [[1.0, -1.0], [1.0, math.nan], [1.0, 1.0 + 1j],
+                                         ["1", "1"], [1.0, None]])
     def test_pattern_density_invariants_stay_value_errors(self, density):
         # a builder's own density breaking them is the package's fault, not input
         with pytest.raises(ValueError) as exc:
             sample_pattern(lambda theta: np.array(density), _GRID[:2])
         assert not isinstance(exc.value, DomainError)
+
+
+# every library caller of numerics._require_finite: its label and a call on the one value
+_TWO_BEAM = partial(dsigma_dtheta_two_beam, partial(amplitudes, BeamParams(1e7), 100.0), 0.1)
+_REAL = {
+    "amplitudes": ("amplitudes: theta", lambda x: amplitudes(BeamParams(1e7), 100.0, x)),
+    "amplitudes full": ("amplitudes: theta",
+                        lambda x: amplitudes(BeamParams(1e7), 100.0, x, "full", "sum")),
+    "fraunhofer_amplitudes": ("fraunhofer_amplitudes: theta",
+                              lambda x: fraunhofer_amplitudes(100.0, x)),
+    "disk_amplitude": ("disk_amplitude: q_r", disk_amplitude),
+    "sinc": ("sinc: x", sinc),
+    "two-beam theta": ("dsigma_dtheta_two_beam: theta", lambda x: _TWO_BEAM(0.0, x)),
+    "two-beam phi": ("phi", lambda x: _TWO_BEAM(x, _GRID)),
+    "validate_grid": ("angular grid", validate_grid),
+    "compare_curves reference": ("compare_curves: reference",
+                                 lambda x: compare_curves(_GRID[:4], x, _FLAT[:4])),
+    "compare_curves target": ("compare_curves: target",
+                              lambda x: compare_curves(_GRID[:4], _FLAT[:4], x)),
+}
+# the callers that take one number as well as an array of them
+_SCALAR_SLOTS = ["amplitudes", "amplitudes full", "fraunhofer_amplitudes", "disk_amplitude",
+                 "sinc", "two-beam theta", "two-beam phi"]
+_RAGGED = [[0.1], [0.1, 0.2]]
+# text, numeric text, complex, None, a ragged nesting, and a non-finite element
+_NOT_REAL = ["0.1", np.array(["0.1", "0.2"]), 0.5j, np.array([0.1, 1j]), None, _RAGGED,
+             np.array([0.0, math.nan]), [0.0, math.inf], (0.0, -math.inf), math.nan,
+             np.float64(math.inf)]
+
+
+def _refusal(label, value):
+    # the one message: a scalar shown as itself, an array-like by its dtype and shape
+    if value is _RAGGED:
+        return f"{label} must be finite real numbers, got a ragged nesting"
+    if np.ndim(value) == 0:
+        return f"{label} must be a finite real number, got {value!r}"
+    array = np.asarray(value)
+    return (f"{label} must be finite real numbers, got an array of dtype {array.dtype} "
+            f"and shape {array.shape}")
+
+
+def _bits(result):
+    # a result's types, shapes and bits, through the lists and dicts the callers return
+    if isinstance(result, (list, dict)):
+        return [_bits(r) for r in (result.values() if isinstance(result, dict) else result)]
+    return type(result), np.shape(result), np.asarray(result).dtype, np.asarray(result).tobytes()
+
+
+class TestRealInputs:
+    @pytest.mark.parametrize("value", _NOT_REAL, ids=repr)
+    @pytest.mark.parametrize("caller", _REAL)
+    def test_every_caller_refuses_with_its_label(self, caller, value):
+        label, call = _REAL[caller]
+        with pytest.raises(DomainError) as exc:
+            call(value)
+        assert str(exc.value) == _refusal(label, value)
+
+    @pytest.mark.parametrize("caller", _REAL)
+    def test_array_likes_give_the_float64_result(self, caller):
+        # a list, a tuple, an int array and a float32 one, each as the float64 array
+        call = _REAL[caller][1]
+        want = _bits(call(np.array([0.0, 1.0, 2.0, 3.0])))
+        for value in ([0.0, 1.0, 2.0, 3.0], (0, 1, 2, 3), np.arange(4),
+                      np.arange(4, dtype=np.float32)):
+            assert _bits(call(value)) == want
+
+    @pytest.mark.parametrize("caller", _SCALAR_SLOTS)
+    def test_zero_d_array_is_the_number(self, caller):
+        call = _REAL[caller][1]
+        assert _bits(call(np.array(0.25))) == _bits(call(0.25)) == _bits(call(np.float64(0.25)))
+
+    def test_the_array_is_not_copied(self):
+        from wirediff.numerics import _require_finite
+
+        grid = np.linspace(-0.1, 0.1, 5)
+        assert _require_finite("x", grid) is grid
+        assert validate_grid(grid) is grid
+        assert type(_require_finite("x", 3)) is float
 
 
 # every library caller of numerics._require_positive: its label and a call on the one value

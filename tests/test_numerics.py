@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -129,6 +130,29 @@ class TestArrayKernels:
         xs[4] = bad
         with pytest.raises(DomainError):
             kernel(xs)
+
+
+# the scalar kernel calls in a fresh interpreter, with the import of numpy
+# blocked when argv[1] is "block": each result's type and bits
+_SCALAR_CALLS = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from wirediff.numerics import disk_amplitude, sinc
+values = (disk_amplitude(3.0), disk_amplitude(3), disk_amplitude(20.0), sinc(0.5), sinc(0))
+print([(type(v).__name__, v.hex()) for v in values])
+"""
+
+
+def test_scalar_kernels_run_without_numpy():
+    # both branches of disk_amplitude and both of sinc, from a float and an int
+    src = str(Path(numerics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    blocked, free = (subprocess.run([sys.executable, "-c", _SCALAR_CALLS, mode],
+                                    capture_output=True, text=True, env=env, check=True,
+                                    timeout=60).stdout for mode in ("block", "free"))
+    values = (disk_amplitude(3.0), disk_amplitude(3), disk_amplitude(20.0), sinc(0.5), sinc(0))
+    assert blocked == free == f"{[('float', v.hex()) for v in values]}\n"
 
 
 def _ulps_around(x: float, n: int) -> list[float]:
